@@ -1,7 +1,7 @@
 // Quickstart: diagnose one embedded SRAM with the proposed fast scheme.
 //
 //   $ quickstart [--words 512] [--bits 100] [--rate 0.01] [--seed 42]
-//                [--kernel word_parallel|per_cell|instance_sliced]
+//                [--kernel word_parallel|per_cell]
 //
 // Builds the paper's benchmark e-SRAM, injects a 1 % defect population
 // (including the data-retention faults prior schemes miss), runs the
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     const auto seed = args.get_u64("seed", 42, "injection seed");
     const auto kernel_name = args.get_string(
         "kernel", "word_parallel",
-        "access kernel: word_parallel, per_cell or instance_sliced");
+        "access kernel: word_parallel or per_cell");
     if (args.help_requested()) {
       args.print_help("fastdiag quickstart: one e-SRAM, fast diagnosis");
       return 0;

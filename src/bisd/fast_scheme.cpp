@@ -8,11 +8,11 @@
 #include "bisd/address_gen.h"
 #include "bisd/background_gen.h"
 #include "bisd/comparator.h"
+#include "faults/overlay_slab.h"
 #include "march/library.h"
 #include "nwrtm/nwrtm.h"
 #include "serial/psc.h"
 #include "serial/spc.h"
-#include "sram/instance_slab.h"
 #include "util/require.h"
 #include "util/simd.h"
 
@@ -70,21 +70,28 @@ bool test_has_nwrc(const MarchTest& test) {
   return false;
 }
 
-/// Runtime state of one instance-sliced group: the packed slab carrying the
-/// lanes' cells, one golden shadow (identical writes reach every lane, so a
-/// single fault-free expectation serves the whole group), and the broadcast
-/// images the packed write/compare paths consume.  The group shares its
-/// representative member's SPC and address generator — identical geometry
-/// means identical mapping.
+/// Runtime state of one instance-sliced group: the overlaid slab carrying
+/// the lanes' cells and fault sites, one golden shadow (identical writes
+/// reach every lane, so a single fault-free expectation serves the whole
+/// group), and the broadcast images the packed write/compare paths consume.
+/// The group shares its representative member's SPC and address generator
+/// — identical geometry means identical mapping.
 struct SlicedGroup {
+  SlicedGroup(SliceGroup group, const std::vector<sram::Sram*>& lanes,
+              sram::SramConfig golden_config)
+      : info(std::move(group)),
+        slab(lanes),
+        golden(std::make_unique<sram::Sram>(std::move(golden_config))),
+        wbcast(info.bits, 0),
+        ebcast(info.bits, 0) {}
+
   SliceGroup info;
-  sram::InstanceSlab slab;
+  faults::OverlaySlab slab;
   std::unique_ptr<sram::Sram> golden;
   std::vector<std::uint64_t> wbcast;  ///< write image, refreshed per element
   std::vector<std::uint64_t> ebcast;  ///< expected image, refreshed per read
   BitVector expected_scratch;
   std::uint32_t addr = 0;         ///< address of the in-flight read
-  std::uint64_t batch_diff = 0;   ///< lane-diff OR of the current batch
   std::uint64_t clock_diff = 0;   ///< lane diff of the current shift clock
 };
 
@@ -139,15 +146,15 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   const MarchTest test = test_for_width(c_max);
   const std::size_t memories = soc.memory_count();
 
-  // Instance-sliced groups (only when the SoC selects that kernel):
-  // identical-geometry transparent memories advance as bit-lanes of one
-  // packed slab; every other memory stays on the per-memory ("direct")
-  // path, so faulty lanes keep their exact per-cell semantics and record
-  // attribution is untouched.
+  // Instance-sliced groups (every group slice_groups() admits, unless the
+  // SoC runs the per_cell reference): identical-geometry memories advance
+  // as bit-lanes of one overlaid slab, faulty lanes included — their fault
+  // sites patch their own column bits.  Every other memory stays on the
+  // per-memory ("direct") path; record attribution is the same either way.
   std::vector<std::unique_ptr<SlicedGroup>> groups;
   std::vector<std::ptrdiff_t> group_of(memories, -1);
   std::vector<std::uint32_t> lane_of(memories, 0);
-  if (soc.access_kernel() == sram::AccessKernel::instance_sliced) {
+  if (soc.access_kernel() == sram::AccessKernel::word_parallel) {
     for (auto& info : soc.slice_groups()) {
       std::vector<sram::Sram*> lanes;
       lanes.reserve(info.members.size());
@@ -157,16 +164,10 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
         lane_of[m] = static_cast<std::uint32_t>(k);
         lanes.push_back(&soc.memory(m));
       }
-      auto group = std::make_unique<SlicedGroup>(
-          SlicedGroup{info, sram::InstanceSlab(std::move(lanes)), nullptr,
-                      {}, {}, {}, 0, 0, 0});
       auto golden_config = soc.config(info.members.front());
       golden_config.name += ".golden";
-      group->golden = std::make_unique<sram::Sram>(golden_config);
-      group->slab.gather();
-      group->wbcast.assign(info.bits, 0);
-      group->ebcast.assign(info.bits, 0);
-      groups.push_back(std::move(group));
+      groups.push_back(std::make_unique<SlicedGroup>(
+          std::move(info), lanes, std::move(golden_config)));
     }
   }
   std::vector<std::size_t> direct;
@@ -220,8 +221,12 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   nwrtm::NwrtmController nwrtm_line(/*toggle_cost_cycles=*/c_max);
 
   // Scratch storage reused by every read op: the hot loop never allocates.
+  // diff_scratch is zero outside the batch that sets it; hits lists the
+  // memories a batch set, so the rare path walks only those.
   std::vector<BitVector> expected(memories);
   std::vector<std::uint64_t> diff_scratch(memories, 0);
+  std::vector<std::size_t> hits;
+  hits.reserve(memories);
   BitVector read_scratch;
 
   // When every memory has an idle mode, nothing touches a data port while
@@ -262,9 +267,10 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   }
   std::uint64_t cycles = 0;
   // In sliced mode the per-tick clock advance walks only the direct
-  // memories (an O(all memories) walk per cycle would cap the speedup);
-  // sliced lanes are transparent — no time-dependent state — so they take
-  // one deferred advance of the full amount at the end.
+  // memories (an O(all memories) walk per cycle would cap the speedup).
+  // Sliced lanes take one deferred advance of the full amount at the end;
+  // until then their fault sites (DRF settling) run on deferred_ns, the
+  // scheme's running clock since the slab was built.
   const bool sliced_mode = !groups.empty();
   std::uint64_t deferred_ns = 0;
   sram::OpCounters sliced_tally;  // per-lane op counts, credited at the end
@@ -364,16 +370,20 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
               }
               for (auto& group : groups) {
                 // One packed pulse advances every lane: identical geometry
-                // means identical address mapping and identical SPC content,
-                // and NWRC == normal write on transparent lanes.
+                // means identical address mapping and identical SPC content;
+                // each lane's fault sites then replay the write exactly.
                 const std::size_t rep = group->info.members.front();
                 const std::uint32_t addr =
                     generators[rep].map(step, element.order, n_max);
-                if (op.kind == MarchOpKind::nwrc_write) {
+                const bool nwrc = op.kind == MarchOpKind::nwrc_write;
+                if (nwrc) {
                   ensure(nwrtm_line.asserted(),
                          "FastScheme: NWRC op outside NWRTM bracket");
                 }
-                group->slab.write_row(addr, group->wbcast.data());
+                group->slab.write(addr, group->wbcast.data(),
+                                  nwrc ? sram::WriteStyle::nwrc
+                                       : sram::WriteStyle::normal,
+                                  deferred_ns);
                 group->golden->write(addr, spcs[rep].parallel_out());
               }
               if (sliced_mode) {
@@ -401,6 +411,7 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                 // of the shared golden word.
                 const std::size_t rep = group->info.members.front();
                 group->addr = generators[rep].map(step, element.order, n_max);
+                group->slab.read(group->addr, deferred_ns);
                 group->golden->read_into(group->addr, group->expected_scratch);
                 simd::dispatch().expand_bits(
                     group->expected_scratch.word_data(), group->ebcast.data(),
@@ -424,75 +435,72 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                   const std::uint64_t batch_start_cycles = cycles;
                   tick(batch);
                   std::uint64_t any_diff = 0;
+                  hits.clear();
                   for (const std::size_t i : direct) {
                     const std::uint64_t observed =
                         pscs[i].shift_out_word(batch);
                     const std::uint64_t expect =
                         expected[i].word_at(k, batch);
-                    diff_scratch[i] =
+                    const std::uint64_t diff =
                         comparators.compare_word(i, expect, observed, batch);
-                    any_diff |= diff_scratch[i];
+                    if (diff != 0) {
+                      diff_scratch[i] = diff;
+                      any_diff |= diff;
+                      hits.push_back(i);
+                    }
                   }
-                  // One packed compare covers the whole group's batch: the
-                  // result is a per-lane mask, all-zero on clean lanes (the
-                  // hot case), so the column-wise demux below runs only for
-                  // a group that actually mismatched.
-                  std::uint64_t group_mismatch = 0;
+                  // One packed compare covers each group's batch: the result
+                  // is a per-lane mask, all-zero on clean lanes (the hot
+                  // case), so the column-wise demux below runs only for a
+                  // group that actually mismatched, and only over its
+                  // flagged columns.
                   for (auto& group : groups) {
                     const std::uint32_t gbits = group->info.bits;
-                    group->batch_diff =
-                        k < gbits
-                            ? group->slab.compare_columns(
-                                  group->addr, group->ebcast.data(), k,
-                                  std::min<std::uint32_t>(
-                                      k + static_cast<std::uint32_t>(batch),
-                                      gbits))
-                            : 0;
-                    group_mismatch |= group->batch_diff;
-                  }
-                  if (group_mismatch != 0 || any_diff != 0) {
-                    // diff_scratch of sliced members still holds the last
-                    // batch that entered this path — clear every sliced
-                    // lane before demuxing the mismatching groups into it.
-                    for (const auto& group : groups) {
-                      for (const std::size_t m : group->info.members) {
-                        diff_scratch[m] = 0;
-                      }
+                    if (k >= gbits ||
+                        group->slab.compare(
+                            group->ebcast.data(), k,
+                            std::min<std::uint32_t>(
+                                k + static_cast<std::uint32_t>(batch),
+                                gbits)) == 0) {
+                      continue;
                     }
-                    for (const auto& group : groups) {
-                      if (group->batch_diff == 0) {
-                        continue;
-                      }
-                      const std::uint32_t j_end = std::min<std::uint32_t>(
-                          k + static_cast<std::uint32_t>(batch),
-                          group->info.bits);
-                      for (std::uint32_t j = k; j < j_end; ++j) {
-                        std::uint64_t lanes_diff =
-                            (group->slab.column(group->addr, j) ^
-                             group->ebcast[j]) &
-                            group->slab.lane_mask();
-                        if (lanes_diff == 0) {
-                          continue;
+                    const std::uint64_t* observed = group->slab.observed();
+                    std::uint64_t cols =
+                        group->slab.mismatch_columns(group->ebcast.data(), k);
+                    while (cols != 0) {
+                      const auto t =
+                          static_cast<std::uint32_t>(std::countr_zero(cols));
+                      cols &= cols - 1;
+                      const std::uint64_t clock_bit = std::uint64_t{1} << t;
+                      any_diff |= clock_bit;
+                      std::uint64_t lanes_diff =
+                          (observed[k + t] ^ group->ebcast[k + t]) &
+                          group->slab.lane_mask();
+                      while (lanes_diff != 0) {
+                        const auto lane = static_cast<std::size_t>(
+                            std::countr_zero(lanes_diff));
+                        lanes_diff &= lanes_diff - 1;
+                        const std::size_t m = group->info.members[lane];
+                        if (diff_scratch[m] == 0) {
+                          hits.push_back(m);
                         }
-                        const std::uint64_t clock_bit = std::uint64_t{1}
-                                                        << (j - k);
-                        any_diff |= clock_bit;
-                        while (lanes_diff != 0) {
-                          const auto lane = static_cast<std::size_t>(
-                              std::countr_zero(lanes_diff));
-                          lanes_diff &= lanes_diff - 1;
-                          diff_scratch[group->info.members[lane]] |= clock_bit;
-                        }
+                        diff_scratch[m] |= clock_bit;
                       }
                     }
                   }
-                  // Rare path: walk the mismatching clocks in order.
+                  if (any_diff == 0) {
+                    continue;
+                  }
+                  // Rare path: walk the mismatching clocks in order, and per
+                  // clock only the memories that mismatched in this batch,
+                  // ascending — the per-clock loop's registration order.
+                  std::sort(hits.begin(), hits.end());
                   while (any_diff != 0) {
                     const auto t = static_cast<std::uint32_t>(
                         std::countr_zero(any_diff));
                     any_diff &= any_diff - 1;
                     const std::uint64_t bit_mask = std::uint64_t{1} << t;
-                    for (std::size_t i = 0; i < memories; ++i) {
+                    for (const std::size_t i : hits) {
                       if ((diff_scratch[i] & bit_mask) == 0 ||
                           k + t >= soc.config(i).bits) {
                         continue;
@@ -511,6 +519,9 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                       result.log.add(std::move(record));
                     }
                   }
+                  for (const std::size_t i : hits) {
+                    diff_scratch[i] = 0;
+                  }
                 }
               } else {
                 for (std::uint32_t k = 0; k < c_max; ++k) {
@@ -521,8 +532,7 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                     // clock replaces the per-lane PSC/comparator walk.
                     group->clock_diff =
                         k < group->info.bits
-                            ? (group->slab.column(group->addr, k) ^
-                               group->ebcast[k]) &
+                            ? (group->slab.observed()[k] ^ group->ebcast[k]) &
                                   group->slab.lane_mask()
                             : 0;
                   }
@@ -594,10 +604,11 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
     }
   }
 
-  // Sliced lanes now catch up with the world: the arena scatters back into
-  // each lane's CellArray, and the deferred clock/op accounting lands so the
-  // lanes' observable state (contents, uptime, counters) is exactly what the
-  // per-memory path would have produced.
+  // Sliced lanes now catch up with the world: the arena and sense latches
+  // scatter back into each lane's memory, and the deferred clock/op
+  // accounting lands so the lanes' observable state (contents, latches,
+  // uptime, counters; retention clocks already live in their FaultSets) is
+  // exactly what the per-memory path would have produced.
   for (auto& group : groups) {
     group->slab.scatter();
     for (const std::size_t m : group->info.members) {

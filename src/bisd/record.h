@@ -33,22 +33,29 @@ struct DiagnosisRecord {
 
 class DiagnosisLog {
  public:
-  void add(DiagnosisRecord record) { records_.push_back(std::move(record)); }
+  /// Appends @p record and indexes it under its memory, so the per-memory
+  /// queries below visit only that memory's records.
+  void add(DiagnosisRecord record);
 
   /// Pre-sizes the record vector.  Schemes call this with their structural
   /// upper bounds (memories x reads) or with high-water feedback from the
   /// engine, so hot diagnosis loops stop reallocating mid-run.
-  void reserve(std::size_t records) { records_.reserve(records); }
+  void reserve(std::size_t records) {
+    records_.reserve(records);
+    next_.reserve(records);
+  }
 
   [[nodiscard]] const std::vector<DiagnosisRecord>& records() const {
     return records_;
   }
 
-  /// Distinct faulty cells attributed to @p memory_index.
+  /// Distinct faulty cells attributed to @p memory_index.  Linear in that
+  /// memory's records: the cells are deduplicated through a bitmap walked
+  /// in address order, so the set is built with end-hinted inserts.
   [[nodiscard]] std::set<sram::CellCoord> cells(
       std::size_t memory_index) const;
 
-  /// Distinct rows needing repair in @p memory_index.
+  /// Distinct rows needing repair in @p memory_index (same cost model).
   [[nodiscard]] std::set<std::uint32_t> faulty_rows(
       std::size_t memory_index) const;
 
@@ -65,7 +72,22 @@ class DiagnosisLog {
   [[nodiscard]] std::string to_csv() const;
 
  private:
+  /// Memory indices below this are indexed as records arrive; anything
+  /// larger (only a corrupt or hand-made log carries one) is found by a
+  /// scan, so a stray index can never size the table.
+  static constexpr std::size_t kIndexedMemories = std::size_t{1} << 16;
+  static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+
+  /// Record positions of @p memory_index, ascending.
+  [[nodiscard]] std::vector<std::uint32_t> records_of(
+      std::size_t memory_index) const;
+
   std::vector<DiagnosisRecord> records_;
+  /// Per-memory record chains: next_[r] is the next record of r's memory
+  /// (kEnd at the tail), head_/tail_ the chain ends per indexed memory.
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> tail_;
 };
 
 }  // namespace fastdiag::bisd

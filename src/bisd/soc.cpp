@@ -1,6 +1,7 @@
 #include "bisd/soc.h"
 
 #include "faults/fault_set.h"
+#include "faults/overlay_slab.h"
 #include "util/require.h"
 
 namespace fastdiag::bisd {
@@ -111,8 +112,10 @@ std::vector<SliceGroup> SocUnderTest::slice_groups() const {
     const auto& memory = *memories_[i].memory;
     // Idle mode is required: a memory without it performs per-shift-clock
     // dummy reads during PSC drain, which a shared slab cannot replicate
-    // per lane without giving up the whole win.
-    if (!memory.sliceable() || !memory.config().has_idle_mode) {
+    // per lane without giving up the whole win.  In-field memories fail
+    // lane_capable(): their upsets are timed per-instance state.
+    if (!faults::OverlaySlab::lane_capable(memory) ||
+        !memory.config().has_idle_mode) {
       continue;
     }
     SliceGroup* open = nullptr;
@@ -129,6 +132,10 @@ std::vector<SliceGroup> SocUnderTest::slice_groups() const {
     }
     open->members.push_back(i);
   }
+  std::erase_if(groups, [](const SliceGroup& group) {
+    return !faults::OverlaySlab::worth_slicing(group.members.size(),
+                                               group.bits);
+  });
   return groups;
 }
 

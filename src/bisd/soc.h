@@ -19,10 +19,10 @@
 
 namespace fastdiag::bisd {
 
-/// One instance-sliced execution group (see sram::InstanceSlab): up to 64
-/// transparent identical-geometry memories a scheme may advance as bit-lanes
-/// of one packed slab.  members are memory indices in this SoC, ascending;
-/// lane k of the slab is members[k].
+/// One instance-sliced execution group (see faults::OverlaySlab): up to 64
+/// identical-geometry memories a scheme advances as bit-lanes of one packed
+/// slab, each lane's fault sites overlaid on its column bits.  members are
+/// memory indices in this SoC, ascending; lane k of the slab is members[k].
 struct SliceGroup {
   std::uint32_t words = 0;
   std::uint32_t bits = 0;
@@ -71,19 +71,22 @@ class SocUnderTest {
   void advance_time_ns(std::uint64_t ns);
 
   /// Selects the access kernel of every memory and remembers it as the
-  /// SoC-level kernel (word_parallel by default; per_cell forces the
-  /// bit-at-a-time reference path everywhere; instance_sliced additionally
-  /// lets schemes advance slice_groups() on packed InstanceSlabs —
-  /// differential tests and benchmarks prove all three bit-identical).
+  /// SoC-level kernel (word_parallel by default, which lets schemes advance
+  /// slice_groups() on overlaid slabs; per_cell forces the bit-at-a-time
+  /// reference path everywhere — differential tests and benchmarks prove
+  /// both bit-identical).
   void set_access_kernel(sram::AccessKernel kernel);
   [[nodiscard]] sram::AccessKernel access_kernel() const { return kernel_; }
 
-  /// Instance-sliced execution groups: sliceable (transparent, unrepaired)
-  /// idle-capable memories of identical geometry, chunked into groups of at
-  /// most 64 in ascending memory-index order (deterministic — the 65th
-  /// identical memory opens a second group).  Memories that do not qualify
-  /// are simply absent and stay on the per-memory path; group membership is
-  /// independent of the selected kernel, callers gate on access_kernel().
+  /// Instance-sliced execution groups: unrepaired, idle-capable,
+  /// FaultSet-backed memories of identical geometry — faulty or not —
+  /// chunked into groups of at most 64 in ascending memory-index order
+  /// (deterministic — the 65th identical memory opens a second group), and
+  /// kept only where faults::OverlaySlab::worth_slicing() says the group
+  /// pays.  Repaired, idle-less and in-field (SoftErrorBehavior) memories
+  /// are simply absent and stay on the per-memory path; group membership
+  /// is independent of the selected kernel, callers gate on
+  /// access_kernel().
   [[nodiscard]] std::vector<SliceGroup> slice_groups() const;
 
   /// Total injected faults over all memories.

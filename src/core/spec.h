@@ -110,12 +110,13 @@ class SessionSpec::Builder {
   /// other schemes leave Report::classification empty.
   Builder& classify(bool classify);
 
-  /// Simulation access kernel (default word_parallel).  per_cell forces the
-  /// bit-at-a-time reference path in every memory — slow, but the oracle the
-  /// faster kernels are differentially tested against.  instance_sliced
-  /// additionally advances groups of up to 64 identical-geometry fault-free
-  /// memories as bit-lanes of one packed slab (sram::InstanceSlab) — one
-  /// word op per cell-column for the whole group, bit-identical reports.
+  /// Simulation access kernel (default word_parallel).  word_parallel
+  /// advances groups of up to 64 identical-geometry memories as bit-lanes
+  /// of one packed slab with each lane's fault sites overlaid
+  /// (faults::OverlaySlab) and everything else through packed word ops.
+  /// per_cell forces the bit-at-a-time reference path in every memory —
+  /// slow, but the oracle the fast kernel is differentially tested against;
+  /// reports are bit-identical.
   Builder& access_kernel(sram::AccessKernel kernel);
 
   /// In-field soft-error workload (default disabled).  When enabled the

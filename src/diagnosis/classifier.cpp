@@ -660,7 +660,7 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
 
   // ---- replay the plan ----------------------------------------------------
   // bit_sliced: one March replay per round.  instance_sliced: every round
-  // becomes one lane of a SlicedProbeBatch and the whole plan replays 64
+  // becomes one lane of a faults::OverlaySlab and the whole plan replays 64
   // rounds per batch — same rounds, same demux, so the dictionaries are
   // byte-identical across all three modes by construction.
   auto probe_config = config_;

@@ -114,7 +114,7 @@ enum class DictionaryBuildMode {
 
   /// Composes the bit_sliced packing with instance slicing: the packed
   /// probe memories of one build plan are grouped into
-  /// faults::SlicedProbeBatch lanes (up to 64 per slab) and each batch is
+  /// faults::OverlaySlab lanes (up to 64 per slab) and each batch is
   /// replayed once through MarchRunner::run_group_per_cell — one masked
   /// word op per cell-column advances the whole group, and mismatching
   /// reads demux straight to (lane, candidate, victim) coordinates.  Same
@@ -303,7 +303,7 @@ class FaultClassifier {
       const CellKey& key, std::uint32_t observed_row,
       const ProbeGeometry& geometry) const;
   /// instance_sliced build: the bit_sliced plan's packed probes become
-  /// lanes of SlicedProbeBatch slabs, replayed 64 per batch through
+  /// lanes of faults::OverlaySlab slabs, replayed 64 per batch through
   /// MarchRunner::run_group_per_cell.  Fills the same keys, same slots.
   [[nodiscard]] const std::vector<CellSignature>& build_cell_instance_sliced(
       const CellKey& key, std::uint32_t observed_row,

@@ -105,8 +105,8 @@ struct UpsetEvent {
 [[nodiscard]] std::vector<UpsetEvent> generate_upsets(
     const sram::SramConfig& config, const SoftErrorSpec& spec, Rng& rng);
 
-/// The in-field behavior layer.  Never transparent: upsets are per-instance
-/// state, so these memories always take the exact (non-sliced) kernels.
+/// The in-field behavior layer.  Upsets are per-instance timed state, so
+/// these memories never join an instance-sliced group.
 class SoftErrorBehavior final : public sram::FaultBehavior {
  public:
   struct EccStats {
@@ -125,7 +125,6 @@ class SoftErrorBehavior final : public sram::FaultBehavior {
 
   // FaultBehavior ------------------------------------------------------------
   void attach(const sram::SramConfig& config) override;
-  [[nodiscard]] bool transparent() const override { return false; }
   void decode(std::uint32_t addr, std::vector<std::uint32_t>& rows) override;
   void write_cell(sram::CellArray& cells, sram::CellCoord cell, bool value,
                   sram::WriteStyle style, std::uint64_t now_ns) override;

@@ -5,9 +5,7 @@
 #include <bit>
 #include <memory>
 
-#include "faults/composite_probe.h"
-
-#include "sram/instance_slab.h"
+#include "faults/overlay_slab.h"
 #include "util/require.h"
 #include "util/simd.h"
 
@@ -185,11 +183,13 @@ void run_loop(const sram::ClockDomain& clock, sram::Sram& memory,
   drive_march(test, words, sweep, ops, sink);
 }
 
-/// One packed pass over a chunk of <= 64 sliceable lanes: the instance-sliced
-/// mirror of run_loop.  Uniform data (every lane receives the same background
-/// word) means one slab write per op and one packed compare per read; the
-/// per-lane Mismatch streams are demuxed from the compare masks only on the
-/// rare mismatching read.  @p out are the chunk's RunResult slots.
+/// One packed pass over a chunk of <= 64 lanes: the instance-sliced mirror
+/// of run_loop.  Uniform data (every lane receives the same background
+/// word) means one overlaid slab write per op and one packed compare per
+/// read; each lane's fault sites patch its own column bits
+/// (faults::OverlaySlab), and the per-lane Mismatch streams are demuxed
+/// from the compare masks only on the rare mismatching read.  @p out are
+/// the chunk's RunResult slots.
 void run_sliced_chunk(const sram::ClockDomain& clock,
                       const std::vector<sram::Sram*>& lanes,
                       const std::vector<RunResult*>& out,
@@ -204,13 +204,13 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
   require(sweep >= words, "MarchRunner: global_words below the word count");
 
   struct SlabSink {
-    SlabSink(const sram::ClockDomain& clock, sram::InstanceSlab& slab,
+    SlabSink(const sram::ClockDomain& clock, faults::OverlaySlab& slab,
              const std::vector<RunResult*>& out, sram::Sram* golden,
              std::uint32_t bits)
         : clock(clock), slab(slab), out(out), golden(golden), bits(bits) {}
 
     const sram::ClockDomain& clock;
-    sram::InstanceSlab& slab;
+    faults::OverlaySlab& slab;
     const std::vector<RunResult*>& out;
     sram::Sram* golden;
     std::uint32_t bits;
@@ -231,9 +231,9 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
     void pause(std::uint64_t ns) { elapsed_ns += ns; }
     void write(const OpCtx& ctx) {
       elapsed_ns += clock.period_ns;
-      // NWRC == normal write on transparent lanes.
-      slab.write_row(ctx.addr,
-                     ctx.inverse ? bcast_inv.data() : bcast_bg.data());
+      slab.write(ctx.addr, ctx.inverse ? bcast_inv.data() : bcast_bg.data(),
+                 ctx.nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
+                 elapsed_ns);
       if (golden != nullptr) {
         golden->write(ctx.addr, ctx.inverse ? bg_inv : bg);
       }
@@ -253,7 +253,8 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
         expected = &golden_scratch;
         eb = ebcast.data();
       }
-      std::uint64_t diff = slab.compare_columns(ctx.addr, eb, 0, bits);
+      slab.read(ctx.addr, elapsed_ns);
+      std::uint64_t diff = slab.compare(eb, 0, bits);
       if (diff == 0) {
         return;
       }
@@ -271,13 +272,14 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
             Mismatch{ctx.phase, ctx.element, ctx.op, ctx.addr, ctx.visit,
                      *expected, *expected});
       }
+      const std::uint64_t* observed = slab.observed();
       for (std::uint32_t base = 0; base < bits; base += 64) {
-        std::uint64_t cols = slab.mismatch_columns(ctx.addr, eb, base);
+        std::uint64_t cols = slab.mismatch_columns(eb, base);
         while (cols != 0) {
           const std::uint32_t j =
               base + static_cast<std::uint32_t>(std::countr_zero(cols));
           cols &= cols - 1;
-          std::uint64_t m = (slab.column(ctx.addr, j) ^ eb[j]) & lanes_hit;
+          std::uint64_t m = (observed[j] ^ eb[j]) & lanes_hit;
           while (m != 0) {
             const auto lane = static_cast<std::size_t>(std::countr_zero(m));
             m &= m - 1;
@@ -289,8 +291,7 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
     }
   };
 
-  sram::InstanceSlab slab(lanes);
-  slab.gather();
+  faults::OverlaySlab slab(lanes);
 
   // Wrap-aware expectation, exactly as in run_loop: identical writes reach
   // every lane, so one shared shadow serves the whole chunk.
@@ -310,11 +311,12 @@ void run_sliced_chunk(const sram::ClockDomain& clock,
 }
 
 /// One packed pass over a chunk of <= 64 probe lanes: the instance-sliced
-/// dictionary-build replay.  Each lane's candidate list becomes exact
-/// per-candidate records of one faults::SlicedProbeBatch; the uniform March
-/// stream advances the whole chunk with one masked word op per cell-column,
-/// and mismatching reads demux straight to per-lane (cell -> ReadEvent)
-/// maps, bit-identical to run_per_cell on a CompositeProbeBehavior memory.
+/// dictionary-build replay.  Each lane's candidate list compiles into the
+/// lane's own fault-site overlay (faults::OverlaySlab); the uniform March
+/// stream advances the whole chunk with one overlaid word op per
+/// cell-column, and mismatching reads demux straight to per-lane
+/// (cell -> ReadEvent) maps, bit-identical to run_per_cell on a
+/// CompositeProbeBehavior memory.
 void run_probe_chunk(
     const sram::ClockDomain& clock, const sram::SramConfig& probe_config,
     const std::vector<faults::FaultInstance>* lanes, std::size_t lane_count,
@@ -333,13 +335,13 @@ void run_probe_chunk(
   };
 
   struct ProbeSink {
-    ProbeSink(const sram::ClockDomain& clock, faults::SlicedProbeBatch& batch,
+    ProbeSink(const sram::ClockDomain& clock, faults::OverlaySlab& batch,
               std::size_t lane_count, sram::Sram* golden, std::uint32_t bits)
         : clock(clock), batch(batch), events(lane_count), golden(golden),
           bits(bits) {}
 
     const sram::ClockDomain& clock;
-    faults::SlicedProbeBatch& batch;
+    faults::OverlaySlab& batch;
     std::vector<std::vector<LaneEvent>> events;
     sram::Sram* golden;
     std::uint32_t bits;
@@ -347,7 +349,6 @@ void run_probe_chunk(
     BitVector bg, bg_inv;
     std::vector<std::uint64_t> bcast_bg, bcast_inv, ebcast;
     BitVector golden_scratch;
-    std::vector<faults::SlicedProbeBatch::LaneBitMismatch> scratch;
 
     void begin_phase(std::size_t, const MarchPhase& phase) {
       bg = phase.background.low_bits(bits);
@@ -361,11 +362,9 @@ void run_probe_chunk(
     void write(const OpCtx& ctx) {
       now_ns += clock.period_ns;
       const BitVector& data = ctx.inverse ? bg_inv : bg;
-      batch.write_row(ctx.addr,
-                      ctx.inverse ? bcast_inv.data() : bcast_bg.data(),
-                      ctx.nwrc ? sram::WriteStyle::nwrc
-                               : sram::WriteStyle::normal,
-                      now_ns);
+      batch.write(ctx.addr, ctx.inverse ? bcast_inv.data() : bcast_bg.data(),
+                  ctx.nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
+                  now_ns);
       if (golden != nullptr) {
         golden->write(ctx.addr, data);
       }
@@ -381,18 +380,34 @@ void run_probe_chunk(
                                      bits);
         eb = ebcast.data();
       }
-      batch.read_row(ctx.addr, eb, now_ns, scratch);
-      if (scratch.empty()) {
+      batch.read(ctx.addr, now_ns);
+      if (batch.compare(eb, 0, bits) == 0) {
         return;
       }
+      // Only flagged columns are demuxed, lanes in ascending order per
+      // column; the per-lane fold below regroups events by cell.
       const ReadEvent event{ctx.phase, ctx.element, ctx.visit, ctx.op};
-      for (const auto& m : scratch) {
-        events[m.lane].push_back({ctx.addr * bits + m.bit, event});
+      const std::uint64_t* observed = batch.observed();
+      for (std::uint32_t base = 0; base < bits; base += 64) {
+        std::uint64_t cols = batch.mismatch_columns(eb, base);
+        while (cols != 0) {
+          const std::uint32_t bit =
+              base + static_cast<std::uint32_t>(std::countr_zero(cols));
+          cols &= cols - 1;
+          std::uint64_t lanes_mask =
+              (observed[bit] ^ eb[bit]) & batch.lane_mask();
+          while (lanes_mask != 0) {
+            const auto lane =
+                static_cast<std::size_t>(std::countr_zero(lanes_mask));
+            lanes_mask &= lanes_mask - 1;
+            events[lane].push_back({ctx.addr * bits + bit, event});
+          }
+        }
       }
     }
   };
 
-  faults::SlicedProbeBatch batch(probe_config, lanes, lane_count);
+  faults::OverlaySlab batch(probe_config, lanes, lane_count);
   const auto golden = make_golden(probe_config, words, sweep);
 
   std::uint64_t ops = 0;
@@ -463,16 +478,22 @@ std::vector<RunResult> MarchRunner::run_group(
   std::vector<RunResult> results(memories.size());
   std::vector<std::size_t> sliced;
   for (std::size_t i = 0; i < memories.size(); ++i) {
-    if (memories[i]->access_kernel() == sram::AccessKernel::instance_sliced &&
-        memories[i]->sliceable()) {
+    if (memories[i]->access_kernel() == sram::AccessKernel::word_parallel &&
+        faults::OverlaySlab::lane_capable(*memories[i])) {
       sliced.push_back(i);
-    } else {
-      results[i] = run(*memories[i], test, global_words);
     }
   }
 
   for (std::size_t start = 0; start < sliced.size(); start += 64) {
     const std::size_t count = std::min<std::size_t>(64, sliced.size() - start);
+    if (!faults::OverlaySlab::worth_slicing(count,
+                                            memories.front()->bits())) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = sliced[start + k];
+        results[i] = run(*memories[i], test, global_words);
+      }
+      continue;
+    }
     std::vector<sram::Sram*> lanes;
     std::vector<RunResult*> out;
     lanes.reserve(count);
@@ -482,6 +503,11 @@ std::vector<RunResult> MarchRunner::run_group(
       out.push_back(&results[sliced[start + k]]);
     }
     run_sliced_chunk(clock_, lanes, out, test, global_words);
+  }
+  for (std::size_t i = 0; i < memories.size(); ++i) {
+    if (!std::binary_search(sliced.begin(), sliced.end(), i)) {
+      results[i] = run(*memories[i], test, global_words);
+    }
   }
   return results;
 }

@@ -13,9 +13,9 @@
 // (expected/actual word copies included), run_per_cell() folds the stream
 // straight into per-cell failed-read sets — the multi-victim replay the
 // bit-sliced dictionary builder demultiplexes packed candidate faults from —
-// run_group() advances sliceable fleets as InstanceSlab lanes, and
-// run_group_per_cell() batches up to 64 packed probe memories per slab for
-// the instance-sliced dictionary build.  The clients differ only in delivery
+// run_group() advances fleets as InstanceSlab lanes with each lane's fault
+// sites overlaid, and run_group_per_cell() batches up to 64 packed probe
+// memories per slab for the instance-sliced dictionary build.  The clients differ only in delivery
 // (port vs broadcast) and demux (word mismatch vs lane mask vs lane/cell).
 #pragma once
 
@@ -86,11 +86,13 @@ class MarchRunner {
 
   /// Runs @p test over a fleet of identical-geometry memories, one RunResult
   /// per memory in input order, bit-identical to calling run() on each.
-  /// Memories whose access kernel is AccessKernel::instance_sliced and that
-  /// are sliceable() advance as bit-lanes of shared sram::InstanceSlabs
-  /// (chunks of up to 64, in input order) — one word op per cell-column for
-  /// the whole chunk; everything else falls back to the per-memory loop, so
-  /// faulty lanes keep exact per-cell semantics.
+  /// Memories on the word_parallel kernel that
+  /// faults::OverlaySlab::lane_capable() accepts — unrepaired, FaultSet- or
+  /// fault-free-backed, faulty or not — advance as bit-lanes of shared
+  /// slabs (chunks of up to 64 in input order, when worth_slicing() says
+  /// the chunk pays) with each lane's fault sites overlaid: one word op per
+  /// cell-column for the whole chunk.  Everything else (per_cell memories,
+  /// repaired or in-field ones) runs the per-memory loop.
   [[nodiscard]] std::vector<RunResult> run_group(
       const std::vector<sram::Sram*>& memories, const MarchTest& test,
       std::uint32_t global_words = 0) const;
@@ -109,10 +111,11 @@ class MarchRunner {
   /// Instance-sliced multi-victim replay: one run_per_cell result per lane,
   /// bit-identical to replaying each lane's candidate list through its own
   /// CompositeProbeBehavior memory of geometry @p probe_config — but the
-  /// whole group advances as bit-lanes of shared faults::SlicedProbeBatch
-  /// slabs (chunks of up to 64, in input order), one masked word op per
-  /// cell-column plus exact per-candidate records.  Mismatching reads demux
-  /// from the packed compare masks straight to (lane, cell) coordinates.
+  /// whole group advances as bit-lanes of shared faults::OverlaySlab slabs
+  /// (chunks of up to 64, in input order), one overlaid word op per
+  /// cell-column plus each lane's exact fault-site records.  Mismatching
+  /// reads demux from the packed compare masks straight to (lane, cell)
+  /// coordinates.
   [[nodiscard]] std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>
   run_group_per_cell(const sram::SramConfig& probe_config,
                      const std::vector<std::vector<faults::FaultInstance>>&

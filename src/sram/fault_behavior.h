@@ -9,11 +9,13 @@
 // define the exact defect semantics; the word-level hooks (write_row /
 // read_row) are the performance seam: their default implementations loop
 // per cell — bit-for-bit the reference semantics — while implementations
-// that can prove a row is defect-free override them with packed limb copies
-// (real measurement hardware scans full words per cycle, and so should the
-// simulator).  FaultFreeBehavior below, faults::FaultSet (defect-bitmap
-// gated) and faults::CompositeProbeBehavior (routing packed dictionary
-// candidates to private per-candidate engines) all implement that pattern.
+// override them with packed limb copies (real measurement hardware scans
+// full words per cycle, and so should the simulator).  FaultFreeBehavior
+// below copies whole rows; faults::FaultSet copies the row and patches its
+// sparse fault sites; faults::CompositeProbeBehavior routes packed
+// dictionary candidates to private per-candidate engines.  Instance-sliced
+// groups bypass these hooks: faults::OverlaySlab applies FaultSet's site
+// records to one bit-lane of a shared arena instead.
 #pragma once
 
 #include <cstdint>
@@ -40,13 +42,6 @@ class FaultBehavior {
 
   /// Called once when the behaviour is bound to a memory.
   virtual void attach(const SramConfig& config) = 0;
-
-  /// True when the behaviour is observably fault-free: identity decode and
-  /// plain storage semantics on every access.  Transparent memories may be
-  /// advanced by shared packed state (the instance-sliced kernel folds them
-  /// into one bit-lane of an InstanceSlab); anything stateful must return
-  /// false so its accesses keep exact per-cell semantics.
-  [[nodiscard]] virtual bool transparent() const { return false; }
 
   /// Address decoding.  Fills @p rows with the physical rows whose wordline
   /// fires for logical @p addr.  A fault-free decoder yields exactly {addr};
@@ -120,8 +115,6 @@ class FaultBehavior {
 class FaultFreeBehavior final : public FaultBehavior {
  public:
   void attach(const SramConfig&) override {}
-
-  [[nodiscard]] bool transparent() const override { return true; }
 
   void decode(std::uint32_t addr, std::vector<std::uint32_t>& rows) override {
     rows.assign(1, addr);

@@ -22,9 +22,9 @@ InstanceSlab::InstanceSlab(std::vector<Sram*> lanes)
               return "InstanceSlab: lane '" + lane->config().name +
                      "' geometry differs from the group";
             });
-    require(lane->sliceable(), [&] {
+    require(lane->spares_used() == 0 && lane->col_spares_used() == 0, [&] {
       return "InstanceSlab: lane '" + lane->config().name +
-             "' is not sliceable (faulty or repaired)";
+             "' has consumed spares (repaired rows live outside the slab)";
     });
   }
   lane_count_ = lanes_.size();
@@ -90,133 +90,16 @@ void InstanceSlab::scatter() {
 void InstanceSlab::write_row(std::uint32_t row, const std::uint64_t* bcast) {
   require_in_range(row < rows_, "InstanceSlab::write_row: row out of range");
   // The broadcast image is all-ones/all-zeros per column, so unregistered
-  // lane bits take harmless values: compare_columns masks them out and
-  // scatter only reads real lanes.
+  // lane bits take harmless values: compares mask them out and scatter
+  // only reads real lanes.
   simd::dispatch().copy_limbs(&arena_[static_cast<std::size_t>(row) * bits_],
                               bcast, bits_);
-}
-
-std::uint64_t InstanceSlab::compare_columns(std::uint32_t row,
-                                            const std::uint64_t* expect_bcast,
-                                            std::uint32_t bit_begin,
-                                            std::uint32_t bit_end) const {
-  require_in_range(row < rows_ && bit_begin <= bit_end && bit_end <= bits_,
-                   "InstanceSlab::compare_columns: range out of bounds");
-  const std::uint64_t* arena_row =
-      &arena_[static_cast<std::size_t>(row) * bits_];
-  return simd::dispatch().lane_diff_or(arena_row + bit_begin,
-                                       expect_bcast + bit_begin, lane_mask_,
-                                       bit_end - bit_begin);
 }
 
 std::uint64_t InstanceSlab::column(std::uint32_t row, std::uint32_t bit) const {
   require_in_range(row < rows_ && bit < bits_,
                    "InstanceSlab::column: out of range");
   return arena_[static_cast<std::size_t>(row) * bits_ + bit];
-}
-
-std::uint64_t InstanceSlab::mismatch_columns(std::uint32_t row,
-                                             const std::uint64_t* expect_bcast,
-                                             std::uint32_t bit_begin) const {
-  require_in_range(row < rows_ && bit_begin < bits_,
-                   "InstanceSlab::mismatch_columns: out of range");
-  const std::uint64_t* arena_row =
-      &arena_[static_cast<std::size_t>(row) * bits_];
-  const std::uint32_t take = std::min<std::uint32_t>(64, bits_ - bit_begin);
-  return simd::dispatch().diff_column_mask(
-      arena_row + bit_begin, expect_bcast + bit_begin, lane_mask_, take);
-}
-
-void InstanceSlab::mark_write_exact(std::size_t lane, std::uint32_t row,
-                                    std::uint32_t bit) {
-  require_in_range(lane < lane_count_ && row < rows_ && bit < bits_,
-                   "InstanceSlab::mark_write_exact: out of range");
-  if (write_exact_.empty()) {
-    write_exact_.assign(arena_.size(), 0);
-    row_write_exact_.assign(rows_, 0);
-  }
-  write_exact_[static_cast<std::size_t>(row) * bits_ + bit] |=
-      std::uint64_t{1} << lane;
-  row_write_exact_[row] = 1;
-}
-
-void InstanceSlab::mark_read_exact(std::size_t lane, std::uint32_t row,
-                                   std::uint32_t bit) {
-  require_in_range(lane < lane_count_ && row < rows_ && bit < bits_,
-                   "InstanceSlab::mark_read_exact: out of range");
-  if (read_exact_.empty()) {
-    read_exact_.assign(arena_.size(), 0);
-    row_read_exact_.assign(rows_, 0);
-  }
-  read_exact_[static_cast<std::size_t>(row) * bits_ + bit] |= std::uint64_t{1}
-                                                              << lane;
-  row_read_exact_[row] = 1;
-}
-
-bool InstanceSlab::row_has_write_exact(std::uint32_t row) const {
-  require_in_range(row < rows_,
-                   "InstanceSlab::row_has_write_exact: out of range");
-  return !row_write_exact_.empty() && row_write_exact_[row] != 0;
-}
-
-bool InstanceSlab::row_has_read_exact(std::uint32_t row) const {
-  require_in_range(row < rows_,
-                   "InstanceSlab::row_has_read_exact: out of range");
-  return !row_read_exact_.empty() && row_read_exact_[row] != 0;
-}
-
-std::uint64_t InstanceSlab::read_exact_mask(std::uint32_t row,
-                                            std::uint32_t bit) const {
-  require_in_range(row < rows_ && bit < bits_,
-                   "InstanceSlab::read_exact_mask: out of range");
-  if (read_exact_.empty()) {
-    return 0;
-  }
-  return read_exact_[static_cast<std::size_t>(row) * bits_ + bit];
-}
-
-void InstanceSlab::write_row_masked(std::uint32_t row,
-                                    const std::uint64_t* bcast) {
-  require_in_range(row < rows_,
-                   "InstanceSlab::write_row_masked: row out of range");
-  std::uint64_t* arena_row = &arena_[static_cast<std::size_t>(row) * bits_];
-  if (!row_has_write_exact(row)) {
-    simd::dispatch().copy_limbs(arena_row, bcast, bits_);
-    return;
-  }
-  // arena = (arena & exact) | (bcast & ~exact): exact slots survive the
-  // broadcast pulse, their owning records advance them afterwards.
-  simd::dispatch().blend_limbs(
-      arena_row, &write_exact_[static_cast<std::size_t>(row) * bits_], bcast,
-      bits_);
-}
-
-std::uint64_t InstanceSlab::compare_columns_masked(
-    std::uint32_t row, const std::uint64_t* expect_bcast,
-    std::uint32_t bit_begin, std::uint32_t bit_end) const {
-  require_in_range(row < rows_ && bit_begin <= bit_end && bit_end <= bits_,
-                   "InstanceSlab::compare_columns_masked: range out of bounds");
-  const std::uint64_t* arena_row =
-      &arena_[static_cast<std::size_t>(row) * bits_];
-  if (!row_has_read_exact(row)) {
-    return simd::dispatch().lane_diff_or(arena_row + bit_begin,
-                                         expect_bcast + bit_begin, lane_mask_,
-                                         bit_end - bit_begin);
-  }
-  return simd::dispatch().masked_lane_diff_or(
-      arena_row + bit_begin, expect_bcast + bit_begin,
-      &read_exact_[static_cast<std::size_t>(row) * bits_ + bit_begin],
-      lane_mask_, bit_end - bit_begin);
-}
-
-std::uint64_t* InstanceSlab::row_mut(std::uint32_t row) {
-  require_in_range(row < rows_, "InstanceSlab::row_mut: row out of range");
-  return &arena_[static_cast<std::size_t>(row) * bits_];
-}
-
-const std::uint64_t* InstanceSlab::row_data(std::uint32_t row) const {
-  require_in_range(row < rows_, "InstanceSlab::row_data: row out of range");
-  return &arena_[static_cast<std::size_t>(row) * bits_];
 }
 
 }  // namespace fastdiag::sram

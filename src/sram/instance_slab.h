@@ -14,18 +14,12 @@
 // involution, so the same kernel runs both directions), touching
 // rows * words_per_row transposes instead of rows * bits cell moves.
 //
-// Only sliceable() memories (transparent behaviour, no spares consumed) may
-// be lanes: the slab implements exactly fault-free storage semantics, and
-// anything stateful must stay on the per-memory port path.
-//
-// The per-column exactness bitmaps generalize that all-or-nothing rule for
-// the dictionary-build probe slabs (faults::SlicedProbeBatch): a slab built
-// with the standalone (rows, bits, lane_count) constructor has no lane
-// memories at all, and individual (lane, cell) slots may be marked
-// write-exact (the uniform broadcast must not overwrite them — an exact
-// per-candidate record owns the stored value) or read-exact (the packed
-// compare must skip them — the observed value is computed per record).
-// Clean slots keep the one-word-op-per-column fast path.
+// The slab itself is plain storage.  Fault behaviour rides on top as a
+// sparse per-lane overlay (faults::OverlaySlab): each lane's fault sites
+// patch that lane's column bits around the broadcast pulse and the packed
+// compare, so faulty lanes share the word ops of clean ones.  Lanes must
+// not have consumed row or column spares — a remapped row lives outside the
+// cell matrix the slab mirrors.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +31,8 @@ namespace fastdiag::sram {
 
 class InstanceSlab {
  public:
-  /// @p lanes: 1..64 memories of identical geometry, all sliceable().  Raw
-  /// pointers are kept — the memories must outlive the slab.
+  /// @p lanes: 1..64 memories of identical geometry with no spares
+  /// consumed.  Raw pointers are kept — the memories must outlive the slab.
   explicit InstanceSlab(std::vector<Sram*> lanes);
 
   /// Standalone arena of @p rows x @p bits cell-columns for @p lane_count
@@ -66,62 +60,14 @@ class InstanceSlab {
   /// all-zeros per column (see simd::LimbOps::expand_bits), bits() entries.
   void write_row(std::uint32_t row, const std::uint64_t* bcast);
 
-  /// OR over columns [bit_begin, bit_end) of (column ^ expect_bcast[j]),
-  /// masked to the registered lanes: bit k of the result is set when lane k
-  /// disagrees with the broadcast expectation anywhere in the range.  The
-  /// all-zero fast answer is the common case — clean lanes never mismatch.
-  [[nodiscard]] std::uint64_t compare_columns(
-      std::uint32_t row, const std::uint64_t* expect_bcast,
-      std::uint32_t bit_begin, std::uint32_t bit_end) const;
-
   /// The lane limb of one cell-column (bit k = lane k's value of cell
-  /// (row, bit)) — the demux view the rare mismatch paths walk.
+  /// (row, bit)).
   [[nodiscard]] std::uint64_t column(std::uint32_t row,
                                      std::uint32_t bit) const;
 
-  /// Bitmap of mismatching columns in the 64-column chunk starting at
-  /// @p bit_begin: bit j of the result is set when column (row,
-  /// bit_begin + j) disagrees with the broadcast expectation in any
-  /// registered lane.  Pair with column() to demux only the flagged
-  /// columns instead of scanning all bits() per mismatching lane.
-  [[nodiscard]] std::uint64_t mismatch_columns(
-      std::uint32_t row, const std::uint64_t* expect_bcast,
-      std::uint32_t bit_begin) const;
-
-  // ---- exactness bitmaps (probe slabs) ------------------------------------
-
-  /// Marks (lane, row, bit) write-exact: write_row_masked preserves the
-  /// slot, its owner advances it by hand.  Lazily allocates the bitmap.
-  void mark_write_exact(std::size_t lane, std::uint32_t row,
-                        std::uint32_t bit);
-
-  /// Marks (lane, row, bit) read-exact: compare_columns_masked skips the
-  /// slot, its owner compares the observed value per record.
-  void mark_read_exact(std::size_t lane, std::uint32_t row, std::uint32_t bit);
-
-  [[nodiscard]] bool row_has_write_exact(std::uint32_t row) const;
-  [[nodiscard]] bool row_has_read_exact(std::uint32_t row) const;
-
-  /// Lane-mask of read-exact slots in one cell-column (0 when none).
-  [[nodiscard]] std::uint64_t read_exact_mask(std::uint32_t row,
-                                              std::uint32_t bit) const;
-
-  /// write_row honoring the write-exact bitmap: marked slots keep their
-  /// arena value, everything else takes the broadcast.  Rows with no
-  /// write-exact slots degrade to the plain copy.
-  void write_row_masked(std::uint32_t row, const std::uint64_t* bcast);
-
-  /// compare_columns honoring the read-exact bitmap: marked slots never
-  /// contribute a mismatch.  Rows with no read-exact slots degrade to the
-  /// plain packed compare.
-  [[nodiscard]] std::uint64_t compare_columns_masked(
-      std::uint32_t row, const std::uint64_t* expect_bcast,
-      std::uint32_t bit_begin, std::uint32_t bit_end) const;
-
-  /// Mutable lane limbs of one arena row (bits() entries) — the hook the
-  /// exact per-candidate records use to advance their slots.
-  [[nodiscard]] std::uint64_t* row_mut(std::uint32_t row);
-  [[nodiscard]] const std::uint64_t* row_data(std::uint32_t row) const;
+  /// The whole arena (rows() x bits() limbs, row-major) — the storage the
+  /// per-lane fault overlay patches.
+  [[nodiscard]] std::uint64_t* arena() { return arena_.data(); }
 
  private:
   std::vector<Sram*> lanes_;
@@ -131,12 +77,6 @@ class InstanceSlab {
   std::uint64_t lane_mask_ = 0;
   /// rows_ x bits_ limbs, row-major: arena_[row * bits_ + bit].
   std::vector<std::uint64_t> arena_;
-  /// Lazily allocated rows_ x bits_ lane-masks of exact slots, plus the
-  /// per-row any-marked flags that keep clean rows on the fast path.
-  std::vector<std::uint64_t> write_exact_;
-  std::vector<std::uint64_t> read_exact_;
-  std::vector<std::uint8_t> row_write_exact_;
-  std::vector<std::uint8_t> row_read_exact_;
 };
 
 }  // namespace fastdiag::sram

@@ -37,6 +37,12 @@ void Sram::check_port_usable(std::uint32_t addr) const {
   });
 }
 
+void Sram::require_width(const BitVector& value) const {
+  require(value.width() == config_.bits, [this] {
+    return "Sram '" + config_.name + "': word width mismatch";
+  });
+}
+
 BitVector Sram::read(std::uint32_t addr) {
   BitVector out;
   read_into(addr, out);
@@ -139,9 +145,7 @@ void Sram::write_impl(std::uint32_t addr, const BitVector& value,
   if (kernel_ != AccessKernel::per_cell && !any_col_repair_ &&
       decode_scratch_.size() == 1) {
     // Word-parallel fast path: the behaviour applies the whole word pulse
-    // (instance_sliced behaves as word_parallel at the single-port level;
-    // slicing itself happens in the group paths that bypass this port).
-    // (defect-free rows take a packed limb copy).
+    // (a packed limb copy plus the row's fault-site patches).
     behavior_->write_row(cells_, decode_scratch_[0], value, style, now_ns_);
     return;
   }

@@ -10,14 +10,14 @@
 //
 // Access kernel: the word_parallel kernel (default) routes single-row,
 // unrepaired-column accesses through the behaviour's word-level hooks
-// (write_row / read_row), which take packed limb copies when the row carries
-// no defect; the per_cell kernel forces the bit-at-a-time reference loop on
-// every access; instance_sliced behaves like word_parallel at this level and
-// additionally lets group executors (bisd::SocUnderTest::slice_groups,
-// march::MarchRunner::run_group) advance sliceable() memories as bit-lanes
-// of a shared sram::InstanceSlab.  All kernels produce bit-identical
-// results — the narrower ones exist so differential tests and benchmarks
-// can prove it.
+// (write_row / read_row) — for faults::FaultSet one packed limb copy plus
+// the row's sparse fault-site patches — and lets group executors
+// (bisd::SocUnderTest::slice_groups, march::MarchRunner::run_group) advance
+// unrepaired memories as bit-lanes of a shared sram::InstanceSlab with the
+// same fault sites overlaid per lane.  The per_cell kernel forces the
+// bit-at-a-time reference loop on every access and never slices.  Both
+// produce bit-identical results — the reference exists so differential
+// tests and benchmarks can prove it.
 #pragma once
 
 #include <cstdint>
@@ -119,21 +119,22 @@ class Sram {
 
   // ---- instance slicing ---------------------------------------------------
 
-  /// True when this memory's observable behaviour is exactly fault-free
-  /// storage (transparent FaultBehavior, no row or column spares consumed),
-  /// so it may be advanced as one bit-lane of a shared InstanceSlab instead
-  /// of through its own port.  Faulty or repaired memories must keep their
-  /// exact per-cell access semantics and always return false.
-  [[nodiscard]] bool sliceable() const {
-    return behavior_->transparent() && spares_used() == 0 &&
-           col_spares_used() == 0;
-  }
-
   /// The raw cell matrix — the gather/scatter seam of InstanceSlab and the
   /// golden-model bootstrap.  Bypasses the fault engine, mode checks and
   /// counters, like peek()/poke().
   [[nodiscard]] const CellArray& cells() const { return cells_; }
   [[nodiscard]] CellArray& cells_mut() { return cells_; }
+
+  /// The per-column sense-amplifier latch (the last value each column's
+  /// sense amp resolved) and its restore seam: a sliced group carries each
+  /// lane's latch through the packed run and lands it here at scatter, so a
+  /// later stuck-open read falls back to exactly what a per-memory run
+  /// would have latched.
+  [[nodiscard]] const BitVector& sense_latch() const { return sense_latch_; }
+  void restore_sense_latch(const BitVector& latch) {
+    require_width(latch);
+    sense_latch_ = latch;
+  }
 
   /// Adds @p ops to the operation counters without touching storage.  The
   /// sliced execution paths perform the group's port traffic on the packed
@@ -163,6 +164,7 @@ class Sram {
 
  private:
   void check_port_usable(std::uint32_t addr) const;
+  void require_width(const BitVector& value) const;
   void write_impl(std::uint32_t addr, const BitVector& value,
                   WriteStyle style);
   /// The bit-at-a-time reference read (wired-AND across decoded rows,

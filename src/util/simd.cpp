@@ -67,18 +67,6 @@ void expand_bits_scalar(const std::uint64_t* packed, std::uint64_t* masks,
   }
 }
 
-std::uint64_t masked_lane_diff_or_scalar(const std::uint64_t* lanes,
-                                         const std::uint64_t* expect,
-                                         const std::uint64_t* skip,
-                                         std::uint64_t lane_mask,
-                                         std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc |= (lanes[i] ^ expect[i]) & ~skip[i];
-  }
-  return acc & lane_mask;
-}
-
 std::uint64_t diff_column_mask_scalar(const std::uint64_t* a,
                                       const std::uint64_t* b,
                                       std::uint64_t lane_mask, std::size_t n) {
@@ -96,7 +84,6 @@ constexpr LimbOps kScalarOps{IsaLevel::scalar,
                              blend_scalar,
                              lane_diff_or_scalar,
                              expand_bits_scalar,
-                             masked_lane_diff_or_scalar,
                              diff_column_mask_scalar};
 
 #if FASTDIAG_SIMD_X86
@@ -226,28 +213,6 @@ __attribute__((target("avx2"))) void expand_bits_avx2(
   }
 }
 
-__attribute__((target("avx2"))) std::uint64_t masked_lane_diff_or_avx2(
-    const std::uint64_t* lanes, const std::uint64_t* expect,
-    const std::uint64_t* skip, std::uint64_t lane_mask, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vl =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(expect + i));
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(skip + i));
-    acc = _mm256_or_si256(acc,
-                          _mm256_andnot_si256(vs, _mm256_xor_si256(vl, ve)));
-  }
-  std::uint64_t tail = horizontal_or_avx2(acc);
-  for (; i < n; ++i) {
-    tail |= (lanes[i] ^ expect[i]) & ~skip[i];
-  }
-  return tail & lane_mask;
-}
-
 __attribute__((target("avx2"))) std::uint64_t diff_column_mask_avx2(
     const std::uint64_t* a, const std::uint64_t* b, std::uint64_t lane_mask,
     std::size_t n) {
@@ -280,7 +245,6 @@ constexpr LimbOps kAvx2Ops{IsaLevel::avx2,
                            blend_avx2,
                            lane_diff_or_avx2,
                            expand_bits_avx2,
-                           masked_lane_diff_or_avx2,
                            diff_column_mask_avx2};
 
 // ---- AVX-512F kernels (8 limbs per vector) --------------------------------
@@ -372,26 +336,6 @@ __attribute__((target("avx512f"))) std::uint64_t lane_diff_or_avx512(
   return tail & lane_mask;
 }
 
-__attribute__((target("avx512f"))) std::uint64_t masked_lane_diff_or_avx512(
-    const std::uint64_t* lanes, const std::uint64_t* expect,
-    const std::uint64_t* skip, std::uint64_t lane_mask, std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_or_si512(
-        acc, _mm512_andnot_si512(
-                 _mm512_loadu_si512(skip + i),
-                 _mm512_xor_si512(_mm512_loadu_si512(lanes + i),
-                                  _mm512_loadu_si512(expect + i))));
-  }
-  std::uint64_t tail =
-      static_cast<std::uint64_t>(_mm512_reduce_or_epi64(acc));
-  for (; i < n; ++i) {
-    tail |= (lanes[i] ^ expect[i]) & ~skip[i];
-  }
-  return tail & lane_mask;
-}
-
 __attribute__((target("avx512f"))) std::uint64_t diff_column_mask_avx512(
     const std::uint64_t* a, const std::uint64_t* b, std::uint64_t lane_mask,
     std::size_t n) {
@@ -423,7 +367,6 @@ constexpr LimbOps kAvx512Ops{IsaLevel::avx512,
                              blend_avx512,
                              lane_diff_or_avx512,
                              expand_bits_avx2,
-                             masked_lane_diff_or_avx512,
                              diff_column_mask_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)

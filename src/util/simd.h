@@ -71,16 +71,6 @@ struct LimbOps {
   void (*expand_bits)(const std::uint64_t* packed, std::uint64_t* masks,
                       std::size_t n_bits);
 
-  /// OR over i of ((lanes[i] ^ expect[i]) & ~skip[i]) & lane_mask — the
-  /// exactness-aware variant of lane_diff_or: bit k of skip[i] excludes
-  /// (lane k, column i) slots whose value is maintained by an exact
-  /// per-candidate record rather than the uniform broadcast, so a probe
-  /// slab can run the packed compare over everything else.
-  std::uint64_t (*masked_lane_diff_or)(const std::uint64_t* lanes,
-                                       const std::uint64_t* expect,
-                                       const std::uint64_t* skip,
-                                       std::uint64_t lane_mask, std::size_t n);
-
   /// Bit i (i < n <= 64) of the result is set when
   /// ((a[i] ^ b[i]) & lane_mask) != 0 — the column-major demux half of the
   /// mismatch path: one call turns up to 64 lane-columns into a bitmap of

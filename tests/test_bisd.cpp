@@ -100,6 +100,30 @@ TEST(DiagnosisLog, DedupesCellsAndRows) {
   EXPECT_EQ(log.distinct_cell_count(), 3u);
 }
 
+TEST(DiagnosisLog, PerMemoryQueriesSurviveExtremeCoordinates) {
+  // A decoded or hand-made log may carry any 32-bit address and bit and
+  // any memory index; the per-memory queries must stay exact and bounded.
+  DiagnosisLog log;
+  DiagnosisRecord r;
+  r.memory_index = 5;
+  r.addr = 0xFFFFFFFFu;
+  r.bit = 0xFFFFFFFFu;
+  log.add(r);
+  r.addr = 2;
+  r.bit = 7;
+  log.add(r);
+  log.add(r);
+  r.memory_index = std::size_t{1} << 40;
+  log.add(r);
+  EXPECT_EQ(log.cells(5),
+            (std::set<CellCoord>{{2, 7}, {0xFFFFFFFFu, 0xFFFFFFFFu}}));
+  EXPECT_EQ(log.faulty_rows(5), (std::set<std::uint32_t>{2, 0xFFFFFFFFu}));
+  EXPECT_EQ(log.cells(std::size_t{1} << 40), (std::set<CellCoord>{{2, 7}}));
+  EXPECT_TRUE(log.cells(4).empty());
+  EXPECT_TRUE(log.faulty_rows(6).empty());
+  EXPECT_EQ(log.distinct_cell_count(), 3u);
+}
+
 TEST(DiagnosisRecord, ToStringCarriesTheScanOutFields) {
   DiagnosisRecord r;
   r.memory_index = 2;

@@ -1,13 +1,15 @@
-// Differential tests for the instance-sliced kernel and the SIMD dispatch
-// facade.
+// Differential tests for the instance-sliced execution paths and the SIMD
+// dispatch facade.
 //
-// The instance_sliced access kernel (up to 64 identical-geometry fault-free
-// memories as bit-lanes of one packed InstanceSlab) must be observably
-// indistinguishable from word_parallel and from the per_cell reference —
-// record for record, cycle for cycle, counter for counter — for every group
-// size around the 64-lane boundary, for wrap emulation, for the full defect
-// corpus on the non-sliced lanes, and at every SIMD dispatch level this CPU
-// can run (simd::force walks scalar -> avx2 -> avx512).
+// Group executors (FastScheme over slice_groups, MarchRunner::run_group,
+// the dictionary-build probe slabs) advance up to 64 identical-geometry
+// memories as bit-lanes of one packed InstanceSlab, with each lane's fault
+// sites overlaid (faults::OverlaySlab).  They must be observably
+// indistinguishable from the per_cell reference — record for record, cycle
+// for cycle, counter for counter — for every group size around the 64-lane
+// boundary, for wrap emulation, for the full defect corpus on faulty lanes,
+// and at every SIMD dispatch level this CPU can run (simd::force walks
+// scalar -> avx2 -> avx512).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 
 #include "core/fastdiag.h"
 #include "faults/composite_probe.h"
+#include "faults/overlay_slab.h"
 
 namespace fastdiag {
 namespace {
@@ -209,22 +212,6 @@ TEST(SimdDispatch, KernelsMatchScalarReferenceAtEveryLevel) {
                 diff_ref & lane_mask)
           << "lane_diff_or " << label;
 
-      // masked_lane_diff_or: like lane_diff_or but with a per-limb skip
-      // mask (the read-exact bitmap of the probe slabs).
-      std::uint64_t masked_ref = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        masked_ref |= (a[i] ^ b[i]) & ~mask[i];
-      }
-      masked_ref &= lane_mask;
-      EXPECT_EQ(ops.masked_lane_diff_or(a.data(), b.data(), mask.data(),
-                                        lane_mask, n),
-                masked_ref)
-          << "masked_lane_diff_or " << label;
-      EXPECT_EQ(ops.masked_lane_diff_or(a.data(), a.data(), mask.data(),
-                                        lane_mask, n),
-                0u)
-          << "masked_lane_diff_or self " << label;
-
       // diff_column_mask: per-limb (not folded) disagreement flags for a
       // chunk of <= 64 columns.
       const std::size_t chunk = std::min<std::size_t>(n, 64);
@@ -348,7 +335,7 @@ TEST(InstanceSlab, GatherScatterRoundTripAndColumnDemux) {
   }
 }
 
-TEST(InstanceSlab, WriteRowAndCompareColumns) {
+TEST(OverlaySlab, WriteReadAndCompareColumns) {
   LevelGuard guard;
   const auto config = cfg("wr", 4, 66);
   std::vector<std::unique_ptr<sram::Sram>> memories;
@@ -359,24 +346,27 @@ TEST(InstanceSlab, WriteRowAndCompareColumns) {
   }
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
-    sram::InstanceSlab slab(lanes);
-    slab.gather();
+    faults::OverlaySlab slab(lanes);
 
     BitVector word(config.bits);
     word.set(0, true);
     word.set(65, true);
     std::vector<std::uint64_t> bcast(config.bits);
     simd::dispatch().expand_bits(word.word_data(), bcast.data(), config.bits);
-    slab.write_row(2, bcast.data());
-    EXPECT_EQ(slab.compare_columns(2, bcast.data(), 0, config.bits), 0u);
+    slab.write(2, bcast.data(), sram::WriteStyle::normal, 10);
+    slab.read(2, 20);
+    EXPECT_EQ(slab.compare(bcast.data(), 0, config.bits), 0u);
 
-    // Poke lane 1's bit 65 through the arena: flip exactly one lane bit.
+    // Flip exactly lane 1's bit 65 in the expectation.
     std::vector<std::uint64_t> expect = bcast;
     expect[65] ^= std::uint64_t{1} << 1;
-    EXPECT_EQ(slab.compare_columns(2, expect.data(), 0, config.bits),
+    EXPECT_EQ(slab.compare(expect.data(), 0, config.bits),
               std::uint64_t{1} << 1);
-    EXPECT_EQ(slab.compare_columns(2, expect.data(), 0, 65), 0u)
+    EXPECT_EQ(slab.compare(expect.data(), 0, 65), 0u)
         << "mismatch outside the compared column range must not register";
+    EXPECT_EQ(slab.mismatch_columns(expect.data(), 64),
+              std::uint64_t{1} << (65 - 64));
+    EXPECT_EQ(slab.mismatch_columns(expect.data(), 0), 0u);
     slab.scatter();
     EXPECT_TRUE(memories[0]->peek({2, 0}));
     EXPECT_TRUE(memories[1]->peek({2, 65}));
@@ -384,15 +374,20 @@ TEST(InstanceSlab, WriteRowAndCompareColumns) {
   }
 }
 
-TEST(InstanceSlab, RejectsUnsliceableAndMismatchedLanes) {
+TEST(InstanceSlab, RejectsRepairedAndMismatchedLanes) {
   const auto config = cfg("bad", 4, 9);
   sram::Sram clean(config);
   sram::Sram faulty(config,
                     std::make_unique<faults::FaultSet>(
                         std::vector<FaultInstance>{faults::make_cell_fault(
                             FaultKind::sa0, CellCoord{1, 2})}));
-  EXPECT_FALSE(faulty.sliceable());
-  EXPECT_THROW(sram::InstanceSlab({&clean, &faulty}), std::exception);
+  // Faulty lanes ride the slab; their sites are overlaid per lane.
+  EXPECT_TRUE(faults::OverlaySlab::lane_capable(faulty));
+  EXPECT_NO_THROW(faults::OverlaySlab({&clean, &faulty}));
+  sram::Sram repaired(config);
+  repaired.repair_row(1, 0);
+  EXPECT_FALSE(faults::OverlaySlab::lane_capable(repaired));
+  EXPECT_THROW(sram::InstanceSlab({&clean, &repaired}), std::exception);
   sram::Sram other(cfg("other", 4, 10));
   EXPECT_THROW(sram::InstanceSlab({&clean, &other}), std::exception);
   EXPECT_THROW(sram::InstanceSlab(std::vector<sram::Sram*>{}),
@@ -414,8 +409,8 @@ void expect_run_identical(const march::RunResult& sliced,
 }
 
 /// Builds a fleet of identical-geometry memories; lanes whose index is in
-/// @p faulty_lanes carry a defect mix (and therefore stay on the per-memory
-/// path under instance_sliced).
+/// @p faulty_lanes carry a defect mix (overlaid on their slab lanes under
+/// word_parallel).
 std::vector<std::unique_ptr<sram::Sram>> make_fleet(
     std::size_t count, AccessKernel kernel,
     const std::vector<std::size_t>& faulty_lanes, std::uint64_t seed) {
@@ -444,12 +439,11 @@ TEST(RunGroup, MatchesPerMemoryRunAcrossSizesAndLevels) {
     ASSERT_TRUE(simd::force(level));
     for (const std::size_t count : {1ull, 63ull, 64ull, 65ull}) {
       // A few faulty lanes scattered through the group exercise the
-      // mixed sliced/direct partition; the rest ride the packed path.
+      // per-lane overlay next to clean lanes; all of them ride the slab.
       const std::vector<std::size_t> faulty{0, count / 2, count - 1};
       auto sliced_fleet =
-          make_fleet(count, AccessKernel::instance_sliced, faulty, 77);
-      auto ref_fleet =
           make_fleet(count, AccessKernel::word_parallel, faulty, 77);
+      auto ref_fleet = make_fleet(count, AccessKernel::per_cell, faulty, 77);
 
       std::vector<sram::Sram*> group;
       for (const auto& lane : sliced_fleet) {
@@ -487,8 +481,8 @@ TEST(RunGroup, WrapEmulationMatchesPerMemoryRun) {
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
     auto sliced_fleet =
-        make_fleet(9, AccessKernel::instance_sliced, {3}, 1234);
-    auto ref_fleet = make_fleet(9, AccessKernel::word_parallel, {3}, 1234);
+        make_fleet(9, AccessKernel::word_parallel, {3, 5}, 1234);
+    auto ref_fleet = make_fleet(9, AccessKernel::per_cell, {3, 5}, 1234);
     std::vector<sram::Sram*> group;
     for (const auto& lane : sliced_fleet) {
       group.push_back(lane.get());
@@ -503,55 +497,6 @@ TEST(RunGroup, WrapEmulationMatchesPerMemoryRun) {
                            std::string(simd::isa_name(level)) + " lane " +
                                std::to_string(i));
     }
-  }
-}
-
-// ---- InstanceSlab exactness bitmaps (probe-slab support) -------------------
-
-TEST(InstanceSlab, ExactnessBitmapsMaskWritesAndCompares) {
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    sram::InstanceSlab slab(/*rows=*/3, /*bits=*/70, /*lane_count=*/5);
-    EXPECT_EQ(slab.lane_count(), 5u);
-    EXPECT_EQ(slab.lane_mask(), 0x1Fu);
-    // Standalone slabs have no lane memories to gather from / scatter to.
-    EXPECT_THROW(slab.gather(), std::exception);
-    EXPECT_THROW(slab.scatter(), std::exception);
-
-    // Seed lane 3's cell (1, 66) and pin it write-exact; the broadcast
-    // write must preserve exactly that slot and overwrite every other.
-    slab.row_mut(1)[66] |= std::uint64_t{1} << 3;
-    slab.mark_write_exact(3, 1, 66);
-    EXPECT_TRUE(slab.row_has_write_exact(1));
-    EXPECT_FALSE(slab.row_has_write_exact(0));
-
-    std::vector<std::uint64_t> zeros(70, 0);
-    std::vector<std::uint64_t> ones(70, ~std::uint64_t{0});
-    slab.write_row_masked(1, zeros.data());
-    EXPECT_EQ(slab.column(1, 66), std::uint64_t{1} << 3)
-        << "write-exact slot must survive the broadcast";
-    EXPECT_EQ(slab.column(1, 65), 0u);
-    slab.write_row_masked(0, ones.data());
-    EXPECT_EQ(slab.column(0, 7) & slab.lane_mask(), 0x1Fu)
-        << "clean rows take the plain copy";
-
-    // The packed compare sees the preserved slot as a mismatch against the
-    // all-zero expectation — unless the slot is also marked read-exact.
-    EXPECT_EQ(slab.compare_columns_masked(1, zeros.data(), 0, 70),
-              std::uint64_t{1} << 3);
-    EXPECT_EQ(slab.mismatch_columns(1, zeros.data(), 64),
-              std::uint64_t{1} << (66 - 64));
-    EXPECT_EQ(slab.mismatch_columns(1, zeros.data(), 0), 0u);
-    slab.mark_read_exact(3, 1, 66);
-    EXPECT_TRUE(slab.row_has_read_exact(1));
-    EXPECT_EQ(slab.read_exact_mask(1, 66), std::uint64_t{1} << 3);
-    EXPECT_EQ(slab.compare_columns_masked(1, zeros.data(), 0, 70), 0u)
-        << "read-exact slots never contribute a packed mismatch";
-    // The unmasked compare and the raw column demux stay oblivious: the
-    // probe-batch read path subtracts the read-exact mask per column.
-    EXPECT_EQ(slab.compare_columns(1, zeros.data(), 0, 70),
-              std::uint64_t{1} << 3);
   }
 }
 
@@ -666,10 +611,11 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
   }
 }
 
-// ---- FastScheme / engine: instance_sliced vs the reference kernels --------
+// ---- FastScheme / engine: sliced groups vs the per_cell reference ---------
 
-/// A SoC whose fleet mixes clean identical-geometry lanes (sliceable), a few
-/// faulty lanes of the same geometry, and one odd-geometry memory.
+/// A SoC whose fleet mixes clean identical-geometry lanes, a few faulty
+/// lanes of the same geometry (all of them slice), and one odd-geometry
+/// memory that stays on its own port.
 bisd::SocUnderTest make_sliced_soc(std::size_t clean_count,
                                    AccessKernel kernel, std::uint64_t seed,
                                    bool idle_everywhere = true,
@@ -681,7 +627,7 @@ bisd::SocUnderTest make_sliced_soc(std::size_t clean_count,
     std::vector<FaultInstance> truth;
     if (i % 7 == 3) {
       // Heterogeneous defect rates: some lanes carry 1..4 faults, the rest
-      // are clean — only the clean ones slice.
+      // are clean — both kinds share the slab.
       truth = random_fault_mix(config, 1 + rng.uniform(4), rng);
     }
     soc.add_memory(config, std::move(truth));
@@ -722,14 +668,13 @@ void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
   }
 }
 
-TEST(InstanceSliced, FastSchemeMatchesWordParallelAcrossGroupSizes) {
+TEST(InstanceSliced, FastSchemeMatchesPerCellAcrossGroupSizes) {
   LevelGuard guard;
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
-    for (const std::size_t count : {1ull, 63ull, 64ull, 65ull}) {
-      auto sliced_soc =
-          make_sliced_soc(count, AccessKernel::instance_sliced, 42);
-      auto ref_soc = make_sliced_soc(count, AccessKernel::word_parallel, 42);
+    for (const std::size_t count : {1ull, 2ull, 63ull, 64ull, 65ull}) {
+      auto sliced_soc = make_sliced_soc(count, AccessKernel::word_parallel, 42);
+      auto ref_soc = make_sliced_soc(count, AccessKernel::per_cell, 42);
       expect_scheme_identical(sliced_soc, ref_soc,
                               std::string(simd::isa_name(level)) +
                                   " count=" + std::to_string(count));
@@ -737,67 +682,70 @@ TEST(InstanceSliced, FastSchemeMatchesWordParallelAcrossGroupSizes) {
   }
 }
 
-TEST(InstanceSliced, FastSchemeMatchesPerCellReference) {
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    auto sliced_soc = make_sliced_soc(17, AccessKernel::instance_sliced, 9);
-    auto ref_soc = make_sliced_soc(17, AccessKernel::per_cell, 9);
-    expect_scheme_identical(sliced_soc, ref_soc, simd::isa_name(level));
-  }
-}
-
 TEST(InstanceSliced, PerClockSerializationPathMatchesReference) {
   // One memory without idle mode forces the per-clock serialization loop
-  // while the clean lanes still advance through the packed slab.
+  // while the other lanes still advance through the overlaid slab.
   LevelGuard guard;
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
-    auto sliced_soc = make_sliced_soc(12, AccessKernel::instance_sliced, 21,
+    auto sliced_soc = make_sliced_soc(12, AccessKernel::word_parallel, 21,
                                       /*idle_everywhere=*/false);
-    auto ref_soc = make_sliced_soc(12, AccessKernel::word_parallel, 21,
+    auto ref_soc = make_sliced_soc(12, AccessKernel::per_cell, 21,
                                    /*idle_everywhere=*/false);
     expect_scheme_identical(sliced_soc, ref_soc, simd::isa_name(level));
   }
 }
 
 TEST(InstanceSliced, SliceGroupsChunkAt64InIndexOrder) {
+  Rng rng(64);
   bisd::SocUnderTest soc;
-  for (int i = 0; i < 65; ++i) {
-    soc.add_memory(cfg("c" + std::to_string(i), 8, 21));
+  // 67 identical memories, every fifth one faulty; memory 3 gets repaired.
+  for (int i = 0; i < 67; ++i) {
+    auto config = cfg("c" + std::to_string(i), 8, 21);
+    soc.add_memory(config, i % 5 == 0 ? random_fault_mix(config, 3, rng)
+                                      : std::vector<FaultInstance>{});
   }
-  soc.add_memory(cfg("odd", 12, 33));       // different geometry: own group
+  soc.memory(3).repair_row(2, 0);            // repaired: stays out
+  soc.add_memory(cfg("odd0", 12, 33));       // different geometry: own group
+  soc.add_memory(cfg("odd1", 12, 33),
+                 {faults::make_cell_fault(FaultKind::sa1, {4, 4})});
   auto no_idle = cfg("busy", 8, 21);
   no_idle.has_idle_mode = false;
-  soc.add_memory(no_idle);                  // idle-less: never grouped
-  soc.set_access_kernel(AccessKernel::instance_sliced);
+  soc.add_memory(no_idle);                   // idle-less: never grouped
+  faults::SoftErrorSpec soft;
+  soft.enabled = true;
+  soc.add_in_field_memory(cfg("field", 8, 21), {}, {}, soft);  // in-field
+  soc.add_memory(cfg("lone", 16, 40));       // one lane does not pay
 
   const auto groups = soc.slice_groups();
   ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].members.size(), 64u);  // the 65th opens a new group
-  EXPECT_EQ(groups[1].members.size(), 1u);
-  EXPECT_EQ(groups[2].members.size(), 1u);
-  EXPECT_EQ(groups[2].members.front(), 65u);  // the odd-geometry memory
+  EXPECT_EQ(groups[0].members.size(), 64u);  // the 66th eligible opens a
+  EXPECT_EQ(groups[1].members.size(), 2u);   // second group
+  EXPECT_EQ(groups[1].members.front(), 65u);
+  ASSERT_EQ(groups[2].members.size(), 2u);   // the odd-geometry pair
+  EXPECT_EQ(groups[2].members.front(), 67u);
+  std::size_t faulty_members = 0;
   for (const auto& group : groups) {
     EXPECT_TRUE(std::is_sorted(group.members.begin(), group.members.end()));
     for (const auto m : group.members) {
-      EXPECT_TRUE(soc.memory(m).sliceable());
-      EXPECT_NE(m, 66u) << "idle-less memories must stay ungrouped";
+      EXPECT_NE(m, 3u) << "repaired memories must stay ungrouped";
+      EXPECT_LT(m, 69u) << "idle-less, in-field and lone memories stay out";
+      faulty_members += soc.truth(m).empty() ? 0 : 1;
     }
   }
+  EXPECT_EQ(faulty_members, 15u) << "faulty unrepaired memories join groups";
 }
 
-TEST(InstanceSliced, BaselineSchemeTreatsSlicedAsWordParallel) {
-  // BaselineScheme has no group path: under instance_sliced every memory
-  // simply runs its word-parallel port, bit-identical to word_parallel.
-  auto sliced_soc = make_sliced_soc(6, AccessKernel::instance_sliced, 8);
-  auto ref_soc = make_sliced_soc(6, AccessKernel::word_parallel, 8);
-  bisd::BaselineScheme sliced_scheme;
+TEST(InstanceSliced, BaselineSchemeMatchesPerCellReference) {
+  // BaselineScheme has no group path: every memory runs its own port.
+  auto fast_soc = make_sliced_soc(6, AccessKernel::word_parallel, 8);
+  auto ref_soc = make_sliced_soc(6, AccessKernel::per_cell, 8);
+  bisd::BaselineScheme fast_scheme;
   bisd::BaselineScheme ref_scheme;
-  const auto sliced = sliced_scheme.diagnose(sliced_soc);
+  const auto fast = fast_scheme.diagnose(fast_soc);
   const auto reference = ref_scheme.diagnose(ref_soc);
-  EXPECT_EQ(sliced.time.cycles, reference.time.cycles);
-  EXPECT_EQ(sliced.log.to_csv(), reference.log.to_csv());
+  EXPECT_EQ(fast.time.cycles, reference.time.cycles);
+  EXPECT_EQ(fast.log.to_csv(), reference.log.to_csv());
 }
 
 TEST(InstanceSliced, EngineSpecSelectionIsBitIdentical) {
@@ -812,8 +760,8 @@ TEST(InstanceSliced, EngineSpecSelectionIsBitIdentical) {
         .access_kernel(kernel)
         .build();
   };
-  auto sliced_spec = make_spec(AccessKernel::instance_sliced);
-  auto ref_spec = make_spec(AccessKernel::word_parallel);
+  auto sliced_spec = make_spec(AccessKernel::word_parallel);
+  auto ref_spec = make_spec(AccessKernel::per_cell);
   ASSERT_TRUE(sliced_spec.has_value());
   ASSERT_TRUE(ref_spec.has_value());
 
