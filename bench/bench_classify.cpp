@@ -6,12 +6,12 @@
 // production flow pays the probe simulations once per memory shape and then
 // classifies at dictionary-lookup speed.  This bench measures both phases —
 // cold (dictionary warm-up included) and warm (steady-state classification)
-// — for ALL THREE dictionary build modes: the per_candidate reference (one
-// probe replay per candidate fault), the bit_sliced packed builder (one
-// replay per packed candidate batch) and the instance_sliced builder (64
-// packed probes replayed per word op).  The cold-build speedups and the
-// byte-identity of the resulting verdicts are part of the emitted `JSON:`
-// line, plus the closed loop (diagnose -> classify -> repair -> retest).
+// — for both dictionary build modes: the per_candidate reference (one probe
+// replay per candidate fault) and the default instance_sliced builder
+// (packed candidate lanes, 64 replayed per word op).  The cold-build speedup
+// and the byte-identity of the resulting verdicts are part of the emitted
+// `JSON:` line, plus the closed loop (diagnose -> classify -> repair ->
+// retest).
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -133,18 +133,12 @@ double measure_closed_loop(std::size_t* residual) {
 void classify_table() {
   const ClassifyRun instance =
       measure_classification(diagnosis::DictionaryBuildMode::instance_sliced);
-  const ClassifyRun sliced =
-      measure_classification(diagnosis::DictionaryBuildMode::bit_sliced);
   const ClassifyRun reference =
       measure_classification(diagnosis::DictionaryBuildMode::per_candidate);
-  const bool identical = sliced.verdicts == reference.verdicts &&
-                         instance.verdicts == reference.verdicts;
-  const double speedup = sliced.cold_seconds > 0
-                             ? reference.cold_seconds / sliced.cold_seconds
+  const bool identical = instance.verdicts == reference.verdicts;
+  const double speedup = instance.cold_seconds > 0
+                             ? reference.cold_seconds / instance.cold_seconds
                              : 0.0;
-  const double instance_speedup =
-      instance.cold_seconds > 0 ? sliced.cold_seconds / instance.cold_seconds
-                                : 0.0;
   std::size_t residual = 0;
   const double loop_seconds = measure_closed_loop(&residual);
 
@@ -157,9 +151,6 @@ void classify_table() {
   table.add_row({"classify (cold, per_candidate dictionaries)",
                  fmt_double(reference.cold_seconds * 1e3, 1) + " ms",
                  fmt_double(rate(reference.cold_seconds), 1)});
-  table.add_row({"classify (cold, bit_sliced dictionaries)",
-                 fmt_double(sliced.cold_seconds * 1e3, 1) + " ms",
-                 fmt_double(rate(sliced.cold_seconds), 1)});
   table.add_row({"classify (cold, instance_sliced dictionaries)",
                  fmt_double(instance.cold_seconds * 1e3, 1) + " ms",
                  fmt_double(rate(instance.cold_seconds), 1)});
@@ -168,14 +159,11 @@ void classify_table() {
                  fmt_double(rate(instance.warm_seconds), 1)});
   table.add_row({"closed loop (diagnose..retest)",
                  fmt_double(loop_seconds * 1e3, 1) + " ms", "-"});
-  table.add_note("cold build speedup (bit_sliced over per_candidate): " +
+  table.add_note("cold build speedup (instance_sliced over per_candidate): " +
                  fmt_ratio(speedup) +
                  std::string(identical ? " (verdicts byte-identical)"
                                        : " (VERDICTS DIVERGE!)"));
-  table.add_note("cold build speedup (instance_sliced over bit_sliced): " +
-                 fmt_ratio(instance_speedup));
   table.add_note("instance_sliced " + instance.stats.to_string());
-  table.add_note("bit_sliced " + sliced.stats.to_string());
   table.add_note("per_candidate " + reference.stats.to_string());
   table.add_note("sites classified: " + std::to_string(instance.classified) +
                  "/" + std::to_string(instance.sites) +
@@ -193,13 +181,9 @@ void classify_table() {
           .field("classified",
                  static_cast<std::uint64_t>(instance.classified))
           .field("cold_seconds", instance.cold_seconds)
-          .field("cold_seconds_bit_sliced", sliced.cold_seconds)
           .field("cold_seconds_per_candidate", reference.cold_seconds)
           .field("cold_build_speedup", speedup, 2)
-          .field("instance_sliced_speedup", instance_speedup, 2)
           .field("build_identical", identical)
-          .field("build_probe_replays",
-                 static_cast<std::uint64_t>(sliced.stats.probe_replays))
           .field("build_probe_replays_per_candidate",
                  static_cast<std::uint64_t>(reference.stats.probe_replays))
           .field("build_slab_batches",
@@ -282,7 +266,6 @@ void BM_DictionaryBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DictionaryBuild)
     ->Arg(static_cast<int>(diagnosis::DictionaryBuildMode::per_candidate))
-    ->Arg(static_cast<int>(diagnosis::DictionaryBuildMode::bit_sliced))
     ->Arg(static_cast<int>(diagnosis::DictionaryBuildMode::instance_sliced))
     ->Unit(benchmark::kMillisecond);
 

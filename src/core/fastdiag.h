@@ -45,7 +45,6 @@
 #include "core/expected.h"         // IWYU pragma: export
 #include "core/registry.h"         // IWYU pragma: export
 #include "core/report.h"           // IWYU pragma: export
-#include "core/session.h"          // IWYU pragma: export
 #include "core/spec.h"             // IWYU pragma: export
 #include "diagnosis/classifier.h"  // IWYU pragma: export
 #include "diagnosis/resolution.h"  // IWYU pragma: export

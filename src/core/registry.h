@@ -1,10 +1,9 @@
 // String-keyed registry of diagnosis-scheme factories.
 //
-// The registry replaces the old hard-coded SchemeChoice enum: schemes are
-// looked up by name, carry capability flags the engine and callers can
-// query, and user-defined schemes plug in through register_scheme()
-// without touching core.  The built-in schemes self-register into the
-// global() instance:
+// Schemes are looked up by name, carry capability flags the engine and
+// callers can query, and user-defined schemes plug in through
+// register_scheme() without touching core.  The built-in schemes
+// self-register into the global() instance:
 //
 //   "fast"                     SPC/PSC + March CW + NWRTM
 //   "fast-without-drf"         SPC/PSC + March CW only

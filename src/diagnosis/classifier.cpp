@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "bisd/soc.h"
-#include "faults/composite_probe.h"
 #include "faults/fault_kind.h"
 #include "faults/fault_set.h"
 #include "march/runner.h"
@@ -150,7 +149,6 @@ std::string_view aggressor_placement_name(AggressorPlacement p) {
 std::string_view dictionary_build_mode_name(DictionaryBuildMode mode) {
   switch (mode) {
     case DictionaryBuildMode::per_candidate: return "per_candidate";
-    case DictionaryBuildMode::bit_sliced: return "bit_sliced";
     case DictionaryBuildMode::instance_sliced: return "instance_sliced";
   }
   return "?";
@@ -273,6 +271,10 @@ FaultClassifier::FaultClassifier(sram::SramConfig config,
           "FaultClassifier: test narrower than the memory");
   require(options_.probe_words >= 3,
           "FaultClassifier: probe_words must be >= 3");
+  // ClassifierCache orders its keys on min_confidence: a NaN would break
+  // the map's strict weak ordering.
+  require(options_.min_confidence >= 0.0 && options_.min_confidence <= 1.0,
+          "FaultClassifier: min_confidence must be in [0, 1]");
 }
 
 std::map<CellCoord, std::vector<ReadKey>> FaultClassifier::probe_signature(
@@ -450,13 +452,8 @@ FaultClassifier::cell_dictionary(CellCoord cell) const {
       return cached->second;
     }
   }
-  switch (options_.build_mode) {
-    case DictionaryBuildMode::bit_sliced:
-      return build_cell_bit_sliced(key, cell.row, geometry);
-    case DictionaryBuildMode::instance_sliced:
-      return build_cell_instance_sliced(key, cell.row, geometry);
-    case DictionaryBuildMode::per_candidate:
-      break;
+  if (options_.build_mode == DictionaryBuildMode::instance_sliced) {
+    return build_cell_sliced(key, cell.row, geometry);
   }
   return build_cell_per_candidate(key, victim_row, geometry);
 }
@@ -494,24 +491,9 @@ FaultClassifier::build_cell_per_candidate(const CellKey& key,
 }
 
 const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::build_cell_bit_sliced(const CellKey& key,
-                                       std::uint32_t observed_row,
-                                       const ProbeGeometry& geometry) const {
-  return build_cell_sliced(key, observed_row, geometry, false);
-}
-
-const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::build_cell_instance_sliced(
-    const CellKey& key, std::uint32_t observed_row,
-    const ProbeGeometry& geometry) const {
-  return build_cell_sliced(key, observed_row, geometry, true);
-}
-
-const std::vector<FaultClassifier::CellSignature>&
 FaultClassifier::build_cell_sliced(const CellKey& key,
                                    std::uint32_t observed_row,
-                                   const ProbeGeometry& geometry,
-                                   bool instance_sliced) const {
+                                   const ProbeGeometry& geometry) const {
   // One batch fills every key of this probe geometry, so serialize batch
   // builds instead of letting racing threads duplicate the whole pack.
   const std::lock_guard<std::mutex> build_lock(build_mutex_);
@@ -580,9 +562,9 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   }
 
   // ---- packing plan -------------------------------------------------------
-  // Candidates at disjoint cells cannot interact (CompositeProbeBehavior
-  // gives each candidate a private fault engine), so a round — one packed
-  // probe replay — may hold any candidate set with mutually disjoint
+  // Candidates at disjoint cells cannot interact (every fault model is
+  // keyed on its own victim and aggressor cells), so a round — one packed
+  // probe lane — may hold any candidate set with mutually disjoint
   // victim/aggressor cells, plus one extra rule: a stuck-open victim reads
   // through the per-column sense latch, whose history is the previous read
   // of its column, so an SOF candidate must be the only victim in its
@@ -659,20 +641,17 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   }
 
   // ---- replay the plan ----------------------------------------------------
-  // bit_sliced: one March replay per round.  instance_sliced: every round
-  // becomes one lane of a faults::OverlaySlab and the whole plan replays 64
-  // rounds per batch — same rounds, same demux, so the dictionaries are
-  // byte-identical across all three modes by construction.
+  // Every round becomes one lane of a faults::OverlaySlab and the whole plan
+  // replays 64 rounds per batch.  A lane behaves exactly like a FaultSet
+  // memory holding the round's candidates, and the plan keeps those from
+  // interacting, so the dictionaries are byte-identical to per_candidate's.
   auto probe_config = config_;
   probe_config.name = "probe";
   probe_config.words = geometry.words;
   probe_config.spare_rows = 0;
   probe_config.spare_cols = 0;
   const march::MarchRunner runner(options_.clock);
-  std::size_t replays = 0;
-  std::size_t slab_batches = 0;
-  std::size_t slab_lanes = 0;
-  if (instance_sliced && !rounds.empty()) {
+  if (!rounds.empty()) {
     std::vector<std::vector<faults::FaultInstance>> lanes;
     std::vector<const std::vector<PackedRef>*> lane_refs;
     lanes.reserve(rounds.size());
@@ -696,24 +675,6 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
         }
       }
     }
-    slab_lanes = lanes.size();
-    slab_batches = (lanes.size() + 63) / 64;
-  } else {
-    for (const auto& [id, packed] : rounds) {
-      auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-      for (const auto& ref : packed) {
-        behavior->add_candidate(specs[ref.target][ref.slot].fault);
-      }
-      sram::Sram memory(probe_config, std::move(behavior));
-      const auto by_cell = runner.run_per_cell(memory, test_, geometry.sweep);
-      for (const auto& ref : packed) {
-        const auto it = by_cell.find(specs[ref.target][ref.slot].fault.victim);
-        if (it != by_cell.end()) {
-          dictionaries[ref.target][ref.slot].reads = to_read_keys(it->second);
-        }
-      }
-    }
-    replays = rounds.size();
   }
   const double elapsed = seconds_since(start);
 
@@ -722,9 +683,8 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
     cell_cache_.emplace(targets[t].key, std::move(dictionaries[t]));
   }
   stats_.dictionary_keys += targets.size();
-  stats_.probe_replays += replays;
-  stats_.slab_batches += slab_batches;
-  stats_.slab_lanes += slab_lanes;
+  stats_.slab_batches += (rounds.size() + 63) / 64;
+  stats_.slab_lanes += rounds.size();
   stats_.build_seconds += elapsed;
   const auto built = cell_cache_.find(key);
   ensure(built != cell_cache_.end(),

@@ -97,29 +97,25 @@ struct MemoryClassification {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// How FaultClassifier constructs its signature dictionaries.
+/// How FaultClassifier constructs its signature dictionaries.  The values
+/// are pinned: "FDCC" cache files store the mode as one byte, and 1 (a
+/// retired packed-probe mode) is rejected on decode.
 enum class DictionaryBuildMode {
   /// One probe replay per candidate fault — the straightforward reference
-  /// path (and the differential baseline for bit_sliced).
-  per_candidate,
+  /// path, and the differential baseline for instance_sliced.
+  per_candidate = 0,
 
-  /// Packs independent candidates into shared probe memories — one
-  /// candidate per victim cell, couplings co-located with their aggressor,
-  /// stuck-open candidates alone in their column (the sense-latch rule) —
-  /// and replays the March test once per packed batch, demultiplexing every
-  /// candidate's signature from the single mismatch stream.  Collapses the
-  /// O(kinds x rows x bits) replays of per_candidate into
-  /// O(kinds + placements) and produces byte-identical dictionaries.
-  bit_sliced,
-
-  /// Composes the bit_sliced packing with instance slicing: the packed
-  /// probe memories of one build plan are grouped into
-  /// faults::OverlaySlab lanes (up to 64 per slab) and each batch is
-  /// replayed once through MarchRunner::run_group_per_cell — one masked
-  /// word op per cell-column advances the whole group, and mismatching
-  /// reads demux straight to (lane, candidate, victim) coordinates.  Same
-  /// enumeration, same demux, byte-identical dictionaries again.
-  instance_sliced,
+  /// Packs independent candidates into shared probe lanes — one candidate
+  /// per victim cell, couplings co-located with their aggressor, stuck-open
+  /// candidates alone in their column (the sense-latch rule) — and groups
+  /// the lanes of one build plan into faults::OverlaySlab slabs of up to
+  /// 64, each batch replayed once through MarchRunner::run_group_per_cell:
+  /// one masked word op per cell-column advances the whole group, and
+  /// mismatching reads demux straight to (lane, candidate, victim)
+  /// coordinates.  Collapses the O(kinds x rows x bits) replays of
+  /// per_candidate into O((kinds + placements) / 64) batches and produces
+  /// byte-identical dictionaries.
+  instance_sliced = 2,
 };
 
 [[nodiscard]] std::string_view dictionary_build_mode_name(
@@ -160,19 +156,19 @@ struct ClassifierOptions {
   /// also shrinks sweep elapsed time: retention thresholds within the same
   /// order of magnitude as one sweep (instead of the pause-dominated
   /// regime the NWRC elements create) can decay in the real run but not in
-  /// the probe.  Also bounds the bit_sliced packing plan: packed candidates
-  /// live inside the same probe_words x bits geometry, so dictionaries are
-  /// identical across build modes by construction.
+  /// the probe.  Also bounds the instance_sliced packing plan: packed
+  /// candidates live inside the same probe_words x bits geometry, so
+  /// dictionaries are identical across build modes by construction.
   std::uint32_t probe_words = 4;
 
   /// The shared controller's sweep span (the SoC's n_max, Sec. 3.1).
   /// 0 means the memory's own word count (no wrap-around).
   std::uint32_t global_words = 0;
 
-  /// Dictionary construction strategy; all modes yield byte-identical
-  /// dictionaries (a differential test pins that down), the sliced modes
-  /// are just much faster to warm: bit_sliced packs candidates per probe,
-  /// instance_sliced additionally replays 64 packed probes per word op.
+  /// Dictionary construction strategy; both modes yield byte-identical
+  /// dictionaries (a differential test pins that down), instance_sliced is
+  /// just much faster to warm: it packs candidates per probe lane and
+  /// replays 64 packed lanes per word op.
   DictionaryBuildMode build_mode = DictionaryBuildMode::instance_sliced;
 };
 
@@ -184,6 +180,9 @@ struct ClassifierOptions {
 /// concurrently: the lazy dictionary fills are internally synchronised.
 class FaultClassifier {
  public:
+  /// Throws std::invalid_argument when @p config is unusable, @p test is
+  /// narrower than the memory, options.probe_words < 3, or
+  /// options.min_confidence is NaN or outside [0, 1].
   FaultClassifier(sram::SramConfig config, march::MarchTest test,
                   ClassifierOptions options = {});
 
@@ -295,24 +294,15 @@ class FaultClassifier {
   [[nodiscard]] const std::vector<CellSignature>& build_cell_per_candidate(
       const CellKey& key, std::uint32_t victim_row,
       const ProbeGeometry& geometry) const;
-  /// bit_sliced build: packs the candidates of every key sharing @p key's
-  /// probe geometry (all bits x positions without wrap; all bits of the
-  /// requested row under wrap) into composite probes and replays each
-  /// packed batch once.  Fills every missing key, returns @p key's slot.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_bit_sliced(
-      const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry) const;
-  /// instance_sliced build: the bit_sliced plan's packed probes become
-  /// lanes of faults::OverlaySlab slabs, replayed 64 per batch through
-  /// MarchRunner::run_group_per_cell.  Fills the same keys, same slots.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_instance_sliced(
-      const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry) const;
-  /// Shared body of the two sliced builds: identical batch domain, packing
-  /// plan and demux; @p instance_sliced switches only the replay engine.
+  /// instance_sliced build: packs the candidates of every key sharing
+  /// @p key's probe geometry (all bits x positions without wrap; all bits
+  /// of the requested row under wrap) into probe lanes and replays them as
+  /// faults::OverlaySlab slabs, 64 lanes per batch, through
+  /// MarchRunner::run_group_per_cell.  Fills every missing key, returns
+  /// @p key's slot.
   [[nodiscard]] const std::vector<CellSignature>& build_cell_sliced(
       const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry, bool instance_sliced) const;
+      const ProbeGeometry& geometry) const;
   [[nodiscard]] const std::vector<RowSignature>& row_dictionary(
       std::uint32_t row) const;
 
@@ -330,9 +320,9 @@ class FaultClassifier {
   /// stability keeps returned references valid across later insertions.
   mutable std::mutex cache_mutex_;
 
-  /// Serializes bit_sliced batch builds: one batch fills many keys at once,
-  /// so letting two threads race the same batch would duplicate the whole
-  /// packed build instead of one key's worth of probes.
+  /// Serializes instance_sliced batch builds: one batch fills many keys at
+  /// once, so letting two threads race the same batch would duplicate the
+  /// whole packed build instead of one key's worth of probes.
   mutable std::mutex build_mutex_;
 
   mutable std::map<CellKey, std::vector<CellSignature>> cell_cache_;

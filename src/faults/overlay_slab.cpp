@@ -73,8 +73,8 @@ OverlaySlab::OverlaySlab(const sram::SramConfig& config,
     : slab_(config.words, config.bits, lane_count) {
   require(lanes != nullptr, "OverlaySlab: null probe lanes");
   latch_.assign(config.bits, 0);
-  // The CompositeProbeBehavior packing contract, checked per lane: no
-  // address faults, and no cell shared by two candidates.
+  // The probe packing contract, checked per lane: no address faults, and
+  // no cell shared by two candidates.
   std::vector<std::uint64_t> claimed(
       (static_cast<std::size_t>(config.words) * config.bits + 63) / 64, 0);
   for (std::size_t k = 0; k < lane_count; ++k) {

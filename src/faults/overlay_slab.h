@@ -32,9 +32,9 @@
 // already live in the lane's FaultSet.
 //
 // The dictionary-build probe slabs use the standalone constructor: each
-// lane's packed candidate list compiles into a private FaultSet (disjoint
-// cells, no address faults — the CompositeProbeBehavior packing contract),
-// so a probe lane is bit-identical to a CompositeProbeBehavior memory.
+// lane's packed candidate list compiles into a private FaultSet (the probe
+// packing contract: pairwise disjoint cells, no address faults), so a probe
+// lane is bit-identical to a memory backed by that FaultSet.
 #pragma once
 
 #include <cstdint>

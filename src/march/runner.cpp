@@ -47,7 +47,7 @@ struct OpCtx {
 /// The shared element-loop driver: phase/element iteration, once-element
 /// pause handling, the controller's global-index-to-local-address mapping
 /// (bisd::LocalAddressGenerator: addr wraps the memory's own capacity,
-/// visit counts the wrap-around revisits) and op accounting.  The four run
+/// visit counts the wrap-around revisits) and op accounting.  The run
 /// entry points differ only in delivery and demux, which live in their
 /// sinks: begin_phase(p, phase), pause(ns), write(ctx), read(ctx).
 template <typename Sink>
@@ -183,140 +183,13 @@ void run_loop(const sram::ClockDomain& clock, sram::Sram& memory,
   drive_march(test, words, sweep, ops, sink);
 }
 
-/// One packed pass over a chunk of <= 64 lanes: the instance-sliced mirror
-/// of run_loop.  Uniform data (every lane receives the same background
-/// word) means one overlaid slab write per op and one packed compare per
-/// read; each lane's fault sites patch its own column bits
-/// (faults::OverlaySlab), and the per-lane Mismatch streams are demuxed
-/// from the compare masks only on the rare mismatching read.  @p out are
-/// the chunk's RunResult slots.
-void run_sliced_chunk(const sram::ClockDomain& clock,
-                      const std::vector<sram::Sram*>& lanes,
-                      const std::vector<RunResult*>& out,
-                      const MarchTest& test, std::uint32_t global_words) {
-  const std::uint32_t words = lanes.front()->words();
-  const std::uint32_t bits = lanes.front()->bits();
-  require(test.width() >= bits, [&] {
-    return "MarchRunner: test narrower than memory '" +
-           lanes.front()->config().name + "'";
-  });
-  const std::uint32_t sweep = global_words == 0 ? words : global_words;
-  require(sweep >= words, "MarchRunner: global_words below the word count");
-
-  struct SlabSink {
-    SlabSink(const sram::ClockDomain& clock, faults::OverlaySlab& slab,
-             const std::vector<RunResult*>& out, sram::Sram* golden,
-             std::uint32_t bits)
-        : clock(clock), slab(slab), out(out), golden(golden), bits(bits) {}
-
-    const sram::ClockDomain& clock;
-    faults::OverlaySlab& slab;
-    const std::vector<RunResult*>& out;
-    sram::Sram* golden;
-    std::uint32_t bits;
-    std::uint64_t elapsed_ns = 0;
-    sram::OpCounters tally;
-    BitVector bg, bg_inv;
-    std::vector<std::uint64_t> bcast_bg, bcast_inv, ebcast;
-    BitVector golden_scratch;
-
-    void begin_phase(std::size_t, const MarchPhase& phase) {
-      bg = phase.background.low_bits(bits);
-      bg_inv = bg.inverted();
-      bcast_bg.resize(bits);
-      bcast_inv.resize(bits);
-      simd::dispatch().expand_bits(bg.word_data(), bcast_bg.data(), bits);
-      simd::dispatch().expand_bits(bg_inv.word_data(), bcast_inv.data(), bits);
-    }
-    void pause(std::uint64_t ns) { elapsed_ns += ns; }
-    void write(const OpCtx& ctx) {
-      elapsed_ns += clock.period_ns;
-      slab.write(ctx.addr, ctx.inverse ? bcast_inv.data() : bcast_bg.data(),
-                 ctx.nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
-                 elapsed_ns);
-      if (golden != nullptr) {
-        golden->write(ctx.addr, ctx.inverse ? bg_inv : bg);
-      }
-      ++(ctx.nwrc ? tally.nwrc_writes : tally.writes);
-    }
-    void read(const OpCtx& ctx) {
-      elapsed_ns += clock.period_ns;
-      ++tally.reads;
-      const BitVector* expected = ctx.inverse ? &bg_inv : &bg;
-      const std::uint64_t* eb =
-          ctx.inverse ? bcast_inv.data() : bcast_bg.data();
-      if (golden != nullptr) {
-        golden->read_into(ctx.addr, golden_scratch);
-        ebcast.resize(bits);
-        simd::dispatch().expand_bits(golden_scratch.word_data(), ebcast.data(),
-                                     bits);
-        expected = &golden_scratch;
-        eb = ebcast.data();
-      }
-      slab.read(ctx.addr, elapsed_ns);
-      std::uint64_t diff = slab.compare(eb, 0, bits);
-      if (diff == 0) {
-        return;
-      }
-      // Demux: one Mismatch per disagreeing lane, then patch only the
-      // flagged columns (mismatch_columns) instead of scanning all bits
-      // per lane.
-      std::array<std::int32_t, 64> slot;
-      slot.fill(-1);
-      const std::uint64_t lanes_hit = diff;
-      while (diff != 0) {
-        const auto lane = static_cast<std::size_t>(std::countr_zero(diff));
-        diff &= diff - 1;
-        slot[lane] = static_cast<std::int32_t>(out[lane]->mismatches.size());
-        out[lane]->mismatches.push_back(
-            Mismatch{ctx.phase, ctx.element, ctx.op, ctx.addr, ctx.visit,
-                     *expected, *expected});
-      }
-      const std::uint64_t* observed = slab.observed();
-      for (std::uint32_t base = 0; base < bits; base += 64) {
-        std::uint64_t cols = slab.mismatch_columns(eb, base);
-        while (cols != 0) {
-          const std::uint32_t j =
-              base + static_cast<std::uint32_t>(std::countr_zero(cols));
-          cols &= cols - 1;
-          std::uint64_t m = (observed[j] ^ eb[j]) & lanes_hit;
-          while (m != 0) {
-            const auto lane = static_cast<std::size_t>(std::countr_zero(m));
-            m &= m - 1;
-            out[lane]->mismatches[static_cast<std::size_t>(slot[lane])]
-                .actual.flip(j);
-          }
-        }
-      }
-    }
-  };
-
-  faults::OverlaySlab slab(lanes);
-
-  // Wrap-aware expectation, exactly as in run_loop: identical writes reach
-  // every lane, so one shared shadow serves the whole chunk.
-  const auto golden = make_golden(lanes.front()->config(), words, sweep);
-
-  std::uint64_t ops = 0;
-  SlabSink sink{clock, slab, out, golden.get(), bits};
-  drive_march(test, words, sweep, ops, sink);
-
-  slab.scatter();
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    out[k]->ops = ops;
-    out[k]->elapsed_ns = sink.elapsed_ns;
-    lanes[k]->advance_time_ns(sink.elapsed_ns);
-    lanes[k]->credit_ops(sink.tally);
-  }
-}
-
 /// One packed pass over a chunk of <= 64 probe lanes: the instance-sliced
 /// dictionary-build replay.  Each lane's candidate list compiles into the
 /// lane's own fault-site overlay (faults::OverlaySlab); the uniform March
 /// stream advances the whole chunk with one overlaid word op per
 /// cell-column, and mismatching reads demux straight to per-lane
-/// (cell -> ReadEvent) maps, bit-identical to run_per_cell on a
-/// CompositeProbeBehavior memory.
+/// (cell -> ReadEvent) maps, bit-identical to run_per_cell on a memory
+/// backed by the lane's own FaultSet.
 void run_probe_chunk(
     const sram::ClockDomain& clock, const sram::SramConfig& probe_config,
     const std::vector<faults::FaultInstance>* lanes, std::size_t lane_count,
@@ -460,57 +333,6 @@ void run_probe_chunk(
 }
 
 }  // namespace
-
-std::vector<RunResult> MarchRunner::run_group(
-    const std::vector<sram::Sram*>& memories, const MarchTest& test,
-    std::uint32_t global_words) const {
-  require(!memories.empty(), "MarchRunner::run_group: empty group");
-  for (const sram::Sram* memory : memories) {
-    require(memory != nullptr, "MarchRunner::run_group: null memory");
-    require(memory->words() == memories.front()->words() &&
-                memory->bits() == memories.front()->bits(),
-            [&] {
-              return "MarchRunner::run_group: memory '" +
-                     memory->config().name + "' geometry differs";
-            });
-  }
-
-  std::vector<RunResult> results(memories.size());
-  std::vector<std::size_t> sliced;
-  for (std::size_t i = 0; i < memories.size(); ++i) {
-    if (memories[i]->access_kernel() == sram::AccessKernel::word_parallel &&
-        faults::OverlaySlab::lane_capable(*memories[i])) {
-      sliced.push_back(i);
-    }
-  }
-
-  for (std::size_t start = 0; start < sliced.size(); start += 64) {
-    const std::size_t count = std::min<std::size_t>(64, sliced.size() - start);
-    if (!faults::OverlaySlab::worth_slicing(count,
-                                            memories.front()->bits())) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t i = sliced[start + k];
-        results[i] = run(*memories[i], test, global_words);
-      }
-      continue;
-    }
-    std::vector<sram::Sram*> lanes;
-    std::vector<RunResult*> out;
-    lanes.reserve(count);
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      lanes.push_back(memories[sliced[start + k]]);
-      out.push_back(&results[sliced[start + k]]);
-    }
-    run_sliced_chunk(clock_, lanes, out, test, global_words);
-  }
-  for (std::size_t i = 0; i < memories.size(); ++i) {
-    if (!std::binary_search(sliced.begin(), sliced.end(), i)) {
-      results[i] = run(*memories[i], test, global_words);
-    }
-  }
-  return results;
-}
 
 RunResult MarchRunner::run(sram::Sram& memory, const MarchTest& test,
                            std::uint32_t global_words) const {

@@ -8,15 +8,15 @@
 // read (Sram::read_into), and the heap is touched only when a mismatch is
 // recorded.
 //
-// Four entry points share one element-loop driver (drive_march in the
-// implementation): run() materializes the full Mismatch stream
-// (expected/actual word copies included), run_per_cell() folds the stream
-// straight into per-cell failed-read sets — the multi-victim replay the
-// bit-sliced dictionary builder demultiplexes packed candidate faults from —
-// run_group() advances fleets as InstanceSlab lanes with each lane's fault
-// sites overlaid, and run_group_per_cell() batches up to 64 packed probe
-// memories per slab for the instance-sliced dictionary build.  The clients differ only in delivery
-// (port vs broadcast) and demux (word mismatch vs lane mask vs lane/cell).
+// Three entry points share one element-loop driver (drive_march in the
+// implementation).  run() and run_per_cell() are the per-memory reference:
+// run() materializes the full Mismatch stream (expected/actual word copies
+// included), run_per_cell() folds the stream straight into per-cell
+// failed-read sets.  run_group_per_cell() is the one slab client: it
+// replays up to 64 packed probe lanes per faults::OverlaySlab for the
+// instance-sliced dictionary build.  The clients differ only in delivery
+// (port vs broadcast) and demux (word mismatch vs lane/cell).  Fleets of
+// real memories slice inside bisd::FastScheme, which drives its own slabs.
 #pragma once
 
 #include <cstdint>
@@ -84,38 +84,26 @@ class MarchRunner {
   RunResult run(sram::Sram& memory, const MarchTest& test,
                 std::uint32_t global_words = 0) const;
 
-  /// Runs @p test over a fleet of identical-geometry memories, one RunResult
-  /// per memory in input order, bit-identical to calling run() on each.
-  /// Memories on the word_parallel kernel that
-  /// faults::OverlaySlab::lane_capable() accepts — unrepaired, FaultSet- or
-  /// fault-free-backed, faulty or not — advance as bit-lanes of shared
-  /// slabs (chunks of up to 64 in input order, when worth_slicing() says
-  /// the chunk pays) with each lane's fault sites overlaid: one word op per
-  /// cell-column for the whole chunk.  Everything else (per_cell memories,
-  /// repaired or in-field ones) runs the per-memory loop.
-  [[nodiscard]] std::vector<RunResult> run_group(
-      const std::vector<sram::Sram*>& memories, const MarchTest& test,
-      std::uint32_t global_words = 0) const;
-
   /// Multi-victim replay: runs @p test once and demultiplexes the mismatch
   /// stream per failing cell — every cell with at least one mismatching
   /// read bit maps to its distinct ReadEvents in March order.  Equivalent
   /// to folding run().mismatches per differing bit, but without copying an
-  /// expected/actual word pair per record, so a packed probe carrying many
-  /// candidate faults (faults::CompositeProbeBehavior) pays one replay for
-  /// every candidate's signature.
+  /// expected/actual word pair per record, so a memory carrying many
+  /// disjoint candidate faults pays one replay for every candidate's
+  /// signature.
   [[nodiscard]] std::map<sram::CellCoord, std::vector<ReadEvent>>
   run_per_cell(sram::Sram& memory, const MarchTest& test,
                std::uint32_t global_words = 0) const;
 
   /// Instance-sliced multi-victim replay: one run_per_cell result per lane,
   /// bit-identical to replaying each lane's candidate list through its own
-  /// CompositeProbeBehavior memory of geometry @p probe_config — but the
-  /// whole group advances as bit-lanes of shared faults::OverlaySlab slabs
+  /// faults::FaultSet memory of geometry @p probe_config — but the whole
+  /// group advances as bit-lanes of shared faults::OverlaySlab slabs
   /// (chunks of up to 64, in input order), one overlaid word op per
   /// cell-column plus each lane's exact fault-site records.  Mismatching
   /// reads demux from the packed compare masks straight to (lane, cell)
-  /// coordinates.
+  /// coordinates.  Each lane's candidates must sit at pairwise disjoint
+  /// cells and hold no address fault (OverlaySlab's probe contract).
   [[nodiscard]] std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>
   run_group_per_cell(const sram::SramConfig& probe_config,
                      const std::vector<std::vector<faults::FaultInstance>>&

@@ -1,6 +1,7 @@
 #include "service/serialize.h"
 
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
 #include "faults/fault_kind.h"
@@ -240,9 +241,17 @@ bool decode_classifier_options(ByteReader& reader,
   options.clock.period_ns = reader.u64();
   options.probe_words = reader.u32();
   options.global_words = reader.u32();
-  return read_enum(reader, options.build_mode,
-                   static_cast<std::uint8_t>(
-                       diagnosis::DictionaryBuildMode::instance_sliced));
+  const std::uint8_t mode = reader.u8();
+  if (!reader.ok() ||
+      (mode != static_cast<std::uint8_t>(
+                   diagnosis::DictionaryBuildMode::per_candidate) &&
+       mode != static_cast<std::uint8_t>(
+                   diagnosis::DictionaryBuildMode::instance_sliced))) {
+    reader.fail();  // 1 is the retired packed-probe mode
+    return false;
+  }
+  options.build_mode = static_cast<diagnosis::DictionaryBuildMode>(mode);
+  return true;
 }
 
 void encode_dictionaries(
@@ -783,8 +792,17 @@ core::Expected<std::size_t, DecodeError> decode_classifier_cache(
       return make_unexpected(
           DecodeError{"cache: corrupt entry " + std::to_string(i)});
     }
-    auto classifier = std::make_shared<diagnosis::FaultClassifier>(
-        config, test, options);
+    // A well-framed entry can still carry inputs the classifier rejects
+    // (a memory wider than its test, retention_ns 0, ...): that is a decode
+    // error, never an exception out of a daemon's connection thread.
+    std::shared_ptr<diagnosis::FaultClassifier> classifier;
+    try {
+      classifier = std::make_shared<diagnosis::FaultClassifier>(config, test,
+                                                                options);
+    } catch (const std::invalid_argument&) {
+      return make_unexpected(
+          DecodeError{"cache: invalid entry " + std::to_string(i)});
+    }
     classifier->import_dictionaries(std::move(snapshot));
     classifiers.push_back(std::move(classifier));
   }

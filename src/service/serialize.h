@@ -219,7 +219,8 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 
 /// Decodes a "FDCC" blob into @p cache (entries insert() one by one,
 /// honouring the cache's eviction bound).  Returns the classifier count on
-/// success.
+/// success.  A corrupt entry, or one FaultClassifier's constructor rejects,
+/// is a DecodeError, and nothing is imported.
 [[nodiscard]] core::Expected<std::size_t, DecodeError>
 decode_classifier_cache(const std::uint8_t* data, std::size_t size,
                         diagnosis::ClassifierCache& cache);

@@ -14,12 +14,12 @@ namespace fastdiag::sram {
 ///  * word_parallel (the default) is the fast path.  A lone memory routes
 ///    single-row, unrepaired-column accesses through the word-level
 ///    FaultBehavior hooks: one packed limb copy plus the row's sparse fault
-///    sites (faults::FaultSet).  Group executors (bisd::FastScheme over
-///    bisd::SocUnderTest::slice_groups, march::MarchRunner::run_group)
-///    additionally pack identical-geometry, unrepaired, FaultSet-backed
-///    memories — faulty or not — as bit-lanes of an sram::InstanceSlab
-///    (bit k of each limb = memory k's cell) and overlay each lane's fault
-///    sites on its column bits (faults::OverlaySlab), so one March op
+///    sites (faults::FaultSet).  bisd::FastScheme, over
+///    bisd::SocUnderTest::slice_groups, additionally packs identical-
+///    geometry, unrepaired, FaultSet-backed memories — faulty or not — as
+///    bit-lanes of an sram::InstanceSlab (bit k of each limb = memory k's
+///    cell) and overlays each lane's fault sites on its column bits
+///    (faults::OverlaySlab), so one March op
 ///    advances up to 64 memories per word operation.  Which groups slice
 ///    is decided from the group itself (lane count and width), never from
 ///    an option.

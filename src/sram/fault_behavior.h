@@ -12,10 +12,9 @@
 // override them with packed limb copies (real measurement hardware scans
 // full words per cycle, and so should the simulator).  FaultFreeBehavior
 // below copies whole rows; faults::FaultSet copies the row and patches its
-// sparse fault sites; faults::CompositeProbeBehavior routes packed
-// dictionary candidates to private per-candidate engines.  Instance-sliced
-// groups bypass these hooks: faults::OverlaySlab applies FaultSet's site
-// records to one bit-lane of a shared arena instead.
+// sparse fault sites.  Instance-sliced groups bypass these hooks:
+// faults::OverlaySlab applies FaultSet's site records to one bit-lane of a
+// shared arena instead.
 #pragma once
 
 #include <cstdint>

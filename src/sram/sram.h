@@ -11,10 +11,10 @@
 // Access kernel: the word_parallel kernel (default) routes single-row,
 // unrepaired-column accesses through the behaviour's word-level hooks
 // (write_row / read_row) — for faults::FaultSet one packed limb copy plus
-// the row's sparse fault-site patches — and lets group executors
-// (bisd::SocUnderTest::slice_groups, march::MarchRunner::run_group) advance
-// unrepaired memories as bit-lanes of a shared sram::InstanceSlab with the
-// same fault sites overlaid per lane.  The per_cell kernel forces the
+// the row's sparse fault-site patches — and lets bisd::FastScheme advance
+// the unrepaired memories of bisd::SocUnderTest::slice_groups as bit-lanes
+// of a shared sram::InstanceSlab with the same fault sites overlaid per
+// lane.  The per_cell kernel forces the
 // bit-at-a-time reference loop on every access and never slices.  Both
 // produce bit-identical results — the reference exists so differential
 // tests and benchmarks can prove it.

@@ -1,5 +1,5 @@
 // Tests for the public API (src/core) — spec-built end-to-end runs over
-// injected SoCs with scoring and repair, plus the deprecated v1 shim.
+// injected SoCs with scoring and repair.
 #include <gtest/gtest.h>
 
 #include "core/fastdiag.h"
@@ -155,52 +155,6 @@ TEST(Spec, RebuildDerivesVariants) {
   EXPECT_DOUBLE_EQ(variant.value().injection().cell_defect_rate, 0.02);
   // The original spec is untouched — specs are values.
   EXPECT_EQ(base.value().seed(), 1u);
-}
-
-// ---- deprecated v1 shim ---------------------------------------------------
-
-TEST(Session, RequiresAtLeastOneMemory) {
-  DiagnosisSession session;
-  EXPECT_THROW((void)session.run(), std::invalid_argument);
-}
-
-TEST(Session, ValidatesParametersAtTheSetters) {
-  DiagnosisSession session;
-  EXPECT_THROW(session.defect_rate(1.5), std::invalid_argument);
-  EXPECT_THROW(session.retention_fraction(-0.1), std::invalid_argument);
-  EXPECT_THROW(session.clock_ns(0), std::invalid_argument);
-}
-
-TEST(Session, SchemeNamesMatchTheRegistryKeys) {
-  EXPECT_EQ(scheme_choice_name(SchemeChoice::fast), "fast");
-  EXPECT_EQ(scheme_choice_name(SchemeChoice::baseline), "baseline");
-  EXPECT_EQ(scheme_choice_name(SchemeChoice::baseline_with_retention),
-            "baseline-with-retention");
-  EXPECT_EQ(scheme_choice_name(SchemeChoice::fast_without_drf),
-            "fast-without-drf");
-  for (const auto choice :
-       {SchemeChoice::fast, SchemeChoice::fast_without_drf,
-        SchemeChoice::baseline, SchemeChoice::baseline_with_retention}) {
-    EXPECT_TRUE(SchemeRegistry::global().contains(scheme_choice_name(choice)));
-  }
-}
-
-TEST(Session, ShimMatchesEngineBitForBit) {
-  DiagnosisSession session;
-  session.add_sram(small("a", 64, 16)).defect_rate(0.02).seed(7);
-  const auto via_shim = session.run();
-
-  const auto spec = SessionSpec::builder()
-                        .add_sram(small("a", 64, 16))
-                        .defect_rate(0.02)
-                        .seed(7)
-                        .build();
-  ASSERT_TRUE(spec.has_value());
-  const auto via_engine = DiagnosisEngine::execute(spec.value());
-
-  EXPECT_EQ(via_shim.result.log.to_csv(), via_engine.result.log.to_csv());
-  EXPECT_EQ(via_shim.result.time.cycles, via_engine.result.time.cycles);
-  EXPECT_EQ(via_shim.injected_faults, via_engine.injected_faults);
 }
 
 TEST(Version, Exposed) {

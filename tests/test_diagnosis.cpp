@@ -476,22 +476,29 @@ TEST(Engine, ClassificationIsDeterministicAcrossWorkerCounts) {
   }
 }
 
-// ---- bit-sliced dictionary builds -----------------------------------------
+// ---- instance-sliced dictionary builds ------------------------------------
 //
-// The packed builder must be a pure performance transformation: for every
-// syndrome, classification through a bit_sliced dictionary must equal the
-// per_candidate reference byte for byte (the per-site to_string dump covers
-// kinds, confidences, placements and aggressor candidate bits).
+// The instance_sliced mode packs independent candidates into probe lanes
+// and replays up to 64 lanes per faults::OverlaySlab; it must be a pure
+// performance transformation of the per_candidate reference.  Verdicts must
+// match byte for byte (the per-site to_string dump covers kinds,
+// confidences, placements and aggressor candidate bits), and so must the
+// exported dictionaries — every slot of every key — at every SIMD dispatch
+// level this CPU runs.
 
-diagnosis::MemoryClassification classify_single_fault(
-    const FaultClassifier& classifier, const SramConfig& config,
-    const FaultInstance& fault) {
+/// The syndrome a lone @p fault leaves on @p config under the fast scheme;
+/// next to @p sweep_partner when given, whose deeper sweep @p config wraps.
+diagnosis::MemorySyndrome single_fault_syndrome(
+    const SramConfig& config, const FaultInstance& fault,
+    const SramConfig* sweep_partner = nullptr) {
   bisd::SocUnderTest soc;
+  if (sweep_partner != nullptr) {
+    soc.add_memory(*sweep_partner);
+  }
   soc.add_memory(config, {fault});
-  bisd::FastScheme scheme;
-  const auto result = scheme.diagnose(soc);
-  const auto syndromes = diagnosis::extract_syndromes(result.log, 1);
-  return classifier.classify(syndromes[0]);
+  const auto result = bisd::FastScheme().diagnose(soc);
+  const std::size_t count = soc.memory_count();
+  return diagnosis::extract_syndromes(result.log, count)[count - 1];
 }
 
 std::vector<FaultInstance> build_kind_corpus(const SramConfig& config,
@@ -550,113 +557,6 @@ std::vector<FaultInstance> build_kind_corpus(const SramConfig& config,
   return corpus;
 }
 
-TEST(BitSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
-  // Even and odd IO widths: the odd width exercises the packing plan's
-  // round-robin bye column.
-  for (const auto& config : {cfg(12, 6), cfg(9, 5)}) {
-    bisd::FastScheme scheme;
-    const auto test = scheme.test_for_width(config.bits);
-    diagnosis::ClassifierOptions reference_options;
-    reference_options.build_mode =
-        diagnosis::DictionaryBuildMode::per_candidate;
-    diagnosis::ClassifierOptions sliced_options;
-    sliced_options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-    const FaultClassifier reference(config, test, reference_options);
-    const FaultClassifier sliced(config, test, sliced_options);
-
-    Rng rng(20260730);
-    const int per_kind = config.bits % 2 == 0 ? 6 : 3;
-    for (const auto& fault : build_kind_corpus(config, rng, per_kind)) {
-      const auto expected =
-          classify_single_fault(reference, config, fault).to_string();
-      const auto actual =
-          classify_single_fault(sliced, config, fault).to_string();
-      EXPECT_EQ(expected, actual)
-          << config.name << " fault: " << fault.to_string();
-    }
-  }
-}
-
-TEST(BitSliced, VerdictsIdenticalUnderWrapAround) {
-  // A 6-word memory swept by a 16-step controller wraps with remainder 4,
-  // so dictionaries key on exact rows and the partial-wrap boundary gets
-  // its own aggressor representatives — the wrap-side packing plan.
-  const auto wide = cfg(16, 8);
-  const auto narrow = cfg(6, 4);
-  bisd::FastScheme scheme;
-  const auto test = scheme.test_for_width(wide.bits);
-  diagnosis::ClassifierOptions reference_options;
-  reference_options.build_mode =
-      diagnosis::DictionaryBuildMode::per_candidate;
-  reference_options.global_words = wide.words;
-  diagnosis::ClassifierOptions sliced_options;
-  sliced_options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-  sliced_options.global_words = wide.words;
-  const FaultClassifier reference(narrow, test, reference_options);
-  const FaultClassifier sliced(narrow, test, sliced_options);
-
-  Rng rng(20260731);
-  for (const auto& fault : build_kind_corpus(narrow, rng, 3)) {
-    bisd::SocUnderTest soc;
-    soc.add_memory(wide);
-    soc.add_memory(narrow, {fault});
-    const auto result = bisd::FastScheme().diagnose(soc);
-    const auto syndromes = diagnosis::extract_syndromes(result.log, 2);
-    EXPECT_EQ(reference.classify(syndromes[1]).to_string(),
-              sliced.classify(syndromes[1]).to_string())
-        << "fault: " << fault.to_string();
-  }
-}
-
-TEST(BitSliced, CacheStatsCountBuildsAndSharing) {
-  const auto config = cfg(12, 6);
-  bisd::FastScheme scheme;
-  const auto test = scheme.test_for_width(config.bits);
-  diagnosis::ClassifierCache cache;
-  diagnosis::ClassifierOptions options;  // instance_sliced default
-
-  const auto first = cache.get(config, test, options);
-  const auto again = cache.get(config, test, options);
-  EXPECT_EQ(first.get(), again.get());
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.slab_lanes, 0u);  // dictionaries build lazily
-
-  const auto fault = faults::make_cell_fault(FaultKind::sa1, {5, 2});
-  (void)classify_single_fault(*first, config, fault);
-  stats = cache.stats();
-  EXPECT_GT(stats.dictionary_keys, 0u);
-  // The default instance_sliced mode replays the cell plan as slab lanes —
-  // up to 64 per batch — instead of one-by-one probe replays.
-  EXPECT_GT(stats.slab_lanes, 0u);
-  EXPECT_GT(stats.slab_batches, 0u);
-  EXPECT_LE(stats.slab_batches, (stats.slab_lanes + 63) / 64);
-  EXPECT_GE(stats.build_seconds, 0.0);
-
-  // A second classification of the same shape hits the dictionary cache.
-  const auto replays = stats.probe_replays;
-  const auto lanes = stats.slab_lanes;
-  (void)classify_single_fault(*first, config, fault);
-  EXPECT_EQ(cache.stats().probe_replays, replays);
-  EXPECT_EQ(cache.stats().slab_lanes, lanes);
-
-  // Build modes must not share classifiers (different dictionaries paths).
-  diagnosis::ClassifierOptions reference_options = options;
-  reference_options.build_mode =
-      diagnosis::DictionaryBuildMode::per_candidate;
-  const auto reference = cache.get(config, test, reference_options);
-  EXPECT_NE(first.get(), reference.get());
-}
-
-// ---- instance-sliced dictionary builds ------------------------------------
-//
-// The instance_sliced mode composes the bit_sliced packing with 64-lane
-// probe slabs; like bit_sliced it must be a pure performance transformation.
-// The snapshot comparisons below are the strongest possible form: the
-// exported dictionaries — every slot of every key — must compare equal
-// across all three build modes, at every SIMD dispatch level this CPU runs.
-
 std::vector<simd::IsaLevel> available_levels() {
   std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
   if (simd::detected_level() >= simd::IsaLevel::avx2) {
@@ -681,8 +581,8 @@ class LevelGuard {
 };
 
 /// Classifies one fabricated single-cell syndrome per dictionary key so
-/// every mode's lazy cache fills completely: the sliced modes batch-fill
-/// all keys on first touch, per_candidate needs each key requested.
+/// every mode's lazy cache fills completely: instance_sliced batch-fills all
+/// keys on first touch, per_candidate needs each key requested.
 void warm_all_cell_keys(const FaultClassifier& classifier,
                         const SramConfig& config,
                         std::uint32_t global_words = 0) {
@@ -722,11 +622,6 @@ TEST(InstanceSliced, DictionariesByteIdenticalAcrossModesAndIsaLevels) {
     const auto want = reference.export_dictionaries();
     ASSERT_FALSE(want.cells.empty());
 
-    options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-    const FaultClassifier bit_sliced(config, test, options);
-    warm_all_cell_keys(bit_sliced, config);
-    EXPECT_TRUE(want == bit_sliced.export_dictionaries()) << config.name;
-
     LevelGuard guard;
     for (const auto level : available_levels()) {
       ASSERT_TRUE(simd::force(level));
@@ -756,40 +651,89 @@ TEST(InstanceSliced, DictionariesByteIdenticalUnderWrapAround) {
   const auto want = reference.export_dictionaries();
   ASSERT_FALSE(want.cells.empty());
 
-  options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-  const FaultClassifier bit_sliced(narrow, test, options);
-  warm_all_cell_keys(bit_sliced, narrow, sweep);
-  EXPECT_TRUE(want == bit_sliced.export_dictionaries());
-
   options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
   const FaultClassifier instance(narrow, test, options);
   warm_all_cell_keys(instance, narrow, sweep);
   EXPECT_TRUE(want == instance.export_dictionaries());
 }
 
-TEST(InstanceSliced, VerdictsIdenticalToBothModesAcrossKindCorpus) {
+TEST(InstanceSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
+  // Even and odd IO widths (the odd width exercises the packing plan's
+  // round-robin bye column), and a 6-word memory next to a 16-word one:
+  // it wraps the shared sweep with remainder 4, so dictionaries key on
+  // exact rows and the partial-wrap boundary gets its own aggressor
+  // representatives — the wrap-side packing plan.
+  const auto wide = cfg(16, 8);
+  const struct {
+    SramConfig config;
+    const SramConfig* sweep_partner;
+    std::uint64_t seed;
+  } cases[] = {{cfg(12, 6), nullptr, 20260807},
+               {cfg(9, 5), nullptr, 20260730},
+               {cfg(6, 4), &wide, 20260731}};
+  for (const auto& c : cases) {
+    const SramConfig* partner = c.sweep_partner;
+    bisd::FastScheme scheme;
+    const auto test =
+        scheme.test_for_width(partner != nullptr ? partner->bits
+                                                 : c.config.bits);
+    diagnosis::ClassifierOptions options;
+    options.global_words = partner != nullptr ? partner->words : 0;
+    options.build_mode = diagnosis::DictionaryBuildMode::per_candidate;
+    const FaultClassifier reference(c.config, test, options);
+    options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
+    const FaultClassifier instance(c.config, test, options);
+
+    Rng rng(c.seed);
+    for (const auto& fault : build_kind_corpus(c.config, rng, 3)) {
+      const auto syndrome = single_fault_syndrome(c.config, fault, partner);
+      EXPECT_EQ(reference.classify(syndrome).to_string(),
+                instance.classify(syndrome).to_string())
+          << c.config.name << " fault: " << fault.to_string();
+    }
+  }
+}
+
+TEST(InstanceSliced, CacheStatsCountBuildsAndSharing) {
   const auto config = cfg(12, 6);
   bisd::FastScheme scheme;
   const auto test = scheme.test_for_width(config.bits);
-  diagnosis::ClassifierOptions options;
-  options.build_mode = diagnosis::DictionaryBuildMode::per_candidate;
-  const FaultClassifier reference(config, test, options);
-  options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-  const FaultClassifier bit_sliced(config, test, options);
-  options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
-  const FaultClassifier instance(config, test, options);
+  diagnosis::ClassifierCache cache;
+  diagnosis::ClassifierOptions options;  // instance_sliced default
 
-  Rng rng(20260807);
-  for (const auto& fault : build_kind_corpus(config, rng, 3)) {
-    const auto expected =
-        classify_single_fault(reference, config, fault).to_string();
-    EXPECT_EQ(expected,
-              classify_single_fault(instance, config, fault).to_string())
-        << "fault: " << fault.to_string();
-    EXPECT_EQ(expected,
-              classify_single_fault(bit_sliced, config, fault).to_string())
-        << "fault: " << fault.to_string();
-  }
+  const auto first = cache.get(config, test, options);
+  const auto again = cache.get(config, test, options);
+  EXPECT_EQ(first.get(), again.get());
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.slab_lanes, 0u);  // dictionaries build lazily
+
+  const auto syndrome = single_fault_syndrome(
+      config, faults::make_cell_fault(FaultKind::sa1, {5, 2}));
+  (void)first->classify(syndrome);
+  stats = cache.stats();
+  EXPECT_GT(stats.dictionary_keys, 0u);
+  // The default instance_sliced mode replays the cell plan as slab lanes —
+  // up to 64 per batch — instead of one-by-one probe replays.
+  EXPECT_GT(stats.slab_lanes, 0u);
+  EXPECT_GT(stats.slab_batches, 0u);
+  EXPECT_LE(stats.slab_batches, (stats.slab_lanes + 63) / 64);
+  EXPECT_GE(stats.build_seconds, 0.0);
+
+  // A second classification of the same shape hits the dictionary cache.
+  const auto replays = stats.probe_replays;
+  const auto lanes = stats.slab_lanes;
+  (void)first->classify(syndrome);
+  EXPECT_EQ(cache.stats().probe_replays, replays);
+  EXPECT_EQ(cache.stats().slab_lanes, lanes);
+
+  // Build modes must not share classifiers (different dictionaries paths).
+  diagnosis::ClassifierOptions reference_options = options;
+  reference_options.build_mode =
+      diagnosis::DictionaryBuildMode::per_candidate;
+  const auto reference = cache.get(config, test, reference_options);
+  EXPECT_NE(first.get(), reference.get());
 }
 
 }  // namespace

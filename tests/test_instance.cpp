@@ -1,11 +1,12 @@
 // Differential tests for the instance-sliced execution paths and the SIMD
 // dispatch facade.
 //
-// Group executors (FastScheme over slice_groups, MarchRunner::run_group,
-// the dictionary-build probe slabs) advance up to 64 identical-geometry
-// memories as bit-lanes of one packed InstanceSlab, with each lane's fault
-// sites overlaid (faults::OverlaySlab).  They must be observably
-// indistinguishable from the per_cell reference — record for record, cycle
+// Group executors (FastScheme over slice_groups, the dictionary-build probe
+// slabs of MarchRunner::run_group_per_cell) advance up to 64
+// identical-geometry memories as bit-lanes of one packed InstanceSlab, with
+// each lane's fault sites overlaid (faults::OverlaySlab).  They must be
+// observably indistinguishable from their references — the per_cell kernel,
+// or each probe lane's own FaultSet memory — record for record, cycle
 // for cycle, counter for counter — for every group size around the 64-lane
 // boundary, for wrap emulation, for the full defect corpus on faulty lanes,
 // and at every SIMD dispatch level this CPU can run (simd::force walks
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/fastdiag.h"
-#include "faults/composite_probe.h"
 #include "faults/overlay_slab.h"
 
 namespace fastdiag {
@@ -394,119 +394,13 @@ TEST(InstanceSlab, RejectsRepairedAndMismatchedLanes) {
                std::exception);
 }
 
-// ---- MarchRunner::run_group vs per-memory run ------------------------------
-
-void expect_run_identical(const march::RunResult& sliced,
-                          const march::RunResult& reference,
-                          const std::string& label) {
-  EXPECT_EQ(sliced.ops, reference.ops) << label;
-  EXPECT_EQ(sliced.elapsed_ns, reference.elapsed_ns) << label;
-  ASSERT_EQ(sliced.mismatches.size(), reference.mismatches.size()) << label;
-  for (std::size_t m = 0; m < sliced.mismatches.size(); ++m) {
-    EXPECT_TRUE(sliced.mismatches[m] == reference.mismatches[m])
-        << label << " mismatch #" << m;
-  }
-}
-
-/// Builds a fleet of identical-geometry memories; lanes whose index is in
-/// @p faulty_lanes carry a defect mix (overlaid on their slab lanes under
-/// word_parallel).
-std::vector<std::unique_ptr<sram::Sram>> make_fleet(
-    std::size_t count, AccessKernel kernel,
-    const std::vector<std::size_t>& faulty_lanes, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto config = cfg("lane", 6, 21);
-  std::vector<std::unique_ptr<sram::Sram>> fleet;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto lane_config = config;
-    lane_config.name = "lane" + std::to_string(i);
-    std::vector<FaultInstance> truth;
-    if (std::find(faulty_lanes.begin(), faulty_lanes.end(), i) !=
-        faulty_lanes.end()) {
-      truth = random_fault_mix(lane_config, 1 + rng.uniform(4), rng);
-    }
-    fleet.push_back(std::make_unique<sram::Sram>(
-        lane_config, std::make_unique<faults::FaultSet>(truth)));
-    fleet.back()->set_access_kernel(kernel);
-  }
-  return fleet;
-}
-
-TEST(RunGroup, MatchesPerMemoryRunAcrossSizesAndLevels) {
-  LevelGuard guard;
-  const auto test = march::march_cw(21);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::size_t count : {1ull, 63ull, 64ull, 65ull}) {
-      // A few faulty lanes scattered through the group exercise the
-      // per-lane overlay next to clean lanes; all of them ride the slab.
-      const std::vector<std::size_t> faulty{0, count / 2, count - 1};
-      auto sliced_fleet =
-          make_fleet(count, AccessKernel::word_parallel, faulty, 77);
-      auto ref_fleet = make_fleet(count, AccessKernel::per_cell, faulty, 77);
-
-      std::vector<sram::Sram*> group;
-      for (const auto& lane : sliced_fleet) {
-        group.push_back(lane.get());
-      }
-      const march::MarchRunner runner;
-      const auto results = runner.run_group(group, test);
-      ASSERT_EQ(results.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto reference = runner.run(*ref_fleet[i], test);
-        const std::string label = std::string(simd::isa_name(level)) +
-                                  " count=" + std::to_string(count) +
-                                  " lane " + std::to_string(i);
-        expect_run_identical(results[i], reference, label);
-        EXPECT_EQ(sliced_fleet[i]->now_ns(), ref_fleet[i]->now_ns()) << label;
-        EXPECT_EQ(sliced_fleet[i]->counters().reads,
-                  ref_fleet[i]->counters().reads)
-            << label;
-        EXPECT_EQ(sliced_fleet[i]->counters().writes,
-                  ref_fleet[i]->counters().writes)
-            << label;
-        // End-of-run contents must scatter back bit-identically.
-        for (std::uint32_t row = 0; row < sliced_fleet[i]->words(); ++row) {
-          EXPECT_EQ(sliced_fleet[i]->read(row), ref_fleet[i]->read(row))
-              << label << " row " << row;
-        }
-      }
-    }
-  }
-}
-
-TEST(RunGroup, WrapEmulationMatchesPerMemoryRun) {
-  LevelGuard guard;
-  const auto test = march::march_cw_nwrtm(21);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    auto sliced_fleet =
-        make_fleet(9, AccessKernel::word_parallel, {3, 5}, 1234);
-    auto ref_fleet = make_fleet(9, AccessKernel::per_cell, {3, 5}, 1234);
-    std::vector<sram::Sram*> group;
-    for (const auto& lane : sliced_fleet) {
-      group.push_back(lane.get());
-    }
-    const march::MarchRunner runner;
-    // global_words above the capacity: every element revisits each row,
-    // which routes the sliced expectation through the shared golden shadow.
-    const auto results = runner.run_group(group, test, /*global_words=*/16);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto reference = runner.run(*ref_fleet[i], test, 16);
-      expect_run_identical(results[i], reference,
-                           std::string(simd::isa_name(level)) + " lane " +
-                               std::to_string(i));
-    }
-  }
-}
-
 // ---- MarchRunner::run_group_per_cell vs per-probe run_per_cell -------------
 
 /// Deterministic candidate list for probe lane @p i against @p config:
 /// cycles through every packable fault kind, alternates same-word and
 /// distinct-row aggressors, and gives every third lane a second disjoint
 /// candidate.  Geometry must have >= 4 words and >= 5 bits so the cells
-/// stay pairwise disjoint (the CompositeProbeBehavior packing contract).
+/// stay pairwise disjoint (the probe packing contract).
 std::vector<FaultInstance> probe_lane_candidates(std::size_t i,
                                                  const SramConfig& config) {
   static const FaultKind kinds[] = {
@@ -551,15 +445,12 @@ TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
     for (std::size_t i = 0; i < count; ++i) {
       lanes.push_back(probe_lane_candidates(i, probe_config));
     }
-    // The reference: each lane's candidates in its own composite probe
-    // memory, replayed one at a time (the bit_sliced builder's engine).
+    // The reference: each lane's candidates in a plain FaultSet memory,
+    // replayed one at a time on its own port.
     std::vector<std::map<CellCoord, std::vector<march::ReadEvent>>> expected;
     for (const auto& lane : lanes) {
-      auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-      for (const auto& fault : lane) {
-        behavior->add_candidate(fault);
-      }
-      sram::Sram memory(probe_config, std::move(behavior));
+      sram::Sram memory(probe_config,
+                        std::make_unique<faults::FaultSet>(lane));
       expected.push_back(runner.run_per_cell(memory, test));
     }
     for (const auto level : available_levels()) {
@@ -593,11 +484,7 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
   }
   std::vector<std::map<CellCoord, std::vector<march::ReadEvent>>> expected;
   for (const auto& lane : lanes) {
-    auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-    for (const auto& fault : lane) {
-      behavior->add_candidate(fault);
-    }
-    sram::Sram memory(probe_config, std::move(behavior));
+    sram::Sram memory(probe_config, std::make_unique<faults::FaultSet>(lane));
     expected.push_back(runner.run_per_cell(memory, test, sweep));
   }
   for (const auto level : available_levels()) {

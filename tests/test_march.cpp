@@ -635,57 +635,31 @@ TEST(Population, InterWordPairsDiffer) {
   }
 }
 
-TEST(Runner, RetentionPauseGroupRunsMatchPerMemoryRuns) {
-  // Differential check of the satellite fix path: a march test whose
-  // `once` elements carry retention pauses must advance every lane's clock
-  // identically whether the fleet goes through run_group() or one run()
-  // per memory — DRF decay is evaluated against that clock, so a skewed
-  // pause would show up as divergent mismatch streams.
+TEST(Runner, RetentionPauseProbeGroupMatchesPerProbeRuns) {
+  // A march test whose `once` elements carry retention pauses must advance
+  // every probe lane's clock exactly as a per-memory run_per_cell does —
+  // DRF decay is evaluated against that clock, so a skewed pause would
+  // show up as divergent failed-read sets.
   const auto test = with_retention_pause(march_c_minus(4), 100'000'000);
-  const auto build_fleet = [] {
-    std::vector<std::unique_ptr<Sram>> fleet;
-    for (std::size_t i = 0; i < 6; ++i) {
-      auto config = geometry();
-      config.name = "lane" + std::to_string(i);
-      std::vector<FaultInstance> truth;
-      if (i == 2) {
-        truth.push_back(faults::make_cell_fault(FaultKind::drf0, {3, 1}));
-      }
-      if (i == 4) {
-        truth.push_back(faults::make_cell_fault(FaultKind::drf1, {5, 2}));
-      }
-      fleet.push_back(std::make_unique<Sram>(
-          config, std::make_unique<faults::FaultSet>(truth)));
-    }
-    return fleet;
-  };
-
-  auto grouped = build_fleet();
-  auto reference = build_fleet();
-  std::vector<Sram*> group;
-  for (const auto& lane : grouped) {
-    group.push_back(lane.get());
-  }
+  const auto config = geometry();
+  std::vector<std::vector<FaultInstance>> lanes(6);
+  lanes[2] = {faults::make_cell_fault(FaultKind::drf0, {3, 1})};
+  lanes[4] = {faults::make_cell_fault(FaultKind::drf1, {5, 2}),
+              faults::make_cell_fault(FaultKind::drf0, {9, 0})};
 
   const MarchRunner runner;
-  const auto results = runner.run_group(group, test);
-  ASSERT_EQ(results.size(), grouped.size());
-  for (std::size_t i = 0; i < grouped.size(); ++i) {
-    const auto expected = runner.run(*reference[i], test);
-    EXPECT_EQ(results[i].ops, expected.ops) << "lane " << i;
-    EXPECT_EQ(results[i].elapsed_ns, expected.elapsed_ns) << "lane " << i;
-    ASSERT_EQ(results[i].mismatches.size(), expected.mismatches.size())
+  const auto results = runner.run_group_per_cell(config, lanes, test);
+  ASSERT_EQ(results.size(), lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    Sram reference = faulty(lanes[i], config);
+    EXPECT_TRUE(results[i] == runner.run_per_cell(reference, test))
         << "lane " << i;
-    for (std::size_t m = 0; m < results[i].mismatches.size(); ++m) {
-      EXPECT_TRUE(results[i].mismatches[m] == expected.mismatches[m])
-          << "lane " << i << " mismatch " << m;
-    }
-    EXPECT_EQ(grouped[i]->now_ns(), reference[i]->now_ns()) << "lane " << i;
   }
   // The retention pause is what exposes the DRF lanes at all.
-  EXPECT_TRUE(results[2].detected());
-  EXPECT_TRUE(results[4].detected());
-  EXPECT_FALSE(results[0].detected());
+  EXPECT_TRUE(results[2].contains({3, 1}));
+  EXPECT_TRUE(results[4].contains({5, 2}));
+  EXPECT_TRUE(results[4].contains({9, 0}));
+  EXPECT_TRUE(results[0].empty());
 }
 
 TEST(Population, EvaluateAllCoversEveryKind) {

@@ -14,7 +14,7 @@
 //    every forced SIMD level;
 //  * hand-placed sites that share a cell, row or column inside one lane —
 //    the interactions per-kind records would get wrong — run through
-//    FastScheme, MarchRunner::run_group and the single-memory word path.
+//    FastScheme and the single-memory word path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -286,7 +286,7 @@ std::vector<std::unique_ptr<sram::Sram>> corpus_fleet(std::uint32_t bits,
   return fleet;
 }
 
-TEST(OverlayCorpus, RunGroupAndWordPathMatchPerCell) {
+TEST(OverlayCorpus, WordPathMatchesPerCell) {
   LevelGuard guard;
   const march::MarchRunner runner;
   for (const auto level : available_levels()) {
@@ -297,29 +297,15 @@ TEST(OverlayCorpus, RunGroupAndWordPathMatchPerCell) {
         const std::string label = std::string(simd::isa_name(level)) +
                                   " bits " + std::to_string(bits) +
                                   " sweep " + std::to_string(sweep);
-        auto grouped = corpus_fleet(bits, AccessKernel::word_parallel);
         auto single = corpus_fleet(bits, AccessKernel::word_parallel);
         auto reference = corpus_fleet(bits, AccessKernel::per_cell);
-        auto reference_copy = corpus_fleet(bits, AccessKernel::per_cell);
-        std::vector<sram::Sram*> group;
-        for (const auto& memory : grouped) {
-          group.push_back(memory.get());
-        }
-        const auto results = runner.run_group(group, test, sweep);
-        for (std::size_t k = 0; k < grouped.size(); ++k) {
+        for (std::size_t k = 0; k < single.size(); ++k) {
           const auto word = runner.run(*single[k], test, sweep);
           const auto expected = runner.run(*reference[k], test, sweep);
-          runner.run(*reference_copy[k], test, sweep);
           const std::string lane = label + " lane " + std::to_string(k);
-          EXPECT_TRUE(results[k].mismatches == expected.mismatches)
-              << lane << " (run_group)";
-          EXPECT_TRUE(word.mismatches == expected.mismatches)
-              << lane << " (word path)";
-          EXPECT_EQ(results[k].elapsed_ns, expected.elapsed_ns) << lane;
-          expect_memory_identical(*grouped[k], *reference[k],
-                                  lane + " (run_group state)");
-          expect_memory_identical(*single[k], *reference_copy[k],
-                                  lane + " (word path state)");
+          EXPECT_TRUE(word.mismatches == expected.mismatches) << lane;
+          EXPECT_EQ(word.elapsed_ns, expected.elapsed_ns) << lane;
+          expect_memory_identical(*single[k], *reference[k], lane);
         }
       }
     }

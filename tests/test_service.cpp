@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <thread>
 
 #include "core/fastdiag.h"
@@ -297,6 +298,94 @@ TEST(CacheSerialize, CorruptCacheBlobLeavesTheTargetUntouched) {
   EXPECT_EQ(target.size(), 0u);  // all-or-nothing import
 }
 
+/// The fields of one hand-crafted "FDCC" entry that decode validates or
+/// the classifier constructor checks; the defaults make a valid entry.
+struct CraftedEntry {
+  std::uint32_t bits = 8;  ///< memory width; the entry's test is 8 bits wide
+  std::uint64_t retention_ns = sram::SramConfig{}.retention_ns;
+  double min_confidence = 0.5;
+  std::uint32_t probe_words = 4;
+  std::uint8_t build_mode = 2;
+};
+
+/// A one-entry "FDCC" blob, framed exactly as encode_classifier_cache
+/// frames it, with empty dictionaries.
+std::vector<std::uint8_t> crafted_cache(const CraftedEntry& entry) {
+  ByteWriter writer;
+  writer.u32(kCacheMagic);
+  writer.u32(kFormatVersion);
+  writer.u64(1);
+  auto config = small("crafted", 16, entry.bits);
+  config.retention_ns = entry.retention_ns;
+  encode_sram_config(writer, config);
+  encode_march_test(writer, march::march_cw(8));
+  writer.f64(entry.min_confidence);
+  writer.u64(10);  // clock period
+  writer.u32(entry.probe_words);
+  writer.u32(0);  // global_words
+  writer.u8(entry.build_mode);
+  writer.u64(0);  // cell dictionaries
+  writer.u64(0);  // row dictionaries
+  return std::move(writer).take();
+}
+
+void write_blob(const std::string& path,
+                const std::vector<std::uint8_t>& blob) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(std::fwrite(blob.data(), 1, blob.size(), file), blob.size());
+  std::fclose(file);
+}
+
+TEST(CacheSerialize, InvalidEntriesAreDecodeErrorsNotExceptions) {
+  diagnosis::ClassifierCache target;
+  const auto valid = crafted_cache({});
+  ASSERT_TRUE(decode_classifier_cache(valid.data(), valid.size(), target)
+                  .has_value());
+  ASSERT_EQ(target.size(), 1u);
+
+  const std::string path = temp_path("invalid_cache");
+  const struct {
+    const char* what;
+    CraftedEntry entry;
+  } cases[] = {
+      {"memory wider than its test", {.bits = 9}},
+      {"retention_ns 0", {.retention_ns = 0}},
+      {"probe_words 2", {.probe_words = 2}},
+      {"NaN min_confidence",
+       {.min_confidence = std::numeric_limits<double>::quiet_NaN()}},
+  };
+  for (const auto& c : cases) {
+    const auto blob = crafted_cache(c.entry);
+    const auto decoded =
+        decode_classifier_cache(blob.data(), blob.size(), target);
+    ASSERT_FALSE(decoded.has_value()) << c.what;
+    EXPECT_EQ(decoded.error().message, "cache: invalid entry 0") << c.what;
+    EXPECT_EQ(target.size(), 1u) << c.what;
+
+    write_blob(path, blob);
+    JobServer server;
+    EXPECT_EQ(server.load_cache_file(path), -1) << c.what;
+    EXPECT_EQ(server.cache().size(), 0u) << c.what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CacheSerialize, RetiredBuildModeIsRejected) {
+  // The build mode is one byte: per_candidate (0) and the default
+  // instance_sliced (2) decode, the retired value 1 does not.
+  for (const std::uint8_t mode : {0, 1, 2}) {
+    diagnosis::ClassifierCache target;
+    CraftedEntry entry;
+    entry.build_mode = mode;
+    const auto blob = crafted_cache(entry);
+    const auto decoded =
+        decode_classifier_cache(blob.data(), blob.size(), target);
+    EXPECT_EQ(decoded.has_value(), mode != 1) << int{mode};
+    EXPECT_EQ(target.size(), mode != 1 ? 1u : 0u) << int{mode};
+  }
+}
+
 // ---- checkpoint / resume --------------------------------------------------
 
 core::SweepSpec demo_sweep() {
@@ -528,6 +617,15 @@ TEST(JobServer, ClientCachePathsAreConfinedToTheCacheDir) {
   EXPECT_EQ(request(MessageType::save_cache, "/tmp/evil"),
             MessageType::error);
   EXPECT_EQ(request(MessageType::load_cache, ".."), MessageType::error);
+  // A well-framed file whose entry the classifier rejects is an error
+  // frame; the connection keeps serving the requests below.
+  const std::string invalid =
+      "invalid." + std::to_string(::getpid()) + ".fdcc";
+  CraftedEntry entry;
+  entry.retention_ns = 0;
+  write_blob(options.cache_dir + "/" + invalid, crafted_cache(entry));
+  EXPECT_EQ(request(MessageType::load_cache, invalid), MessageType::error);
+  std::remove((options.cache_dir + "/" + invalid).c_str());
   // A bare name lands inside the configured directory.
   const std::string name = "confined." + std::to_string(::getpid()) + ".fdcc";
   EXPECT_EQ(request(MessageType::save_cache, name), MessageType::ok);
