@@ -5,15 +5,22 @@
 // is embarrassingly parallel; the engine must (a) keep per-run Reports
 // bit-identical to serial execution and (b) scale throughput with cores.
 //
-// Emits one JSON object on stdout (line prefixed "JSON:") for the perf
-// trajectory; the speedup achievable is bounded by the machine's
-// hardware_concurrency, which the JSON records.
+// One untimed serial warm-up, then 5 timed batches per worker count,
+// reported as median, min and MAD (median absolute deviation).  Emits one
+// JSON object on stdout (line prefixed "JSON:") for the perf trajectory;
+// the speedup achievable is bounded by the machine's hardware_concurrency,
+// which the JSON records, and worker counts above it are flagged
+// oversubscribed.  Bit identity compares every repetition's per-run
+// encode_report bytes with the warm-up's; the binary exits 1 on divergence.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iostream>
 #include <thread>
 
 #include "bench_common.h"
 #include "core/fastdiag.h"
+#include "service/serialize.h"
 #include "util/format.h"
 #include "util/table.h"
 
@@ -60,72 +67,115 @@ std::vector<core::SessionSpec> sweep_specs(std::size_t runs) {
 }
 
 double run_batch_seconds(const std::vector<core::SessionSpec>& specs,
-                         std::size_t workers,
-                         core::AggregateReport* out = nullptr) {
+                         std::size_t workers, core::AggregateReport& out) {
   const core::DiagnosisEngine engine({.workers = workers});
   const auto start = std::chrono::steady_clock::now();
-  auto report = engine.run_batch(specs);
+  out = engine.run_batch(specs);
   const auto stop = std::chrono::steady_clock::now();
-  if (out != nullptr) {
-    *out = std::move(report);
-  }
   return std::chrono::duration<double>(stop - start).count();
 }
 
-void scaling_table() {
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+/// Median absolute deviation from the median.
+double mad_of(const std::vector<double>& values) {
+  const double median = median_of(values);
+  std::vector<double> deviations;
+  for (const double v : values) {
+    deviations.push_back(std::abs(v - median));
+  }
+  return median_of(deviations);
+}
+
+/// Per-run encode_report bytes: the bit-identity reference.
+std::vector<std::vector<std::uint8_t>> encoded_runs(
+    const core::AggregateReport& report) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& run : report.runs) {
+    out.push_back(service::encode_report(run));
+  }
+  return out;
+}
+
+/// Runs the sweep at 1/2/4/8 workers after one untimed serial warm-up,
+/// timing kRepetitions batches per worker count.  Returns false when any
+/// repetition's reports differ from the warm-up's encode_report bytes.
+bool scaling_table() {
   constexpr std::size_t kRuns = 64;
+  constexpr std::size_t kRepetitions = 5;
   const auto specs = sweep_specs(kRuns);
+  const unsigned cores = std::thread::hardware_concurrency();
 
-  core::AggregateReport serial;
-  const double serial_seconds = run_batch_seconds(specs, 1, &serial);
+  core::AggregateReport warm_up;
+  (void)run_batch_seconds(specs, 1, warm_up);
+  const auto reference = encoded_runs(warm_up);
 
-  TablePrinter table({"workers", "wall time", "runs/s", "speedup",
+  TablePrinter table({"workers", "median", "min", "MAD", "runs/s", "speedup",
                       "bit-identical"});
-  table.set_title("64-run sweep, 32-SRAM heterogeneous SoC");
+  table.set_title("64-run sweep, 32-SRAM heterogeneous SoC (" +
+                  std::to_string(kRepetitions) +
+                  " timed repetitions after one warm-up)");
 
   std::vector<std::string> results;
+  bool all_identical = true;
+  double serial_median = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    core::AggregateReport report;
-    const double seconds = workers == 1
-                               ? serial_seconds
-                               : run_batch_seconds(specs, workers, &report);
+    std::vector<double> seconds;
+    bool identical = true;
+    for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+      core::AggregateReport report;
+      seconds.push_back(run_batch_seconds(specs, workers, report));
+      identical = identical && encoded_runs(report) == reference;
+    }
+    all_identical = all_identical && identical;
+    const double median = median_of(seconds);
+    const double min = *std::min_element(seconds.begin(), seconds.end());
+    const double mad = mad_of(seconds);
     if (workers == 1) {
-      report = serial;
+      serial_median = median;
     }
-    bool identical = report.run_count() == serial.run_count();
-    for (std::size_t i = 0; identical && i < report.run_count(); ++i) {
-      identical = report.runs[i].result.log.to_csv() ==
-                      serial.runs[i].result.log.to_csv() &&
-                  report.runs[i].result.time.cycles ==
-                      serial.runs[i].result.time.cycles;
-    }
-    const double runs_per_s = static_cast<double>(kRuns) / seconds;
-    const double speedup = serial_seconds / seconds;
-    table.add_row({std::to_string(workers),
-                   fmt_double(seconds * 1e3, 1) + " ms",
+    const bool oversubscribed = cores != 0 && workers > cores;  // 0: unknown
+    const double runs_per_s = static_cast<double>(kRuns) / median;
+    const double speedup = serial_median / median;
+    table.add_row({std::to_string(workers) + (oversubscribed ? " (over)" : ""),
+                   fmt_double(median * 1e3, 1) + " ms",
+                   fmt_double(min * 1e3, 1) + " ms",
+                   fmt_double(mad * 1e3, 1) + " ms",
                    fmt_double(runs_per_s, 1), fmt_ratio(speedup),
                    identical ? "yes" : "NO"});
     results.push_back(JsonObject()
                           .field("workers", static_cast<std::uint64_t>(workers))
-                          .field("seconds", seconds)
+                          .field("oversubscribed", oversubscribed)
+                          .field("median_s", median)
+                          .field("min_s", min)
+                          .field("mad_s", mad)
                           .field("runs_per_sec", runs_per_s, 2)
                           .field("speedup", speedup, 2)
                           .field("bit_identical", identical)
                           .str());
   }
 
-  table.add_note("speedup is bounded by hardware_concurrency = " +
-                 std::to_string(std::thread::hardware_concurrency()));
+  table.add_note("speedup = serial median / median; it is bounded by "
+                 "hardware_concurrency = " + std::to_string(cores) +
+                 ", and \"(over)\" marks oversubscribed worker counts");
+  table.add_note("bit-identical: every repetition's encode_report bytes "
+                 "equal the serial warm-up's");
   table.print(std::cout);
   print_json_line(
       JsonObject()
           .field("bench", "engine_scaling")
           .field("runs", static_cast<std::uint64_t>(kRuns))
           .field("memories", 32)
-          .field("hardware_concurrency",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()))
+          .field("warmup_batches", 1)
+          .field("repetitions", static_cast<std::uint64_t>(kRepetitions))
+          .field("hardware_concurrency", static_cast<std::uint64_t>(cores))
+          .field("bit_identical", all_identical)
           .raw("results", json_array(results)));
+  return all_identical;
 }
 
 // ---- microbenchmarks ------------------------------------------------------
@@ -168,6 +218,9 @@ int main(int argc, char** argv) {
   print_banner("E10: DiagnosisEngine batch scaling",
                "diagnosis runs are embarrassingly parallel; batch "
                "throughput scales with workers at bit-identical results");
-  scaling_table();
+  if (!scaling_table()) {
+    std::cerr << "engine_scaling: worker counts diverged from serial\n";
+    return 1;
+  }
   return run_microbenchmarks(argc, argv);
 }

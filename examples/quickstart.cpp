@@ -63,15 +63,15 @@ int main(int argc, char** argv) {
 
     std::printf("first scan-out records:\n");
     std::size_t shown = 0;
-    for (const auto& record : report.result.log.records()) {
-      std::printf("  %s\n", record.to_string().c_str());
+    const auto& log = report.result.log;
+    for (const auto& record : log.records()) {
+      std::printf("  %s\n", log.to_string(record).c_str());
       if (++shown == 8) {
         break;
       }
     }
-    if (report.result.log.records().size() > shown) {
-      std::printf("  ... %zu more\n",
-                  report.result.log.records().size() - shown);
+    if (log.records().size() > shown) {
+      std::printf("  ... %zu more\n", log.records().size() - shown);
     }
     return 0;
   } catch (const std::exception& e) {

@@ -153,6 +153,12 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   }
   result.log.reserve(std::min(
       cell_bound, std::max<std::size_t>(log_capacity_hint_, memories * 4)));
+  // The passes carry no March background: records log an all-zero one of
+  // their memory's width.
+  std::vector<std::uint32_t> background_ids(memories);
+  for (std::size_t i = 0; i < memories; ++i) {
+    background_ids[i] = result.log.intern(BitVector(soc.config(i).bits));
+  }
   std::uint64_t cycles = 0;
 
   /// One candidate: the first faulty cell from the pass's exit end.
@@ -227,11 +233,11 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
     record.memory_index = i;
     record.addr = candidate.addr;
     record.bit = candidate.bit;
-    record.background = BitVector(soc.config(i).bits);
+    record.background = background_ids[i];
     record.phase = pass_group;
     record.element = pass_index;
     record.cycle = cycles;
-    result.log.add(std::move(record));
+    result.log.add(record);
 
     auto& memory = soc.memory(i);
     if (!memory.is_repaired(candidate.addr) &&

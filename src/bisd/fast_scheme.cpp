@@ -311,6 +311,8 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   std::ptrdiff_t element_index = -1;
   for (std::size_t p = 0; p < test.phases().size(); ++p) {
     const auto& phase = test.phases()[p];
+    // Every record of this phase shares its background: one table entry.
+    const std::uint32_t background_id = result.log.intern(phase.background);
     for (std::size_t e = 0; e < phase.elements.size(); ++e) {
       const auto& element = phase.elements[e];
       ++element_index;
@@ -510,13 +512,13 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                       record.addr =
                           generators[i].map(step, element.order, n_max);
                       record.bit = k + t;
-                      record.background = phase.background;
+                      record.background = background_id;
                       record.phase = p;
                       record.element = e;
                       record.op = o;
                       record.visit = step / generators[i].words();
                       record.cycle = batch_start_cycles + t + 1;
-                      result.log.add(std::move(record));
+                      result.log.add(record);
                     }
                   }
                   for (const std::size_t i : hits) {
@@ -545,13 +547,13 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                         record.memory_index = i;
                         record.addr = group.addr;
                         record.bit = k;
-                        record.background = phase.background;
+                        record.background = background_id;
                         record.phase = p;
                         record.element = e;
                         record.op = o;
                         record.visit = step / generators[i].words();
                         record.cycle = cycles;
-                        result.log.add(std::move(record));
+                        result.log.add(record);
                       }
                       continue;
                     }
@@ -573,13 +575,13 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                       record.addr =
                           generators[i].map(step, element.order, n_max);
                       record.bit = k;
-                      record.background = phase.background;
+                      record.background = background_id;
                       record.phase = p;
                       record.element = e;
                       record.op = o;
                       record.visit = step / generators[i].words();
                       record.cycle = cycles;
-                      result.log.add(std::move(record));
+                      result.log.add(record);
                     }
                   }
                 }

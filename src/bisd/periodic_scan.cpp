@@ -1,6 +1,7 @@
 #include "bisd/periodic_scan.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/require.h"
 
@@ -33,13 +34,18 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
   require(soft.scan_period_ns > 0, "periodic_scan: scan period must be > 0");
   DiagnosisResult result;
   const std::uint64_t sweeps = soft.duration_ns / soft.scan_period_ns;
+  // Records carry the sweep index in a 32-bit field.
+  require(sweeps <= std::numeric_limits<std::uint32_t>::max(),
+          "periodic_scan: more than 2^32 - 1 sweeps in the window");
   info_ = ScanInfo{soft.scan_period_ns, sweeps, 0};
 
   const std::size_t memories = soc.memory_count();
   const std::uint32_t max_words = soc.max_words();
   std::vector<BitVector> golden(memories);
+  std::vector<std::uint32_t> background_ids(memories);
   for (std::size_t m = 0; m < memories; ++m) {
     golden[m] = checkerboard(soc.memory(m).bits());
+    background_ids[m] = result.log.intern(golden[m]);
   }
 
   // t = 0: write the reference image everywhere (one controller cycle per
@@ -77,13 +83,10 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
           record.memory_index = m;
           record.addr = addr;
           record.bit = j;
-          record.background = golden[m];
-          record.phase = 0;
-          record.element = static_cast<std::size_t>(k);
-          record.op = 0;
-          record.visit = 0;
+          record.background = background_ids[m];
+          record.element = static_cast<std::uint32_t>(k);
           record.cycle = result.time.cycles;
-          result.log.add(std::move(record));
+          result.log.add(record);
         }
         bool corrected = false;
         if (soft.ecc) {

@@ -1,6 +1,8 @@
 #include "core/spec.h"
 
+#include <cstdint>
 #include <exception>
+#include <limits>
 
 #include "util/table.h"
 
@@ -151,6 +153,12 @@ Expected<SessionSpec, ConfigError> SessionSpec::Builder::build(
     if (soft.duration_ns < soft.scan_period_ns) {
       return fail(ConfigErrorCode::invalid_soft_error,
                   "soft-error duration must cover at least one scan period");
+    }
+    if (soft.duration_ns / soft.scan_period_ns >
+        std::numeric_limits<std::uint32_t>::max()) {
+      // Diagnosis records carry the sweep index in 32 bits.
+      return fail(ConfigErrorCode::invalid_soft_error,
+                  "soft-error window holds more than 2^32 - 1 scan sweeps");
     }
     if (soft.mean_upset_gap_ns == 0) {
       return fail(ConfigErrorCode::invalid_soft_error,

@@ -11,27 +11,54 @@ MatchReport match_diagnosis(const std::vector<FaultInstance>& truth,
   report.truth_faults = truth.size();
   report.diagnosed_cells = diagnosed.size();
 
-  std::set<sram::CellCoord> explained;
+  // Two geometry-sized bitmaps: the diagnosed cells, and those some
+  // footprint explains.  A cell outside the geometry (only a hand-made
+  // truth or log carries one) is looked up in @p diagnosed instead and
+  // tallied in a set, so the counts stay exact for any input.
+  const std::uint64_t bits = config.bits;
+  const auto inside = [&](const sram::CellCoord& cell) {
+    return cell.row < config.words && cell.bit < config.bits;
+  };
+  const std::size_t limbs =
+      static_cast<std::size_t>((std::uint64_t{config.words} * bits + 63) / 64);
+  std::vector<std::uint64_t> reported(limbs, 0);
+  std::vector<std::uint64_t> explained(limbs, 0);
+  for (const auto& cell : diagnosed) {
+    if (inside(cell)) {
+      const std::uint64_t i = cell.row * bits + cell.bit;
+      reported[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+  }
+  std::size_t explained_inside = 0;
+  std::set<sram::CellCoord> explained_outside;
   for (const auto& fault : truth) {
-    const auto cells = fault.footprint(config);
     bool matched = false;
-    for (const auto& cell : cells) {
-      if (diagnosed.count(cell) != 0) {
-        matched = true;
-        explained.insert(cell);
+    for (const auto& cell : fault.footprint(config)) {
+      if (!inside(cell)) {
+        if (diagnosed.count(cell) != 0) {
+          matched = true;
+          explained_outside.insert(cell);
+        }
+        continue;
+      }
+      const std::uint64_t i = cell.row * bits + cell.bit;
+      const std::uint64_t mask = std::uint64_t{1} << (i & 63);
+      if ((reported[i >> 6] & mask) == 0) {
+        continue;
+      }
+      matched = true;
+      if ((explained[i >> 6] & mask) == 0) {
+        explained[i >> 6] |= mask;
+        ++explained_inside;
       }
     }
     if (matched) {
       ++report.matched_faults;
     }
   }
-  // `explained` now holds every diagnosed cell that lies in some footprint;
-  // the rest point at no injected fault.
-  for (const auto& cell : diagnosed) {
-    if (explained.count(cell) == 0) {
-      ++report.spurious_cells;
-    }
-  }
+  // Every explained cell is a diagnosed one; the rest point at no fault.
+  report.spurious_cells =
+      diagnosed.size() - explained_inside - explained_outside.size();
   return report;
 }
 

@@ -1,6 +1,7 @@
 #include "service/serialize.h"
 
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -39,7 +40,11 @@ void encode_bitvec(ByteWriter& writer, const BitVector& vector) {
   }
 }
 
-bool decode_bitvec(ByteReader& reader, BitVector& vector) {
+/// Decodes one BitVector into @p vector, staging its limbs in @p limbs;
+/// both keep their storage, so a caller decoding many vectors through the
+/// same pair allocates only when the width grows.
+bool decode_bitvec(ByteReader& reader, BitVector& vector,
+                   std::vector<std::uint64_t>& limbs) {
   const std::uint64_t width = reader.u64();
   // Bound width before any word-count arithmetic: a width in
   // [2^64-63, 2^64-1] wraps (width + 63) to a zero word count, which
@@ -55,7 +60,7 @@ bool decode_bitvec(ByteReader& reader, BitVector& vector) {
     reader.fail();
     return false;
   }
-  std::vector<std::uint64_t> limbs(words);
+  limbs.resize(words);
   for (auto& limb : limbs) {
     limb = reader.u64();
   }
@@ -513,9 +518,10 @@ bool decode_march_test(ByteReader& reader, march::MarchTest& test) {
   const std::size_t phase_count = reader.count(16);
   std::vector<march::MarchPhase> phases;
   phases.reserve(phase_count);
+  std::vector<std::uint64_t> limbs;
   for (std::size_t p = 0; p < phase_count; ++p) {
     march::MarchPhase phase;
-    if (!decode_bitvec(reader, phase.background)) {
+    if (!decode_bitvec(reader, phase.background, limbs)) {
       return false;
     }
     const std::size_t elements = reader.count(9);
@@ -565,7 +571,7 @@ std::vector<std::uint8_t> encode_report(const core::Report& report) {
     writer.u64(record.memory_index);
     writer.u32(record.addr);
     writer.u32(record.bit);
-    encode_bitvec(writer, record.background);
+    encode_bitvec(writer, report.result.log.background(record));
     writer.u64(record.phase);
     writer.u64(record.element);
     writer.u64(record.op);
@@ -650,21 +656,46 @@ core::Expected<core::Report, DecodeError> decode_report(
   report.result.time.cycles = reader.u64();
   report.result.time.pause_ns = reader.u64();
   const std::size_t records = reader.count(49);
-  report.result.log.reserve(records);
+  bisd::DiagnosisLog& log = report.result.log;
+  log.reserve(records);
+  // Backgrounds decode into one scratch vector and intern by content; a
+  // phase's records share one, so the previous record's id is tried first.
+  BitVector background;
+  std::vector<std::uint64_t> limbs;
   for (std::size_t i = 0; i < records; ++i) {
     bisd::DiagnosisRecord record;
-    record.memory_index = static_cast<std::size_t>(reader.u64());
+    const std::uint64_t memory_index = reader.u64();
     record.addr = reader.u32();
     record.bit = reader.u32();
-    if (!decode_bitvec(reader, record.background)) {
+    if (!decode_bitvec(reader, background, limbs)) {
       return make_unexpected(DecodeError{"report: corrupt log record"});
     }
-    record.phase = static_cast<std::size_t>(reader.u64());
-    record.element = static_cast<std::size_t>(reader.u64());
-    record.op = static_cast<std::size_t>(reader.u64());
+    const std::uint64_t phase = reader.u64();
+    const std::uint64_t element = reader.u64();
+    const std::uint64_t op = reader.u64();
     record.visit = reader.u32();
     record.cycle = reader.u64();
-    report.result.log.add(std::move(record));
+    if (!reader.ok()) {
+      return make_unexpected(DecodeError{"report: corrupt log record"});
+    }
+    // The wire keeps 64-bit fields; the log holds 32 — never truncate.
+    constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+    if (memory_index > kMax32 || phase > kMax32 || element > kMax32 ||
+        op > kMax32) {
+      return make_unexpected(DecodeError{
+          "report: log record " + std::to_string(i) +
+          " has a memory/phase/element/op field wider than 32 bits"});
+    }
+    record.memory_index = static_cast<std::uint32_t>(memory_index);
+    record.phase = static_cast<std::uint32_t>(phase);
+    record.element = static_cast<std::uint32_t>(element);
+    record.op = static_cast<std::uint32_t>(op);
+    const auto& added = log.records();
+    record.background =
+        !added.empty() && log.background(added.back()) == background
+            ? added.back().background
+            : log.intern(background);
+    log.add(record);
   }
 
   const std::size_t matches = reader.count(32);

@@ -3,7 +3,9 @@
 // all — the two diagnosis schemes and their paper-equation identities.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
 
 #include "bisd/address_gen.h"
 #include "bisd/background_gen.h"
@@ -16,6 +18,7 @@
 #include "faults/dictionary.h"
 #include "march/background.h"
 #include "march/library.h"
+#include "util/rng.h"
 
 namespace fastdiag::bisd {
 namespace {
@@ -87,7 +90,7 @@ TEST(DiagnosisLog, DedupesCellsAndRows) {
   r.memory_index = 0;
   r.addr = 3;
   r.bit = 1;
-  r.background = BitVector(4);
+  r.background = log.intern(BitVector(4));
   log.add(r);
   log.add(r);  // same cell twice
   r.bit = 2;
@@ -113,27 +116,90 @@ TEST(DiagnosisLog, PerMemoryQueriesSurviveExtremeCoordinates) {
   r.bit = 7;
   log.add(r);
   log.add(r);
-  r.memory_index = std::size_t{1} << 40;
+  r.memory_index = 0xFFFFFFFFu;  // past the indexed range: scan fallback
   log.add(r);
   EXPECT_EQ(log.cells(5),
             (std::set<CellCoord>{{2, 7}, {0xFFFFFFFFu, 0xFFFFFFFFu}}));
   EXPECT_EQ(log.faulty_rows(5), (std::set<std::uint32_t>{2, 0xFFFFFFFFu}));
-  EXPECT_EQ(log.cells(std::size_t{1} << 40), (std::set<CellCoord>{{2, 7}}));
+  EXPECT_EQ(log.cells(0xFFFFFFFFu), (std::set<CellCoord>{{2, 7}}));
+  EXPECT_EQ(log.faulty_rows(0xFFFFFFFFu), (std::set<std::uint32_t>{2}));
   EXPECT_TRUE(log.cells(4).empty());
   EXPECT_TRUE(log.faulty_rows(6).empty());
   EXPECT_EQ(log.distinct_cell_count(), 3u);
 }
 
 TEST(DiagnosisRecord, ToStringCarriesTheScanOutFields) {
+  DiagnosisLog log;
   DiagnosisRecord r;
   r.memory_index = 2;
   r.addr = 7;
   r.bit = 3;
-  r.background = BitVector::from_string("0101");
-  const auto s = r.to_string();
+  r.background = log.intern(BitVector::from_string("0101"));
+  const auto s = log.to_string(r);
   EXPECT_NE(s.find("mem2"), std::string::npos);
   EXPECT_NE(s.find("addr=7"), std::string::npos);
   EXPECT_NE(s.find("bg=0101"), std::string::npos);
+}
+
+TEST(DiagnosisLog, InternsBackgroundsByContent) {
+  DiagnosisLog log;
+  EXPECT_EQ(log.intern(BitVector()), 0u);  // the empty background
+  const std::uint32_t a = log.intern(BitVector::from_string("0101"));
+  const std::uint32_t b = log.intern(BitVector::from_string("1010"));
+  const std::uint32_t c = log.intern(BitVector::from_string("00101"));
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);  // same low bits, different width
+  EXPECT_EQ(log.intern(BitVector::from_string("0101")), a);
+  DiagnosisRecord r;
+  EXPECT_TRUE(log.background(r).empty());
+  r.background = b;
+  EXPECT_EQ(log.background(r), BitVector::from_string("1010"));
+  // Ids belong to the log that interned them.
+  r.background = 17;
+  EXPECT_THROW((void)log.background(r), std::out_of_range);
+  EXPECT_THROW(log.add(r), std::invalid_argument);
+  EXPECT_TRUE(log.empty());
+}
+
+TEST(DiagnosisLog, PerMemoryQueriesMatchBruteForceOnInterleavedLogs) {
+  // Three memories interleaved record by record: a dense one (bitmap path;
+  // on odd trials big enough that its bitmap passes 2^16 cells), a sparse
+  // wide one (sort path) and one past the indexed range (scan path); the
+  // queries must equal a plain set fold of the records.
+  Rng rng(20240517);
+  for (int trial = 0; trial < 20; ++trial) {
+    const bool large = trial % 2 == 1;
+    DiagnosisLog log;
+    const std::uint32_t memories[3] = {0, 3, 0xFFFFFFFFu};
+    const std::uint64_t rows[3] = {large ? 256u : 16u, 1u << 20, 40};
+    const std::uint64_t bits[3] = {large ? 300u : 8u, 1u << 12, 24};
+    std::map<std::uint32_t, std::set<CellCoord>> cells;
+    std::map<std::uint32_t, std::set<std::uint32_t>> faulty_rows;
+    const std::size_t records =
+        large ? rng.uniform_in(20'000, 30'000) : rng.uniform_in(0, 400);
+    for (std::size_t i = 0; i < records; ++i) {
+      constexpr std::size_t kPick[4] = {0, 0, 1, 2};  // half go to memory 0
+      const std::size_t m = kPick[rng.uniform(4)];
+      DiagnosisRecord r;
+      r.memory_index = memories[m];
+      r.addr = static_cast<std::uint32_t>(rng.uniform(rows[m]));
+      r.bit = static_cast<std::uint32_t>(rng.uniform(bits[m]));
+      r.cycle = i;
+      log.add(r);
+      cells[r.memory_index].insert(r.cell());
+      faulty_rows[r.memory_index].insert(r.addr);
+    }
+    std::size_t distinct = 0;
+    for (const std::uint32_t m : memories) {
+      EXPECT_EQ(log.cells(m), cells[m]) << "trial " << trial << " mem " << m;
+      EXPECT_EQ(log.faulty_rows(m), faulty_rows[m]) << "trial " << trial;
+      distinct += cells[m].size();
+    }
+    EXPECT_EQ(log.distinct_cell_count(), distinct) << "trial " << trial;
+    EXPECT_TRUE(log.cells(1).empty());
+    EXPECT_TRUE(log.cells(70000).empty());
+  }
 }
 
 // ------------------------------------------------------- address generator

@@ -482,6 +482,95 @@ TEST(Dictionary, AddressFaultMatchedByRowCell) {
   EXPECT_EQ(match_diagnosis(truth, {{5, 2}}, config).matched_faults, 0u);
 }
 
+/// The set-based scoring match_diagnosis replaced: the differential
+/// reference for its bitmap version.
+MatchReport match_by_sets(const std::vector<FaultInstance>& truth,
+                          const std::set<CellCoord>& diagnosed,
+                          const SramConfig& config) {
+  MatchReport report;
+  report.truth_faults = truth.size();
+  report.diagnosed_cells = diagnosed.size();
+  std::set<CellCoord> explained;
+  for (const auto& fault : truth) {
+    bool matched = false;
+    for (const auto& cell : fault.footprint(config)) {
+      if (diagnosed.count(cell) != 0) {
+        matched = true;
+        explained.insert(cell);
+      }
+    }
+    report.matched_faults += matched ? 1 : 0;
+  }
+  for (const auto& cell : diagnosed) {
+    report.spurious_cells += explained.count(cell) == 0 ? 1 : 0;
+  }
+  return report;
+}
+
+TEST(Dictionary, BitmapScoringMatchesSetReference) {
+  // Seeded truths of every footprint shape (cell, coupling, the three
+  // address kinds), some hand-made ones past the geometry, and diagnosed
+  // sets mixing footprint cells, stray cells and out-of-geometry cells.
+  SramConfig config = small_config();
+  config.words = 24;
+  config.bits = 10;
+  const auto coord = [](Rng& rng, std::uint64_t rows, std::uint64_t bits) {
+    return CellCoord{static_cast<std::uint32_t>(rng.uniform(rows)),
+                     static_cast<std::uint32_t>(rng.uniform(bits))};
+  };
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Rows/bits up to 2x the geometry: ~3/4 of random cells fall outside.
+    const std::uint64_t rows = rng.bernoulli(0.5) ? config.words
+                                                  : 2 * config.words;
+    const std::uint64_t bits = rng.bernoulli(0.5) ? config.bits
+                                                  : 2 * config.bits;
+    std::vector<FaultInstance> truth;
+    const std::size_t faults = rng.uniform_in(0, 12);
+    for (std::size_t f = 0; f < faults; ++f) {
+      switch (rng.uniform(5)) {
+        case 0:
+          truth.push_back(
+              make_cell_fault(FaultKind::sa1, coord(rng, rows, bits)));
+          break;
+        case 1:
+          truth.push_back(make_coupling_fault(FaultKind::cf_id_up0,
+                                              coord(rng, rows, bits),
+                                              coord(rng, rows, bits)));
+          break;
+        default: {
+          constexpr FaultKind kAddress[3] = {FaultKind::af_no_access,
+                                             FaultKind::af_wrong_row,
+                                             FaultKind::af_extra_row};
+          truth.push_back(make_address_fault(
+              kAddress[rng.uniform(3)],
+              static_cast<std::uint32_t>(rng.uniform(rows)),
+              static_cast<std::uint32_t>(rng.uniform(rows))));
+          break;
+        }
+      }
+    }
+    std::set<CellCoord> diagnosed;
+    for (const auto& fault : truth) {
+      for (const auto& cell : fault.footprint(config)) {
+        if (rng.bernoulli(0.3)) diagnosed.insert(cell);
+      }
+    }
+    const std::size_t strays = rng.uniform_in(0, 10);
+    for (std::size_t s = 0; s < strays; ++s) {
+      diagnosed.insert(coord(rng, 2 * config.words, 2 * config.bits));
+    }
+    diagnosed.insert({0xFFFFFFFFu, 0xFFFFFFFFu});
+
+    const MatchReport got = match_diagnosis(truth, diagnosed, config);
+    const MatchReport want = match_by_sets(truth, diagnosed, config);
+    EXPECT_EQ(got.truth_faults, want.truth_faults) << "trial " << trial;
+    EXPECT_EQ(got.diagnosed_cells, want.diagnosed_cells) << "trial " << trial;
+    EXPECT_EQ(got.matched_faults, want.matched_faults) << "trial " << trial;
+    EXPECT_EQ(got.spurious_cells, want.spurious_cells) << "trial " << trial;
+  }
+}
+
 TEST(Dictionary, EmptyTruthGivesPerfectRecall) {
   const auto report = match_diagnosis({}, {}, small_config());
   EXPECT_DOUBLE_EQ(report.recall(), 1.0);

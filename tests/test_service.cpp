@@ -247,6 +247,74 @@ TEST(Serialize, OverflowingBitvecWidthIsRejectedNotWrapped) {
   }
 }
 
+TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
+  // The wire carries memory_index/phase/element/op as u64; the log holds
+  // them in 32 bits, so a wider value must fail, never truncate.
+  core::Report report;
+  bisd::DiagnosisRecord record;
+  record.memory_index = 5;
+  record.background = report.result.log.intern(BitVector::from_string("0110"));
+  report.result.log.add(record);
+  const auto blob = encode_report(report);
+
+  // Magic, version, two empty strings, seed, defect rate, iterations,
+  // cycles, pause and the record count precede the first record; inside
+  // it, a 4-bit background is a width word plus one limb.
+  constexpr std::size_t kRecord = 4 + 4 + 4 + 4 + 8 * 5 + 8;
+  constexpr std::size_t kPhase = kRecord + 8 + 4 + 4 + 8 + 8;
+  ASSERT_EQ(blob[kRecord], 5u);
+  const auto patched = [&](std::size_t at, std::uint64_t value) {
+    auto bytes = blob;
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    return bytes;
+  };
+  for (const std::size_t at : {kRecord, kPhase, kPhase + 8, kPhase + 16}) {
+    const auto widest = patched(at, 0xFFFFFFFFull);
+    const auto fits = decode_report(widest.data(), widest.size());
+    ASSERT_TRUE(fits.has_value()) << "offset " << at;
+    EXPECT_EQ(encode_report(fits.value()), widest) << "offset " << at;
+
+    const auto over = patched(at, 0x100000000ull);
+    const auto decoded = decode_report(over.data(), over.size());
+    ASSERT_FALSE(decoded.has_value()) << "offset " << at;
+    EXPECT_NE(decoded.error().message.find("32 bits"), std::string::npos);
+  }
+}
+
+TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
+  // 10k distinct backgrounds, each logged twice: decode interns by content,
+  // so shared backgrounds stay shared and the bytes re-encode exactly.
+  constexpr std::size_t kDistinct = 10'000;
+  core::Report report;
+  auto& log = report.result.log;
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < kDistinct; ++i) {
+      bisd::DiagnosisRecord record;
+      record.memory_index = static_cast<std::uint32_t>(i % 7);
+      record.addr = static_cast<std::uint32_t>(i);
+      record.cycle = pass * kDistinct + i;
+      // Widths 60..69 straddle a limb boundary.
+      record.background = log.intern(BitVector::from_value(
+          60 + i % 10, (i * 0x9E3779B97F4A7C15ull) & ((1ull << 60) - 1)));
+      log.add(record);
+    }
+  }
+  const auto blob = encode_report(report);
+  const auto decoded = decode_report(blob.data(), blob.size());
+  ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
+  EXPECT_EQ(encode_report(decoded.value()), blob);
+  EXPECT_EQ(decoded.value().result.log.to_csv(), log.to_csv());
+  const auto& records = decoded.value().result.log.records();
+  ASSERT_EQ(records.size(), 2 * kDistinct);
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    ASSERT_EQ(records[i].background, records[kDistinct + i].background) << i;
+  }
+  EXPECT_NE(records[0].background, records[1].background);
+}
+
 // ---- classifier cache -----------------------------------------------------
 
 TEST(CacheSerialize, ReloadedCacheServesWithZeroProbeReplays) {

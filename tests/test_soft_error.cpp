@@ -441,6 +441,37 @@ TEST(SoftErrorSpecValidation, InconsistentKnobsAreRejected) {
   expect_invalid({.intermittent_fraction = 0.5, .intermittent_hold_ns = 0});
 }
 
+TEST(SoftErrorSpecValidation, SweepCountMustFitTheRecordField) {
+  // Records carry the sweep index in 32 bits: 2^32 sweeps is one too many.
+  constexpr std::uint64_t kMaxSweeps = 0xFFFFFFFFull;
+  const auto build = [](std::uint64_t duration_ns) {
+    SoftErrorSpec soft;
+    soft.enabled = true;
+    soft.scan_period_ns = 1;
+    soft.duration_ns = duration_ns;
+    return core::SessionSpec::builder()
+        .add_sram(geometry("v", 32, 8))
+        .scheme("periodic_scan")
+        .soft_error(soft)
+        .build();
+  };
+  EXPECT_TRUE(build(kMaxSweeps).has_value());
+  const auto over = build(kMaxSweeps + 1);
+  ASSERT_FALSE(over.has_value());
+  EXPECT_EQ(over.error().code, core::ConfigErrorCode::invalid_soft_error);
+
+  // Direct callers bypass build(); the scheme refuses before any sweep.
+  bisd::PeriodicScanOptions options;
+  options.soft.enabled = true;
+  options.soft.scan_period_ns = 1;
+  options.soft.duration_ns = kMaxSweeps + 1;
+  bisd::PeriodicScanScheme scheme(options);
+  bisd::SocUnderTest soc;
+  soc.add_memory(geometry("v", 32, 8));
+  EXPECT_THROW((void)scheme.diagnose(soc), std::invalid_argument);
+  EXPECT_FALSE(scheme.scan_info().has_value());
+}
+
 TEST(SoftErrorSpecValidation, RepairIsAManufacturingFlowPass) {
   auto builder = core::SessionSpec::builder()
                      .add_sram(geometry("v", 32, 8))
