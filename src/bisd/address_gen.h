@@ -30,12 +30,6 @@ class LocalAddressGenerator {
     return global % words_;
   }
 
-  /// True when the controller step revisits an address this element
-  /// (i.e. the local addresses have wrapped at least once).
-  [[nodiscard]] bool wrapped(std::uint32_t step) const {
-    return step >= words_;
-  }
-
   [[nodiscard]] std::uint32_t words() const { return words_; }
 
  private:

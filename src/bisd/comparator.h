@@ -1,8 +1,8 @@
 // Comparator array of the BISD controller (Fig. 1 / Fig. 3): one comparator
 // per memory, matching each serialized response bit against its expected
-// value.  compare() models one bit per clock; compare_word() folds up to 64
-// clocks of comparisons into one XOR with identical counting, pairing with
-// ParallelToSerialConverter::shift_out_word.
+// value.  The hardware compares one bit per shift clock; compare_word()
+// folds up to 64 clocks of comparisons into one XOR with per-bit counting,
+// pairing with ParallelToSerialConverter::shift_out_word.
 #pragma once
 
 #include <bit>
@@ -20,21 +20,10 @@ class ComparatorArray {
     require(memories > 0, "ComparatorArray: at least one memory required");
   }
 
-  /// Compares one response bit of memory @p index; returns true on mismatch.
-  bool compare(std::size_t index, bool expected, bool observed) {
-    require_in_range(index < comparisons_.size(),
-                     "ComparatorArray: bad memory index");
-    ++comparisons_[index];
-    if (expected != observed) {
-      ++mismatches_[index];
-      return true;
-    }
-    return false;
-  }
-
-  /// Compares @p count (<= 64) response bits at once (bit i = the bit of
-  /// clock i).  Counts exactly like @p count compare() calls and returns the
-  /// mismatch mask (bit i set = clock i disagreed).
+  /// Compares @p count (<= 64) response bits of memory @p index at once
+  /// (bit i = the bit of shift clock i).  Counts @p count comparisons and
+  /// one mismatch per disagreeing bit, and returns the mismatch mask (bit i
+  /// set = clock i disagreed).
   std::uint64_t compare_word(std::size_t index, std::uint64_t expected,
                              std::uint64_t observed, std::size_t count) {
     require_in_range(index < comparisons_.size(),

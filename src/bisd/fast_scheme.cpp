@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "bisd/address_gen.h"
@@ -70,29 +70,54 @@ bool test_has_nwrc(const MarchTest& test) {
   return false;
 }
 
-/// Runtime state of one instance-sliced group: the overlaid slab carrying
-/// the lanes' cells and fault sites, one golden shadow (identical writes
-/// reach every lane, so a single fault-free expectation serves the whole
-/// group), and the broadcast images the packed write/compare paths consume.
-/// The group shares its representative member's SPC and address generator
-/// — identical geometry means identical mapping.
-struct SlicedGroup {
-  SlicedGroup(SliceGroup group, const std::vector<sram::Sram*>& lanes,
-              sram::SramConfig golden_config)
-      : info(std::move(group)),
+sram::SramConfig golden_config(sram::SramConfig config) {
+  config.name += ".golden";
+  return config;
+}
+
+/// What each execution unit of the sweep owns: the local SPC the pattern
+/// broadcast fills, the local address generator, and the golden shadow
+/// whose reads are the wrap-aware expectations.
+struct Unit {
+  explicit Unit(const sram::SramConfig& config)
+      : spc(config.bits), generator(config.words),
+        golden(golden_config(config)) {}
+
+  serial::SerialToParallelConverter spc;
+  LocalAddressGenerator generator;
+  sram::Sram golden;
+  BitVector expected;      ///< golden word of the in-flight read
+  std::uint32_t addr = 0;  ///< local address of the current step
+};
+
+/// One memory on its own data port, serializing through its own PSC.
+struct Port : Unit {
+  Port(std::size_t index, sram::Sram& memory)
+      : Unit(memory.config()), index(index), memory(memory),
+        psc(memory.bits()) {}
+
+  std::size_t index;
+  sram::Sram& memory;
+  serial::ParallelToSerialConverter psc;
+};
+
+/// One instance-sliced group: the overlaid slab carrying the lanes' cells
+/// and fault sites, and the broadcast images the packed write/compare paths
+/// consume.  Identical geometry means identical address mapping and
+/// identical writes on every lane, so one SPC, one address generator and
+/// one golden shadow serve the whole group.
+struct Group : Unit {
+  Group(SliceGroup group, const std::vector<sram::Sram*>& lanes)
+      : Unit(lanes.front()->config()),
+        info(std::move(group)),
         slab(lanes),
-        golden(std::make_unique<sram::Sram>(std::move(golden_config))),
         wbcast(info.bits, 0),
         ebcast(info.bits, 0) {}
 
   SliceGroup info;
   faults::OverlaySlab slab;
-  std::unique_ptr<sram::Sram> golden;
   std::vector<std::uint64_t> wbcast;  ///< write image, refreshed per element
   std::vector<std::uint64_t> ebcast;  ///< expected image, refreshed per read
-  BitVector expected_scratch;
-  std::uint32_t addr = 0;         ///< address of the in-flight read
-  std::uint64_t clock_diff = 0;   ///< lane diff of the current shift clock
 };
 
 }  // namespace
@@ -107,8 +132,13 @@ std::string FastScheme::name() const {
 
 MarchTest FastScheme::test_for_width(std::uint32_t c_max) const {
   if (options_.test) {
-    require(options_.test->width() >= c_max,
-            "FastScheme: override test narrower than the widest memory");
+    // The Data Background Generator serializes patterns exactly c_max wide.
+    require(options_.test->width() == c_max, [&] {
+      return "FastScheme: override test is " +
+             std::to_string(options_.test->width()) +
+             " bits wide but the widest memory has " + std::to_string(c_max) +
+             " bits";
+    });
     return *options_.test;
   }
   return options_.include_drf ? march::march_cw_nwrtm(c_max)
@@ -145,74 +175,39 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   const std::uint32_t c_max = soc.max_bits();
   const MarchTest test = test_for_width(c_max);
   const std::size_t memories = soc.memory_count();
+  const std::uint64_t period = options_.clock.period_ns;
 
-  // Instance-sliced groups (every group slice_groups() admits, unless the
-  // SoC runs the per_cell reference): identical-geometry memories advance
-  // as bit-lanes of one overlaid slab, faulty lanes included — their fault
-  // sites patch their own column bits.  Every other memory stays on the
-  // per-memory ("direct") path; record attribution is the same either way.
-  std::vector<std::unique_ptr<SlicedGroup>> groups;
-  std::vector<std::ptrdiff_t> group_of(memories, -1);
-  std::vector<std::uint32_t> lane_of(memories, 0);
+  // Execution units.  Instance-sliced groups (every group slice_groups()
+  // admits, unless the SoC runs the per_cell reference): identical-geometry
+  // memories advance as bit-lanes of one overlaid slab, faulty lanes
+  // included — their fault sites patch their own column bits.  Every other
+  // memory is a port with its own SPC, PSC, generator and golden shadow.
+  // unit_of names the unit whose address and geometry a memory's records
+  // carry; record attribution is the same either way.  Each unit's SPC
+  // listens to the pattern broadcast, whose cost is the pattern width
+  // whatever the listener count.
+  std::deque<Group> groups;
+  std::deque<Port> ports;
+  std::vector<Unit*> unit_of(memories, nullptr);
+  std::vector<serial::SerialToParallelConverter*> listeners;
   if (soc.access_kernel() == sram::AccessKernel::word_parallel) {
     for (auto& info : soc.slice_groups()) {
       std::vector<sram::Sram*> lanes;
-      lanes.reserve(info.members.size());
-      for (std::size_t k = 0; k < info.members.size(); ++k) {
-        const std::size_t m = info.members[k];
-        group_of[m] = static_cast<std::ptrdiff_t>(groups.size());
-        lane_of[m] = static_cast<std::uint32_t>(k);
+      for (const std::size_t m : info.members) {
         lanes.push_back(&soc.memory(m));
       }
-      auto golden_config = soc.config(info.members.front());
-      golden_config.name += ".golden";
-      groups.push_back(std::make_unique<SlicedGroup>(
-          std::move(info), lanes, std::move(golden_config)));
-    }
-  }
-  std::vector<std::size_t> direct;
-  direct.reserve(memories);
-  for (std::size_t i = 0; i < memories; ++i) {
-    if (group_of[i] < 0) {
-      direct.push_back(i);
-    }
-  }
-
-  // Per-memory machinery: SPC/PSC local to each e-SRAM, a local address
-  // generator, and the golden shadow providing wrap-aware expectations.
-  // Sliced members keep their SPC/PSC/generator (the group borrows its
-  // representative's, and record fields use the per-memory generators) but
-  // skip the golden shadow — the group-level one covers every lane.
-  std::vector<serial::SerialToParallelConverter> spcs;
-  std::vector<serial::ParallelToSerialConverter> pscs;
-  std::vector<LocalAddressGenerator> generators;
-  std::vector<std::unique_ptr<sram::Sram>> golden;
-  std::vector<serial::SerialToParallelConverter*> spc_ptrs;
-  spcs.reserve(memories);
-  pscs.reserve(memories);
-  for (std::size_t i = 0; i < memories; ++i) {
-    const auto& config = soc.config(i);
-    spcs.emplace_back(config.bits);
-    pscs.emplace_back(config.bits);
-    generators.emplace_back(config.words);
-    if (group_of[i] < 0) {
-      auto golden_config = config;
-      golden_config.name += ".golden";
-      golden.push_back(std::make_unique<sram::Sram>(golden_config));
-    } else {
-      golden.push_back(nullptr);
+      auto& group = groups.emplace_back(std::move(info), lanes);
+      for (const std::size_t m : group.info.members) {
+        unit_of[m] = &group;
+      }
+      listeners.push_back(&group.spc);
     }
   }
   for (std::size_t i = 0; i < memories; ++i) {
-    // Broadcast listeners: direct memories plus one representative per
-    // group (the delivery cost is the pattern width, independent of the
-    // listener count, so sharing changes no cycle accounting).
-    const bool is_rep =
-        group_of[i] >= 0 &&
-        groups[static_cast<std::size_t>(group_of[i])]->info.members.front() ==
-            i;
-    if (group_of[i] < 0 || is_rep) {
-      spc_ptrs.push_back(&spcs[i]);
+    if (unit_of[i] == nullptr) {
+      auto& port = ports.emplace_back(i, soc.memory(i));
+      unit_of[i] = &port;
+      listeners.push_back(&port.spc);
     }
   }
 
@@ -223,21 +218,10 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   // Scratch storage reused by every read op: the hot loop never allocates.
   // diff_scratch is zero outside the batch that sets it; hits lists the
   // memories a batch set, so the rare path walks only those.
-  std::vector<BitVector> expected(memories);
   std::vector<std::uint64_t> diff_scratch(memories, 0);
   std::vector<std::size_t> hits;
   hits.reserve(memories);
   BitVector read_scratch;
-
-  // When every memory has an idle mode, nothing touches a data port while
-  // the PSCs drain, so the serialization loop can batch up to 64 shift
-  // clocks into one word compare.  A memory without idle mode must perform
-  // one (data-ignored) read per shift clock at its exact simulated time
-  // (Sec. 3.3), which forces the per-clock loop.
-  bool all_idle = true;
-  for (std::size_t i = 0; i < memories; ++i) {
-    all_idle = all_idle && soc.config(i).has_idle_mode;
-  }
 
   DiagnosisResult result;
   // Log capacity: every failing bit of every read can register, so the
@@ -246,47 +230,31 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   // over from a bigger SoC on the same worker slot); a fresh engine starts
   // from a modest floor instead of pre-paying the worst case.
   {
-    std::uint64_t read_ops = 0;
-    for (const auto& phase : test.phases()) {
-      for (const auto& element : phase.elements) {
-        if (element.order == AddrOrder::once) {
-          continue;
-        }
-        for (const auto& op : element.ops) {
-          read_ops += op.is_read() ? 1 : 0;
-        }
-      }
-    }
     std::uint64_t total_bits = 0;
     for (std::size_t i = 0; i < memories; ++i) {
       total_bits += soc.config(i).bits;
     }
-    const std::uint64_t bound = read_ops * n_max * total_bits;
+    const std::uint64_t bound = test.reads_per_address() * n_max * total_bits;
     result.log.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
         bound, std::max<std::uint64_t>(log_capacity_hint_, 256))));
   }
   std::uint64_t cycles = 0;
-  // In sliced mode the per-tick clock advance walks only the direct
-  // memories (an O(all memories) walk per cycle would cap the speedup).
-  // Sliced lanes take one deferred advance of the full amount at the end;
-  // until then their fault sites (DRF settling) run on deferred_ns, the
-  // scheme's running clock since the slab was built.
-  const bool sliced_mode = !groups.empty();
+  // Ports advance with the controller clock.  Group lanes take one
+  // deferred advance of the full amount at the end (an O(all memories)
+  // walk per cycle would cap the speedup); until then their fault sites
+  // (DRF settling) run on deferred_ns, the scheme's running clock since
+  // the slabs were built, and lane_ops tallies each lane's port traffic.
   std::uint64_t deferred_ns = 0;
-  sram::OpCounters sliced_tally;  // per-lane op counts, credited at the end
+  sram::OpCounters lane_ops;
   const auto advance = [&](std::uint64_t ns) {
-    if (!sliced_mode) {
-      soc.advance_time_ns(ns);
-      return;
-    }
     deferred_ns += ns;
-    for (const std::size_t i : direct) {
-      soc.memory(i).advance_time_ns(ns);
+    for (auto& port : ports) {
+      port.memory.advance_time_ns(ns);
     }
   };
   const auto tick = [&](std::uint64_t n) {
     cycles += n;
-    advance(n * options_.clock.period_ns);
+    advance(n * period);
   };
 
   // NWRTM bracket: asserted just before the first NWRC element, released
@@ -338,258 +306,186 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
         const BitVector pattern = *polarity == Polarity::background
                                       ? phase.background
                                       : phase.background.inverted();
-        tick(generator.broadcast(pattern, spc_ptrs));
+        tick(generator.broadcast(pattern, listeners));
         for (auto& group : groups) {
-          // Expand the representative SPC's parallel word into the
-          // per-column broadcast image the packed slab writes consume.
-          simd::dispatch().expand_bits(
-              spcs[group->info.members.front()].parallel_out().word_data(),
-              group->wbcast.data(), group->info.bits);
+          // Expand the group SPC's parallel word into the per-column
+          // broadcast image the packed slab writes consume.
+          simd::dispatch().expand_bits(group.spc.parallel_out().word_data(),
+                                       group.wbcast.data(), group.info.bits);
         }
       }
 
       // Address trigger: one full sweep of the largest capacity.
       for (std::uint32_t step = 0; step < n_max; ++step) {
+        for (auto& port : ports) {
+          port.addr = port.generator.map(step, element.order, n_max);
+        }
+        for (auto& group : groups) {
+          group.addr = group.generator.map(step, element.order, n_max);
+        }
         for (std::size_t o = 0; o < element.ops.size(); ++o) {
           const auto& op = element.ops[o];
           switch (op.kind) {
             case MarchOpKind::write:
             case MarchOpKind::nwrc_write: {
+              const bool nwrc = op.kind == MarchOpKind::nwrc_write;
+              ensure(!nwrc || nwrtm_line.asserted(),
+                     "FastScheme: NWRC op outside NWRTM bracket");
               tick(1);
-              for (const std::size_t i : direct) {
-                const std::uint32_t addr =
-                    generators[i].map(step, element.order, n_max);
-                const BitVector& data = spcs[i].parallel_out();
-                if (op.kind == MarchOpKind::nwrc_write) {
-                  ensure(nwrtm_line.asserted(),
-                         "FastScheme: NWRC op outside NWRTM bracket");
-                  soc.memory(i).nwrc_write(addr, data);
+              for (auto& port : ports) {
+                const BitVector& data = port.spc.parallel_out();
+                if (nwrc) {
+                  port.memory.nwrc_write(port.addr, data);
                 } else {
-                  soc.memory(i).write(addr, data);
+                  port.memory.write(port.addr, data);
                 }
                 // Golden expectation: NWRC == normal write on good cells.
-                golden[i]->write(addr, data);
+                port.golden.write(port.addr, data);
               }
               for (auto& group : groups) {
-                // One packed pulse advances every lane: identical geometry
-                // means identical address mapping and identical SPC content;
-                // each lane's fault sites then replay the write exactly.
-                const std::size_t rep = group->info.members.front();
-                const std::uint32_t addr =
-                    generators[rep].map(step, element.order, n_max);
-                const bool nwrc = op.kind == MarchOpKind::nwrc_write;
-                if (nwrc) {
-                  ensure(nwrtm_line.asserted(),
-                         "FastScheme: NWRC op outside NWRTM bracket");
-                }
-                group->slab.write(addr, group->wbcast.data(),
-                                  nwrc ? sram::WriteStyle::nwrc
-                                       : sram::WriteStyle::normal,
-                                  deferred_ns);
-                group->golden->write(addr, spcs[rep].parallel_out());
+                // One packed pulse advances every lane; each lane's fault
+                // sites then replay the write exactly.
+                group.slab.write(
+                    group.addr, group.wbcast.data(),
+                    nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
+                    deferred_ns);
+                group.golden.write(group.addr, group.spc.parallel_out());
               }
-              if (sliced_mode) {
-                ++(op.kind == MarchOpKind::nwrc_write
-                       ? sliced_tally.nwrc_writes
-                       : sliced_tally.writes);
-              }
+              ++(nwrc ? lane_ops.nwrc_writes : lane_ops.writes);
               break;
             }
             case MarchOpKind::read: {
               tick(1);  // capture into the PSCs
-              for (const std::size_t i : direct) {
-                const std::uint32_t addr =
-                    generators[i].map(step, element.order, n_max);
-                soc.memory(i).read_into(addr, read_scratch);
-                pscs[i].capture(read_scratch);
-                golden[i]->read_into(addr, expected[i]);
-                if (soc.config(i).has_idle_mode) {
-                  soc.memory(i).set_mode(sram::Mode::idle);
+              for (auto& port : ports) {
+                port.memory.read_into(port.addr, read_scratch);
+                port.psc.capture(read_scratch);
+                port.golden.read_into(port.addr, port.expected);
+                if (port.memory.config().has_idle_mode) {
+                  port.memory.set_mode(sram::Mode::idle);
                 }
               }
               for (auto& group : groups) {
                 // The whole group reads the same address; the packed compare
                 // happens during serialization, against the broadcast image
                 // of the shared golden word.
-                const std::size_t rep = group->info.members.front();
-                group->addr = generators[rep].map(step, element.order, n_max);
-                group->slab.read(group->addr, deferred_ns);
-                group->golden->read_into(group->addr, group->expected_scratch);
-                simd::dispatch().expand_bits(
-                    group->expected_scratch.word_data(), group->ebcast.data(),
-                    group->info.bits);
+                group.slab.read(group.addr, deferred_ns);
+                group.golden.read_into(group.addr, group.expected);
+                simd::dispatch().expand_bits(group.expected.word_data(),
+                                             group.ebcast.data(),
+                                             group.info.bits);
               }
-              if (sliced_mode) {
-                ++sliced_tally.reads;
-              }
+              ++lane_ops.reads;
               // Serialize the responses back, memories in parallel;
-              // narrower PSCs drain into the zero fill.
-              if (all_idle) {
-                // Word-batched: up to 64 shift clocks per compare, with
-                // cycle accounting and registration order identical to the
-                // per-clock loop — records are emitted clock-major
-                // (memories in index order within a clock), and
-                // record.cycle reconstructs the exact clock the mismatching
-                // bit left the chain.
-                for (std::uint32_t k = 0; k < c_max; k += 64) {
-                  const auto batch = static_cast<std::size_t>(
-                      std::min<std::uint32_t>(64, c_max - k));
-                  const std::uint64_t batch_start_cycles = cycles;
-                  tick(batch);
-                  std::uint64_t any_diff = 0;
-                  hits.clear();
-                  for (const std::size_t i : direct) {
-                    const std::uint64_t observed =
-                        pscs[i].shift_out_word(batch);
-                    const std::uint64_t expect =
-                        expected[i].word_at(k, batch);
-                    const std::uint64_t diff =
-                        comparators.compare_word(i, expect, observed, batch);
-                    if (diff != 0) {
-                      diff_scratch[i] = diff;
-                      any_diff |= diff;
-                      hits.push_back(i);
+              // narrower PSCs drain into the zero fill.  Up to 64 shift
+              // clocks per word compare: records are emitted clock-major
+              // (memories in index order within a clock), and
+              // record.cycle is the exact clock the mismatching bit left
+              // the chain.
+              for (std::uint32_t k = 0; k < c_max; k += 64) {
+                const auto batch = static_cast<std::size_t>(
+                    std::min<std::uint32_t>(64, c_max - k));
+                const std::uint64_t batch_start_cycles = cycles;
+                cycles += batch;
+                deferred_ns += batch * period;
+                std::uint64_t any_diff = 0;
+                hits.clear();
+                for (auto& port : ports) {
+                  if (port.memory.config().has_idle_mode) {
+                    port.memory.advance_time_ns(batch * period);
+                  } else {
+                    // No idle mode: the memory stays in read mode with data
+                    // ignored, one read per shift clock at that clock's
+                    // time (Sec. 3.3).
+                    for (std::size_t t = 0; t < batch; ++t) {
+                      port.memory.advance_time_ns(period);
+                      port.memory.read_into(port.addr, read_scratch);
                     }
                   }
-                  // One packed compare covers each group's batch: the result
-                  // is a per-lane mask, all-zero on clean lanes (the hot
-                  // case), so the column-wise demux below runs only for a
-                  // group that actually mismatched, and only over its
-                  // flagged columns.
-                  for (auto& group : groups) {
-                    const std::uint32_t gbits = group->info.bits;
-                    if (k >= gbits ||
-                        group->slab.compare(
-                            group->ebcast.data(), k,
-                            std::min<std::uint32_t>(
-                                k + static_cast<std::uint32_t>(batch),
-                                gbits)) == 0) {
-                      continue;
-                    }
-                    const std::uint64_t* observed = group->slab.observed();
-                    std::uint64_t cols =
-                        group->slab.mismatch_columns(group->ebcast.data(), k);
-                    while (cols != 0) {
-                      const auto t =
-                          static_cast<std::uint32_t>(std::countr_zero(cols));
-                      cols &= cols - 1;
-                      const std::uint64_t clock_bit = std::uint64_t{1} << t;
-                      any_diff |= clock_bit;
-                      std::uint64_t lanes_diff =
-                          (observed[k + t] ^ group->ebcast[k + t]) &
-                          group->slab.lane_mask();
-                      while (lanes_diff != 0) {
-                        const auto lane = static_cast<std::size_t>(
-                            std::countr_zero(lanes_diff));
-                        lanes_diff &= lanes_diff - 1;
-                        const std::size_t m = group->info.members[lane];
-                        if (diff_scratch[m] == 0) {
-                          hits.push_back(m);
-                        }
-                        diff_scratch[m] |= clock_bit;
-                      }
-                    }
+                  const std::uint64_t diff = comparators.compare_word(
+                      port.index, port.expected.word_at(k, batch),
+                      port.psc.shift_out_word(batch), batch);
+                  if (diff != 0) {
+                    diff_scratch[port.index] = diff;
+                    any_diff |= diff;
+                    hits.push_back(port.index);
                   }
-                  if (any_diff == 0) {
+                }
+                // One packed compare covers each group's batch: the result
+                // is a per-lane mask, all-zero on clean lanes (the hot
+                // case), so the column-wise demux below runs only for a
+                // group that actually mismatched, and only over its
+                // flagged columns.
+                for (auto& group : groups) {
+                  const std::uint32_t gbits = group.info.bits;
+                  if (k >= gbits ||
+                      group.slab.compare(
+                          group.ebcast.data(), k,
+                          std::min<std::uint32_t>(
+                              k + static_cast<std::uint32_t>(batch),
+                              gbits)) == 0) {
                     continue;
                   }
-                  // Rare path: walk the mismatching clocks in order, and per
-                  // clock only the memories that mismatched in this batch,
-                  // ascending — the per-clock loop's registration order.
-                  std::sort(hits.begin(), hits.end());
-                  while (any_diff != 0) {
-                    const auto t = static_cast<std::uint32_t>(
-                        std::countr_zero(any_diff));
-                    any_diff &= any_diff - 1;
-                    const std::uint64_t bit_mask = std::uint64_t{1} << t;
-                    for (const std::size_t i : hits) {
-                      if ((diff_scratch[i] & bit_mask) == 0 ||
-                          k + t >= soc.config(i).bits) {
-                        continue;
+                  const std::uint64_t* observed = group.slab.observed();
+                  std::uint64_t cols =
+                      group.slab.mismatch_columns(group.ebcast.data(), k);
+                  while (cols != 0) {
+                    const auto t =
+                        static_cast<std::uint32_t>(std::countr_zero(cols));
+                    cols &= cols - 1;
+                    const std::uint64_t clock_bit = std::uint64_t{1} << t;
+                    any_diff |= clock_bit;
+                    std::uint64_t lanes_diff =
+                        (observed[k + t] ^ group.ebcast[k + t]) &
+                        group.slab.lane_mask();
+                    while (lanes_diff != 0) {
+                      const auto lane = static_cast<std::size_t>(
+                          std::countr_zero(lanes_diff));
+                      lanes_diff &= lanes_diff - 1;
+                      const std::size_t m = group.info.members[lane];
+                      if (diff_scratch[m] == 0) {
+                        hits.push_back(m);
                       }
-                      DiagnosisRecord record;
-                      record.memory_index = i;
-                      record.addr =
-                          generators[i].map(step, element.order, n_max);
-                      record.bit = k + t;
-                      record.background = background_id;
-                      record.phase = p;
-                      record.element = e;
-                      record.op = o;
-                      record.visit = step / generators[i].words();
-                      record.cycle = batch_start_cycles + t + 1;
-                      result.log.add(record);
+                      diff_scratch[m] |= clock_bit;
                     }
                   }
-                  for (const std::size_t i : hits) {
-                    diff_scratch[i] = 0;
-                  }
                 }
-              } else {
-                for (std::uint32_t k = 0; k < c_max; ++k) {
-                  tick(1);
-                  for (auto& group : groups) {
-                    // Sliced lanes all have idle mode (a slice_groups()
-                    // precondition), so one packed column compare per shift
-                    // clock replaces the per-lane PSC/comparator walk.
-                    group->clock_diff =
-                        k < group->info.bits
-                            ? (group->slab.observed()[k] ^ group->ebcast[k]) &
-                                  group->slab.lane_mask()
-                            : 0;
-                  }
-                  for (std::size_t i = 0; i < memories; ++i) {
-                    if (group_of[i] >= 0) {
-                      const auto& group =
-                          *groups[static_cast<std::size_t>(group_of[i])];
-                      if ((group.clock_diff >> lane_of[i]) & 1) {
-                        DiagnosisRecord record;
-                        record.memory_index = i;
-                        record.addr = group.addr;
-                        record.bit = k;
-                        record.background = background_id;
-                        record.phase = p;
-                        record.element = e;
-                        record.op = o;
-                        record.visit = step / generators[i].words();
-                        record.cycle = cycles;
-                        result.log.add(record);
-                      }
+                if (any_diff == 0) {
+                  continue;
+                }
+                // Rare path: walk the mismatching clocks in order, and per
+                // clock only the memories that mismatched in this batch,
+                // ascending.
+                std::sort(hits.begin(), hits.end());
+                while (any_diff != 0) {
+                  const auto t =
+                      static_cast<std::uint32_t>(std::countr_zero(any_diff));
+                  any_diff &= any_diff - 1;
+                  const std::uint64_t bit_mask = std::uint64_t{1} << t;
+                  for (const std::size_t i : hits) {
+                    const Unit& unit = *unit_of[i];
+                    if ((diff_scratch[i] & bit_mask) == 0 ||
+                        k + t >= unit.golden.bits()) {
                       continue;
                     }
-                    const std::uint32_t bits_i = soc.config(i).bits;
-                    if (!soc.config(i).has_idle_mode) {
-                      // No idle mode: keep the memory in read mode with data
-                      // ignored (Sec. 3.3).
-                      const std::uint32_t addr =
-                          generators[i].map(step, element.order, n_max);
-                      soc.memory(i).read_into(addr, read_scratch);
-                    }
-                    const bool observed = pscs[i].shift_out();
-                    const bool expect =
-                        k < bits_i ? expected[i].get(k) : false;
-                    if (comparators.compare(i, expect, observed) &&
-                        k < bits_i) {
-                      DiagnosisRecord record;
-                      record.memory_index = i;
-                      record.addr =
-                          generators[i].map(step, element.order, n_max);
-                      record.bit = k;
-                      record.background = background_id;
-                      record.phase = p;
-                      record.element = e;
-                      record.op = o;
-                      record.visit = step / generators[i].words();
-                      record.cycle = cycles;
-                      result.log.add(record);
-                    }
+                    DiagnosisRecord record;
+                    record.memory_index = i;
+                    record.addr = unit.addr;
+                    record.bit = k + t;
+                    record.background = background_id;
+                    record.phase = p;
+                    record.element = e;
+                    record.op = o;
+                    record.visit = step / unit.generator.words();
+                    record.cycle = batch_start_cycles + t + 1;
+                    result.log.add(record);
                   }
                 }
-              }
-              for (const std::size_t i : direct) {
-                if (soc.config(i).has_idle_mode) {
-                  soc.memory(i).set_mode(sram::Mode::normal);
+                for (const std::size_t i : hits) {
+                  diff_scratch[i] = 0;
                 }
+              }
+              for (auto& port : ports) {
+                port.memory.set_mode(sram::Mode::normal);
               }
               break;
             }
@@ -606,16 +502,16 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
     }
   }
 
-  // Sliced lanes now catch up with the world: the arena and sense latches
+  // Group lanes now catch up with the world: the arena and sense latches
   // scatter back into each lane's memory, and the deferred clock/op
   // accounting lands so the lanes' observable state (contents, latches,
   // uptime, counters; retention clocks already live in their FaultSets) is
-  // exactly what the per-memory path would have produced.
+  // exactly what running each lane as a port would have produced.
   for (auto& group : groups) {
-    group->slab.scatter();
-    for (const std::size_t m : group->info.members) {
+    group.slab.scatter();
+    for (const std::size_t m : group.info.members) {
       soc.memory(m).advance_time_ns(deferred_ns);
-      soc.memory(m).credit_ops(sliced_tally);
+      soc.memory(m).credit_ops(lane_ops);
     }
   }
 

@@ -10,7 +10,9 @@
 //  * writes apply in parallel from the SPC (1 clock);
 //  * reads capture into the PSC (1 clock) and shift back serially while the
 //    memory idles (c clocks), so the shift path never crosses memory cells
-//    and nothing masks anything — every fault is exposed in ONE run;
+//    and nothing masks anything — every fault is exposed in ONE run; a
+//    memory without idle mode is instead read with data ignored on every
+//    shift clock (Sec. 3.3);
 //  * the comparator array checks each response bit against a golden-model
 //    expectation that tracks the wrap-around read-modify-writes exactly
 //    ("memory size information stored in the BISD controller");
@@ -21,6 +23,15 @@
 // formula the simulation must (and does — see tests) match cycle for cycle.
 // With the March CW solid phase it reduces to the paper's Eq. (2) first
 // part: 5n + 5c + 5n(c+1).
+//
+// Execution: the word_parallel kernel advances each of
+// SocUnderTest::slice_groups() as the lanes of one overlaid slab that owns
+// one SPC, address generator and golden shadow; every other memory (and
+// every memory under the per_cell reference kernel) is a port with its own
+// SPC, PSC, generator and golden shadow.  Both kinds share one
+// serialization loop that drains up to 64 shift clocks per word compare,
+// performs each idle-less port's data-ignored reads at their exact clocks,
+// and emits records clock-major, memories in index order within a clock.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +50,9 @@ struct FastSchemeOptions {
   /// Use March CW+NWRTM (DRF coverage, Sec. 3.4) instead of plain March CW.
   bool include_drf = true;
 
-  /// Override the algorithm (must keep one distinct write pattern per
-  /// element and not mix normal and NWRC writes inside an element).
+  /// Override the algorithm (must be as wide as the widest memory, keep
+  /// one distinct write pattern per element and not mix normal and NWRC
+  /// writes inside an element).
   std::optional<march::MarchTest> test;
 };
 
@@ -68,6 +80,7 @@ class FastScheme final : public DiagnosisScheme {
       std::uint32_t c_max);
 
   /// The March test a given configuration would run on a SoC of width c.
+  /// Throws std::invalid_argument when an override test is not c bits wide.
   [[nodiscard]] march::MarchTest test_for_width(std::uint32_t c_max) const;
 
  private:

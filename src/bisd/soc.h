@@ -23,6 +23,8 @@ namespace fastdiag::bisd {
 /// identical-geometry memories a scheme advances as bit-lanes of one packed
 /// slab, each lane's fault sites overlaid on its column bits.  members are
 /// memory indices in this SoC, ascending; lane k of the slab is members[k].
+/// FastScheme gives a group one SPC, address generator and golden shadow;
+/// every memory outside the groups runs on its own port.
 struct SliceGroup {
   std::uint32_t words = 0;
   std::uint32_t bits = 0;
@@ -84,9 +86,10 @@ class SocUnderTest {
   /// (deterministic — the 65th identical memory opens a second group), and
   /// kept only where faults::OverlaySlab::worth_slicing() says the group
   /// pays.  Repaired, idle-less and in-field (SoftErrorBehavior) memories
-  /// are simply absent and stay on the per-memory path; group membership
-  /// is independent of the selected kernel, callers gate on
-  /// access_kernel().
+  /// are simply absent and stay on their own ports — an idle-less memory
+  /// is read with data ignored on every shift clock, per-instance traffic
+  /// a shared slab cannot replay.  Group membership is independent of the
+  /// selected kernel; callers gate on access_kernel().
   [[nodiscard]] std::vector<SliceGroup> slice_groups() const;
 
   /// Total injected faults over all memories.

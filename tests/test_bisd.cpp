@@ -212,8 +212,11 @@ TEST(AddressGen, WrapsAroundForSmallerMemories) {
     up.push_back(gen.map(step, march::AddrOrder::up, 8));
   }
   EXPECT_EQ(up, (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 3}));
-  EXPECT_FALSE(gen.wrapped(3));
-  EXPECT_TRUE(gen.wrapped(4));
+  // A memory as deep as the controller's sweep never wraps.
+  LocalAddressGenerator full(8);
+  for (std::uint32_t step = 0; step < 8; ++step) {
+    EXPECT_EQ(full.map(step, march::AddrOrder::up, 8), step);
+  }
 }
 
 TEST(AddressGen, DescendingSweepsMirror) {
@@ -253,12 +256,21 @@ TEST(BackgroundGen, RejectsWrongWidth) {
 
 TEST(Comparator, CountsComparisonsAndMismatches) {
   ComparatorArray comparators(2);
-  EXPECT_FALSE(comparators.compare(0, true, true));
-  EXPECT_TRUE(comparators.compare(0, true, false));
-  EXPECT_FALSE(comparators.compare(1, false, false));
+  // Clock 0 agrees, clock 1 disagrees; bits past the batch are ignored.
+  EXPECT_EQ(comparators.compare_word(0, 0b01, 0b11, 2), 0b10u);
+  EXPECT_EQ(comparators.compare_word(1, 0b100, 0b000, 2), 0u);
   EXPECT_EQ(comparators.comparisons(0), 2u);
   EXPECT_EQ(comparators.mismatches(0), 1u);
+  EXPECT_EQ(comparators.comparisons(1), 2u);
   EXPECT_EQ(comparators.mismatches(1), 0u);
+  // A full 64-clock batch counts every disagreeing bit.
+  EXPECT_EQ(comparators.compare_word(1, 0, ~std::uint64_t{0}, 64),
+            ~std::uint64_t{0});
+  EXPECT_EQ(comparators.comparisons(1), 66u);
+  EXPECT_EQ(comparators.mismatches(1), 64u);
+  EXPECT_THROW((void)comparators.compare_word(0, 0, 0, 65),
+               std::invalid_argument);
+  EXPECT_THROW((void)comparators.compare_word(2, 0, 0, 1), std::out_of_range);
 }
 
 // ------------------------------------------------------------- fast scheme
@@ -428,6 +440,40 @@ TEST(FastScheme, RejectsElementsMixingWritePolarities) {
   options.test = march::march_a(4);  // up(r0,w1,w0,w1) mixes polarities
   FastScheme scheme(options);
   EXPECT_THROW((void)scheme.diagnose(soc), std::invalid_argument);
+}
+
+TEST(FastScheme, OverrideTestMustMatchTheSocWidth) {
+  // The Data Background Generator serializes exactly c_max bits per
+  // pattern, so an override test of any other width is rejected up front,
+  // naming both widths, instead of failing mid-diagnose.
+  SocUnderTest soc;
+  soc.add_memory(cfg(8, 8));
+  for (const std::size_t width : {4u, 16u}) {
+    FastSchemeOptions options;
+    options.test = march::march_c_minus(width);
+    FastScheme scheme(options);
+    const std::string expected = "override test is " +
+                                 std::to_string(width) +
+                                 " bits wide but the widest memory has 8 bits";
+    for (const bool classify : {false, true}) {
+      try {
+        if (classify) {
+          (void)scheme.classification_test(soc.max_bits());
+        } else {
+          (void)scheme.diagnose(soc);
+        }
+        ADD_FAILURE() << "width " << width << " accepted";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+            << error.what();
+      }
+    }
+  }
+  FastSchemeOptions options;
+  options.test = march::march_c_minus(8);
+  FastScheme scheme(options);
+  EXPECT_TRUE(scheme.diagnose(soc).log.empty());
+  EXPECT_EQ(scheme.classification_test(8)->width(), 8u);
 }
 
 TEST(FastScheme, RepairThenRediagnoseComesBackClean) {

@@ -110,6 +110,72 @@ TEST(GoldenTrace, BaselineSchemeSeed5) {
   check_golden("baseline_seed5.log", serialize(scheme.diagnose(soc)));
 }
 
+/// Every memory's simulated clock and port traffic, one line each: the
+/// state a scheme leaves behind beyond its log.
+std::string serialize_memories(bisd::SocUnderTest& soc) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+    const auto& memory = soc.memory(i);
+    out << "memory=" << i << " now_ns=" << memory.now_ns()
+        << " reads=" << memory.counters().reads
+        << " writes=" << memory.counters().writes
+        << " nwrc_writes=" << memory.counters().nwrc_writes << "\n";
+  }
+  return out.str();
+}
+
+/// A SoC that drives both FastScheme paths: two wrap-free and wrapping
+/// sliced groups, a lone wrapping memory, and two memories without idle
+/// mode (one of a group's geometry, one of its own).  The short retention
+/// of some memories makes their DRFs, and so the log, depend on when each
+/// access happens.
+bisd::SocUnderTest sliced_idle_less_soc(std::uint64_t seed) {
+  std::vector<sram::SramConfig> configs;
+  const auto add = [&configs](const std::string& name, std::uint32_t words,
+                              std::uint32_t bits, bool idle,
+                              std::uint64_t retention_ns) {
+    sram::SramConfig config;
+    config.name = name;
+    config.words = words;
+    config.bits = bits;
+    config.has_idle_mode = idle;
+    config.spare_rows = 4;
+    config.retention_ns = retention_ns;
+    configs.push_back(config);
+  };
+  for (int i = 0; i < 3; ++i) {
+    add("row" + std::to_string(i), 32, 12, true, 50'000'000);
+  }
+  for (int i = 0; i < 4; ++i) {
+    add("tag" + std::to_string(i), 20, 10, true, 3'000);
+  }
+  add("busy", 20, 10, /*idle=*/false, 3'000);
+  add("lut", 12, 7, /*idle=*/false, 2'000);
+  add("fifo", 24, 16, true, 50'000'000);
+  faults::InjectionSpec spec;
+  spec.cell_defect_rate = 0.02;
+  spec.include_retention = true;
+  return bisd::SocUnderTest::from_injection(configs, spec, seed);
+}
+
+TEST(GoldenTrace, FastSchemeSlicedAndIdleLessSeed13) {
+  // Diagnose, repair the diagnosed rows, retest: the retest runs the
+  // repaired memories on their own ports.  Pinned beyond the log: every
+  // memory's clock and op counters after each run.
+  auto soc = sliced_idle_less_soc(13);
+  ASSERT_EQ(soc.slice_groups().size(), 2u);
+  bisd::FastScheme scheme;
+  std::ostringstream out;
+  const auto first = scheme.diagnose(soc);
+  out << serialize(first) << serialize_memories(soc);
+  const auto plan = bisd::plan_repair(first.log, soc);
+  bisd::apply_repair(soc, plan);
+  out << "repaired_rows=" << plan.repaired_row_count()
+      << " unrepaired_rows=" << plan.unrepaired_row_count() << "\n";
+  out << serialize(scheme.diagnose(soc)) << serialize_memories(soc);
+  check_golden("fast_sliced_idle_less_seed13.log", out.str());
+}
+
 TEST(GoldenTrace, EngineReportSeed11) {
   // One spec end-to-end through the engine, repair included: the record
   // stream, the cycle count and the repair plan are all pinned.

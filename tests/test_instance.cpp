@@ -528,13 +528,12 @@ bisd::SocUnderTest make_sliced_soc(std::size_t clean_count,
   return soc;
 }
 
-void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
-                             bisd::SocUnderTest& ref_soc,
-                             const std::string& label) {
-  bisd::FastScheme sliced_scheme;
-  bisd::FastScheme ref_scheme;
-  const auto sliced = sliced_scheme.diagnose(sliced_soc);
-  const auto reference = ref_scheme.diagnose(ref_soc);
+/// Expects two runs' results and their SoCs' memories to be identical.
+void expect_runs_identical(bisd::SocUnderTest& sliced_soc,
+                           bisd::SocUnderTest& ref_soc,
+                           const bisd::DiagnosisResult& sliced,
+                           const bisd::DiagnosisResult& reference,
+                           const std::string& label) {
   EXPECT_EQ(sliced.time.cycles, reference.time.cycles) << label;
   EXPECT_EQ(sliced.log.to_csv(), reference.log.to_csv()) << label;
   ASSERT_EQ(sliced_soc.memory_count(), ref_soc.memory_count()) << label;
@@ -555,6 +554,16 @@ void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
   }
 }
 
+void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
+                             bisd::SocUnderTest& ref_soc,
+                             const std::string& label) {
+  bisd::FastScheme sliced_scheme;
+  bisd::FastScheme ref_scheme;
+  const auto sliced = sliced_scheme.diagnose(sliced_soc);
+  const auto reference = ref_scheme.diagnose(ref_soc);
+  expect_runs_identical(sliced_soc, ref_soc, sliced, reference, label);
+}
+
 TEST(InstanceSliced, FastSchemeMatchesPerCellAcrossGroupSizes) {
   LevelGuard guard;
   for (const auto level : available_levels()) {
@@ -569,17 +578,117 @@ TEST(InstanceSliced, FastSchemeMatchesPerCellAcrossGroupSizes) {
   }
 }
 
-TEST(InstanceSliced, PerClockSerializationPathMatchesReference) {
-  // One memory without idle mode forces the per-clock serialization loop
-  // while the other lanes still advance through the overlaid slab.
+struct MemoryState {
+  std::uint64_t now_ns = 0;
+  sram::OpCounters ops;
+};
+
+std::vector<MemoryState> memory_states(bisd::SocUnderTest& soc) {
+  std::vector<MemoryState> states;
+  for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+    states.push_back({soc.memory(i).now_ns(), soc.memory(i).counters()});
+  }
+  return states;
+}
+
+/// Checks one FastScheme run of @p test over @p soc against the Sec. 3.3
+/// closed forms, from the memories' states @p before the run.  Every memory
+/// follows the n_max-step sweep: R * n_max reads (R = reads per address),
+/// plus c_max data-ignored reads per read op on a memory without idle mode
+/// (one per shift clock), and the test's writes and NWRC writes per address
+/// times n_max.  Every memory's clock advances by cycles * period plus the
+/// test's pause time.
+void expect_closed_forms(bisd::SocUnderTest& soc,
+                         const std::vector<MemoryState>& before,
+                         const march::MarchTest& test,
+                         const bisd::DiagnosisResult& result,
+                         const std::string& label) {
+  const std::uint64_t n_max = soc.max_words();
+  const std::uint64_t c_max = soc.max_bits();
+  std::uint64_t writes = 0;
+  std::uint64_t nwrc_writes = 0;
+  for (const auto& phase : test.phases()) {
+    for (const auto& element : phase.elements) {
+      for (const auto& op : element.ops) {
+        writes += op.kind == march::MarchOpKind::write ? 1 : 0;
+        nwrc_writes += op.kind == march::MarchOpKind::nwrc_write ? 1 : 0;
+      }
+    }
+  }
+  const std::uint64_t reads = test.reads_per_address() * n_max;
+  const std::uint64_t period = bisd::FastSchemeOptions{}.clock.period_ns;
+  ASSERT_EQ(before.size(), soc.memory_count()) << label;
+  for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+    const auto& memory = soc.memory(i);
+    const auto& ops = memory.counters();
+    const std::string where = label + " memory " + memory.config().name;
+    EXPECT_EQ(ops.reads - before[i].ops.reads,
+              memory.config().has_idle_mode ? reads : reads * (1 + c_max))
+        << where;
+    EXPECT_EQ(ops.writes - before[i].ops.writes, writes * n_max) << where;
+    EXPECT_EQ(ops.nwrc_writes - before[i].ops.nwrc_writes,
+              nwrc_writes * n_max)
+        << where;
+    EXPECT_EQ(memory.now_ns() - before[i].now_ns,
+              result.time.cycles * period + test.total_pause_ns())
+        << where;
+  }
+  EXPECT_EQ(result.time.pause_ns, test.total_pause_ns()) << label;
+}
+
+TEST(InstanceSliced, IdleLessPortsMatchReferenceAndClosedForms) {
+  // Sliced groups, a wrapping idle-capable port and two idle-less ports
+  // (one of the group's geometry, one of its own) in one SoC: a diagnose
+  // run, repair of what it found, then a retest with retention pauses.
+  // Both kernels must agree, and each run must match the Sec. 3.3 closed
+  // forms on every memory.
+  const auto make_soc = [](AccessKernel kernel) {
+    auto soc = make_sliced_soc(12, kernel, 21, /*idle_everywhere=*/false);
+    Rng rng(5);
+    auto twin = cfg("twin", 8, 21);
+    twin.has_idle_mode = false;
+    soc.add_memory(twin, random_fault_mix(twin, 2, rng));
+    const auto lone = cfg("lone", 5, 9);
+    soc.add_memory(lone, random_fault_mix(lone, 2, rng));
+    soc.set_access_kernel(kernel);
+    return soc;
+  };
   LevelGuard guard;
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
-    auto sliced_soc = make_sliced_soc(12, AccessKernel::word_parallel, 21,
-                                      /*idle_everywhere=*/false);
-    auto ref_soc = make_sliced_soc(12, AccessKernel::per_cell, 21,
-                                   /*idle_everywhere=*/false);
-    expect_scheme_identical(sliced_soc, ref_soc, simd::isa_name(level));
+    const std::string label = simd::isa_name(level);
+    auto sliced_soc = make_soc(AccessKernel::word_parallel);
+    auto ref_soc = make_soc(AccessKernel::per_cell);
+    ASSERT_EQ(sliced_soc.slice_groups().size(), 1u) << label;
+
+    const std::uint32_t c_max = sliced_soc.max_bits();
+    bisd::FastSchemeOptions retest;
+    retest.test = march::with_retention_pause(march::march_cw(c_max), 5'000);
+    std::size_t run = 0;
+    for (const auto& options : {bisd::FastSchemeOptions{}, retest}) {
+      const std::string run_label = label + " run " + std::to_string(run++);
+      const auto sliced_before = memory_states(sliced_soc);
+      const auto ref_before = memory_states(ref_soc);
+      bisd::FastScheme scheme(options);
+      const auto sliced = scheme.diagnose(sliced_soc);
+      const auto reference = scheme.diagnose(ref_soc);
+      const auto test = scheme.test_for_width(c_max);
+      expect_closed_forms(sliced_soc, sliced_before, test, sliced,
+                          run_label);
+      expect_closed_forms(ref_soc, ref_before, test, reference,
+                          run_label + " per_cell");
+      expect_runs_identical(sliced_soc, ref_soc, sliced, reference,
+                            run_label);
+      // Repair what the run found: the retest drives the repaired memories
+      // through their own ports.
+      bisd::apply_repair(sliced_soc, bisd::plan_repair(sliced.log, sliced_soc));
+      bisd::apply_repair(ref_soc, bisd::plan_repair(reference.log, ref_soc));
+    }
+    std::uint32_t spares_used = 0;
+    for (std::size_t i = 0; i < sliced_soc.memory_count(); ++i) {
+      spares_used += sliced_soc.memory(i).spares_used();
+    }
+    EXPECT_GT(spares_used, 0u) << label << ": nothing was repaired";
   }
 }
 

@@ -214,8 +214,8 @@ TEST(KernelDifferential, FastSchemeBatchedSerializationMatchesReference) {
 }
 
 TEST(KernelDifferential, FastSchemeWithoutIdleModeMatchesReference) {
-  // Memories without an idle mode force the per-clock serialization loop
-  // (read-with-data-ignored every shift cycle, Sec. 3.3).
+  // Memories without an idle mode are read with data ignored on every
+  // shift clock of the serialization loop (Sec. 3.3).
   auto fast_soc = make_soc(5, 0.02, AccessKernel::word_parallel,
                            /*idle_mode=*/false);
   auto ref_soc = make_soc(5, 0.02, AccessKernel::per_cell,
