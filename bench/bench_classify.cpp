@@ -11,8 +11,16 @@
 // (packed candidate lanes, 64 replayed per word op).  The cold-build speedup
 // and the byte-identity of the resulting verdicts are part of the emitted
 // `JSON:` line, plus the closed loop (diagnose -> classify -> repair ->
-// retest).
+// retest).  build_identical also covers a small wrapped SoC, where the
+// per_candidate reference is still affordable.
+//
+// E12-fleet classifies the paper's wrapped operating point: the 64-memory
+// SoC of 256x18, 128x40, 192x24 and 224x72 memories behind one 256-step
+// sweep, so three of the four depths wrap.  It reports cold and warm
+// seconds, dictionary keys and signature bytes, and the peak RSS (VmHWM)
+// of the cold classification.
 #include <chrono>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -49,11 +57,74 @@ std::vector<sram::SramConfig> soc_configs() {
   return configs;
 }
 
-bisd::SocUnderTest build_soc(std::uint64_t seed) {
+/// A small wrapped SoC: the 64-word memory sets the sweep, the 48- and
+/// 40-word ones wrap it with a remainder, the 32-word one evenly.
+std::vector<sram::SramConfig> wrapped_configs() {
+  std::vector<sram::SramConfig> configs;
+  const auto add = [&configs](const std::string& name, std::uint32_t words,
+                              std::uint32_t bits) {
+    for (int i = 0; i < 2; ++i) {
+      sram::SramConfig config;
+      config.name = name + std::to_string(i);
+      config.words = words;
+      config.bits = bits;
+      config.spare_rows = 16;
+      configs.push_back(config);
+    }
+  };
+  add("full", 64, 8);
+  add("rem16", 48, 8);
+  add("rem24", 40, 6);
+  add("even", 32, 8);
+  return configs;
+}
+
+/// The paper's operating point (perfbench's fleet_1pct SoC): 16 memories
+/// of each shape, 1 % defects plus DRFs.
+std::vector<sram::SramConfig> fleet_configs() {
+  std::vector<sram::SramConfig> configs;
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {256, 18}, {128, 40}, {192, 24}, {224, 72}};
+  for (const auto& [words, bits] : shapes) {
+    for (int i = 0; i < 16; ++i) {
+      sram::SramConfig config;
+      config.name = "fleet" + std::to_string(configs.size());
+      config.words = words;
+      config.bits = bits;
+      configs.push_back(config);
+    }
+  }
+  return configs;
+}
+
+bisd::SocUnderTest build_soc(std::uint64_t seed,
+                             const std::vector<sram::SramConfig>& configs =
+                                 soc_configs(),
+                             double defect_rate = 0.01) {
   faults::InjectionSpec spec;
-  spec.cell_defect_rate = 0.01;
+  spec.cell_defect_rate = defect_rate;
   spec.include_retention = true;
-  return bisd::SocUnderTest::from_injection(soc_configs(), spec, seed);
+  return bisd::SocUnderTest::from_injection(configs, spec, seed);
+}
+
+/// Resets the kernel's peak-RSS mark (VmHWM) so the next reading covers
+/// only what runs after this call; false when the kernel refuses.
+bool reset_peak_rss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  return static_cast<bool>(clear.flush());
+}
+
+/// VmHWM of this process in MiB (0 when /proc is unavailable).
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;
+    }
+  }
+  return 0.0;
 }
 
 struct ClassifyRun {
@@ -66,8 +137,11 @@ struct ClassifyRun {
   diagnosis::CacheStats stats;
 };
 
-ClassifyRun measure_classification(diagnosis::DictionaryBuildMode mode) {
-  auto soc = build_soc(20260731);
+ClassifyRun measure_classification(
+    diagnosis::DictionaryBuildMode mode,
+    const std::vector<sram::SramConfig>& configs = soc_configs(),
+    int warm_repetitions = 5, double defect_rate = 0.01) {
+  auto soc = build_soc(20260731, configs, defect_rate);
   bisd::FastScheme scheme;
   const auto result = scheme.diagnose(soc);
   const auto syndromes =
@@ -105,15 +179,14 @@ ClassifyRun measure_classification(diagnosis::DictionaryBuildMode mode) {
   // deterministic), so string building never pollutes the cold numbers.
   classify_all(run, /*keep_verdicts=*/true);
 
-  constexpr int kWarmRepetitions = 5;
   const auto warm_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < kWarmRepetitions; ++r) {
+  for (int r = 0; r < warm_repetitions; ++r) {
     classify_all(run, /*keep_verdicts=*/false);
   }
   run.warm_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - warm_start)
                          .count() /
-                     kWarmRepetitions;
+                     warm_repetitions;
   run.stats = cache.stats();
   return run;
 }
@@ -131,11 +204,29 @@ double measure_closed_loop(std::size_t* residual) {
 }
 
 void classify_table() {
+  // The fleet variant runs first, on a reset peak-RSS mark, so its VmHWM
+  // is not inflated by the per_candidate legs below.
+  const bool peak_reset = reset_peak_rss();
+  const ClassifyRun fleet = measure_classification(
+      diagnosis::DictionaryBuildMode::instance_sliced, fleet_configs(),
+      /*warm_repetitions=*/1);
+  const double fleet_peak_mb = peak_rss_mb();
+
   const ClassifyRun instance =
       measure_classification(diagnosis::DictionaryBuildMode::instance_sliced);
   const ClassifyRun reference =
       measure_classification(diagnosis::DictionaryBuildMode::per_candidate);
-  const bool identical = instance.verdicts == reference.verdicts;
+  // 3 % defects give the small wrapped SoC a few dozen sites.
+  const ClassifyRun wrapped_instance = measure_classification(
+      diagnosis::DictionaryBuildMode::instance_sliced, wrapped_configs(), 1,
+      0.03);
+  const ClassifyRun wrapped_reference = measure_classification(
+      diagnosis::DictionaryBuildMode::per_candidate, wrapped_configs(), 1,
+      0.03);
+  const bool wrapped_identical =
+      wrapped_instance.verdicts == wrapped_reference.verdicts;
+  const bool identical =
+      instance.verdicts == reference.verdicts && wrapped_identical;
   const double speedup = instance.cold_seconds > 0
                              ? reference.cold_seconds / instance.cold_seconds
                              : 0.0;
@@ -171,7 +262,35 @@ void classify_table() {
                  fmt_percent(instance.lenient_accuracy));
   table.add_note("closed-loop residual records: " +
                  std::to_string(residual));
+  table.add_note("wrapped 8-memory SoC: " +
+                 std::to_string(wrapped_instance.sites) + " sites, " +
+                 std::string(wrapped_identical
+                                 ? "verdicts byte-identical across modes"
+                                 : "VERDICTS DIVERGE across modes"));
   table.print(std::cout);
+
+  TablePrinter fleet_table({"phase", "wall time", "sites/s"});
+  fleet_table.set_title(
+      "E12-fleet: 64 memories, 3 of 4 depths wrap the 256-step sweep");
+  const auto fleet_rate = [&](double seconds) {
+    return seconds == 0.0 ? 0.0 : static_cast<double>(fleet.sites) / seconds;
+  };
+  fleet_table.add_row({"classify (cold, instance_sliced dictionaries)",
+                       fmt_double(fleet.cold_seconds * 1e3, 1) + " ms",
+                       fmt_double(fleet_rate(fleet.cold_seconds), 1)});
+  fleet_table.add_row({"classify (warm)",
+                       fmt_double(fleet.warm_seconds * 1e3, 1) + " ms",
+                       fmt_double(fleet_rate(fleet.warm_seconds), 1)});
+  fleet_table.add_note(fleet.stats.to_string());
+  fleet_table.add_note("peak RSS (VmHWM" +
+                       std::string(peak_reset ? ", reset before the run"
+                                              : ", whole process") +
+                       "): " + fmt_double(fleet_peak_mb, 1) + " MB");
+  fleet_table.add_note("sites classified: " +
+                       std::to_string(fleet.classified) + "/" +
+                       std::to_string(fleet.sites) + ", lenient accuracy " +
+                       fmt_percent(fleet.lenient_accuracy));
+  fleet_table.print(std::cout);
 
   print_json_line(
       JsonObject()
@@ -195,7 +314,19 @@ void classify_table() {
           .field("lenient_accuracy", instance.lenient_accuracy)
           .field("closed_loop_seconds", loop_seconds)
           .field("closed_loop_residual",
-                 static_cast<std::uint64_t>(residual)));
+                 static_cast<std::uint64_t>(residual))
+          .field("wrapped_sites",
+                 static_cast<std::uint64_t>(wrapped_instance.sites))
+          .field("wrapped_build_identical", wrapped_identical)
+          .field("fleet_sites", static_cast<std::uint64_t>(fleet.sites))
+          .field("fleet_cold_seconds", fleet.cold_seconds)
+          .field("fleet_warm_seconds", fleet.warm_seconds)
+          .field("fleet_dictionary_keys",
+                 static_cast<std::uint64_t>(fleet.stats.dictionary_keys))
+          .field("fleet_dictionary_bytes",
+                 static_cast<std::uint64_t>(fleet.stats.dictionary_bytes))
+          .field("fleet_vmhwm_mb", fleet_peak_mb, 1)
+          .field("fleet_vmhwm_reset", peak_reset));
 }
 
 // ---- microbenchmarks ------------------------------------------------------

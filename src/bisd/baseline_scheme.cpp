@@ -130,8 +130,11 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   std::vector<std::unique_ptr<sram::Sram>> golden;
   std::vector<std::unique_ptr<BidiSerialInterface>> real_if;
   std::vector<std::unique_ptr<BidiSerialInterface>> golden_if;
+  // Spares are allocated in index order; a retest after repair starts at
+  // the memory's next free one.
   std::vector<std::uint32_t> spares_used(memories, 0);
   for (std::size_t i = 0; i < memories; ++i) {
+    spares_used[i] = soc.memory(i).spares_used();
     auto config = soc.config(i);
     config.name += ".golden";
     golden.push_back(std::make_unique<sram::Sram>(config));

@@ -1,6 +1,7 @@
 #include "diagnosis/classifier.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -70,6 +71,53 @@ double jaccard(const std::vector<T>& a, const std::vector<T>& b) {
                   : static_cast<double>(common) / static_cast<double>(all);
 }
 
+/// A syndrome's failed-read set as a mask over the classifier's universe.
+/// Reads outside the universe, and repeats, count in `extra`: they can never
+/// match a signature read, but they stay part of the set's size.
+struct ObservedReads {
+  std::vector<std::uint64_t> mask;
+  std::size_t count = 0;  ///< distinct in-universe reads
+  std::size_t extra = 0;
+};
+
+ObservedReads observe(const ReadUniverse& universe,
+                      const std::vector<ReadKey>& reads) {
+  ObservedReads out;
+  out.mask.assign(universe.limbs(), 0);
+  for (const auto& read : reads) {
+    const std::uint32_t bit = universe.index(read);
+    const std::uint64_t flag = std::uint64_t{1} << (bit % 64);
+    if (bit == ReadUniverse::npos || (out.mask[bit / 64] & flag) != 0) {
+      ++out.extra;
+      continue;
+    }
+    out.mask[bit / 64] |= flag;
+    ++out.count;
+  }
+  return out;
+}
+
+/// Jaccard similarity of a signature mask and the observed reads — the
+/// same integer counts, and so the same double, as the sorted-set form.
+double mask_jaccard(std::span<const std::uint64_t> signature,
+                    const ObservedReads& observed) {
+  std::size_t size = 0;
+  std::size_t common = 0;
+  for (std::size_t i = 0; i < signature.size(); ++i) {
+    size += static_cast<std::size_t>(std::popcount(signature[i]));
+    common += static_cast<std::size_t>(
+        std::popcount(signature[i] & observed.mask[i]));
+  }
+  const std::size_t all = size + observed.count + observed.extra - common;
+  return all == 0 ? 1.0
+                  : static_cast<double>(common) / static_cast<double>(all);
+}
+
+bool mask_empty(std::span<const std::uint64_t> mask) {
+  return std::all_of(mask.begin(), mask.end(),
+                     [](std::uint64_t limb) { return limb == 0; });
+}
+
 /// Stable hypothesis order: confidence descending, then kind declaration
 /// order, then placement, so verdicts are deterministic.
 void sort_hypotheses(std::vector<Hypothesis>& hypotheses) {
@@ -98,13 +146,24 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<ReadKey> to_read_keys(const std::vector<march::ReadEvent>& events) {
-  std::vector<ReadKey> keys;
-  keys.reserve(events.size());
-  for (const auto& event : events) {
-    keys.push_back(ReadKey{event.phase, event.element, event.visit, event.op});
+ReadKey to_read_key(const march::ReadEvent& event) {
+  return ReadKey{event.phase, event.element, event.visit, event.op};
+}
+
+std::size_t cell_dictionary_bytes(
+    const FaultClassifier::CellDictionary& dictionary) {
+  return dictionary.signatures.size() *
+             sizeof(FaultClassifier::CellSignature) +
+         dictionary.masks.size() * sizeof(std::uint64_t);
+}
+
+std::size_t row_dictionary_bytes(
+    const std::vector<FaultClassifier::RowSignature>& dictionary) {
+  std::size_t bytes = dictionary.size() * sizeof(FaultClassifier::RowSignature);
+  for (const auto& signature : dictionary) {
+    bytes += signature.reads.size() * sizeof(signature.reads.front());
   }
-  return keys;
+  return bytes;
 }
 
 /// Round-robin tournament schedule over @p c columns: assigns every ordered
@@ -163,6 +222,7 @@ CacheStats& CacheStats::merge(const CacheStats& other) {
   slab_batches += other.slab_batches;
   slab_lanes += other.slab_lanes;
   build_seconds += other.build_seconds;
+  dictionary_bytes += other.dictionary_bytes;
   return *this;
 }
 
@@ -173,7 +233,48 @@ std::string CacheStats::to_string() const {
          " keys, " + std::to_string(probe_replays) + " probe replays, " +
          std::to_string(slab_batches) + " slab batches (" +
          std::to_string(slab_lanes) + " lanes), " +
-         fmt_double(build_seconds * 1e3, 1) + " ms build";
+         fmt_double(build_seconds * 1e3, 1) + " ms build, " +
+         std::to_string(dictionary_bytes) + " signature bytes";
+}
+
+ReadUniverse::ReadUniverse(const march::MarchTest& test,
+                           std::uint32_t max_visits)
+    : max_visits_(max_visits) {
+  std::uint64_t bits = 0;
+  phases_.resize(test.phases().size());
+  for (std::size_t p = 0; p < test.phases().size(); ++p) {
+    for (const auto& element : test.phases()[p].elements) {
+      Element slots;
+      slots.base = static_cast<std::uint32_t>(bits);
+      slots.read_of_op.assign(element.ops.size(), npos);
+      if (element.order != march::AddrOrder::once) {
+        for (std::size_t o = 0; o < element.ops.size(); ++o) {
+          if (element.ops[o].kind == march::MarchOpKind::read) {
+            slots.read_of_op[o] = slots.reads++;
+          }
+        }
+      }
+      bits += static_cast<std::uint64_t>(slots.reads) * max_visits;
+      require(bits < npos, "ReadUniverse: read universe too large");
+      phases_[p].push_back(std::move(slots));
+    }
+  }
+  size_ = static_cast<std::uint32_t>(bits);
+}
+
+std::uint32_t ReadUniverse::index(const ReadKey& key) const {
+  if (key.phase >= phases_.size() ||
+      key.element >= phases_[key.phase].size() || key.visit >= max_visits_) {
+    return npos;
+  }
+  const Element& element = phases_[key.phase][key.element];
+  if (key.op >= element.read_of_op.size() ||
+      element.read_of_op[key.op] == npos) {
+    return npos;
+  }
+  return element.base +
+         static_cast<std::uint32_t>(key.visit) * element.reads +
+         element.read_of_op[key.op];
 }
 
 bool AggressorHint::admits(const faults::FaultInstance& fault) const {
@@ -275,6 +376,44 @@ FaultClassifier::FaultClassifier(sram::SramConfig config,
   // the map's strict weak ordering.
   require(options_.min_confidence >= 0.0 && options_.min_confidence <= 1.0,
           "FaultClassifier: min_confidence must be in [0, 1]");
+
+  // Without wrap, the probe shrinks to a few words and victims keep only
+  // their sweep-edge category; with wrap, visit counts differ per address,
+  // so the probe keeps the memory's geometry and victims their key row.
+  auto& g = geometry_;
+  g.wrap = options_.global_words > config_.words;
+  g.words = g.wrap ? config_.words
+                   : std::min(options_.probe_words, config_.words);
+  g.sweep = g.wrap ? options_.global_words : g.words;
+  g.remainder = g.wrap ? g.sweep % g.words : 0;
+  // Row classes are exact only while no hold time inside one probe replay
+  // can reach the retention threshold: a DRF's decay then depends on
+  // which visits a row gets, not on when they happen.
+  const std::uint64_t run_ns =
+      test_.op_count(g.sweep) * options_.clock.period_ns +
+      test_.total_pause_ns();
+  g.class_keys = g.wrap &&
+                 options_.build_mode == DictionaryBuildMode::instance_sliced &&
+                 config_.retention_ns > run_ns;
+  universe_ = ReadUniverse(test_, (g.sweep + g.words - 1) / g.words);
+}
+
+std::uint32_t FaultClassifier::key_row(std::uint32_t row) const {
+  const std::uint32_t words = geometry_.words;
+  const std::uint32_t rem = geometry_.remainder;
+  if (!geometry_.class_keys || row < 2 || row + 2 >= words ||
+      (row + 2 >= rem && row <= rem + 1)) {
+    return row;
+  }
+  return row + 2 < rem ? 2 : std::max<std::uint32_t>(2, rem + 2);
+}
+
+void FaultClassifier::set_read(const ReadKey& read,
+                               std::uint64_t* mask) const {
+  const std::uint32_t bit = universe_.index(read);
+  ensure(bit != ReadUniverse::npos,
+         "FaultClassifier: probe read outside the read universe");
+  mask[bit / 64] |= std::uint64_t{1} << (bit % 64);
 }
 
 std::map<CellCoord, std::vector<ReadKey>> FaultClassifier::probe_signature(
@@ -293,7 +432,11 @@ std::map<CellCoord, std::vector<ReadKey>> FaultClassifier::probe_signature(
 
   std::map<CellCoord, std::vector<ReadKey>> out;
   for (const auto& [cell, events] : by_cell) {
-    out.emplace(cell, to_read_keys(events));
+    auto& keys = out[cell];
+    keys.reserve(events.size());
+    for (const auto& event : events) {
+      keys.push_back(to_read_key(event));
+    }
   }
   return out;
 }
@@ -308,8 +451,8 @@ FaultClassifier::DictionarySnapshot FaultClassifier::export_dictionaries()
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   DictionarySnapshot snapshot;
   snapshot.cells.reserve(cell_cache_.size());
-  for (const auto& [key, signatures] : cell_cache_) {
-    snapshot.cells.emplace_back(key, signatures);
+  for (const auto& [key, dictionary] : cell_cache_) {
+    snapshot.cells.emplace_back(key, dictionary);
   }
   snapshot.rows.reserve(row_cache_.size());
   for (const auto& [row, signatures] : row_cache_) {
@@ -319,32 +462,20 @@ FaultClassifier::DictionarySnapshot FaultClassifier::export_dictionaries()
 }
 
 void FaultClassifier::import_dictionaries(DictionarySnapshot snapshot) {
+  for (const auto& [key, dictionary] : snapshot.cells) {
+    require(dictionary.limbs == universe_.limbs() &&
+                dictionary.masks.size() ==
+                    dictionary.signatures.size() * dictionary.limbs,
+            "FaultClassifier: imported masks do not fit the read universe");
+  }
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (auto& [key, signatures] : snapshot.cells) {
-    cell_cache_[key] = std::move(signatures);
+  for (auto& [key, dictionary] : snapshot.cells) {
+    cell_cache_[key] = std::move(dictionary);
   }
   for (auto& [row, signatures] : snapshot.rows) {
     row_cache_[row] = std::move(signatures);
   }
   // stats_ deliberately untouched: imported slots were built elsewhere.
-}
-
-bool FaultClassifier::wrapped() const {
-  return options_.global_words > config_.words;
-}
-
-FaultClassifier::ProbeGeometry FaultClassifier::probe_geometry() const {
-  // Without wrap, the probe shrinks to a few words and victims keep only
-  // their sweep-edge category; with wrap, visit counts differ per address,
-  // so the probe keeps the exact geometry and victim row.
-  ProbeGeometry geometry;
-  geometry.wrap = wrapped();
-  geometry.words = geometry.wrap
-                       ? config_.words
-                       : std::min(options_.probe_words, config_.words);
-  geometry.sweep = geometry.wrap ? options_.global_words : geometry.words;
-  geometry.remainder = geometry.wrap ? geometry.sweep % geometry.words : 0;
-  return geometry;
 }
 
 FaultClassifier::Position FaultClassifier::position_of(
@@ -369,8 +500,7 @@ std::uint32_t FaultClassifier::probe_victim_row(Position position,
 }
 
 std::vector<FaultClassifier::CandidateSpec> FaultClassifier::cell_candidates(
-    std::uint32_t victim_row, std::uint32_t bit,
-    const ProbeGeometry& geometry) const {
+    std::uint32_t victim_row, std::uint32_t bit) const {
   const CellCoord victim{victim_row, bit};
   std::vector<CandidateSpec> specs;
 
@@ -384,8 +514,8 @@ std::vector<FaultClassifier::CandidateSpec> FaultClassifier::cell_candidates(
   // below the partial-wrap remainder (and so gets one extra visit per
   // element) matters too, so both sides of that boundary get a
   // representative.
-  const std::uint32_t words = geometry.words;
-  const std::uint32_t remainder = geometry.remainder;
+  const std::uint32_t words = geometry_.words;
+  const std::uint32_t remainder = geometry_.remainder;
   const auto representatives = [&](bool lower) {
     std::vector<std::uint32_t> rows;
     const auto push = [&](std::int64_t row) {
@@ -435,16 +565,16 @@ std::vector<FaultClassifier::CandidateSpec> FaultClassifier::cell_candidates(
   return specs;
 }
 
-const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::cell_dictionary(CellCoord cell) const {
-  const auto geometry = probe_geometry();
+const FaultClassifier::CellDictionary& FaultClassifier::cell_dictionary(
+    CellCoord cell) const {
   const auto position = position_of(cell.row, config_.words);
   const std::uint32_t victim_row =
-      geometry.wrap ? cell.row : probe_victim_row(position, geometry.words);
-  const auto key = std::make_pair(
-      cell.bit,
-      geometry.wrap ? cell.row
-                    : position_key(static_cast<std::uint32_t>(position)));
+      geometry_.wrap ? key_row(cell.row)
+                     : probe_victim_row(position, geometry_.words);
+  const CellKey key{
+      cell.bit, geometry_.wrap
+                    ? victim_row
+                    : position_key(static_cast<std::uint32_t>(position))};
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto cached = cell_cache_.find(key);
@@ -453,33 +583,34 @@ FaultClassifier::cell_dictionary(CellCoord cell) const {
     }
   }
   if (options_.build_mode == DictionaryBuildMode::instance_sliced) {
-    return build_cell_sliced(key, cell.row, geometry);
+    return build_cell_sliced(key);
   }
-  return build_cell_per_candidate(key, victim_row, geometry);
+  return build_cell_per_candidate(key, victim_row);
 }
 
-const std::vector<FaultClassifier::CellSignature>&
+const FaultClassifier::CellDictionary&
 FaultClassifier::build_cell_per_candidate(const CellKey& key,
-                                          std::uint32_t victim_row,
-                                          const ProbeGeometry& geometry) const {
+                                          std::uint32_t victim_row) const {
   // Build outside the lock so concurrent classify() calls warm distinct
   // keys in parallel; a racing duplicate build is discarded by emplace.
   const auto start = std::chrono::steady_clock::now();
-  const auto specs = cell_candidates(victim_row, key.first, geometry);
-  std::vector<CellSignature> dictionary;
-  dictionary.reserve(specs.size());
-  for (const auto& spec : specs) {
-    auto by_cell =
-        probe_signature(spec.fault, geometry.words, geometry.sweep);
-    CellSignature signature;
-    signature.kind = spec.fault.kind;
-    signature.placement = spec.placement;
-    signature.aggressor_bit = spec.aggressor_bit;
+  const auto specs = cell_candidates(victim_row, key.first);
+  CellDictionary dictionary;
+  dictionary.limbs = universe_.limbs();
+  dictionary.signatures.reserve(specs.size());
+  dictionary.masks.assign(specs.size() * dictionary.limbs, 0);
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const auto& spec = specs[s];
+    dictionary.signatures.push_back(
+        {spec.fault.kind, spec.placement, spec.aggressor_bit});
+    const auto by_cell =
+        probe_signature(spec.fault, geometry_.words, geometry_.sweep);
     const auto it = by_cell.find(spec.fault.victim);
     if (it != by_cell.end()) {
-      signature.reads = std::move(it->second);
+      for (const auto& read : it->second) {
+        set_read(read, dictionary.masks.data() + s * dictionary.limbs);
+      }
     }
-    dictionary.push_back(std::move(signature));
   }
   const double elapsed = seconds_since(start);
 
@@ -487,15 +618,14 @@ FaultClassifier::build_cell_per_candidate(const CellKey& key,
   stats_.dictionary_keys += 1;
   stats_.probe_replays += specs.size();
   stats_.build_seconds += elapsed;
+  stats_.dictionary_bytes += cell_dictionary_bytes(dictionary);
   return cell_cache_.emplace(key, std::move(dictionary)).first->second;
 }
 
-const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::build_cell_sliced(const CellKey& key,
-                                   std::uint32_t observed_row,
-                                   const ProbeGeometry& geometry) const {
-  // One batch fills every key of this probe geometry, so serialize batch
-  // builds instead of letting racing threads duplicate the whole pack.
+const FaultClassifier::CellDictionary& FaultClassifier::build_cell_sliced(
+    const CellKey& key) const {
+  // One plan fills every key of the classifier, so serialize plan builds
+  // instead of letting racing threads duplicate the whole pack.
   const std::lock_guard<std::mutex> build_lock(build_mutex_);
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -505,19 +635,19 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
     }
   }
   const auto start = std::chrono::steady_clock::now();
+  const std::uint32_t words = geometry_.words;
 
-  // ---- batch domain: every key sharing this key's probe geometry ---------
-  // Without wrap a key is (bit, sweep-edge category); all of them share one
-  // probe shape, so the batch covers bits x positions.  With wrap the key
-  // is (bit, exact row) — a victim cannot move off its row — so the batch
-  // covers all bits of the observed row.
+  // ---- batch domain: every key of this classifier's plan -----------------
+  // Without wrap a key is (bit, sweep-edge category) and the plan covers
+  // bits x positions.  Under class keys it covers bits x row classes, each
+  // probed at its key row.  With exact-row keys (the retention threshold
+  // falls inside one run) it covers all bits of the requested row.
   struct Target {
     CellKey key;
-    std::uint32_t bit = 0;
     std::uint32_t victim_row = 0;
   };
-  std::vector<Target> targets;
-  if (!geometry.wrap) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;  // (key, victim)
+  if (!geometry_.wrap) {
     std::vector<Position> positions{Position::first};
     if (config_.words >= 3) {
       positions.push_back(Position::middle);
@@ -526,16 +656,33 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
       positions.push_back(Position::last);
     }
     for (const auto position : positions) {
-      for (std::uint32_t bit = 0; bit < config_.bits; ++bit) {
-        targets.push_back(
-            {{bit, position_key(static_cast<std::uint32_t>(position))},
-             bit,
-             probe_victim_row(position, geometry.words)});
+      rows.emplace_back(position_key(static_cast<std::uint32_t>(position)),
+                        probe_victim_row(position, words));
+    }
+  } else if (geometry_.class_keys) {
+    // One row of every class: its first row is its key row.
+    const std::int64_t rem = geometry_.remainder;
+    const std::int64_t w = words;
+    for (const std::int64_t row :
+         {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, rem - 2, rem - 1,
+          rem, rem + 1, rem + 2, w - 2, w - 1}) {
+      if (row < 0 || row >= w) {
+        continue;
+      }
+      const std::uint32_t k = key_row(static_cast<std::uint32_t>(row));
+      if (std::find(rows.begin(), rows.end(), std::make_pair(k, k)) ==
+          rows.end()) {
+        rows.emplace_back(k, k);
       }
     }
+    std::sort(rows.begin(), rows.end());
   } else {
+    rows.emplace_back(key.second, key.second);
+  }
+  std::vector<Target> targets;
+  for (const auto& [row_key, victim_row] : rows) {
     for (std::uint32_t bit = 0; bit < config_.bits; ++bit) {
-      targets.push_back({{bit, observed_row}, bit, observed_row});
+      targets.push_back({{bit, row_key}, victim_row});
     }
   }
   {
@@ -548,17 +695,19 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   // Canonical candidate lists (shared with per_candidate, so slot order and
   // fault coordinates are identical by construction) + dictionary
   // skeletons the packed replays fill in.
+  const std::uint32_t limbs = universe_.limbs();
   std::vector<std::vector<CandidateSpec>> specs(targets.size());
-  std::vector<std::vector<CellSignature>> dictionaries(targets.size());
+  std::vector<CellDictionary> dictionaries(targets.size());
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    specs[t] =
-        cell_candidates(targets[t].victim_row, targets[t].bit, geometry);
-    dictionaries[t].resize(specs[t].size());
-    for (std::size_t s = 0; s < specs[t].size(); ++s) {
-      dictionaries[t][s].kind = specs[t][s].fault.kind;
-      dictionaries[t][s].placement = specs[t][s].placement;
-      dictionaries[t][s].aggressor_bit = specs[t][s].aggressor_bit;
+    specs[t] = cell_candidates(targets[t].victim_row, targets[t].key.first);
+    auto& dictionary = dictionaries[t];
+    dictionary.limbs = limbs;
+    dictionary.signatures.reserve(specs[t].size());
+    for (const auto& spec : specs[t]) {
+      dictionary.signatures.push_back(
+          {spec.fault.kind, spec.placement, spec.aggressor_bit});
     }
+    dictionary.masks.assign(specs[t].size() * limbs, 0);
   }
 
   // ---- packing plan -------------------------------------------------------
@@ -641,45 +790,63 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   }
 
   // ---- replay the plan ----------------------------------------------------
-  // Every round becomes one lane of a faults::OverlaySlab and the whole plan
-  // replays 64 rounds per batch.  A lane behaves exactly like a FaultSet
-  // memory holding the round's candidates, and the plan keeps those from
-  // interacting, so the dictionaries are byte-identical to per_candidate's.
+  // Every round becomes one lane of a faults::OverlaySlab.  A lane behaves
+  // exactly like a FaultSet memory holding the round's candidates, and the
+  // plan keeps those from interacting, so every dictionary equals the
+  // per_candidate one.  Lanes replay one 64-lane chunk at a time and each
+  // lane's failing reads fold straight into its candidates' masks, so no
+  // transient replay result ever outlives one chunk.
   auto probe_config = config_;
   probe_config.name = "probe";
-  probe_config.words = geometry.words;
+  probe_config.words = words;
   probe_config.spare_rows = 0;
   probe_config.spare_cols = 0;
   const march::MarchRunner runner(options_.clock);
-  if (!rounds.empty()) {
-    std::vector<std::vector<faults::FaultInstance>> lanes;
-    std::vector<const std::vector<PackedRef>*> lane_refs;
-    lanes.reserve(rounds.size());
-    lane_refs.reserve(rounds.size());
-    for (const auto& [id, packed] : rounds) {
-      auto& lane = lanes.emplace_back();
-      lane.reserve(packed.size());
-      for (const auto& ref : packed) {
-        lane.push_back(specs[ref.target][ref.slot].fault);
-      }
-      lane_refs.push_back(&packed);
-    }
-    const auto results =
-        runner.run_group_per_cell(probe_config, lanes, test_, geometry.sweep);
+  std::vector<const std::vector<PackedRef>*> plan;
+  plan.reserve(rounds.size());
+  for (const auto& [id, packed] : rounds) {
+    plan.push_back(&packed);
+  }
+  // Victim cell -> its candidate's mask, set for one lane at a time (a
+  // lane's victims sit at distinct cells).
+  std::vector<std::uint64_t*> mask_of(static_cast<std::size_t>(words) * bits,
+                                      nullptr);
+  const auto cell_id = [&](const PackedRef& ref) {
+    const auto& victim = specs[ref.target][ref.slot].fault.victim;
+    return static_cast<std::size_t>(victim.row) * bits + victim.bit;
+  };
+  std::vector<std::vector<faults::FaultInstance>> lanes;
+  for (std::size_t first = 0; first < plan.size(); first += 64) {
+    lanes.resize(std::min<std::size_t>(64, plan.size() - first));
     for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto& by_cell = results[k];
-      for (const auto& ref : *lane_refs[k]) {
-        const auto it = by_cell.find(specs[ref.target][ref.slot].fault.victim);
-        if (it != by_cell.end()) {
-          dictionaries[ref.target][ref.slot].reads = to_read_keys(it->second);
-        }
+      lanes[k].clear();
+      for (const auto& ref : *plan[first + k]) {
+        lanes[k].push_back(specs[ref.target][ref.slot].fault);
       }
     }
+    runner.run_group_chunk(
+        probe_config, lanes, test_, geometry_.sweep,
+        [&](std::size_t k, std::span<const march::LaneRead> reads) {
+          const auto& packed = *plan[first + k];
+          for (const auto& ref : packed) {
+            mask_of[cell_id(ref)] =
+                dictionaries[ref.target].masks.data() + ref.slot * limbs;
+          }
+          for (const auto& read : reads) {
+            if (auto* mask = mask_of[read.cell_id]) {
+              set_read(to_read_key(read.event), mask);
+            }
+          }
+          for (const auto& ref : packed) {
+            mask_of[cell_id(ref)] = nullptr;
+          }
+        });
   }
   const double elapsed = seconds_since(start);
 
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   for (std::size_t t = 0; t < targets.size(); ++t) {
+    stats_.dictionary_bytes += cell_dictionary_bytes(dictionaries[t]);
     cell_cache_.emplace(targets[t].key, std::move(dictionaries[t]));
   }
   stats_.dictionary_keys += targets.size();
@@ -694,14 +861,14 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
 
 const std::vector<FaultClassifier::RowSignature>&
 FaultClassifier::row_dictionary(std::uint32_t row) const {
-  const auto geometry = probe_geometry();
-  const bool wrap = geometry.wrap;
-  const std::uint32_t words = geometry.words;
-  const std::uint32_t sweep = geometry.sweep;
+  const bool wrap = geometry_.wrap;
+  const std::uint32_t words = geometry_.words;
+  const std::uint32_t sweep = geometry_.sweep;
   // Without wrap the build below probes every anchor/pair, so its content
   // does not depend on the observed row (classify_row filters by position
-  // per entry) — one shared cache slot covers all rows.
-  const std::uint32_t key = wrap ? row : position_key(0);
+  // per entry) — one shared cache slot covers all rows.  Under wrap the
+  // build probes the observed row's key row.
+  const std::uint32_t key = wrap ? key_row(row) : position_key(0);
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto cached = row_cache_.find(key);
@@ -751,12 +918,12 @@ FaultClassifier::row_dictionary(std::uint32_t row) const {
       }
     }
   } else {
-    const std::uint32_t remainder = geometry.remainder;
-    add(faults::make_address_fault(FaultKind::af_no_access, row));
+    const std::uint32_t remainder = geometry_.remainder;
+    add(faults::make_address_fault(FaultKind::af_no_access, key));
     std::vector<std::uint32_t> partners;
     const auto push = [&](std::int64_t partner) {
       if (partner < 0 || partner >= static_cast<std::int64_t>(words) ||
-          partner == static_cast<std::int64_t>(row)) {
+          partner == static_cast<std::int64_t>(key)) {
         return;
       }
       const auto value = static_cast<std::uint32_t>(partner);
@@ -765,8 +932,8 @@ FaultClassifier::row_dictionary(std::uint32_t row) const {
         partners.push_back(value);
       }
     };
-    push(static_cast<std::int64_t>(row) - 1);
-    push(static_cast<std::int64_t>(row) + 1);
+    push(static_cast<std::int64_t>(key) - 1);
+    push(static_cast<std::int64_t>(key) + 1);
     push(0);
     push(static_cast<std::int64_t>(words) - 1);
     if (remainder != 0) {
@@ -774,8 +941,8 @@ FaultClassifier::row_dictionary(std::uint32_t row) const {
       push(remainder);
     }
     for (const auto partner : partners) {
-      pairs.push_back({row, partner});
-      pairs.push_back({partner, row});
+      pairs.push_back({key, partner});
+      pairs.push_back({partner, key});
     }
   }
   for (const auto& [a, b] : pairs) {
@@ -788,6 +955,7 @@ FaultClassifier::row_dictionary(std::uint32_t row) const {
   stats_.dictionary_keys += 1;
   stats_.probe_replays += probes;
   stats_.build_seconds += elapsed;
+  stats_.dictionary_bytes += row_dictionary_bytes(dictionary);
   return row_cache_.emplace(key, std::move(dictionary)).first->second;
 }
 
@@ -799,12 +967,15 @@ SiteClassification FaultClassifier::classify_cell(
   out.failing_bits = 1;
 
   const auto& dictionary = cell_dictionary(syndrome.cell);
+  const auto observed = observe(universe_, syndrome.failed_reads);
 
   // Exact matches first; coupling kinds aggregate their consistent
   // aggressor bits into one hypothesis per (kind, placement).
-  for (const auto& signature : dictionary) {
-    if (signature.reads.empty() ||
-        signature.reads != syndrome.failed_reads) {
+  for (std::size_t slot = 0; slot < dictionary.signatures.size(); ++slot) {
+    const auto& signature = dictionary.signatures[slot];
+    const auto mask = dictionary.mask(slot);
+    if (observed.extra != 0 || mask_empty(mask) ||
+        !std::equal(mask.begin(), mask.end(), observed.mask.begin())) {
       continue;
     }
     const bool coupling = faults::needs_aggressor(signature.kind);
@@ -837,11 +1008,13 @@ SiteClassification FaultClassifier::classify_cell(
     std::map<std::pair<FaultKind, AggressorPlacement>,
              std::pair<double, std::vector<std::uint32_t>>>
         best;
-    for (const auto& signature : dictionary) {
-      if (signature.reads.empty()) {
+    for (std::size_t i = 0; i < dictionary.signatures.size(); ++i) {
+      const auto& signature = dictionary.signatures[i];
+      const auto mask = dictionary.mask(i);
+      if (mask_empty(mask)) {
         continue;
       }
-      const double score = jaccard(signature.reads, syndrome.failed_reads);
+      const double score = mask_jaccard(mask, observed);
       if (score < options_.min_confidence) {
         continue;
       }

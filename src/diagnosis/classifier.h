@@ -14,7 +14,12 @@
 // Signatures depend only on the victim's bit (through the data
 // backgrounds), its position category (sweep edge vs. middle) and — for
 // couplings — the aggressor's relative placement, so the probe needs only
-// a handful of words and the dictionary is cached per victim bit.
+// a handful of words and the dictionary is cached per victim bit.  Under
+// wrap-around (a memory shallower than the controller sweep, Sec. 3.1) the
+// probe keeps the memory's geometry, and a victim row's signatures depend
+// only on its row class (see FaultClassifier::key_row), so a wrapped
+// dictionary holds at most 10 rows x bits keys at any depth.  Failed-read
+// sets are stored as bitsets over the test's read-event universe.
 //
 // Two classical ambiguities surface honestly as ties: a cell that never
 // leaves 0 (SA0 vs. TF-up under any march that initialises to 0) and
@@ -27,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -109,12 +115,13 @@ enum class DictionaryBuildMode {
   /// per victim cell, couplings co-located with their aggressor, stuck-open
   /// candidates alone in their column (the sense-latch rule) — and groups
   /// the lanes of one build plan into faults::OverlaySlab slabs of up to
-  /// 64, each batch replayed once through MarchRunner::run_group_per_cell:
+  /// 64, each batch replayed once through MarchRunner::run_group_chunk:
   /// one masked word op per cell-column advances the whole group, and
   /// mismatching reads demux straight to (lane, candidate, victim)
-  /// coordinates.  Collapses the O(kinds x rows x bits) replays of
-  /// per_candidate into O((kinds + placements) / 64) batches and produces
-  /// byte-identical dictionaries.
+  /// coordinates.  One plan covers every key of the classifier (positions
+  /// or wrapped row classes x bits).  Collapses the O(kinds x rows x bits)
+  /// replays of per_candidate into O((kinds + placements) / 64) batches and
+  /// produces the same dictionary for every cell.
   instance_sliced = 2,
 };
 
@@ -136,6 +143,10 @@ struct CacheStats {
   std::size_t slab_lanes = 0;       ///< probe lanes absorbed by those batches
                                     ///< (replays that did NOT run one-by-one)
   double build_seconds = 0.0;       ///< wall time inside dictionary builds
+  /// Bytes of signature storage those builds produced: per cell signature
+  /// its record plus its read-mask limbs, per row signature its record
+  /// plus its (read, bit) pairs.  Deterministic for a given build.
+  std::size_t dictionary_bytes = 0;
 
   CacheStats& merge(const CacheStats& other);
   [[nodiscard]] std::string to_string() const;
@@ -152,7 +163,7 @@ struct ClassifierOptions {
 
   /// Address span of the probe memories (clamped to the real word count).
   /// Only used when the memory is swept without wrap-around; wrapped
-  /// memories are probed at their exact geometry.  Note the shrunken probe
+  /// memories are probed at their own geometry.  Note the shrunken probe
   /// also shrinks sweep elapsed time: retention thresholds within the same
   /// order of magnitude as one sweep (instead of the pause-dominated
   /// regime the NWRC elements create) can decay in the real run but not in
@@ -166,10 +177,44 @@ struct ClassifierOptions {
   std::uint32_t global_words = 0;
 
   /// Dictionary construction strategy; both modes yield byte-identical
-  /// dictionaries (a differential test pins that down), instance_sliced is
-  /// just much faster to warm: it packs candidates per probe lane and
-  /// replays 64 packed lanes per word op.
+  /// dictionaries for every cell (differential tests pin that down),
+  /// instance_sliced is just much faster to warm: it packs candidates per
+  /// probe lane, replays 64 packed lanes per word op, and keys wrapped rows
+  /// by row class where per_candidate keys them by exact row.
   DictionaryBuildMode build_mode = DictionaryBuildMode::instance_sliced;
+};
+
+/// Bit index of every read a March test can fail: (phase, element, visit,
+/// op) in ReadKey order, so ascending bit index is March order.  An element
+/// of r reads owns r * max_visits consecutive bits; pause-only elements own
+/// none.  Signatures and syndromes become masks over this universe, so an
+/// exact match is a limb compare and a Jaccard score two popcounts.
+class ReadUniverse {
+ public:
+  static constexpr std::uint32_t npos = 0xFFFFFFFFu;
+
+  ReadUniverse() = default;
+  /// @p max_visits: the most times the sweep visits one address (1 without
+  /// wrap-around).
+  ReadUniverse(const march::MarchTest& test, std::uint32_t max_visits);
+
+  /// Universe width in bits.
+  [[nodiscard]] std::uint32_t size() const { return size_; }
+  /// 64-bit limbs of one mask.
+  [[nodiscard]] std::uint32_t limbs() const { return (size_ + 63) / 64; }
+
+  /// The bit of @p key, or npos when the key lies outside the universe.
+  [[nodiscard]] std::uint32_t index(const ReadKey& key) const;
+
+ private:
+  struct Element {
+    std::uint32_t base = 0;   ///< first bit of the element
+    std::uint32_t reads = 0;  ///< read ops per visit
+    std::vector<std::uint32_t> read_of_op;  ///< op -> read ordinal or npos
+  };
+  std::vector<std::vector<Element>> phases_;
+  std::uint32_t max_visits_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 /// Classifies the syndromes of memories built from one SramConfig against
@@ -181,8 +226,9 @@ struct ClassifierOptions {
 class FaultClassifier {
  public:
   /// Throws std::invalid_argument when @p config is unusable, @p test is
-  /// narrower than the memory, options.probe_words < 3, or
-  /// options.min_confidence is NaN or outside [0, 1].
+  /// narrower than the memory, options.probe_words < 3,
+  /// options.min_confidence is NaN or outside [0, 1], or the read universe
+  /// would exceed 2^32 - 2 bits.
   FaultClassifier(sram::SramConfig config, march::MarchTest test,
                   ClassifierOptions options = {});
 
@@ -206,19 +252,41 @@ class FaultClassifier {
   /// those belong to ClassifierCache).  Thread-safe.
   [[nodiscard]] CacheStats dictionary_stats() const;
 
+  /// The read-event universe this classifier's masks index.
+  [[nodiscard]] const ReadUniverse& read_universe() const {
+    return universe_;
+  }
+
   /// Victim position category: without wrap-around, march signatures only
   /// depend on whether the victim sits at a sweep edge or in the middle of
-  /// the address space.  Wrapped memories are probed at their exact row
-  /// (visit counts differ per address), so the category is the row itself.
+  /// the address space.  Wrapped memories are probed at their own geometry
+  /// (visit counts differ per address), so the category is the key row.
   enum class Position : std::uint8_t { first, middle, last };
 
+  /// One candidate of a cell dictionary; its failed-read mask lives in the
+  /// owning CellDictionary.
   struct CellSignature {
     faults::FaultKind kind;
     AggressorPlacement placement = AggressorPlacement::none;
     std::uint32_t aggressor_bit = 0;  ///< meaningful for couplings
-    std::vector<ReadKey> reads;       ///< sorted; empty = fault invisible
 
     friend bool operator==(const CellSignature&, const CellSignature&) =
+        default;
+  };
+
+  /// The signatures of one cell-dictionary key in slot order, each with the
+  /// read set its victim fails as a mask over read_universe(): `limbs`
+  /// words per slot, stored flat.  An all-zero mask = fault invisible.
+  struct CellDictionary {
+    std::uint32_t limbs = 0;
+    std::vector<CellSignature> signatures;
+    std::vector<std::uint64_t> masks;
+
+    [[nodiscard]] std::span<const std::uint64_t> mask(std::size_t slot) const {
+      return {masks.data() + slot * limbs, limbs};
+    }
+
+    friend bool operator==(const CellDictionary&, const CellDictionary&) =
         default;
   };
 
@@ -232,16 +300,38 @@ class FaultClassifier {
         default;
   };
 
-  /// Cache key of one cell dictionary: victim bit + row category (exact
-  /// row when wrapped, else the Position sentinel above 2^31).
+  /// Cache key of one cell dictionary: victim bit + row category (key_row
+  /// when wrapped, else the Position sentinel above 2^31).
   using CellKey = std::pair<std::uint32_t, std::uint32_t>;
+
+  /// The dictionary row a wrapped victim row keys on.  instance_sliced
+  /// keys by row class when no hold time inside one probe replay can reach
+  /// the retention threshold (retention_ns > op_count(sweep) * period_ns +
+  /// total_pause_ns): with rem = sweep % words the classes are {0}, {1},
+  /// [2, rem-3], rem-2, rem-1, rem, rem+1, [max(2, rem+2), words-3],
+  /// words-2 and words-1, and a run keys on its first row.  Otherwise —
+  /// and always under per_candidate, the reference — the key is the exact
+  /// row.  Only meaningful for wrapped classifiers.
+  [[nodiscard]] std::uint32_t key_row(std::uint32_t row) const;
+
+  /// The cell dictionary classify() matches @p cell's syndrome against,
+  /// built on first use.  Exposed for differential tests and tooling.
+  /// Thread-safe; the reference stays valid until import_dictionaries()
+  /// replaces its slot.
+  [[nodiscard]] const CellDictionary& cell_dictionary(
+      sram::CellCoord cell) const;
+
+  /// The row dictionary classify() matches row @p row against (every
+  /// probed signature; classify filters by position), built on first use.
+  [[nodiscard]] const std::vector<RowSignature>& row_dictionary(
+      std::uint32_t row) const;
 
   /// Portable image of every signature dictionary built so far, in key
   /// order — what cache shipping persists.  import_dictionaries() on a
   /// freshly constructed same-input classifier restores the exact slots,
   /// so classification proceeds with zero probe replays.
   struct DictionarySnapshot {
-    std::vector<std::pair<CellKey, std::vector<CellSignature>>> cells;
+    std::vector<std::pair<CellKey, CellDictionary>> cells;
     std::vector<std::pair<std::uint32_t, std::vector<RowSignature>>> rows;
 
     friend bool operator==(const DictionarySnapshot&,
@@ -253,7 +343,9 @@ class FaultClassifier {
 
   /// Installs @p snapshot's dictionaries, replacing same-key slots.  Build
   /// counters stay untouched: imported dictionaries cost no probe replays,
-  /// which is the point of shipping them.  Thread-safe.
+  /// which is the point of shipping them.  Throws std::invalid_argument,
+  /// importing nothing, when a cell dictionary's masks do not fit
+  /// read_universe().  Thread-safe.
   void import_dictionaries(DictionarySnapshot snapshot);
 
  private:
@@ -265,16 +357,16 @@ class FaultClassifier {
     std::uint32_t aggressor_bit = 0;
   };
 
-  /// Probe geometry shared by every dictionary build of this classifier.
+  /// Probe geometry shared by every dictionary build of this classifier,
+  /// fixed at construction.
   struct ProbeGeometry {
     std::uint32_t words = 0;      ///< probe word count
     std::uint32_t sweep = 0;      ///< controller sweep steps per element
     bool wrap = false;            ///< sweep > words (visit counts differ)
     std::uint32_t remainder = 0;  ///< wrap ? sweep % words : 0
+    bool class_keys = false;      ///< wrapped rows key by row class
   };
 
-  [[nodiscard]] bool wrapped() const;
-  [[nodiscard]] ProbeGeometry probe_geometry() const;
   [[nodiscard]] Position position_of(std::uint32_t row,
                                      std::uint32_t words) const;
   /// The probe row a victim of @p position is placed at (no-wrap builds).
@@ -285,26 +377,22 @@ class FaultClassifier {
   /// aggressor bits) — both build modes enumerate through here, so
   /// dictionary slot order is identical by construction.
   [[nodiscard]] std::vector<CandidateSpec> cell_candidates(
-      std::uint32_t victim_row, std::uint32_t bit,
-      const ProbeGeometry& geometry) const;
+      std::uint32_t victim_row, std::uint32_t bit) const;
 
-  [[nodiscard]] const std::vector<CellSignature>& cell_dictionary(
-      sram::CellCoord cell) const;
+  /// Sets @p read's bit in @p mask (limbs of the universe).
+  void set_read(const ReadKey& read, std::uint64_t* mask) const;
+
   /// per_candidate build of @p key: one probe replay per candidate.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_per_candidate(
-      const CellKey& key, std::uint32_t victim_row,
-      const ProbeGeometry& geometry) const;
-  /// instance_sliced build: packs the candidates of every key sharing
-  /// @p key's probe geometry (all bits x positions without wrap; all bits
-  /// of the requested row under wrap) into probe lanes and replays them as
-  /// faults::OverlaySlab slabs, 64 lanes per batch, through
-  /// MarchRunner::run_group_per_cell.  Fills every missing key, returns
-  /// @p key's slot.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_sliced(
-      const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry) const;
-  [[nodiscard]] const std::vector<RowSignature>& row_dictionary(
-      std::uint32_t row) const;
+  [[nodiscard]] const CellDictionary& build_cell_per_candidate(
+      const CellKey& key, std::uint32_t victim_row) const;
+  /// instance_sliced build: packs the candidates of every key of the
+  /// plan @p key belongs to (all bits x positions without wrap, all bits
+  /// x row classes under class keys, else all bits of @p key's row) into
+  /// probe lanes and replays them as faults::OverlaySlab slabs, one
+  /// 64-lane chunk at a time, through MarchRunner::run_group_chunk.
+  /// Fills every missing key, returns @p key's slot.
+  [[nodiscard]] const CellDictionary& build_cell_sliced(
+      const CellKey& key) const;
 
   [[nodiscard]] SiteClassification classify_cell(
       const CellSyndrome& syndrome) const;
@@ -314,6 +402,8 @@ class FaultClassifier {
   sram::SramConfig config_;
   march::MarchTest test_;
   ClassifierOptions options_;
+  ProbeGeometry geometry_;
+  ReadUniverse universe_;
 
   /// Guards lookups/inserts on the caches below; dictionary builds run
   /// outside the lock so distinct keys warm in parallel.  std::map node
@@ -325,11 +415,11 @@ class FaultClassifier {
   /// whole packed build instead of one key's worth of probes.
   mutable std::mutex build_mutex_;
 
-  mutable std::map<CellKey, std::vector<CellSignature>> cell_cache_;
+  mutable std::map<CellKey, CellDictionary> cell_cache_;
   mutable std::map<std::uint32_t, std::vector<RowSignature>> row_cache_;
 
-  /// Build counters (dictionary_keys/probe_replays/build_seconds), guarded
-  /// by cache_mutex_.
+  /// Build counters (dictionary_keys/probe_replays/build_seconds/
+  /// dictionary_bytes), guarded by cache_mutex_.
   mutable CacheStats stats_;
 };
 

@@ -1,9 +1,9 @@
 #include "march/runner.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <memory>
+#include <span>
 
 #include "faults/overlay_slab.h"
 #include "util/require.h"
@@ -188,25 +188,20 @@ void run_loop(const sram::ClockDomain& clock, sram::Sram& memory,
 /// lane's own fault-site overlay (faults::OverlaySlab); the uniform March
 /// stream advances the whole chunk with one overlaid word op per
 /// cell-column, and mismatching reads demux straight to per-lane
-/// (cell -> ReadEvent) maps, bit-identical to run_per_cell on a memory
-/// backed by the lane's own FaultSet.
+/// (cell, ReadEvent) streams, handed to @p on_lane lane by lane.
 void run_probe_chunk(
     const sram::ClockDomain& clock, const sram::SramConfig& probe_config,
-    const std::vector<faults::FaultInstance>* lanes, std::size_t lane_count,
-    std::map<sram::CellCoord, std::vector<ReadEvent>>* const* out,
-    const MarchTest& test, std::uint32_t sweep) {
+    std::span<const std::vector<faults::FaultInstance>> lanes,
+    const MarchTest& test, std::uint32_t sweep,
+    const std::function<void(std::size_t, std::span<const LaneRead>)>&
+        on_lane) {
+  const std::size_t lane_count = lanes.size();
   const std::uint32_t words = probe_config.words;
   const std::uint32_t bits = probe_config.bits;
 
-  /// One raw (cell, event) observation of a lane, in March arrival order.
-  /// The sink only appends; grouping by cell and the consecutive-duplicate
-  /// filter happen once per chunk, after the drive, so the hot read path
-  /// never touches the per-lane result maps.
-  struct LaneEvent {
-    std::uint32_t cell_id = 0;  ///< row * bits + bit
-    ReadEvent event;
-  };
-
+  // The sink only appends raw (cell, event) observations per lane, in
+  // March arrival order; grouping happens in on_lane, after the drive, so
+  // the hot read path never touches a caller's result structures.
   struct ProbeSink {
     ProbeSink(const sram::ClockDomain& clock, faults::OverlaySlab& batch,
               std::size_t lane_count, sram::Sram* golden, std::uint32_t bits)
@@ -215,7 +210,7 @@ void run_probe_chunk(
 
     const sram::ClockDomain& clock;
     faults::OverlaySlab& batch;
-    std::vector<std::vector<LaneEvent>> events;
+    std::vector<std::vector<LaneRead>> events;
     sram::Sram* golden;
     std::uint32_t bits;
     std::uint64_t now_ns = 0;
@@ -258,7 +253,7 @@ void run_probe_chunk(
         return;
       }
       // Only flagged columns are demuxed, lanes in ascending order per
-      // column; the per-lane fold below regroups events by cell.
+      // column; on_lane regroups a lane's events by cell if it needs to.
       const ReadEvent event{ctx.phase, ctx.element, ctx.visit, ctx.op};
       const std::uint64_t* observed = batch.observed();
       for (std::uint32_t base = 0; base < bits; base += 64) {
@@ -280,55 +275,14 @@ void run_probe_chunk(
     }
   };
 
-  faults::OverlaySlab batch(probe_config, lanes, lane_count);
+  faults::OverlaySlab batch(probe_config, lanes.data(), lane_count);
   const auto golden = make_golden(probe_config, words, sweep);
 
   std::uint64_t ops = 0;
   ProbeSink sink{clock, batch, lane_count, golden.get(), bits};
   drive_march(test, words, sweep, ops, sink);
-
-  // Fold each lane's raw event stream into its (cell -> reads) map exactly
-  // as run_per_cell would have.  A counting pass over the lane's events
-  // sizes each cell's reads vector up front (no growth reallocation), the
-  // touched-cell list — tiny compared to the event stream — is sorted so
-  // the end-hint map insert is O(1) per cell, and a second arrival-order
-  // pass appends straight through a dense cell -> vector pointer grid,
-  // collapsing consecutive duplicates.  The grids are reused across lanes;
-  // only touched slots are reset.
-  const std::size_t grid = static_cast<std::size_t>(words) * bits;
-  std::vector<std::uint32_t> counts(grid, 0);
-  std::vector<std::vector<ReadEvent>*> slot(grid, nullptr);
-  std::vector<std::uint32_t> touched;
   for (std::size_t k = 0; k < lane_count; ++k) {
-    const auto& evs = sink.events[k];
-    touched.clear();
-    for (const auto& e : evs) {
-      if (counts[e.cell_id]++ == 0) {
-        touched.push_back(e.cell_id);
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    auto& by_cell = *out[k];
-    for (const auto cell_id : touched) {
-      auto& reads =
-          by_cell
-              .emplace_hint(by_cell.end(),
-                            sram::CellCoord{cell_id / bits, cell_id % bits},
-                            std::vector<ReadEvent>())
-              ->second;
-      reads.reserve(counts[cell_id]);
-      slot[cell_id] = &reads;
-    }
-    for (const auto& e : evs) {
-      auto& reads = *slot[e.cell_id];
-      if (reads.empty() || reads.back() != e.event) {
-        reads.push_back(e.event);
-      }
-    }
-    for (const auto cell_id : touched) {
-      counts[cell_id] = 0;
-      slot[cell_id] = nullptr;
-    }
+    on_lane(k, std::span<const LaneRead>(sink.events[k]));
   }
 }
 
@@ -383,27 +337,48 @@ MarchRunner::run_group_per_cell(
     const sram::SramConfig& probe_config,
     const std::vector<std::vector<faults::FaultInstance>>& lanes,
     const MarchTest& test, std::uint32_t global_words) const {
-  require(!lanes.empty(), "MarchRunner::run_group_per_cell: empty group");
+  require(!lanes.empty(), "MarchRunner: empty probe group");
+  // Fold each lane's stream into its (cell -> reads) map exactly as
+  // run_per_cell would have: a cell's reads arrive in March order, and a
+  // read failing twice on one cell counts once.
+  const std::uint32_t bits = probe_config.bits;
+  std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>> results(
+      lanes.size());
+  for (std::size_t start = 0; start < lanes.size(); start += 64) {
+    const std::span<const std::vector<faults::FaultInstance>> chunk(
+        lanes.data() + start, std::min<std::size_t>(64, lanes.size() - start));
+    run_group_chunk(probe_config, chunk, test, global_words,
+                    [&](std::size_t k, std::span<const LaneRead> reads) {
+                      auto& by_cell = results[start + k];
+                      for (const auto& read : reads) {
+                        auto& events = by_cell[{read.cell_id / bits,
+                                                read.cell_id % bits}];
+                        if (events.empty() || events.back() != read.event) {
+                          events.push_back(read.event);
+                        }
+                      }
+                    });
+  }
+  return results;
+}
+
+void MarchRunner::run_group_chunk(
+    const sram::SramConfig& probe_config,
+    std::span<const std::vector<faults::FaultInstance>> lanes,
+    const MarchTest& test, std::uint32_t global_words,
+    const std::function<void(std::size_t, std::span<const LaneRead>)>&
+        on_lane) const {
+  require(!lanes.empty() && lanes.size() <= 64,
+          "MarchRunner: a probe chunk holds 1 to 64 lanes");
   require(test.width() >= probe_config.bits, [&] {
     return "MarchRunner: test narrower than memory '" + probe_config.name +
            "'";
   });
-  const std::uint32_t words = probe_config.words;
-  const std::uint32_t sweep = global_words == 0 ? words : global_words;
-  require(sweep >= words, "MarchRunner: global_words below the word count");
-
-  std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>> results(
-      lanes.size());
-  for (std::size_t start = 0; start < lanes.size(); start += 64) {
-    const std::size_t count = std::min<std::size_t>(64, lanes.size() - start);
-    std::array<std::map<sram::CellCoord, std::vector<ReadEvent>>*, 64> out{};
-    for (std::size_t k = 0; k < count; ++k) {
-      out[k] = &results[start + k];
-    }
-    run_probe_chunk(clock_, probe_config, &lanes[start], count, out.data(),
-                    test, sweep);
-  }
-  return results;
+  const std::uint32_t sweep =
+      global_words == 0 ? probe_config.words : global_words;
+  require(sweep >= probe_config.words,
+          "MarchRunner: global_words below the word count");
+  run_probe_chunk(clock_, probe_config, lanes, test, sweep, on_lane);
 }
 
 }  // namespace fastdiag::march

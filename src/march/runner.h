@@ -8,19 +8,22 @@
 // read (Sram::read_into), and the heap is touched only when a mismatch is
 // recorded.
 //
-// Three entry points share one element-loop driver (drive_march in the
+// The entry points share one element-loop driver (drive_march in the
 // implementation).  run() and run_per_cell() are the per-memory reference:
 // run() materializes the full Mismatch stream (expected/actual word copies
 // included), run_per_cell() folds the stream straight into per-cell
-// failed-read sets.  run_group_per_cell() is the one slab client: it
-// replays up to 64 packed probe lanes per faults::OverlaySlab for the
-// instance-sliced dictionary build.  The clients differ only in delivery
+// failed-read sets.  run_group_chunk() is the one slab client: it replays
+// up to 64 packed probe lanes per faults::OverlaySlab for the
+// instance-sliced dictionary build and streams each lane's failing reads;
+// run_group_per_cell() folds that stream into run_per_cell's shape.  The clients differ only in delivery
 // (port vs broadcast) and demux (word mismatch vs lane/cell).  Fleets of
 // real memories slice inside bisd::FastScheme, which drives its own slabs.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "faults/fault.h"
@@ -53,6 +56,12 @@ struct ReadEvent {
 
   friend bool operator==(const ReadEvent&, const ReadEvent&) = default;
   friend auto operator<=>(const ReadEvent&, const ReadEvent&) = default;
+};
+
+/// One failing read bit of an instance-sliced probe lane.
+struct LaneRead {
+  std::uint32_t cell_id = 0;  ///< row * bits + bit in the probe geometry
+  ReadEvent event;
 };
 
 struct RunResult {
@@ -103,13 +112,29 @@ class MarchRunner {
   /// cell-column plus each lane's exact fault-site records.  Mismatching
   /// reads demux from the packed compare masks straight to (lane, cell)
   /// coordinates.  Each lane's candidates must sit at pairwise disjoint
-  /// cells and hold no address fault (OverlaySlab's probe contract).
+  /// cells and hold no address fault (OverlaySlab's probe contract).  The
+  /// map form of run_group_chunk, which the differential tests hold
+  /// against run_per_cell.
   [[nodiscard]] std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>
   run_group_per_cell(const sram::SramConfig& probe_config,
                      const std::vector<std::vector<faults::FaultInstance>>&
                          lanes,
                      const MarchTest& test,
                      std::uint32_t global_words = 0) const;
+
+  /// The streaming core of run_group_per_cell, for one chunk of at most 64
+  /// lanes: replays them once and hands each lane's failing read bits to
+  /// @p on_lane(lane, reads), lanes in input order.  A lane's reads come
+  /// in March arrival order, one entry per failing bit per read; the span
+  /// is scratch storage valid only during the call.  A caller folding
+  /// reads into its own structure this way never holds more than one
+  /// chunk of replay results.
+  void run_group_chunk(
+      const sram::SramConfig& probe_config,
+      std::span<const std::vector<faults::FaultInstance>> lanes,
+      const MarchTest& test, std::uint32_t global_words,
+      const std::function<void(std::size_t, std::span<const LaneRead>)>&
+          on_lane) const;
 
  private:
   sram::ClockDomain clock_;

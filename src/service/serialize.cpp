@@ -263,17 +263,17 @@ void encode_dictionaries(
     ByteWriter& writer,
     const diagnosis::FaultClassifier::DictionarySnapshot& snapshot) {
   writer.u64(snapshot.cells.size());
-  for (const auto& [key, signatures] : snapshot.cells) {
+  for (const auto& [key, dictionary] : snapshot.cells) {
     writer.u32(key.first);
     writer.u32(key.second);
-    writer.u64(signatures.size());
-    for (const auto& signature : signatures) {
+    writer.u64(dictionary.signatures.size());
+    for (std::size_t s = 0; s < dictionary.signatures.size(); ++s) {
+      const auto& signature = dictionary.signatures[s];
       writer.u8(static_cast<std::uint8_t>(signature.kind));
       writer.u8(static_cast<std::uint8_t>(signature.placement));
       writer.u32(signature.aggressor_bit);
-      writer.u64(signature.reads.size());
-      for (const auto& read : signature.reads) {
-        encode_read_key(writer, read);
+      for (const std::uint64_t limb : dictionary.mask(s)) {
+        writer.u64(limb);
       }
     }
   }
@@ -293,14 +293,21 @@ void encode_dictionaries(
   }
 }
 
+/// Decodes the dictionaries of a classifier whose read universe is
+/// @p universe_bits wide: every cell mask is that many bits, limb-padded,
+/// and a bit set past the universe is corrupt (re-encoding stays exact).
 bool decode_dictionaries(
-    ByteReader& reader,
+    ByteReader& reader, std::uint32_t universe_bits,
     diagnosis::FaultClassifier::DictionarySnapshot& snapshot) {
   using Classifier = diagnosis::FaultClassifier;
   constexpr std::uint8_t kMaxPlacement =
       static_cast<std::uint8_t>(diagnosis::AggressorPlacement::higher_address);
   constexpr std::uint8_t kMaxPosition =
       static_cast<std::uint8_t>(Classifier::Position::last);
+  const std::uint32_t limbs = (universe_bits + 63) / 64;
+  const std::uint64_t tail_mask =
+      universe_bits % 64 == 0 ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << (universe_bits % 64)) - 1;
 
   const std::size_t cell_keys = reader.count(16);
   snapshot.cells.reserve(cell_keys);
@@ -308,9 +315,12 @@ bool decode_dictionaries(
     Classifier::CellKey key;
     key.first = reader.u32();
     key.second = reader.u32();
-    const std::size_t signatures = reader.count(14);
-    std::vector<Classifier::CellSignature> slot;
-    slot.reserve(signatures);
+    const std::size_t signatures =
+        reader.count(6 + static_cast<std::size_t>(limbs) * 8);
+    Classifier::CellDictionary dictionary;
+    dictionary.limbs = limbs;
+    dictionary.signatures.reserve(signatures);
+    dictionary.masks.reserve(signatures * limbs);
     for (std::size_t s = 0; s < signatures; ++s) {
       Classifier::CellSignature signature;
       if (!read_enum(reader, signature.kind, kMaxFaultKind) ||
@@ -318,16 +328,16 @@ bool decode_dictionaries(
         return false;
       }
       signature.aggressor_bit = reader.u32();
-      const std::size_t reads = reader.count(32);
-      signature.reads.resize(reads);
-      for (auto& read : signature.reads) {
-        if (!decode_read_key(reader, read)) {
-          return false;
-        }
+      for (std::uint32_t l = 0; l < limbs; ++l) {
+        dictionary.masks.push_back(reader.u64());
       }
-      slot.push_back(std::move(signature));
+      if (limbs != 0 && (dictionary.masks.back() & ~tail_mask) != 0) {
+        reader.fail();
+        return false;
+      }
+      dictionary.signatures.push_back(signature);
     }
-    snapshot.cells.emplace_back(key, std::move(slot));
+    snapshot.cells.emplace_back(key, std::move(dictionary));
   }
 
   const std::size_t row_keys = reader.count(12);
@@ -782,13 +792,14 @@ std::vector<std::uint8_t> encode_classifier_cache(
     const diagnosis::ClassifierCache& cache) {
   ByteWriter writer;
   writer.u32(kCacheMagic);
-  writer.u32(kFormatVersion);
+  writer.u32(kCacheFormatVersion);
   const auto entries = cache.entries();
   writer.u64(entries.size());
   for (const auto& classifier : entries) {
     encode_sram_config(writer, classifier->config());
     encode_march_test(writer, classifier->test());
     encode_classifier_options(writer, classifier->options());
+    writer.u32(classifier->read_universe().size());
     encode_dictionaries(writer, classifier->export_dictionaries());
   }
   return std::move(writer).take();
@@ -802,7 +813,7 @@ core::Expected<std::size_t, DecodeError> decode_classifier_cache(
     return make_unexpected(DecodeError{"cache: bad magic"});
   }
   if (const std::uint32_t version = reader.u32();
-      version != kFormatVersion) {
+      version != kCacheFormatVersion) {
     return make_unexpected(DecodeError{"cache: unsupported version " +
                                        std::to_string(version)});
   }
@@ -815,11 +826,9 @@ core::Expected<std::size_t, DecodeError> decode_classifier_cache(
     sram::SramConfig config;
     march::MarchTest test;
     diagnosis::ClassifierOptions options;
-    diagnosis::FaultClassifier::DictionarySnapshot snapshot;
     if (!decode_sram_config(reader, config) ||
         !decode_march_test(reader, test) ||
-        !decode_classifier_options(reader, options) ||
-        !decode_dictionaries(reader, snapshot)) {
+        !decode_classifier_options(reader, options)) {
       return make_unexpected(
           DecodeError{"cache: corrupt entry " + std::to_string(i)});
     }
@@ -833,6 +842,21 @@ core::Expected<std::size_t, DecodeError> decode_classifier_cache(
     } catch (const std::invalid_argument&) {
       return make_unexpected(
           DecodeError{"cache: invalid entry " + std::to_string(i)});
+    }
+    // The mask width must be the classifier's own universe, checked before
+    // any mask storage is sized from it.
+    const std::uint32_t universe = classifier->read_universe().size();
+    if (const std::uint32_t width = reader.u32();
+        !reader.ok() || width != universe) {
+      return make_unexpected(DecodeError{
+          "cache: entry " + std::to_string(i) + " mask width " +
+          std::to_string(width) + " does not match its read universe of " +
+          std::to_string(universe) + " bits"});
+    }
+    diagnosis::FaultClassifier::DictionarySnapshot snapshot;
+    if (!decode_dictionaries(reader, universe, snapshot)) {
+      return make_unexpected(
+          DecodeError{"cache: corrupt entry " + std::to_string(i)});
     }
     classifier->import_dictionaries(std::move(snapshot));
     classifiers.push_back(std::move(classifier));

@@ -176,11 +176,15 @@ class ByteReader {
 inline constexpr std::uint32_t kReportMagic = 0x50524446;      // "FDRP"
 inline constexpr std::uint32_t kCacheMagic = 0x43434446;       // "FDCC"
 inline constexpr std::uint32_t kCheckpointMagic = 0x4B434446;  // "FDCK"
-/// Version 2: reports gained an optional soft-error outcome section and
-/// folded aggregates the two soft-error metric folds (PR 9).  Readers
-/// reject other versions outright — blobs are cache/transport artifacts
-/// regenerated per build, not long-lived archives.
+/// "FDRP" and "FDCK" version 2: reports gained an optional soft-error
+/// outcome section and folded aggregates the two soft-error metric folds.
+/// Readers reject other versions outright — blobs are cache/transport
+/// artifacts regenerated per build, not long-lived archives.
 inline constexpr std::uint32_t kFormatVersion = 2;
+/// "FDCC" version 3: cell signatures are read masks over the classifier's
+/// read universe, and wrapped dictionaries key by row class.  A v2 cache
+/// is rejected, so a server loading one starts cold.
+inline constexpr std::uint32_t kCacheFormatVersion = 3;
 
 // ---- embedded encoders (no magic; exposed for composition and tests) -------
 
@@ -204,23 +208,26 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 
 // ---- top-level blobs -------------------------------------------------------
 
-/// "FDRP" v1: one per-run Report, classification included when present.
+/// "FDRP" v2: one per-run Report, classification included when present.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const core::Report& report);
 [[nodiscard]] core::Expected<core::Report, DecodeError> decode_report(
     const std::uint8_t* data, std::size_t size);
 
-/// "FDCC" v1: every resident classifier of @p cache — its construction
-/// inputs (config, test, options) plus the signature dictionaries built so
-/// far.  Importing into a fresh cache reconstructs classifiers that serve
-/// the same jobs with zero probe replays.
+/// "FDCC" v3: every resident classifier of @p cache — its construction
+/// inputs (config, test, options), its read-universe width, then the
+/// signature dictionaries built so far (cell signatures as fixed-width
+/// masks).  Importing into a fresh cache reconstructs classifiers that
+/// serve the same jobs with zero probe replays.
 [[nodiscard]] std::vector<std::uint8_t> encode_classifier_cache(
     const diagnosis::ClassifierCache& cache);
 
 /// Decodes a "FDCC" blob into @p cache (entries insert() one by one,
 /// honouring the cache's eviction bound).  Returns the classifier count on
-/// success.  A corrupt entry, or one FaultClassifier's constructor rejects,
-/// is a DecodeError, and nothing is imported.
+/// success.  A corrupt entry, one FaultClassifier's constructor rejects, or
+/// one whose mask width differs from its classifier's read universe
+/// (checked before any mask is allocated) is a DecodeError, and nothing is
+/// imported.
 [[nodiscard]] core::Expected<std::size_t, DecodeError>
 decode_classifier_cache(const std::uint8_t* data, std::size_t size,
                         diagnosis::ClassifierCache& cache);

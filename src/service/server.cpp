@@ -281,7 +281,9 @@ std::string JobServer::stats_json() const {
       .field("slab_batches",
              static_cast<std::uint64_t>(cache_stats.slab_batches))
       .field("slab_lanes", static_cast<std::uint64_t>(cache_stats.slab_lanes))
-      .field("dictionary_build_seconds", cache_stats.build_seconds, 6);
+      .field("dictionary_build_seconds", cache_stats.build_seconds, 6)
+      .field("dictionary_bytes",
+             static_cast<std::uint64_t>(cache_stats.dictionary_bytes));
   return body.str();
 }
 

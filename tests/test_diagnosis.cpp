@@ -11,9 +11,13 @@
 // same way) tie at top confidence, and the truth must be among the tie.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fastdiag.h"
@@ -589,7 +593,7 @@ void warm_all_cell_keys(const FaultClassifier& classifier,
   std::vector<std::uint32_t> rows;
   if (global_words > config.words) {
     for (std::uint32_t row = 0; row < config.words; ++row) {
-      rows.push_back(row);  // wrapped keys are per exact row
+      rows.push_back(row);  // per_candidate keys wrapped rows exactly
     }
   } else {
     rows.push_back(0);
@@ -635,10 +639,128 @@ TEST(InstanceSliced, DictionariesByteIdenticalAcrossModesAndIsaLevels) {
   }
 }
 
+struct WrapComparison {
+  std::size_t mismatches = 0;
+  std::size_t class_keyed_rows = 0;  ///< rows keyed on another row
+};
+
+/// Counts the rows x bits of a @p words x @p bits memory swept @p sweep
+/// steps under @p test whose class-keyed instance_sliced cell dictionary,
+/// or whose row dictionary, differs from the exact-row per_candidate one.
+/// Each mismatch is reported through ADD_FAILURE.
+WrapComparison compare_wrapped_dictionaries(const march::MarchTest& test,
+                                            std::uint32_t words,
+                                            std::uint32_t bits,
+                                            std::uint32_t sweep,
+                                            std::uint64_t retention_ns) {
+  auto config = cfg(words, bits);
+  config.retention_ns = retention_ns;
+  diagnosis::ClassifierOptions options;
+  options.global_words = sweep;
+  options.build_mode = diagnosis::DictionaryBuildMode::per_candidate;
+  const FaultClassifier reference(config, test, options);
+  options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
+  const FaultClassifier instance(config, test, options);
+  const std::string where = test.name() + " " + std::to_string(words) + "x" +
+                            std::to_string(bits) + " sweep " +
+                            std::to_string(sweep) + " retention " +
+                            std::to_string(retention_ns) + " ns";
+  WrapComparison out;
+  for (std::uint32_t row = 0; row < words; ++row) {
+    EXPECT_EQ(reference.key_row(row), row) << where;
+    out.class_keyed_rows += instance.key_row(row) != row ? 1 : 0;
+    for (std::uint32_t bit = 0; bit < bits; ++bit) {
+      if (!(instance.cell_dictionary({row, bit}) ==
+            reference.cell_dictionary({row, bit}))) {
+        ++out.mismatches;
+        ADD_FAILURE() << where << ": cell dictionary of (" << row << ","
+                      << bit << ") keyed on row " << instance.key_row(row);
+      }
+    }
+    if (!(instance.row_dictionary(row) == reference.row_dictionary(row))) {
+      ++out.mismatches;
+      ADD_FAILURE() << where << ": row dictionary of row " << row
+                    << " keyed on row " << instance.key_row(row);
+    }
+  }
+  return out;
+}
+
 TEST(InstanceSliced, DictionariesByteIdenticalUnderWrapAround) {
-  // A 6-word memory swept by a 16-step controller: wrapped builds key per
-  // exact row and replay with the golden-shadow expectation, so the probe
-  // batches run the wrap demux path too.
+  // Class keys are exact: for every row and bit of every small wrapped
+  // geometry (words 3-7, every wrapping sweep up to 3 * words + 1, bits
+  // 1-2), the dictionary the class-keyed instance_sliced classifier
+  // matches against equals the exact-row per_candidate one.  At 200 ns
+  // retention a hold time inside one replay reaches the threshold, so the
+  // timing guard must fall back to exact rows; at 50 ms it keys by class.
+  // FASTDIAG_WRAP_CLASS_LONG=1 widens the domain to words 3-14, bits 1-3,
+  // March CW+NWRTM, March CW and March C-, and retention 200 ns, 2 us and
+  // 50 ms.
+  const bool long_mode = std::getenv("FASTDIAG_WRAP_CLASS_LONG") != nullptr;
+  const std::uint32_t max_words = long_mode ? 14 : 7;
+  const std::uint32_t max_bits = long_mode ? 3 : 2;
+  std::vector<std::uint64_t> retentions{200, 50'000'000};
+  if (long_mode) {
+    retentions.insert(retentions.begin() + 1, 2'000);
+  }
+  struct Geometry {
+    march::MarchTest test;
+    std::uint32_t words, bits, sweep;
+    std::uint64_t retention_ns;
+  };
+  std::vector<Geometry> domain;
+  for (std::uint32_t bits = 1; bits <= max_bits; ++bits) {
+    std::vector<march::MarchTest> tests{march::march_cw_nwrtm(bits)};
+    if (long_mode) {
+      tests.push_back(march::march_cw(bits));
+      tests.push_back(march::march_c_minus(bits));
+    }
+    for (const auto& test : tests) {
+      for (std::uint32_t words = 3; words <= max_words; ++words) {
+        for (std::uint32_t sweep = words + 1; sweep <= 3 * words + 1;
+             ++sweep) {
+          for (const auto retention : retentions) {
+            domain.push_back({test, words, bits, sweep, retention});
+          }
+        }
+      }
+    }
+  }
+  // Geometries are independent: spread them over a few threads.
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> short_retention_class_rows{0};
+  std::atomic<std::size_t> long_retention_class_rows{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < domain.size(); i = next++) {
+      const auto& g = domain[i];
+      const auto result = compare_wrapped_dictionaries(
+          g.test, g.words, g.bits, g.sweep, g.retention_ns);
+      mismatches += result.mismatches;
+      (g.retention_ns == 200 ? short_retention_class_rows
+                             : long_retention_class_rows) +=
+          result.class_keyed_rows;
+    }
+  };
+  std::vector<std::thread> threads(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u) - 1);
+  for (auto& thread : threads) {
+    thread = std::thread(worker);
+  }
+  worker();
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u) << "over " << domain.size()
+                                   << " geometries";
+  // The guard keeps 200 ns on exact rows; 50 ms really keys by class.
+  EXPECT_EQ(short_retention_class_rows.load(), 0u);
+  EXPECT_GT(long_retention_class_rows.load(), 0u);
+
+  // The original probe: a 6-word memory under a 16-step controller sweep
+  // (remainder 4) and a test wider than the memory.  Wrapped builds replay
+  // with the golden-shadow expectation, so the probe batches run the wrap
+  // demux path too.
   const auto narrow = cfg(6, 4);
   const std::uint32_t sweep = 16;
   bisd::FastScheme scheme;
@@ -648,13 +770,42 @@ TEST(InstanceSliced, DictionariesByteIdenticalUnderWrapAround) {
   options.build_mode = diagnosis::DictionaryBuildMode::per_candidate;
   const FaultClassifier reference(narrow, test, options);
   warm_all_cell_keys(reference, narrow, sweep);
-  const auto want = reference.export_dictionaries();
-  ASSERT_FALSE(want.cells.empty());
+  ASSERT_FALSE(reference.export_dictionaries().cells.empty());
+  EXPECT_EQ(compare_wrapped_dictionaries(test, narrow.words, narrow.bits,
+                                         sweep, narrow.retention_ns)
+                .mismatches,
+            0u);
+}
 
-  options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
-  const FaultClassifier instance(narrow, test, options);
-  warm_all_cell_keys(instance, narrow, sweep);
-  EXPECT_TRUE(want == instance.export_dictionaries());
+TEST(InstanceSliced, WrappedDictionariesStayBoundedAtAnyDepth) {
+  // A timing-safe wrapped classifier keys at most 10 row classes per bit
+  // whatever its depth (exact rows would need words x bits keys), and
+  // while the read universe fits in 128 bits each cell signature costs at
+  // most 32 bytes: its record plus two mask limbs.
+  bisd::FastScheme scheme;
+  const auto test = scheme.test_for_width(4);
+  for (const std::uint32_t words : {129u, 200u, 255u}) {
+    const auto config = cfg(words, 4);
+    diagnosis::ClassifierOptions options;
+    options.global_words = 256;
+    const FaultClassifier classifier(config, test, options);
+    ASSERT_LE(classifier.read_universe().size(), 128u);
+    for (std::uint32_t row = 0; row < words; ++row) {
+      for (std::uint32_t bit = 0; bit < config.bits; ++bit) {
+        (void)classifier.cell_dictionary({row, bit});
+      }
+    }
+    const auto stats = classifier.dictionary_stats();
+    const auto snapshot = classifier.export_dictionaries();
+    EXPECT_LE(stats.dictionary_keys, 10u * config.bits) << words;
+    EXPECT_EQ(snapshot.cells.size(), stats.dictionary_keys) << words;
+    std::size_t signatures = 0;
+    for (const auto& [key, dictionary] : snapshot.cells) {
+      signatures += dictionary.signatures.size();
+    }
+    EXPECT_GT(stats.dictionary_bytes, 0u) << words;
+    EXPECT_LE(stats.dictionary_bytes, 32u * signatures) << words;
+  }
 }
 
 TEST(InstanceSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {

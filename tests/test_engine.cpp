@@ -442,6 +442,50 @@ TEST(Engine, AggregateStatsSummarizeTheBatch) {
   EXPECT_NE(text.find("per scheme:"), std::string::npos);
 }
 
+TEST(Engine, BaselineRetestAfterRepairAllocatesFreshSpares) {
+  // The baseline schemes repair rows while they diagnose, so the engine's
+  // retest after apply_repair starts on a memory whose first spares are
+  // taken.  One 64x8 memory at 1 % defects, spare_rows 1/2/4, seeds 1-40.
+  // The retest must not throw, and whenever it registers a fault the run
+  // must not be called clean, whether or not the retest repaired it.
+  for (const char* scheme : {"baseline", "baseline-with-retention"}) {
+    for (const std::uint32_t spares : {1u, 2u, 4u}) {
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const auto spec = SessionSpec::builder()
+                              .add_sram(small("m0", 64, 8, spares))
+                              .defect_rate(0.01)
+                              .scheme(scheme)
+                              .with_repair(true)
+                              .seed(seed)
+                              .build();
+        ASSERT_TRUE(spec.has_value());
+        const std::string where = std::string(scheme) + " spares=" +
+                                  std::to_string(spares) +
+                                  " seed=" + std::to_string(seed);
+        Report report;
+        ASSERT_NO_THROW(report = DiagnosisEngine::execute(spec.value()))
+            << where;
+        ASSERT_TRUE(report.repair.has_value()) << where;
+
+        if (!report.repair_verified_clean) {
+          continue;
+        }
+        // A clean run: replaying the engine's diagnose, repair and retest
+        // on the same SoC must show a retest that registered nothing.
+        auto soc = bisd::SocUnderTest::from_injection(
+            spec->configs(), spec->injection(), spec->seed());
+        auto replay = SchemeRegistry::global().make(
+            spec->scheme(), {.clock = spec->clock()});
+        const auto first = replay->diagnose(soc);
+        const auto plan = bisd::plan_repair(first.log, soc);
+        EXPECT_TRUE(plan.fully_repairable()) << where;
+        bisd::apply_repair(soc, plan);
+        EXPECT_TRUE(replay->diagnose(soc).log.empty()) << where;
+      }
+    }
+  }
+}
+
 TEST(Engine, SweepOfInvalidSpecsFailsClosed) {
   SweepSpec sweep;
   sweep.base = SessionSpec::builder();  // no memory

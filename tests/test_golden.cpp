@@ -176,6 +176,56 @@ TEST(GoldenTrace, FastSchemeSlicedAndIdleLessSeed13) {
   check_golden("fast_sliced_idle_less_seed13.log", out.str());
 }
 
+/// A wrapped classification SoC: the 64-word memory sets the controller
+/// sweep; the 48- and 40-word memories wrap it with a partial remainder,
+/// the 32- and 16-word ones wrap it a whole number of times, and the
+/// 3 us twin of the 40-word memory holds data for less than one run.
+std::vector<sram::SramConfig> wrapped_classify_configs() {
+  std::vector<sram::SramConfig> configs;
+  const auto add = [&configs](const char* name, std::uint32_t words,
+                              std::uint32_t bits,
+                              std::uint64_t retention_ns = 50'000'000) {
+    sram::SramConfig config;
+    config.name = name;
+    config.words = words;
+    config.bits = bits;
+    config.spare_rows = 4;
+    config.retention_ns = retention_ns;
+    configs.push_back(config);
+  };
+  add("full", 64, 8);
+  add("rem16", 48, 8);
+  add("rem24", 40, 6);
+  add("rem24_short", 40, 6, 3'000);
+  add("even32", 32, 8);
+  add("even16", 16, 4);
+  return configs;
+}
+
+TEST(GoldenTrace, WrappedClassificationSeeds1To4) {
+  // Every site verdict of the engine's classification pass (kinds,
+  // confidences, aggressor placements and bits), DRFs included.
+  std::ostringstream out;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto spec = core::SessionSpec::builder()
+                          .add_srams(wrapped_classify_configs())
+                          .defect_rate(0.03)
+                          .include_retention_faults(true)
+                          .classify(true)
+                          .seed(seed)
+                          .build();
+    ASSERT_TRUE(spec.has_value());
+    const auto report = core::DiagnosisEngine::execute(spec.value());
+    ASSERT_TRUE(report.classification.has_value());
+    out << "seed=" << seed << " records=" << report.result.log.records().size()
+        << "\n";
+    for (const auto& memory : report.classification->memories) {
+      out << memory.to_string();
+    }
+  }
+  check_golden("classify_wrapped_seeds1_4.log", out.str());
+}
+
 TEST(GoldenTrace, EngineReportSeed11) {
   // One spec end-to-end through the engine, repair included: the record
   // stream, the cycle count and the repair plan are all pinned.

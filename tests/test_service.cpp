@@ -374,6 +374,10 @@ struct CraftedEntry {
   double min_confidence = 0.5;
   std::uint32_t probe_words = 4;
   std::uint8_t build_mode = 2;
+  std::uint32_t version = kCacheFormatVersion;
+  std::uint32_t extra_mask_bits = 0;  ///< mask width beyond the universe
+  /// One cell signature's mask limbs; empty writes no cell dictionary.
+  std::vector<std::uint64_t> cell_mask_limbs{};
 };
 
 /// A one-entry "FDCC" blob, framed exactly as encode_classifier_cache
@@ -381,18 +385,32 @@ struct CraftedEntry {
 std::vector<std::uint8_t> crafted_cache(const CraftedEntry& entry) {
   ByteWriter writer;
   writer.u32(kCacheMagic);
-  writer.u32(kFormatVersion);
+  writer.u32(entry.version);
   writer.u64(1);
   auto config = small("crafted", 16, entry.bits);
   config.retention_ns = entry.retention_ns;
   encode_sram_config(writer, config);
-  encode_march_test(writer, march::march_cw(8));
+  const auto test = march::march_cw(8);
+  encode_march_test(writer, test);
   writer.f64(entry.min_confidence);
   writer.u64(10);  // clock period
   writer.u32(entry.probe_words);
-  writer.u32(0);  // global_words
+  writer.u32(0);  // global_words: no wrap, one visit per address
   writer.u8(entry.build_mode);
-  writer.u64(0);  // cell dictionaries
+  const std::uint32_t universe = diagnosis::ReadUniverse(test, 1).size();
+  writer.u32(universe + entry.extra_mask_bits);  // mask width
+  writer.u64(entry.cell_mask_limbs.empty() ? 0 : 1);  // cell dictionaries
+  if (!entry.cell_mask_limbs.empty()) {
+    writer.u32(0);           // victim bit
+    writer.u32(0x80000000);  // first-row position key
+    writer.u64(1);           // one signature
+    writer.u8(static_cast<std::uint8_t>(faults::FaultKind::sa0));
+    writer.u8(0);  // no aggressor placement
+    writer.u32(0);
+    for (const std::uint64_t limb : entry.cell_mask_limbs) {
+      writer.u64(limb);
+    }
+  }
   writer.u64(0);  // row dictionaries
   return std::move(writer).take();
 }
@@ -452,6 +470,77 @@ TEST(CacheSerialize, RetiredBuildModeIsRejected) {
     EXPECT_EQ(decoded.has_value(), mode != 1) << int{mode};
     EXPECT_EQ(target.size(), mode != 1 ? 1u : 0u) << int{mode};
   }
+}
+
+TEST(CacheSerialize, VersionTwoCacheIsRejectedAndTheServerStartsCold) {
+  // "FDCC" carries its own version: v2 blobs (ReadKey-vector signatures,
+  // exact-row wrapped keys) are a DecodeError naming the version, and a
+  // server loading one keeps an empty cache.  "FDRP" and "FDCK" stay at 2.
+  EXPECT_EQ(kCacheFormatVersion, 3u);
+  EXPECT_EQ(kFormatVersion, 2u);
+  CraftedEntry entry;
+  entry.version = 2;
+  const auto blob = crafted_cache(entry);
+  diagnosis::ClassifierCache target;
+  const auto decoded =
+      decode_classifier_cache(blob.data(), blob.size(), target);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.error().message, "cache: unsupported version 2");
+  EXPECT_EQ(target.size(), 0u);
+
+  const std::string path = temp_path("v2_cache");
+  write_blob(path, blob);
+  JobServer server;
+  long imported = 0;
+  EXPECT_NO_THROW(imported = server.load_cache_file(path));
+  EXPECT_EQ(imported, -1);
+  EXPECT_EQ(server.cache().size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CacheSerialize, MaskWiderThanItsUniverseIsADecodeError) {
+  const std::uint32_t universe =
+      diagnosis::ReadUniverse(march::march_cw(8), 1).size();
+  const std::uint32_t limbs = (universe + 63) / 64;
+  ASSERT_NE(universe % 64, 0u);  // the last limb has unused high bits
+
+  // A one-signature cell dictionary at exactly the universe width decodes.
+  CraftedEntry entry;
+  entry.cell_mask_limbs.assign(limbs, 0);
+  entry.cell_mask_limbs[0] = 0b101;
+  auto blob = crafted_cache(entry);
+  diagnosis::ClassifierCache target;
+  ASSERT_TRUE(
+      decode_classifier_cache(blob.data(), blob.size(), target).has_value());
+  EXPECT_EQ(encode_classifier_cache(target), blob);
+
+  // A wider mask width is rejected before any mask is read; a huge one
+  // must not size an allocation either.
+  for (const std::uint32_t extra : {1u, 64u, 0x7FFFFFFFu}) {
+    entry.extra_mask_bits = extra;
+    blob = crafted_cache(entry);
+    diagnosis::ClassifierCache wide;
+    const auto decoded =
+        decode_classifier_cache(blob.data(), blob.size(), wide);
+    ASSERT_FALSE(decoded.has_value()) << extra;
+    EXPECT_EQ(decoded.error().message,
+              "cache: entry 0 mask width " + std::to_string(universe + extra) +
+                  " does not match its read universe of " +
+                  std::to_string(universe) + " bits")
+        << extra;
+    EXPECT_EQ(wide.size(), 0u) << extra;
+  }
+
+  // A bit set past the universe inside the last limb is corrupt too.
+  entry.extra_mask_bits = 0;
+  entry.cell_mask_limbs.back() |= std::uint64_t{1} << 63;
+  blob = crafted_cache(entry);
+  diagnosis::ClassifierCache stray;
+  const auto decoded =
+      decode_classifier_cache(blob.data(), blob.size(), stray);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.error().message, "cache: corrupt entry 0");
+  EXPECT_EQ(stray.size(), 0u);
 }
 
 // ---- checkpoint / resume --------------------------------------------------
@@ -755,6 +844,12 @@ TEST(JobServer, CacheFilesRoundTripThroughTheServer) {
                             encode_job_request(request)));
     ASSERT_TRUE(read_frame(back[0], response));
     ASSERT_EQ(response.type, MessageType::job_report);
+    // get_stats reports the signature storage the job's builds produced.
+    const auto bytes = server.cache().stats().dictionary_bytes;
+    EXPECT_GT(bytes, 0u);
+    EXPECT_NE(server.stats_json().find("\"dictionary_bytes\":" +
+                                       std::to_string(bytes)),
+              std::string::npos);
     ASSERT_TRUE(server.save_cache_file(path));
     ASSERT_TRUE(write_frame(fds[1], MessageType::shutdown, std::string()));
     ASSERT_TRUE(read_frame(back[0], response));
