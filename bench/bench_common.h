@@ -1,8 +1,7 @@
 // Shared plumbing of the bench binaries: every binary first regenerates its
 // paper table(s) on stdout, then runs its google-benchmark microbenchmarks.
 // Binaries that export machine-readable results print one `JSON: {...}`
-// line built with util::json's JsonObject (CI greps the prefix and uploads
-// the object).
+// line built with util::json's JsonObject.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -35,7 +34,7 @@ inline void print_banner(const char* experiment, const char* claim) {
 using fastdiag::util::JsonObject;
 using fastdiag::util::json_array;
 
-/// The one line CI greps for: `JSON: {...}`.
+/// The machine-readable summary line: `JSON: {...}`.
 inline void print_json_line(const JsonObject& object) {
   std::printf("\nJSON: %s\n", object.str().c_str());
 }

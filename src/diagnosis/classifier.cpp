@@ -986,9 +986,11 @@ SiteClassification FaultClassifier::classify_cell(
                  h.aggressor.placement == signature.placement;
         });
     if (existing != out.hypotheses.end()) {
-      if (coupling) {
-        existing->aggressor.candidate_bits.push_back(
-            signature.aggressor_bit);
+      // Several representative aggressor rows can probe the same bit.
+      auto& bits = existing->aggressor.candidate_bits;
+      if (coupling && std::find(bits.begin(), bits.end(),
+                                signature.aggressor_bit) == bits.end()) {
+        bits.push_back(signature.aggressor_bit);
       }
       continue;
     }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/fastdiag.h"
+#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -560,29 +561,6 @@ std::vector<FaultInstance> build_kind_corpus(const SramConfig& config,
   }
   return corpus;
 }
-
-std::vector<simd::IsaLevel> available_levels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
-  if (simd::detected_level() >= simd::IsaLevel::avx2) {
-    levels.push_back(simd::IsaLevel::avx2);
-  }
-  if (simd::detected_level() >= simd::IsaLevel::avx512) {
-    levels.push_back(simd::IsaLevel::avx512);
-  }
-  return levels;
-}
-
-/// Restores the pre-test dispatch level when a level sweep exits.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::active_level()) {}
-  ~LevelGuard() { simd::force(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::IsaLevel saved_;
-};
 
 /// Classifies one fabricated single-cell syndrome per dictionary key so
 /// every mode's lazy cache fills completely: instance_sliced batch-fills all

@@ -17,6 +17,7 @@
 // cycle accounting and injection draws all land in these files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -202,20 +203,25 @@ std::vector<sram::SramConfig> wrapped_classify_configs() {
   return configs;
 }
 
+/// The engine's classification pass over the wrapped SoC at 3 % + DRFs.
+core::Report classify_wrapped(std::uint64_t seed) {
+  const auto spec = core::SessionSpec::builder()
+                        .add_srams(wrapped_classify_configs())
+                        .defect_rate(0.03)
+                        .include_retention_faults(true)
+                        .classify(true)
+                        .seed(seed)
+                        .build();
+  EXPECT_TRUE(spec.has_value());
+  return core::DiagnosisEngine::execute(spec.value());
+}
+
 TEST(GoldenTrace, WrappedClassificationSeeds1To4) {
   // Every site verdict of the engine's classification pass (kinds,
   // confidences, aggressor placements and bits), DRFs included.
   std::ostringstream out;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const auto spec = core::SessionSpec::builder()
-                          .add_srams(wrapped_classify_configs())
-                          .defect_rate(0.03)
-                          .include_retention_faults(true)
-                          .classify(true)
-                          .seed(seed)
-                          .build();
-    ASSERT_TRUE(spec.has_value());
-    const auto report = core::DiagnosisEngine::execute(spec.value());
+    const auto report = classify_wrapped(seed);
     ASSERT_TRUE(report.classification.has_value());
     out << "seed=" << seed << " records=" << report.result.log.records().size()
         << "\n";
@@ -224,6 +230,25 @@ TEST(GoldenTrace, WrappedClassificationSeeds1To4) {
     }
   }
   check_golden("classify_wrapped_seeds1_4.log", out.str());
+}
+
+TEST(WrappedClassification, HypothesesNameEachAggressorBitOnce) {
+  // Several representative aggressor rows can probe the same bit; exact
+  // and partial matches alike list it once per hypothesis.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto report = classify_wrapped(seed);
+    ASSERT_TRUE(report.classification.has_value());
+    for (const auto& memory : report.classification->memories) {
+      for (const auto& site : memory.sites) {
+        for (const auto& hypothesis : site.hypotheses) {
+          auto bits = hypothesis.aggressor.candidate_bits;
+          std::sort(bits.begin(), bits.end());
+          EXPECT_EQ(std::adjacent_find(bits.begin(), bits.end()), bits.end())
+              << "seed " << seed << ", " << memory.to_string();
+        }
+      }
+    }
+  }
 }
 
 TEST(GoldenTrace, EngineReportSeed11) {

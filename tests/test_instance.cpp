@@ -21,6 +21,7 @@
 
 #include "core/fastdiag.h"
 #include "faults/overlay_slab.h"
+#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -109,31 +110,6 @@ std::vector<FaultInstance> random_fault_mix(const SramConfig& config,
   }
   return out;
 }
-
-// ---- dispatch-level sweep helpers -----------------------------------------
-
-std::vector<simd::IsaLevel> available_levels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
-  if (simd::detected_level() >= simd::IsaLevel::avx2) {
-    levels.push_back(simd::IsaLevel::avx2);
-  }
-  if (simd::detected_level() >= simd::IsaLevel::avx512) {
-    levels.push_back(simd::IsaLevel::avx512);
-  }
-  return levels;
-}
-
-/// Restores the pre-test dispatch level when a level sweep exits.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::active_level()) {}
-  ~LevelGuard() { simd::force(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::IsaLevel saved_;
-};
 
 // ---- simd facade -----------------------------------------------------------
 

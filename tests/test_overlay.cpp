@@ -23,6 +23,7 @@
 
 #include "core/fastdiag.h"
 #include "faults/overlay_slab.h"
+#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -43,29 +44,6 @@ SramConfig cfg(const std::string& name, std::uint32_t words,
   config.retention_ns = retention_ns;
   return config;
 }
-
-std::vector<simd::IsaLevel> available_levels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
-  if (simd::detected_level() >= simd::IsaLevel::avx2) {
-    levels.push_back(simd::IsaLevel::avx2);
-  }
-  if (simd::detected_level() >= simd::IsaLevel::avx512) {
-    levels.push_back(simd::IsaLevel::avx512);
-  }
-  return levels;
-}
-
-/// Restores the pre-test dispatch level when a level sweep exits.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::active_level()) {}
-  ~LevelGuard() { simd::force(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::IsaLevel saved_;
-};
 
 /// Observable post-run state of one memory: every row read back, then
 /// every row again after one retention period, so drift in cell contents,

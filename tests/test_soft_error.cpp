@@ -2,11 +2,15 @@
 // seeded upset-event generator, the SoftErrorBehavior layer (transient
 // flips, intermittent pins, ECC masking and miscorrection), the
 // periodic_scan scheme end to end through the engine (window resolution,
-// scrub policies, worker bit-identity), spec validation of the new knobs,
+// scrub policies, worker bit-identity; on a small SoC and at the 8-memory
+// in-field operating point), spec validation of the new knobs,
 // and the v2 serialization of the soft-error outcome.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bisd/periodic_scan.h"
@@ -311,11 +315,63 @@ TEST(SoftErrorBehavior, PerCellAndWordKernelsSeeIdenticalEccAccounting) {
 
 // ---- periodic_scan through the engine --------------------------------------
 
-core::SessionSpec in_field_spec(const SoftErrorSpec& soft,
-                                std::uint64_t seed = 7) {
+/// A periodic_scan workload every PeriodicScan test runs.
+struct ScanWorkload {
+  std::string name;
+  std::vector<SramConfig> memories;
+  SoftErrorSpec soft;
+  std::uint64_t seed = 7;
+  /// Runs (seed, knobs) whose serial and 8-worker reports must encode
+  /// byte-identically.
+  std::vector<std::pair<std::uint64_t, SoftErrorSpec>> replays;
+};
+
+/// Two small memories at the default upset rate.
+ScanWorkload two_memories() {
+  ScanWorkload workload{"TwoMemories",
+                        {geometry("ifa", 64, 16), geometry("ifb", 48, 12)},
+                        enabled_spec(),
+                        7,
+                        {}};
+  auto replay = enabled_spec();
+  replay.intermittent_fraction = 0.2;
+  replay.ecc = true;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    workload.replays.emplace_back(seed, replay);
+  }
+  return workload;
+}
+
+/// The in-field operating point (perfbench's infield_scan): 8 x 256x32
+/// memories, an upset every 2 us per memory (10 % intermittent), scanned
+/// every 10 us for 1 ms with on_detect scrubbing.  FASTDIAG_SOFT_STRESS=1
+/// stretches the window 10x and quadruples the upset rate.
+ScanWorkload field_soc() {
+  const char* env = std::getenv("FASTDIAG_SOFT_STRESS");
+  const bool stress = env != nullptr && env[0] == '1';
+  ScanWorkload workload{stress ? "FieldSocStress" : "FieldSoc", {},
+                        enabled_spec(), 20260807, {}};
+  for (int m = 0; m < 8; ++m) {
+    workload.memories.push_back(
+        geometry("field" + std::to_string(m), 256, 32));
+  }
+  auto& soft = workload.soft;
+  soft.mean_upset_gap_ns = stress ? 500 : 2'000;
+  soft.duration_ns = stress ? 10'000'000 : 1'000'000;
+  soft.scan_period_ns = 10'000;
+  soft.intermittent_fraction = 0.1;
+  soft.scrub = ScrubPolicy::on_detect;
+  auto ecc = soft;
+  ecc.ecc = true;
+  workload.replays = {{1, soft}, {2, ecc}};
+  return workload;
+}
+
+core::SessionSpec in_field_spec(const std::vector<SramConfig>& memories,
+                                const SoftErrorSpec& soft,
+                                std::uint64_t seed) {
   auto spec = core::SessionSpec::builder()
-                  .add_sram(geometry("ifa", 64, 16))
-                  .add_sram(geometry("ifb", 48, 12))
+                  .add_srams(memories)
                   .defect_rate(0.0)
                   .seed(seed)
                   .scheme("periodic_scan")
@@ -325,13 +381,26 @@ core::SessionSpec in_field_spec(const SoftErrorSpec& soft,
   return std::move(spec).value();
 }
 
-TEST(PeriodicScan, ResolvesTransientsToTheirScanWindows) {
-  const auto report =
-      core::DiagnosisEngine::execute(in_field_spec(enabled_spec()));
+class PeriodicScan : public ::testing::TestWithParam<ScanWorkload> {
+ protected:
+  [[nodiscard]] core::SessionSpec spec(const SoftErrorSpec& soft) const {
+    return spec(soft, GetParam().seed);
+  }
+
+  [[nodiscard]] core::SessionSpec spec(const SoftErrorSpec& soft,
+                                       std::uint64_t seed) const {
+    return in_field_spec(GetParam().memories, soft, seed);
+  }
+
+  [[nodiscard]] const SoftErrorSpec& soft() const { return GetParam().soft; }
+};
+
+TEST_P(PeriodicScan, ResolvesTransientsToTheirScanWindows) {
+  const auto report = core::DiagnosisEngine::execute(spec(soft()));
   ASSERT_TRUE(report.soft_error.has_value());
   const auto& outcome = *report.soft_error;
 
-  EXPECT_EQ(outcome.scan_sweeps, 100u);  // 1 ms window / 10 us period
+  EXPECT_EQ(outcome.scan_sweeps, soft().duration_ns / soft().scan_period_ns);
   EXPECT_GT(outcome.scored_upsets, 0u);
   EXPECT_LE(outcome.scored_upsets, outcome.transient_upsets);
   EXPECT_LE(outcome.transient_upsets, outcome.injected_upsets);
@@ -347,10 +416,10 @@ TEST(PeriodicScan, ResolvesTransientsToTheirScanWindows) {
   EXPECT_LT(outcome.escape_rate(), 0.25);
 }
 
-TEST(PeriodicScan, EccMasksSingleUpsetsFromTheComparator) {
-  auto soft = enabled_spec();
-  soft.ecc = true;
-  const auto report = core::DiagnosisEngine::execute(in_field_spec(soft));
+TEST_P(PeriodicScan, EccMasksSingleUpsetsFromTheComparator) {
+  auto ecc = soft();
+  ecc.ecc = true;
+  const auto report = core::DiagnosisEngine::execute(spec(ecc));
   ASSERT_TRUE(report.soft_error.has_value());
   const auto& outcome = *report.soft_error;
 
@@ -359,18 +428,16 @@ TEST(PeriodicScan, EccMasksSingleUpsetsFromTheComparator) {
   EXPECT_GT(outcome.ecc_corrected, 0u);
   EXPECT_LT(outcome.detection_rate(), 0.5);
 
-  const auto no_ecc =
-      core::DiagnosisEngine::execute(in_field_spec(enabled_spec()));
+  const auto no_ecc = core::DiagnosisEngine::execute(spec(soft()));
   EXPECT_LT(outcome.detected_upsets, no_ecc.soft_error->detected_upsets);
+  EXPECT_LT(outcome.detection_rate(), no_ecc.soft_error->detection_rate());
 }
 
-TEST(PeriodicScan, ScrubPolicyNoneLetsUpsetsAccumulate) {
-  auto none = enabled_spec();
+TEST_P(PeriodicScan, ScrubPolicyNoneLetsUpsetsAccumulate) {
+  auto none = soft();
   none.scrub = ScrubPolicy::none;
-  const auto report_none =
-      core::DiagnosisEngine::execute(in_field_spec(none));
-  const auto report_scrub =
-      core::DiagnosisEngine::execute(in_field_spec(enabled_spec()));
+  const auto report_none = core::DiagnosisEngine::execute(spec(none));
+  const auto report_scrub = core::DiagnosisEngine::execute(spec(soft()));
   ASSERT_TRUE(report_none.soft_error.has_value());
   ASSERT_TRUE(report_scrub.soft_error.has_value());
 
@@ -379,10 +446,9 @@ TEST(PeriodicScan, ScrubPolicyNoneLetsUpsetsAccumulate) {
   EXPECT_GE(report_none.soft_error->escaped_cells,
             report_scrub.soft_error->escaped_cells);
 
-  auto periodic = enabled_spec();
+  auto periodic = soft();
   periodic.scrub = ScrubPolicy::periodic;
-  const auto report_periodic =
-      core::DiagnosisEngine::execute(in_field_spec(periodic));
+  const auto report_periodic = core::DiagnosisEngine::execute(spec(periodic));
   // Periodic scrubbing rewrites every word every sweep.
   EXPECT_GE(report_periodic.soft_error->scrub_writes,
             report_scrub.soft_error->scrub_writes);
@@ -390,13 +456,10 @@ TEST(PeriodicScan, ScrubPolicyNoneLetsUpsetsAccumulate) {
             report_none.soft_error->escaped_cells);
 }
 
-TEST(PeriodicScan, SerialAndEightWorkerRunsEncodeByteIdentical) {
-  auto soft = enabled_spec();
-  soft.intermittent_fraction = 0.2;
-  soft.ecc = true;
+TEST_P(PeriodicScan, SerialAndEightWorkerRunsEncodeByteIdentical) {
   std::vector<core::SessionSpec> specs;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
-    specs.push_back(in_field_spec(soft, seed));
+  for (const auto& [seed, replay] : GetParam().replays) {
+    specs.push_back(spec(replay, seed));
   }
   const auto serial = core::DiagnosisEngine({.workers = 1}).run_batch(specs);
   const auto parallel =
@@ -411,15 +474,20 @@ TEST(PeriodicScan, SerialAndEightWorkerRunsEncodeByteIdentical) {
   EXPECT_EQ(serial.folded, parallel.folded);
 }
 
-TEST(PeriodicScan, AggregateSurfacesSoftErrorStats) {
-  std::vector<core::SessionSpec> specs = {in_field_spec(enabled_spec(), 1),
-                                          in_field_spec(enabled_spec(), 2)};
+TEST_P(PeriodicScan, AggregateSurfacesSoftErrorStats) {
+  std::vector<core::SessionSpec> specs = {spec(soft(), 1), spec(soft(), 2)};
   const auto batch = core::DiagnosisEngine({.workers = 2}).run_batch(specs);
   const auto detection = batch.soft_detection_stats();
   EXPECT_GE(detection.min, 0.95);
   EXPECT_LE(detection.max, 1.0);
   EXPECT_NE(batch.summary().find("upset detection"), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(Workloads, PeriodicScan,
+                         ::testing::Values(two_memories(), field_soc()),
+                         [](const ::testing::TestParamInfo<ScanWorkload>& p) {
+                           return p.param.name;
+                         });
 
 // ---- spec validation -------------------------------------------------------
 
@@ -516,7 +584,8 @@ TEST(SoftErrorSpecValidation, RegistryAdvertisesTheInFieldCapability) {
 TEST(SoftErrorSerialize, ReportWithOutcomeRoundTripsByteIdentical) {
   auto soft = enabled_spec();
   soft.ecc = true;
-  const auto report = core::DiagnosisEngine::execute(in_field_spec(soft));
+  const auto report = core::DiagnosisEngine::execute(
+      in_field_spec(two_memories().memories, soft, 7));
   ASSERT_TRUE(report.soft_error.has_value());
 
   const auto blob = service::encode_report(report);
@@ -528,8 +597,10 @@ TEST(SoftErrorSerialize, ReportWithOutcomeRoundTripsByteIdentical) {
 }
 
 TEST(SoftErrorSerialize, FoldedSoftMetricsSurviveTheRoundTrip) {
-  std::vector<core::SessionSpec> specs = {in_field_spec(enabled_spec(), 3),
-                                          in_field_spec(enabled_spec(), 4)};
+  const auto memories = two_memories().memories;
+  std::vector<core::SessionSpec> specs = {
+      in_field_spec(memories, enabled_spec(), 3),
+      in_field_spec(memories, enabled_spec(), 4)};
   const auto batch = core::DiagnosisEngine({.workers = 2}).run_batch(specs);
   const auto& folded = batch.folded;
 
