@@ -34,6 +34,10 @@ struct ScanInfo {
   std::uint64_t sweep_count = 0;
   /// Scrub write-backs issued across the whole run.
   std::uint64_t scrub_writes = 0;
+  /// Reads the sweeps actually performed, one per (sweep, address, memory)
+  /// slot sensed; every other slot was credited.  A work counter, never
+  /// serialized.
+  std::uint64_t rows_sensed = 0;
 
   /// The sweep that first observes an upset at @p time_ns: sweeps sample
   /// instantaneously at their tick, so an event at t belongs to the first

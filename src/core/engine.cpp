@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 #include <condition_variable>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "bisd/repair.h"
@@ -358,6 +357,20 @@ const SchemeRegistry& DiagnosisEngine::registry() const {
 
 namespace {
 
+/// A comparator hit of a scanning scheme: the cell and the sweep that
+/// flagged it, ordered cell first.
+struct ScanHit {
+  std::uint32_t memory = 0;
+  std::uint32_t addr = 0;
+  std::uint32_t bit = 0;
+  std::uint32_t sweep = 0;
+
+  [[nodiscard]] bool same_cell(const ScanHit& other) const {
+    return memory == other.memory && addr == other.addr && bit == other.bit;
+  }
+  friend auto operator<=>(const ScanHit&, const ScanHit&) = default;
+};
+
 /// Scores an in-field run: resolves every injected transient upset against
 /// the scheme's scan windows and collects the residual/ECC accounting from
 /// each memory's SoftErrorBehavior.
@@ -370,14 +383,16 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
     out.scan_sweeps = info->sweep_count;
     out.scrub_writes = info->scrub_writes;
   }
-  // (memory, addr, bit) -> the sweep windows that registered a record.
-  std::map<std::tuple<std::size_t, std::uint32_t, std::uint32_t>,
-           std::vector<std::uint64_t>>
-      hits;
+  // Every record's cell and sweep, sorted: the first hit at or after
+  // (m, row, bit, window) holds the earliest sweep >= window that flagged
+  // that cell, if any did.
+  std::vector<ScanHit> hits;
+  hits.reserve(log.records().size());
   for (const auto& record : log.records()) {
-    hits[{record.memory_index, record.addr, record.bit}].push_back(
-        static_cast<std::uint64_t>(record.element));
+    hits.push_back(
+        {record.memory_index, record.addr, record.bit, record.element});
   }
+  std::sort(hits.begin(), hits.end());
   for (std::size_t m = 0; m < soc.memory_count(); ++m) {
     auto* soft = soc.soft_behavior(m);
     if (soft == nullptr) continue;
@@ -405,16 +420,12 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
       const std::uint64_t window = info->window_of(event.time_ns);
       if (window >= info->sweep_count) continue;  // after the final sweep
       ++out.scored_upsets;
-      const auto it = hits.find({m, event.cell.row, event.cell.bit});
-      if (it == hits.end()) continue;
-      bool detected = false;
-      bool resolved = false;
-      for (const std::uint64_t element : it->second) {
-        detected = detected || element >= window;
-        resolved = resolved || element == window;
-      }
-      out.detected_upsets += detected ? 1 : 0;
-      out.correct_window += resolved ? 1 : 0;
+      const ScanHit upset{static_cast<std::uint32_t>(m), event.cell.row,
+                          event.cell.bit, static_cast<std::uint32_t>(window)};
+      const auto it = std::lower_bound(hits.begin(), hits.end(), upset);
+      if (it == hits.end() || !it->same_cell(upset)) continue;
+      ++out.detected_upsets;
+      out.correct_window += it->sweep == window ? 1 : 0;
     }
   }
   return out;

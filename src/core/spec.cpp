@@ -164,6 +164,11 @@ Expected<SessionSpec, ConfigError> SessionSpec::Builder::build(
       return fail(ConfigErrorCode::invalid_soft_error,
                   "mean upset gap must be > 0 ns");
     }
+    if (soft.mean_upset_gap_ns > faults::kMaxMeanUpsetGapNs) {
+      // Gaps are drawn from [1, 2 * mean - 1], which must not wrap.
+      return fail(ConfigErrorCode::invalid_soft_error,
+                  "mean upset gap must be <= 2^63 ns");
+    }
     const double intermittent = soft.intermittent_fraction;
     if (!(intermittent >= 0.0 && intermittent <= 1.0)) {
       return fail(ConfigErrorCode::invalid_soft_error,

@@ -21,6 +21,8 @@ std::vector<UpsetEvent> generate_upsets(const sram::SramConfig& config,
   std::vector<UpsetEvent> events;
   if (!spec.enabled) return events;
   ensure(spec.mean_upset_gap_ns > 0, "generate_upsets: mean gap must be > 0");
+  ensure(spec.mean_upset_gap_ns <= kMaxMeanUpsetGapNs,
+         "generate_upsets: mean gap must be <= 2^63 ns");
   const std::uint32_t columns =
       config.bits +
       (spec.ecc ? sram::EccCodec::check_bits_for(config.bits) : 0);
@@ -279,17 +281,22 @@ bool SoftErrorBehavior::read_row(sram::CellArray& cells, std::uint32_t row,
   return cache_all_drive_;
 }
 
-std::uint64_t SoftErrorBehavior::escaped_cells(sram::CellArray& cells,
-                                               std::uint64_t now_ns) {
-  commit_up_to(cells, now_ns);
-  std::vector<std::uint32_t> rows;
-  rows.reserve(outstanding_.size() + pins_.size());
+void SoftErrorBehavior::live_rows(std::uint64_t now_ns,
+                                  std::vector<std::uint32_t>& rows) const {
+  rows.clear();
   for (const auto& [row, errors] : outstanding_) rows.push_back(row);
   for (const ActivePin& pin : pins_) {
     if (pin.until_ns > now_ns) rows.push_back(pin.cell.row);
   }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+}
+
+std::uint64_t SoftErrorBehavior::escaped_cells(sram::CellArray& cells,
+                                               std::uint64_t now_ns) {
+  commit_up_to(cells, now_ns);
+  std::vector<std::uint32_t> rows;
+  live_rows(now_ns, rows);
   std::uint64_t escaped = 0;
   for (const std::uint32_t row : rows) {
     model_row(cells, row, now_ns, model_presented_, model_written_);

@@ -51,14 +51,19 @@ enum class ScrubPolicy : std::uint8_t {
 
 [[nodiscard]] const char* scrub_policy_name(ScrubPolicy policy);
 
+/// Largest mean upset gap: 2 * mean - 1, the top of the gap draw, must not
+/// wrap in 64 bits.
+inline constexpr std::uint64_t kMaxMeanUpsetGapNs = std::uint64_t{1} << 63;
+
 /// Knobs of one in-field soft-error run.  Disabled by default; enabling it
 /// requires an in-field scheme (see SchemeCapabilities::in_field).
 struct SoftErrorSpec {
   bool enabled = false;
 
-  /// Mean inter-arrival gap between upsets per memory, in simulated ns.
-  /// Gaps are drawn uniformly from [1, 2*mean-1] (integer, seeded) — same
-  /// mean as an exponential process without float-accumulation hazards.
+  /// Mean inter-arrival gap between upsets per memory, in simulated ns, in
+  /// [1, kMaxMeanUpsetGapNs].  Gaps are drawn uniformly from [1, 2*mean-1]
+  /// (integer, seeded) — same mean as an exponential process without
+  /// float-accumulation hazards.
   std::uint64_t mean_upset_gap_ns = 20'000;
 
   /// Length of the simulated in-field window.
@@ -156,6 +161,16 @@ class SoftErrorBehavior final : public sram::FaultBehavior {
   /// expired intermittents.  Reads/writes do this implicitly; the engine
   /// calls it once more at scoring time so post-final-sweep events land.
   void commit_up_to(sram::CellArray& cells, std::uint64_t now_ns);
+
+  /// Lists in @p rows, sorted and unique, every row a read at @p now_ns may
+  /// see other than as last written: one with transient or check-column
+  /// flips since its last write (even flips that cancelled out), or one
+  /// with an intermittent pin inside its hold window.  Every other row of a
+  /// memory without static defects reads back exactly what was last
+  /// written, so a scanning scheme needs to sense only these.  Call
+  /// commit_up_to(now_ns) first.
+  void live_rows(std::uint64_t now_ns,
+                 std::vector<std::uint32_t>& rows) const;
 
   /// Data cells whose value, as a consumer reading through the (optional)
   /// ECC path at @p now_ns would see it, still differs from the last value

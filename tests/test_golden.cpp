@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bisd/periodic_scan.h"
 #include "core/fastdiag.h"
 
 namespace fastdiag {
@@ -157,6 +158,53 @@ bisd::SocUnderTest sliced_idle_less_soc(std::uint64_t seed) {
   spec.cell_defect_rate = 0.02;
   spec.include_retention = true;
   return bisd::SocUnderTest::from_injection(configs, spec, seed);
+}
+
+/// periodic_scan over the mixed-depth golden SoC (the 12- and 16-word
+/// memories wrap the 24-word sweep) with ECC and 10 % intermittents, under
+/// every scrub policy: fault-free, and at 1 %, where each memory with a
+/// defect takes the full sweep.  Pinned beyond the log: the scrub count and
+/// every memory's clock, op counters, sense latch, ECC statistics and
+/// escaped cells.
+TEST(GoldenTrace, PeriodicScanScrubPoliciesSeed17) {
+  std::ostringstream out;
+  for (const double rate : {0.0, 0.01}) {
+    for (const auto policy :
+         {faults::ScrubPolicy::none, faults::ScrubPolicy::on_detect,
+          faults::ScrubPolicy::periodic}) {
+      faults::SoftErrorSpec soft;
+      soft.enabled = true;
+      soft.mean_upset_gap_ns = 4'000;
+      soft.duration_ns = 200'000;
+      soft.scan_period_ns = 10'000;
+      soft.intermittent_fraction = 0.1;
+      soft.ecc = true;
+      soft.scrub = policy;
+      faults::InjectionSpec injection;
+      injection.cell_defect_rate = rate;
+      auto soc = bisd::SocUnderTest::from_injection(golden_configs(),
+                                                    injection, 17, &soft);
+      bisd::PeriodicScanScheme scheme({.soft = soft});
+      const auto result = scheme.diagnose(soc);
+      out << "defect_rate=" << rate
+          << " scrub=" << faults::scrub_policy_name(policy)
+          << " scrub_writes=" << scheme.scan_info()->scrub_writes << "\n";
+      out << serialize(result) << serialize_memories(soc);
+      for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+        auto& memory = soc.memory(i);
+        auto* layer = soc.soft_behavior(i);
+        const auto& ecc = layer->ecc_stats();
+        out << "memory=" << i << " faults=" << soc.truth(i).size()
+            << " latch=" << memory.sense_latch().to_string()
+            << " ecc_corrected=" << ecc.corrected
+            << " ecc_miscorrected=" << ecc.miscorrected
+            << " ecc_uncorrectable=" << ecc.uncorrectable << " escaped="
+            << layer->escaped_cells(memory.cells_mut(), memory.now_ns())
+            << "\n";
+      }
+    }
+  }
+  check_golden("periodic_scan_seed17.log", out.str());
 }
 
 TEST(GoldenTrace, FastSchemeSlicedAndIdleLessSeed13) {

@@ -2,13 +2,15 @@
 // seeded upset-event generator, the SoftErrorBehavior layer (transient
 // flips, intermittent pins, ECC masking and miscorrection), the
 // periodic_scan scheme end to end through the engine (window resolution,
-// scrub policies, worker bit-identity; on a small SoC and at the 8-memory
-// in-field operating point), spec validation of the new knobs,
-// and the v2 serialization of the soft-error outcome.
+// scrub policies, worker bit-identity, event-driven sweeps against the
+// per_cell full-sweep reference; on a small SoC and at the 8-memory
+// in-field operating point, also at a 125 ns cadence), spec validation of
+// the new knobs, and the v2 serialization of the soft-error outcome.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -474,6 +476,146 @@ TEST_P(PeriodicScan, SerialAndEightWorkerRunsEncodeByteIdentical) {
   EXPECT_EQ(serial.folded, parallel.folded);
 }
 
+/// The in-field SoC @p spec describes.  With @p every_other_clean set, the
+/// odd memories drop their static faults (keeping their upsets), so
+/// event-driven and full-sweep memories share one sweep loop.
+bisd::SocUnderTest scan_soc(const core::SessionSpec& spec,
+                            bool every_other_clean) {
+  auto soc = bisd::SocUnderTest::from_injection(
+      spec.configs(), spec.injection(), spec.seed(), &spec.soft_error());
+  if (!every_other_clean) return soc;
+  bisd::SocUnderTest mixed;
+  for (std::size_t m = 0; m < soc.memory_count(); ++m) {
+    mixed.add_in_field_memory(
+        soc.config(m),
+        m % 2 == 0 ? soc.truth(m) : std::vector<faults::FaultInstance>{},
+        soc.upsets(m), spec.soft_error());
+  }
+  return mixed;
+}
+
+/// Everything a periodic_scan run leaves behind but rows_sensed: the log,
+/// the clock, the scan counts and every memory's op counters, clock, sense
+/// latch, ECC statistics and escaped cells.
+struct ScanRun {
+  std::string state;
+  bisd::ScanInfo info;
+};
+
+ScanRun run_scan(bisd::SocUnderTest soc, const core::SessionSpec& spec,
+                 sram::AccessKernel kernel) {
+  soc.set_access_kernel(kernel);
+  bisd::PeriodicScanScheme scheme(
+      {.clock = spec.clock(), .soft = spec.soft_error()});
+  const auto result = scheme.diagnose(soc);
+  ScanRun run{{}, *scheme.scan_info()};
+  std::ostringstream out;
+  out << "cycles=" << result.time.cycles
+      << " pause_ns=" << result.time.pause_ns
+      << " iterations=" << result.iterations
+      << " sweeps=" << run.info.sweep_count
+      << " scrub_writes=" << run.info.scrub_writes << "\n";
+  for (std::size_t m = 0; m < soc.memory_count(); ++m) {
+    auto& memory = soc.memory(m);
+    auto* layer = soc.soft_behavior(m);
+    const auto& ecc = layer->ecc_stats();
+    out << "memory=" << m << " reads=" << memory.counters().reads
+        << " writes=" << memory.counters().writes
+        << " nwrc_writes=" << memory.counters().nwrc_writes
+        << " now_ns=" << memory.now_ns()
+        << " latch=" << memory.sense_latch().to_string()
+        << " ecc=" << ecc.corrected << "/" << ecc.miscorrected << "/"
+        << ecc.uncorrectable << " escaped="
+        << layer->escaped_cells(memory.cells_mut(), memory.now_ns()) << "\n";
+  }
+  out << result.log.to_csv();
+  run.state = out.str();
+  return run;
+}
+
+/// The differential's own SoC: mixed depths (the smaller memories wrap the
+/// 48-word sweep), words of one to three 64-bit limbs and a memory without
+/// idle mode.
+std::vector<SramConfig> differential_memories() {
+  auto idle_less = geometry("idle_less", 32, 12);
+  idle_less.has_idle_mode = false;
+  return {geometry("wide", 20, 72), geometry("deep", 48, 16), idle_less,
+          geometry("tiny", 4, 8), geometry("widest", 6, 130)};
+}
+
+TEST_P(PeriodicScan, EventDrivenSweepsMatchTheFullSweepReference) {
+  // The workload sets the upset rate and the seed; this table sets the
+  // rest: no defects (every memory event-driven), 1 % (every memory has a
+  // static fault, so all sweep in full) and 1 % on every other memory,
+  // every scrub policy, ECC off and on, and the 125 ns and 10 us cadences.
+  const auto memories = differential_memories();
+  std::uint64_t total_words = 0;
+  for (const auto& config : memories) total_words += config.words;
+  struct Defects {
+    double rate;
+    bool every_other_clean;
+  };
+  struct Cadence {
+    std::uint64_t period_ns;
+    std::uint64_t duration_ns;
+  };
+  for (const Defects defects :
+       {Defects{0.0, false}, Defects{0.01, false}, Defects{0.01, true}}) {
+    for (const auto scrub :
+         {ScrubPolicy::none, ScrubPolicy::on_detect, ScrubPolicy::periodic}) {
+      for (const bool ecc : {false, true}) {
+        for (const Cadence cadence : {Cadence{125, 10'000},
+                                      Cadence{10'000, 60'000}}) {
+          auto knobs = soft();
+          knobs.scan_period_ns = cadence.period_ns;
+          knobs.duration_ns = cadence.duration_ns;
+          knobs.intermittent_fraction = 0.2;
+          knobs.intermittent_hold_ns = 2'500;
+          knobs.ecc = ecc;
+          knobs.scrub = scrub;
+          SCOPED_TRACE(::testing::Message()
+                       << "rate " << defects.rate << ", every other clean "
+                       << defects.every_other_clean << ", scrub "
+                       << faults::scrub_policy_name(scrub) << ", ecc " << ecc
+                       << ", period " << cadence.period_ns << " ns");
+          auto builder = core::SessionSpec::builder()
+                             .add_srams(memories)
+                             .defect_rate(defects.rate)
+                             .seed(GetParam().seed)
+                             .scheme("periodic_scan")
+                             .soft_error(knobs);
+          const auto spec = builder.build();
+          ASSERT_TRUE(spec.has_value()) << spec.error().to_string();
+
+          const auto fast =
+              run_scan(scan_soc(spec.value(), defects.every_other_clean),
+                       spec.value(), sram::AccessKernel::word_parallel);
+          const auto reference =
+              run_scan(scan_soc(spec.value(), defects.every_other_clean),
+                       spec.value(), sram::AccessKernel::per_cell);
+          EXPECT_EQ(fast.state, reference.state);
+          EXPECT_EQ(reference.info.rows_sensed,
+                    reference.info.sweep_count * total_words);
+          if (defects.rate > 0.0 && !defects.every_other_clean) {
+            EXPECT_EQ(fast.info.rows_sensed, reference.info.rows_sensed);
+          } else {
+            EXPECT_LT(fast.info.rows_sensed, reference.info.rows_sensed);
+          }
+          if (defects.every_other_clean) continue;  // no spec builds it
+
+          const auto per_cell =
+              builder.access_kernel(sram::AccessKernel::per_cell).build();
+          ASSERT_TRUE(per_cell.has_value());
+          EXPECT_EQ(service::encode_report(
+                        core::DiagnosisEngine::execute(spec.value())),
+                    service::encode_report(
+                        core::DiagnosisEngine::execute(per_cell.value())));
+        }
+      }
+    }
+  }
+}
+
 TEST_P(PeriodicScan, AggregateSurfacesSoftErrorStats) {
   std::vector<core::SessionSpec> specs = {spec(soft(), 1), spec(soft(), 2)};
   const auto batch = core::DiagnosisEngine({.workers = 2}).run_batch(specs);
@@ -488,6 +630,50 @@ INSTANTIATE_TEST_SUITE_P(Workloads, PeriodicScan,
                          [](const ::testing::TestParamInfo<ScanWorkload>& p) {
                            return p.param.name;
                          });
+
+TEST(PeriodicScanCadence, FieldSocAt125nsSensesOnlyLiveRows) {
+  // The 55-nm chip's 125 ns cadence on infield_scan's SoC: 8 x 256x32, an
+  // upset every 2 us per memory (10 % intermittent), on_detect scrubbing,
+  // 8000 sweeps over 1 ms.
+  std::vector<SramConfig> memories;
+  for (int m = 0; m < 8; ++m) {
+    memories.push_back(geometry("field" + std::to_string(m), 256, 32));
+  }
+  auto soft = enabled_spec();
+  soft.mean_upset_gap_ns = 2'000;
+  soft.duration_ns = 1'000'000;
+  soft.scan_period_ns = 125;
+  soft.intermittent_fraction = 0.1;
+  soft.scrub = ScrubPolicy::on_detect;
+  const auto spec = in_field_spec(memories, soft, 20260807);
+
+  auto soc = scan_soc(spec, /*every_other_clean=*/false);
+  bisd::PeriodicScanScheme scheme({.clock = spec.clock(), .soft = soft});
+  (void)scheme.diagnose(soc);
+  const auto info = *scheme.scan_info();
+  ASSERT_EQ(info.sweep_count, 8000u);
+
+  // Every slot of every sweep reads, sensed or credited.  A transient row
+  // is sensed once before on_detect scrubs it (twice allows for a flip
+  // masked by a pin); a pinned row at most once per tick of its hold.
+  std::uint64_t bound = 0;
+  for (std::size_t m = 0; m < soc.memory_count(); ++m) {
+    const auto& memory = soc.memory(m);
+    EXPECT_EQ(memory.counters().reads, info.sweep_count * memory.words());
+    for (const auto& event : soc.upsets(m)) {
+      bound += event.kind == UpsetKind::intermittent
+                   ? event.hold_ns / soft.scan_period_ns + 2
+                   : 2;
+    }
+  }
+  EXPECT_LE(info.rows_sensed, bound);
+
+  const auto report = core::DiagnosisEngine::execute(spec);
+  ASSERT_TRUE(report.soft_error.has_value());
+  EXPECT_EQ(report.soft_error->scan_sweeps, 8000u);
+  EXPECT_EQ(report.soft_error->scrub_writes, info.scrub_writes);
+  EXPECT_GE(report.soft_error->resolution_rate(), 0.95);
+}
 
 // ---- spec validation -------------------------------------------------------
 
@@ -538,6 +724,42 @@ TEST(SoftErrorSpecValidation, SweepCountMustFitTheRecordField) {
   soc.add_memory(geometry("v", 32, 8));
   EXPECT_THROW((void)scheme.diagnose(soc), std::invalid_argument);
   EXPECT_FALSE(scheme.scan_info().has_value());
+}
+
+TEST(SoftErrorSpecValidation, MeanUpsetGapMustKeepTheGapDrawInRange) {
+  // Gaps are drawn from [1, 2 * mean - 1].  Above 2^63 that bound wrapped
+  // to 1, and a 1 ms window drew an upset every nanosecond.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  const auto build = [](std::uint64_t mean) {
+    auto soft = enabled_spec();
+    soft.mean_upset_gap_ns = mean;
+    return core::SessionSpec::builder()
+        .add_sram(geometry("v", 32, 8))
+        .scheme("periodic_scan")
+        .soft_error(soft)
+        .build();
+  };
+  const auto over = build(kTop + 1);
+  ASSERT_FALSE(over.has_value());
+  EXPECT_EQ(over.error().code, core::ConfigErrorCode::invalid_soft_error);
+
+  const auto top = build(kTop);
+  ASSERT_TRUE(top.has_value()) << top.error().to_string();
+  const auto& config = top.value().configs().front();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    EXPECT_LE(
+        faults::generate_upsets(config, top.value().soft_error(), rng).size(),
+        1u)
+        << "seed " << seed;
+  }
+
+  // Direct callers bypass build(); the generator refuses the wrapped draw.
+  auto wrapped = top.value().soft_error();
+  wrapped.mean_upset_gap_ns = kTop + 1;
+  Rng rng(1);
+  EXPECT_THROW((void)faults::generate_upsets(config, wrapped, rng),
+               std::logic_error);
 }
 
 TEST(SoftErrorSpecValidation, RepairIsAManufacturingFlowPass) {
