@@ -5,6 +5,7 @@
 #include <compare>
 #include <condition_variable>
 #include <exception>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -31,7 +32,7 @@ std::size_t cached_hardware_concurrency() {
 }
 
 /// Chain of engines currently dispatching into the running call stack.
-/// Lets run_batch tell a *re-entrant* call — an observer or scheme
+/// Lets a batch or stream tell a *re-entrant* call — an observer or scheme
 /// re-entering an engine already dispatching above it, which must fall
 /// back to the calling thread — from a *concurrent* call from another
 /// thread, which blocks until the engine frees and then runs parallel.
@@ -116,10 +117,11 @@ class DiagnosisEngine::WorkerPool {
 
   [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
 
-  /// One batch dispatches at a time: a concurrent run_batch from another
-  /// thread blocks here until the pool frees, then runs parallel itself.
-  /// (Re-entrant calls never reach this — run_batch detects them through a
-  /// thread-local marker and falls back to the calling thread.)
+  /// One batch or stream dispatches at a time: a concurrent call from
+  /// another thread blocks here until the pool frees, then runs parallel
+  /// itself.  (Re-entrant calls never reach this — DispatchLease detects
+  /// them through the dispatch chain and falls back to the calling
+  /// thread.)
   void acquire() { dispatch_mutex_.lock(); }
   void release() { dispatch_mutex_.unlock(); }
 
@@ -193,6 +195,51 @@ class DiagnosisEngine::WorkerPool {
   std::size_t finished_ = 0;
   std::uint64_t generation_ = 0;
   bool stop_ = false;
+};
+
+/// Holds the engine for one batch or stream: one dispatches on an engine at
+/// a time.  A re-entrant call (an observer, sink or scheme re-entering the
+/// engine from inside a running dispatch, detected through the dispatch
+/// chain) holds nothing and runs on the calling thread; a concurrent call
+/// from another thread blocks until the engine frees, then dispatches
+/// normally.  Releases happen by RAII even when a run throws — a leaked
+/// busy engine would silently demote every later call to serial.
+class DiagnosisEngine::DispatchLease {
+ public:
+  explicit DispatchLease(const DiagnosisEngine& engine) {
+    if (TlsDispatchGuard::dispatching(&engine)) {
+      return;
+    }
+    if (engine.pool_ != nullptr) {
+      engine.pool_->acquire();
+      pool_ = engine.pool_.get();
+    } else if (!engine.serial_busy_.exchange(true)) {
+      flag_ = &engine.serial_busy_;
+    }
+  }
+  ~DispatchLease() {
+    if (pool_ != nullptr) {
+      pool_->release();
+    }
+    if (flag_ != nullptr) {
+      flag_->store(false);
+    }
+  }
+  DispatchLease(const DispatchLease&) = delete;
+  DispatchLease& operator=(const DispatchLease&) = delete;
+
+  /// The held pool; nullptr means the call runs on the calling thread.
+  [[nodiscard]] WorkerPool* pool() const { return pool_; }
+
+  /// True while the call holds the engine exclusively, which is what makes
+  /// the persistent per-slot scratch safe to use.
+  [[nodiscard]] bool exclusive() const {
+    return pool_ != nullptr || flag_ != nullptr;
+  }
+
+ private:
+  WorkerPool* pool_ = nullptr;
+  std::atomic<bool>* flag_ = nullptr;
 };
 
 std::size_t SweepSpec::cardinality() const {
@@ -527,45 +574,15 @@ AggregateReport DiagnosisEngine::run_batch_impl(
     return aggregate;
   }
 
-  // One batch dispatches on this engine at a time.  A re-entrant call (an
-  // observer or scheme re-entering run_batch from inside a running batch,
-  // detected through the thread-local marker) skips acquisition and runs
-  // on the calling thread; a concurrent call from another thread blocks
-  // until the engine frees, then dispatches normally.  Releases happen by
-  // RAII even when a run throws — a leaked busy engine would silently
-  // demote every later batch to serial.
-  const bool reentrant = TlsDispatchGuard::dispatching(this);
-  struct DispatchLease {
-    WorkerPool* pool = nullptr;          ///< held pool, if any
-    std::atomic<bool>* flag = nullptr;   ///< held pool-less busy flag, if any
-    ~DispatchLease() {
-      if (pool != nullptr) {
-        pool->release();
-      }
-      if (flag != nullptr) {
-        flag->store(false);
-      }
-    }
-  } lease;
-  if (!reentrant) {
-    if (pool_ != nullptr) {
-      pool_->acquire();
-      lease.pool = pool_.get();
-    } else if (!serial_busy_.exchange(true)) {
-      lease.flag = &serial_busy_;
-    }
-  }
-
+  const DispatchLease lease(*this);
   const std::size_t workers = worker_count(specs.size());
-  if (workers <= 1 || lease.pool == nullptr) {
+  if (workers <= 1 || lease.pool() == nullptr) {
     // Small batch, single-worker engine, or a re-entrant call: run on the
-    // calling thread.  The persistent slot-0 scratch is only safe while
-    // this call holds the engine exclusively.
+    // calling thread.
     ExecutionScratch local;
-    const bool slot0_safe = lease.pool != nullptr || lease.flag != nullptr;
     const TlsDispatchGuard tls(this);
     run_serial(specs, observer, aggregate, classifier_cache,
-               slot0_safe ? scratch_[0] : local);
+               lease.exclusive() ? scratch_[0] : local);
     return aggregate;
   }
 
@@ -595,7 +612,7 @@ AggregateReport DiagnosisEngine::run_batch_impl(
       }
     }
   };
-  pool_->run(specs.size(), job);
+  lease.pool()->run(specs.size(), job);
   if (first_error) {
     std::rethrow_exception(first_error);
   }
@@ -638,56 +655,113 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
   // Streaming aggregates are folded-only: retained runs from a resume seed
   // would desynchronize run_count() from folded.count.
   result.aggregate.runs.clear();
+  // Absolute stream index of the first pulled spec: resumes continue the
+  // sink's numbering after the checkpointed prefix.
+  const std::uint64_t first_index = result.aggregate.folded.count;
 
   const std::size_t window =
       options.window != 0 ? options.window
                           : std::max<std::size_t>(resolved_workers_ * 4, 16);
+  const bool reports_progress =
+      options.progress && options.progress_interval != 0;
 
   // One cache for the whole stream: a resident sweep keeps every signature
-  // dictionary it has ever built warm across chunks.
+  // dictionary it has ever built warm.
   diagnosis::ClassifierCache classifier_cache;
+  const SchemeRegistry& schemes = registry();
 
-  const auto fire_progress = [&](std::uint64_t completed) {
-    if (options.progress && options.progress_interval != 0 &&
-        completed % options.progress_interval == 0 && completed != 0) {
-      options.progress(completed, result.aggregate);
+  // Pipeline state, all guarded by `mutex`.  Every callback runs under it,
+  // which is what serializes the source, the fold, the sink and progress.
+  std::mutex mutex;
+  std::condition_variable delivered_cv;  ///< delivered advanced or stopped
+  std::uint64_t pulled = 0;
+  std::uint64_t delivered = 0;
+  std::map<std::uint64_t, Report> ready;  ///< executed, keyed by pull index
+  bool stopped = false;  ///< no more pulls: the source ended or a step threw
+  std::exception_ptr first_error;
+
+  // The lease spans the stream.  Without the pool (one worker, a
+  // re-entrant call) or with a window of one, the same loop runs on the
+  // calling thread alone.
+  const DispatchLease lease(*this);
+  const std::size_t workers =
+      lease.pool() != nullptr ? worker_count(window) : 1;
+  ExecutionScratch local;
+  const TlsDispatchGuard* parent_chain = TlsDispatchGuard::current_chain();
+  const WorkerPool::Job job = [&, parent_chain](std::size_t slot,
+                                                std::size_t) {
+    const TlsDispatchGuard tls(this, parent_chain);
+    ExecutionScratch& scratch = lease.exclusive() ? scratch_[slot] : local;
+    try {
+      for (;;) {
+        std::optional<SessionSpec> spec;
+        std::uint64_t index = 0;
+        {
+          std::unique_lock<std::mutex> lock(mutex);
+          delivered_cv.wait(
+              lock, [&] { return stopped || pulled - delivered < window; });
+          if (stopped) {
+            return;
+          }
+          spec = source();
+          if (!spec) {
+            stopped = true;
+            delivered_cv.notify_all();
+            return;
+          }
+          index = pulled++;
+        }
+        Report report = execute(*spec, schemes, &classifier_cache, &scratch);
+        std::vector<std::map<std::uint64_t, Report>::node_type> retired;
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (first_error) {
+            return;
+          }
+          ready.emplace(index, std::move(report));
+          // Whoever completes the head delivers every consecutive ready
+          // Report, strictly in submission order, so each prefix aggregate
+          // (and thus every checkpoint) depends only on the prefix.
+          while (!ready.empty() && ready.begin()->first == delivered) {
+            retired.push_back(ready.extract(ready.begin()));
+            const Report& head = retired.back().mapped();
+            result.aggregate.folded.fold(head);
+            if (options.sink) {
+              options.sink(static_cast<std::size_t>(first_index + delivered),
+                           head);
+            }
+            ++delivered;
+            const std::uint64_t completed = result.aggregate.folded.count;
+            if (reports_progress &&
+                completed % options.progress_interval == 0) {
+              options.progress(completed, result.aggregate);
+            }
+          }
+          if (!retired.empty()) {
+            delivered_cv.notify_all();
+          }
+        }
+        // The retired Reports and the spec are freed here, off the lock.
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (!first_error) {
+        first_error = std::current_exception();
+      }
+      stopped = true;
+      delivered_cv.notify_all();
     }
   };
-
-  // Absolute stream index the sink sees: resumes continue numbering after
-  // the checkpointed prefix.
-  std::uint64_t stream_index = result.aggregate.folded.count;
-  std::vector<SessionSpec> chunk;
-  chunk.reserve(window);
-  bool exhausted = false;
-  while (!exhausted) {
-    chunk.clear();
-    while (chunk.size() < window) {
-      auto spec = source();
-      if (!spec) {
-        exhausted = true;
-        break;
-      }
-      chunk.push_back(std::move(*spec));
-    }
-    if (chunk.empty()) {
-      break;
-    }
-    AggregateReport batch = run_batch_impl(chunk, {}, classifier_cache);
-    // Fold strictly in submission order — the window reorders execution,
-    // never results — so every prefix aggregate (and thus every
-    // checkpoint) depends only on the stream prefix it covers.
-    for (const Report& report : batch.runs) {
-      result.aggregate.folded.fold(report);
-      if (options.sink) {
-        options.sink(static_cast<std::size_t>(stream_index), report);
-      }
-      ++stream_index;
-      fire_progress(result.aggregate.folded.count);
-    }
+  if (workers > 1) {
+    lease.pool()->run(workers, job);
+  } else {
+    job(0, 0);
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
   }
   // Final progress call at stream end, unless the count already fired it.
-  if (options.progress && options.progress_interval != 0 &&
+  if (reports_progress &&
       result.aggregate.folded.count % options.progress_interval != 0) {
     options.progress(result.aggregate.folded.count, result.aggregate);
   }

@@ -6,8 +6,8 @@
 // execution — a Report depends only on its spec, never on scheduling.
 //
 // The pool is created once at engine construction and fed through a work
-// queue; run_batch()/run_sweep() never spawn or join threads, so
-// steady-state batch traffic does zero thread churn.  Each worker slot
+// queue; run_batch()/run_sweep()/run_stream() never spawn or join threads,
+// so steady-state batch traffic does zero thread churn.  Each worker slot
 // keeps an ExecutionScratch persisted across batches (DiagnosisLog
 // capacity feedback), trimming per-run allocation without ever touching
 // results — scratch only pre-sizes buffers.
@@ -172,26 +172,33 @@ class DiagnosisEngine {
   [[nodiscard]] Expected<AggregateReport, ConfigError> run_sweep(
       const SweepSpec& sweep, const RunObserver& observer = {}) const;
 
-  /// Pull-source of specs for run_stream(); nullopt ends the stream.
-  /// Called only on the submitting thread, in submission order.
+  /// Pull-source of specs for run_stream(); nullopt ends the stream, and
+  /// the source is not called again after it.  Calls are serialized (never
+  /// concurrent with each other, the sink or progress), in submission
+  /// order, on any engine thread: the submitting thread or a pool thread.
   using SpecSource = std::function<std::optional<SessionSpec>()>;
 
   struct StreamOptions {
-    /// Specs in flight at once (the reorder window): bounds the streaming
-    /// sweep's memory at O(window) Reports regardless of stream length.
-    /// 0 picks 4x the engine's workers (at least 16).
+    /// Hard cap on specs pulled from the source but not yet delivered to
+    /// the sink: a worker pulls only while fewer than this many are
+    /// outstanding, so the stream holds at most window specs and Reports
+    /// whatever its length.  Any value is accepted (nothing is sized by
+    /// it); 0 picks 4x the engine's workers (at least 16).
     std::size_t window = 0;
 
     /// Per-run result sink, called in submission-index order (unlike the
     /// batch observer, which fires in completion order) with the absolute
     /// stream index; the Report is dropped right after, never retained.
+    /// Serialized with the source and progress, on any engine thread.
+    /// Delivery holds the stream's lock, so a slow sink stalls pulls.
     RunObserver sink;
 
     /// When non-zero, progress() fires exactly at every multiple of this
     /// many completed runs (and once more at stream end) with the folded
     /// prefix aggregate — the checkpointing hook.  The partial aggregate a
     /// given completed count sees depends only on that prefix, never on
-    /// window size or scheduling.
+    /// window size or scheduling.  Like the sink, it is serialized with
+    /// the other callbacks and may run on any engine thread.
     std::size_t progress_interval = 0;
     std::function<void(std::uint64_t completed, const AggregateReport&)>
         progress;
@@ -206,11 +213,24 @@ class DiagnosisEngine {
     std::uint64_t completed = 0;
   };
 
-  /// Streams specs from @p source through the worker pool with a bounded
-  /// in-flight window, folding each Report into the aggregate in
-  /// submission order and then dropping it — memory stays O(workers +
-  /// window), independent of stream length.  One ClassifierCache spans the
-  /// whole stream, so a resident sweep keeps its dictionaries warm.
+  /// Streams specs from @p source through the worker pool as a pipeline:
+  /// each worker pulls its next spec only when it is free and executes it,
+  /// and finished Reports wait in a reorder buffer until every earlier
+  /// one is in.  The worker that completes the head delivers every
+  /// consecutive ready Report (fold, sink, progress, in submission order)
+  /// and then drops it — memory stays O(window), independent of stream
+  /// length, and no worker waits for a window of runs to finish.  One
+  /// ClassifierCache spans the whole stream, so a resident sweep keeps its
+  /// dictionaries warm.
+  ///
+  /// The engine is held for the whole stream: a concurrent run_batch or
+  /// run_stream from another thread blocks until it ends.  A re-entrant
+  /// stream (a callback or scheme re-entering this engine), a one-worker
+  /// engine and a window of 1 run pull -> execute -> deliver per spec on
+  /// the calling thread.  The first exception from the source, a run or a
+  /// callback stops further pulls, and run_stream rethrows it on the
+  /// calling thread once every worker has stopped; Reports not yet
+  /// delivered are dropped.
   ///
   /// @p resume seeds the fold: pass a checkpointed folded aggregate (and a
   /// source seeked past its completed prefix) and the final aggregate is
@@ -234,6 +254,7 @@ class DiagnosisEngine {
 
  private:
   class WorkerPool;
+  class DispatchLease;
 
   [[nodiscard]] const SchemeRegistry& registry() const;
   void run_serial(const std::vector<SessionSpec>& specs,
@@ -241,9 +262,9 @@ class DiagnosisEngine {
                   diagnosis::ClassifierCache& classifier_cache,
                   ExecutionScratch& scratch) const;
 
-  /// The dispatch core of run_batch()/run_stream(): fills the aggregate's
-  /// runs (at submission indices) without folding, sharing
-  /// @p classifier_cache across the batch's workers.
+  /// The dispatch core of run_batch(): fills the aggregate's runs (at
+  /// submission indices) without folding, sharing @p classifier_cache
+  /// across the batch's workers.
   [[nodiscard]] AggregateReport run_batch_impl(
       const std::vector<SessionSpec>& specs, const RunObserver& observer,
       diagnosis::ClassifierCache& classifier_cache) const;
@@ -253,13 +274,13 @@ class DiagnosisEngine {
   std::unique_ptr<WorkerPool> pool_;  ///< nullptr when resolved_workers_ == 1
 
   /// Slot w belongs to worker w (slot 0 = the calling thread); a slot is
-  /// only ever touched by its worker while a batch runs.
+  /// only ever touched by its worker while a batch or stream runs.
   mutable std::vector<ExecutionScratch> scratch_;
 
   /// Pool-less engines gate their slot-0 scratch here so concurrent
-  /// run_batch calls from different threads stay race-free (a loser just
-  /// runs with throwaway local scratch; pooled engines serialize on the
-  /// pool's dispatch mutex instead).
+  /// run_batch / run_stream calls from different threads stay race-free
+  /// (a loser just runs with throwaway local scratch; pooled engines
+  /// serialize on the pool's dispatch mutex instead).
   mutable std::atomic<bool> serial_busy_{false};
 };
 

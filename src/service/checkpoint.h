@@ -12,6 +12,11 @@
 // bit-identical to an uninterrupted run — encode_checkpoint() of both
 // yields the same bytes.  Checkpoint writes are atomic (temp file +
 // rename), so a kill mid-write leaves the previous checkpoint intact.
+//
+// The writes ride run_stream's progress callback, so like the sink they
+// may run on an engine pool thread rather than the caller's; they are
+// still serialized and in order, and each one stalls the stream's pulls
+// while it runs.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +75,8 @@ struct CheckpointedSweepOptions {
   /// then covers the folded prefix, ready for a later resume.
   std::size_t stop_after = 0;
 
-  /// Forwarded to DiagnosisEngine::StreamOptions.
+  /// Forwarded to DiagnosisEngine::StreamOptions: the sink, like the
+  /// checkpoint writes, may run on a pool thread (serialized, in order).
   std::size_t window = 0;
   core::DiagnosisEngine::RunObserver sink;
 };

@@ -4,8 +4,14 @@
 // bit-identity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <limits>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/fastdiag.h"
@@ -541,18 +547,46 @@ TEST(SweepCursor, SeekRepositionsAndValidationFailsAtCreate) {
             ConfigErrorCode::unknown_scheme);
 }
 
+/// Hands out @p specs in order, then ends the stream.
+DiagnosisEngine::SpecSource source_over(const std::vector<SessionSpec>& specs) {
+  auto cursor = std::make_shared<std::size_t>(0);
+  return [&specs, cursor]() -> std::optional<SessionSpec> {
+    if (*cursor >= specs.size()) {
+      return std::nullopt;
+    }
+    return specs[(*cursor)++];
+  };
+}
+
+/// The window run_stream resolves StreamOptions::window to.
+std::size_t effective_window(std::size_t window, std::size_t workers) {
+  return window != 0 ? window : std::max<std::size_t>(workers * 4, 16);
+}
+
+/// True when @p run is the run @p expected reports: a fold cannot tell
+/// runs apart, so in-order delivery is checked run by run.
+bool same_run(const Report& run, const Report& expected) {
+  return run.scheme_name == expected.scheme_name &&
+         run.seed == expected.seed &&
+         run.defect_rate == expected.defect_rate &&
+         run.total_ns == expected.total_ns &&
+         run.result.log.to_csv() == expected.result.log.to_csv();
+}
+
+std::vector<std::size_t> iota_indices(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> indices;
+  for (std::size_t i = from; i < to; ++i) {
+    indices.push_back(i);
+  }
+  return indices;
+}
+
 TEST(Stream, FoldedAggregateIsBitIdenticalToBatch) {
   const auto specs = spec_batch();
   DiagnosisEngine engine({.workers = 4});
   const auto batch = engine.run_batch(specs);
 
-  std::size_t cursor = 0;
-  const auto streamed = engine.run_stream([&]() -> std::optional<SessionSpec> {
-    if (cursor >= specs.size()) {
-      return std::nullopt;
-    }
-    return specs[cursor++];
-  });
+  const auto streamed = engine.run_stream(source_over(specs));
   EXPECT_EQ(streamed.completed, specs.size());
   EXPECT_EQ(streamed.aggregate.folded, batch.folded);
   // The streaming path retains nothing.
@@ -563,7 +597,6 @@ TEST(Stream, SinkSeesAbsoluteIndicesAndProgressFiresOnInterval) {
   const auto specs = spec_batch();
   DiagnosisEngine engine({.workers = 2});
 
-  std::size_t cursor = 0;
   std::set<std::size_t> seen;
   std::vector<std::uint64_t> progress_marks;
   DiagnosisEngine::StreamOptions options;
@@ -576,14 +609,7 @@ TEST(Stream, SinkSeesAbsoluteIndicesAndProgressFiresOnInterval) {
   options.progress = [&](std::uint64_t completed, const AggregateReport&) {
     progress_marks.push_back(completed);
   };
-  const auto result = engine.run_stream(
-      [&]() -> std::optional<SessionSpec> {
-        if (cursor >= specs.size()) {
-          return std::nullopt;
-        }
-        return specs[cursor++];
-      },
-      options);
+  const auto result = engine.run_stream(source_over(specs), options);
 
   EXPECT_EQ(result.completed, specs.size());
   EXPECT_EQ(seen.size(), specs.size());
@@ -596,35 +622,313 @@ TEST(Stream, SinkSeesAbsoluteIndicesAndProgressFiresOnInterval) {
 
 TEST(Stream, ResumeFoldsOnTopOfTheSeedAggregate) {
   const auto specs = spec_batch();
-  DiagnosisEngine engine({.workers = 1});
-  const auto whole = engine.run_batch(specs);
+  const auto whole = DiagnosisEngine({.workers = 1}).run_batch(specs);
 
   // Fold the first half, hand it to run_stream as the resume seed, and
   // stream only the second half: the result must equal the whole run.
-  AggregateReport prefix;
-  for (std::size_t i = 0; i < specs.size() / 2; ++i) {
-    prefix.fold(DiagnosisEngine::execute(specs[i]));
+  const std::size_t half = specs.size() / 2;
+  const std::vector<SessionSpec> rest(specs.begin() + half, specs.end());
+  for (const std::size_t workers : {1, 4}) {
+    AggregateReport prefix;
+    for (std::size_t i = 0; i < half; ++i) {
+      prefix.fold(DiagnosisEngine::execute(specs[i]));
+    }
+    std::vector<std::size_t> sink_indices;
+    DiagnosisEngine::StreamOptions options;
+    options.sink = [&](std::size_t index, const Report& run) {
+      sink_indices.push_back(index);
+      EXPECT_TRUE(index < specs.size() && same_run(run, whole.runs[index]))
+          << workers << " workers, run " << index;
+    };
+    const auto resumed = DiagnosisEngine({.workers = workers})
+                             .run_stream(source_over(rest), options,
+                                         std::move(prefix));
+
+    EXPECT_EQ(resumed.completed, specs.size());  // prefix included
+    EXPECT_EQ(resumed.aggregate.folded, whole.folded);
+    // Sink indices continue from the resumed prefix, not from zero.
+    EXPECT_EQ(sink_indices, iota_indices(half, specs.size()))
+        << workers << " workers";
   }
-  std::size_t cursor = specs.size() / 2;
-  std::vector<std::size_t> sink_indices;
-  DiagnosisEngine::StreamOptions options;
-  options.sink = [&](std::size_t index, const Report&) {
-    sink_indices.push_back(index);
+}
+
+TEST(Stream, HugeWindowStreamsWithoutPreallocating) {
+  // The window is a cap on specs in flight, not a size to allocate: any
+  // size_t is accepted, however far it exceeds the stream.
+  const auto all = spec_batch();
+  const std::vector<SessionSpec> specs(all.begin(), all.begin() + 3);
+  DiagnosisEngine engine({.workers = 2});
+  const auto batch = engine.run_batch(specs);
+  for (const std::size_t window :
+       {std::size_t{1} << 40, std::numeric_limits<std::size_t>::max()}) {
+    DiagnosisEngine::StreamOptions options;
+    options.window = window;
+    const auto streamed = engine.run_stream(source_over(specs), options);
+    EXPECT_EQ(streamed.completed, 3u) << "window " << window;
+    EXPECT_EQ(streamed.aggregate.folded, batch.folded) << "window " << window;
+  }
+}
+
+TEST(Stream, EveryWorkerCountAndWindowFoldsLikeRunBatch) {
+  const auto specs = spec_batch();
+  const auto batch = DiagnosisEngine({.workers = 1}).run_batch(specs);
+  for (const std::size_t workers : {1, 2, 4, 8}) {
+    DiagnosisEngine engine({.workers = workers});
+    for (const std::size_t window : {0, 1, 3, 16}) {
+      std::vector<std::size_t> indices;
+      DiagnosisEngine::StreamOptions options;
+      options.window = window;
+      options.sink = [&](std::size_t index, const Report& run) {
+        indices.push_back(index);
+        EXPECT_TRUE(index < specs.size() && same_run(run, batch.runs[index]))
+            << workers << " workers, window " << window << ", run " << index;
+      };
+      const auto streamed = engine.run_stream(source_over(specs), options);
+      EXPECT_EQ(streamed.completed, specs.size())
+          << workers << " workers, window " << window;
+      EXPECT_EQ(streamed.aggregate.folded, batch.folded)
+          << workers << " workers, window " << window;
+      EXPECT_EQ(indices, iota_indices(0, specs.size()))
+          << workers << " workers, window " << window;
+    }
+  }
+}
+
+TEST(Stream, CallbacksNeverOverlapAndPullsStayUnderTheWindow) {
+  // Source, sink and progress share one guard: each callback checks that
+  // no other is running, and lingers a little so an overlap would show.
+  const auto specs = spec_batch();
+  std::atomic<int> active{0};
+  const auto enter = [&] {
+    EXPECT_EQ(active.fetch_add(1), 0) << "two callbacks overlapped";
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   };
-  const auto resumed = engine.run_stream(
+  const auto leave = [&] { active.fetch_sub(1); };
+  for (const std::size_t workers : {2, 4, 8}) {
+    DiagnosisEngine engine({.workers = workers});
+    for (const std::size_t window : {0, 1, 3}) {
+      const std::size_t cap = effective_window(window, workers);
+      std::size_t cursor = 0;
+      std::uint64_t delivered = 0;
+      std::uint64_t progress_calls = 0;
+      DiagnosisEngine::StreamOptions options;
+      options.window = window;
+      options.sink = [&](std::size_t, const Report&) {
+        enter();
+        ++delivered;
+        leave();
+      };
+      options.progress_interval = 1;
+      options.progress = [&](std::uint64_t, const AggregateReport&) {
+        enter();
+        ++progress_calls;
+        leave();
+      };
+      const auto streamed = engine.run_stream(
+          [&]() -> std::optional<SessionSpec> {
+            enter();
+            EXPECT_LT(cursor - delivered, cap)
+                << workers << " workers, window " << window;
+            std::optional<SessionSpec> spec;
+            if (cursor < specs.size()) {
+              spec = specs[cursor++];
+            }
+            leave();
+            return spec;
+          },
+          options);
+      EXPECT_EQ(streamed.completed, specs.size());
+      EXPECT_EQ(delivered, specs.size());
+      EXPECT_EQ(progress_calls, specs.size());
+    }
+  }
+}
+
+TEST(Stream, SlowHeadSpecKeepsTheWindowCapAndDeliversInOrder) {
+  // A fleet-sized SoC heads a run of tiny ones: the workers that finish
+  // the tiny specs must not pull past the window while the head runs, and
+  // nothing may reach the sink ahead of it.
+  auto fleet = SessionSpec::builder();
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {256, 18}, {128, 40}, {192, 24}, {224, 72}};
+  int n = 0;
+  for (const auto& [words, bits] : shapes) {
+    for (int k = 0; k < 16; ++k) {
+      fleet.add_sram(small("fleet" + std::to_string(n++), words, bits, 2));
+    }
+  }
+  std::vector<SessionSpec> specs;
+  // Fault-free keeps the head cheap under sanitizers; with 64 memories it
+  // still runs orders of magnitude longer than all the tiny specs.
+  specs.push_back(fleet.defect_rate(0.0).seed(5).build().value());
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    specs.push_back(SessionSpec::builder()
+                        .add_sram(small("tiny", 8, 4, 2))
+                        .defect_rate(0.05)
+                        .seed(seed)
+                        .build()
+                        .value());
+  }
+  const auto batch = DiagnosisEngine({.workers = 1}).run_batch(specs);
+
+  constexpr std::size_t kWindow = 4;
+  DiagnosisEngine engine({.workers = 4});
+  std::size_t cursor = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t most_outstanding = 0;
+  std::vector<std::size_t> indices;
+  DiagnosisEngine::StreamOptions options;
+  options.window = kWindow;
+  options.sink = [&](std::size_t index, const Report& run) {
+    indices.push_back(index);
+    EXPECT_TRUE(index < specs.size() && same_run(run, batch.runs[index]))
+        << "run " << index;
+    ++delivered;
+  };
+  const auto streamed = engine.run_stream(
       [&]() -> std::optional<SessionSpec> {
         if (cursor >= specs.size()) {
           return std::nullopt;
         }
+        most_outstanding =
+            std::max<std::uint64_t>(most_outstanding, cursor + 1 - delivered);
         return specs[cursor++];
       },
-      options, std::move(prefix));
+      options);
+  EXPECT_LE(most_outstanding, kWindow);
+  EXPECT_EQ(indices, iota_indices(0, specs.size()));
+  EXPECT_EQ(streamed.aggregate.folded, batch.folded);
+}
 
-  EXPECT_EQ(resumed.completed, specs.size());  // prefix included
-  EXPECT_EQ(resumed.aggregate.folded, whole.folded);
-  // Sink indices continue from the resumed prefix, not from zero.
-  ASSERT_FALSE(sink_indices.empty());
-  EXPECT_EQ(sink_indices.front(), specs.size() / 2);
+/// A registered scheme whose diagnose always throws.
+class ThrowingScheme final : public bisd::DiagnosisScheme {
+ public:
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+  bisd::DiagnosisResult diagnose(bisd::SocUnderTest&) override {
+    throw std::runtime_error("diagnose failed");
+  }
+};
+
+/// What run_stream threw, or "" when it returned.
+std::string stream_error(const DiagnosisEngine& engine,
+                         const DiagnosisEngine::SpecSource& source,
+                         const DiagnosisEngine::StreamOptions& options = {}) {
+  try {
+    (void)engine.run_stream(source, options);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Stream, FailuresPropagateWithoutDeadlock) {
+  // The first exception stops the pulls and surfaces on the calling
+  // thread once the workers drain; the engine stays usable afterwards.
+  SchemeRegistry registry;
+  registry.register_scheme("fast", {.covers_drf = true},
+                           [](const SchemeContext& context) {
+                             bisd::FastSchemeOptions scheme;
+                             scheme.clock = context.clock;
+                             return std::make_unique<bisd::FastScheme>(scheme);
+                           });
+  registry.register_scheme("throwing", {}, [](const SchemeContext&) {
+    return std::make_unique<ThrowingScheme>();
+  });
+  std::vector<SessionSpec> specs;
+  std::vector<SessionSpec> with_throwing_run;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto builder = SessionSpec::builder()
+                       .add_sram(small("a", 32, 8))
+                       .defect_rate(0.02)
+                       .seed(seed);
+    specs.push_back(builder.scheme("fast").build(registry).value());
+    with_throwing_run.push_back(
+        builder.scheme(seed == 4 ? "throwing" : "fast")
+            .build(registry)
+            .value());
+  }
+
+  for (const std::size_t workers : {1, 4}) {
+    DiagnosisEngine engine({.workers = workers, .registry = &registry});
+    std::size_t cursor = 0;
+    const auto throwing_source = [&]() -> std::optional<SessionSpec> {
+      if (cursor == 5) {
+        throw std::runtime_error("source failed");
+      }
+      return specs[cursor++];
+    };
+    DiagnosisEngine::StreamOptions small_window;
+    small_window.window = 3;
+    EXPECT_EQ(stream_error(engine, throwing_source, small_window),
+              "source failed");
+    EXPECT_EQ(cursor, 5u) << "the source was called after it threw";
+
+    DiagnosisEngine::StreamOptions throwing_sink;
+    throwing_sink.sink = [](std::size_t index, const Report&) {
+      if (index == 3) {
+        throw std::runtime_error("sink failed");
+      }
+    };
+    EXPECT_EQ(stream_error(engine, source_over(specs), throwing_sink),
+              "sink failed");
+    EXPECT_EQ(stream_error(engine, source_over(with_throwing_run)),
+              "diagnose failed");
+
+    // The lease was released: a later stream runs normally.
+    const auto after = engine.run_stream(source_over(specs));
+    EXPECT_EQ(after.completed, specs.size()) << workers << " workers";
+  }
+}
+
+TEST(Stream, ReentrantSinkRunsThroughTheSerialFallback) {
+  const auto specs = spec_batch();
+  const std::vector<SessionSpec> nested(specs.begin(), specs.begin() + 3);
+  DiagnosisEngine engine({.workers = 4});
+  const auto nested_expected = engine.run_batch(nested);
+  const auto outer_expected = engine.run_batch(specs);
+
+  bool streamed_inside = false;
+  bool batched_inside = false;
+  DiagnosisEngine::StreamOptions options;
+  options.sink = [&](std::size_t index, const Report&) {
+    if (index != 1) {
+      return;
+    }
+    const auto inner_stream = engine.run_stream(source_over(nested));
+    EXPECT_EQ(inner_stream.aggregate.folded, nested_expected.folded);
+    const auto inner_batch = engine.run_batch(nested);
+    EXPECT_EQ(inner_batch.folded, nested_expected.folded);
+    streamed_inside = inner_stream.completed == nested.size();
+    batched_inside = inner_batch.run_count() == nested.size();
+  };
+  const auto outer = engine.run_stream(source_over(specs), options);
+  EXPECT_TRUE(streamed_inside);
+  EXPECT_TRUE(batched_inside);
+  EXPECT_EQ(outer.aggregate.folded, outer_expected.folded);
+}
+
+TEST(Stream, RunBatchFromAnotherThreadWaitsForTheStream) {
+  // The stream holds the engine from its first pull to its last delivery;
+  // a run_batch started from another thread meanwhile waits, then runs
+  // parallel with the right result.
+  const auto specs = spec_batch();
+  DiagnosisEngine engine({.workers = 3});
+  const auto expected = DiagnosisEngine({.workers = 1}).run_batch(specs);
+
+  AggregateReport from_thread;
+  std::jthread competitor;  // joins on every path, a throw included
+  DiagnosisEngine::StreamOptions options;
+  options.sink = [&](std::size_t index, const Report&) {
+    if (index == 0) {
+      competitor =
+          std::jthread([&] { from_thread = engine.run_batch(specs); });
+    }
+  };
+  const auto streamed = engine.run_stream(source_over(specs), options);
+  competitor.join();
+  EXPECT_EQ(streamed.aggregate.folded, expected.folded);
+  EXPECT_EQ(from_thread.run_count(), specs.size());
+  EXPECT_EQ(from_thread.folded, expected.folded);
 }
 
 TEST(Stream, RequiresACallableSource) {
