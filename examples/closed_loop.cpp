@@ -3,11 +3,11 @@
 //   $ closed_loop [--memories 6] [--rate 0.01] [--seed 42] [--spares 8]
 //
 // Builds a heterogeneous SoC, injects the paper's manufacturing model, and
-// runs diagnosis::ResolutionFlow over it: the fast scheme collects the
-// diagnosis log in one March run, the syndrome classifier turns it into
-// fault-kind verdicts (scored against the injected ground truth), the
-// must-repair allocator maps faulty rows onto the backup memories, and a
-// retest counts residual escapes.
+// executes one spec with classification and repair on: the fast scheme
+// collects the diagnosis log in one March run, the syndrome classifier
+// turns it into fault-kind verdicts (scored against the injected ground
+// truth), the must-repair allocator maps faulty rows onto the backup
+// memories, and a retest checks that the SoC diagnoses clean.
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -45,19 +45,30 @@ int main(int argc, char** argv) {
       config.spare_rows = static_cast<std::uint32_t>(spares);
       configs.push_back(config);
     }
-    faults::InjectionSpec injection;
-    injection.cell_defect_rate = rate;
-    injection.include_retention = true;
-    auto soc = bisd::SocUnderTest::from_injection(configs, injection, seed);
-
-    const diagnosis::ResolutionFlow flow;
-    const auto report = flow.run(soc);
+    // The default scheme is "fast" (March CW+NWRTM at 10 ns), and the
+    // default injection includes retention faults.
+    const auto spec = core::SessionSpec::builder()
+                          .add_srams(configs)
+                          .defect_rate(rate)
+                          .seed(seed)
+                          .classify(true)
+                          .with_repair(true)
+                          .build();
+    if (!spec) {
+      std::fprintf(stderr, "bad configuration — %s\n",
+                   spec.error().to_string().c_str());
+      return 1;
+    }
+    diagnosis::ClassifierCache cache;
+    const auto report = core::DiagnosisEngine::execute(
+        spec.value(), core::SchemeRegistry::global(), &cache);
+    const auto& classification = report.classification.value();
 
     std::printf("%s\n", report.summary().c_str());
 
     TablePrinter table({"memory", "site", "verdict", "confidence"});
     table.set_title("classified fault sites");
-    for (const auto& memory : report.classifications) {
+    for (const auto& memory : classification.memories) {
       for (const auto& site : memory.sites) {
         std::string where =
             site.site == diagnosis::SiteClassification::Site::row
@@ -79,13 +90,14 @@ int main(int argc, char** argv) {
     table.add_note("tied verdicts are kinds this March test cannot separate");
     table.print(std::cout);
 
-    std::printf("\n%s\n", report.confusion.to_string().c_str());
-    std::printf("%s\n", flow.cache_stats().to_string().c_str());
-    if (!report.fully_repaired) {
+    std::printf("\n%s\n", classification.confusion.to_string().c_str());
+    std::printf("%s\n", cache.stats().to_string().c_str());
+    const bool fully_repairable = report.repair->fully_repairable();
+    if (!fully_repairable) {
       std::printf("note: spare budget exhausted — raise --spares to see the "
                   "loop close\n");
     }
-    return report.clean() || !report.fully_repaired ? 0 : 1;
+    return report.repair_verified_clean || !fully_repairable ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

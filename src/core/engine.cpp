@@ -87,14 +87,14 @@ thread_local const TlsDispatchGuard* TlsDispatchGuard::head_ = nullptr;
 
 }  // namespace
 
-/// The persistent pool: N threads created once, fed batches through a
+/// The persistent pool: N threads created once, fed work through a
 /// generation counter.  run() publishes a job function plus a shared atomic
-/// job index, wakes every thread, claims jobs on the calling thread too,
-/// and returns once every pool thread has checked the generation off —
-/// so the job function's lifetime safely ends with run().
+/// claim counter, wakes every thread, claims jobs on the calling thread
+/// too, and returns once every pool thread has checked the generation off
+/// — so the job function's lifetime safely ends with run().
 class DiagnosisEngine::WorkerPool {
  public:
-  using Job = std::function<void(std::size_t slot, std::size_t index)>;
+  using Job = std::function<void(std::size_t slot)>;
 
   explicit WorkerPool(std::size_t threads) {
     threads_.reserve(threads);
@@ -125,9 +125,10 @@ class DiagnosisEngine::WorkerPool {
   void acquire() { dispatch_mutex_.lock(); }
   void release() { dispatch_mutex_.unlock(); }
 
-  /// Runs @p job(slot, index) for every index in [0, count), the calling
-  /// thread participating as slot 0.  Blocks until all work is done and
-  /// every pool thread has retired the generation.  @p job must not throw.
+  /// Runs @p job(slot) @p count times, each claimed by whichever thread is
+  /// free, the calling thread participating as slot 0.  Blocks until all
+  /// work is done and every pool thread has retired the generation.
+  /// @p job must not throw.
   void run(std::size_t count, const Job& job) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -138,12 +139,8 @@ class DiagnosisEngine::WorkerPool {
       ++generation_;
     }
     wake_cv_.notify_all();
-    for (;;) {
-      const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
-      if (index >= count) {
-        break;
-      }
-      job(0, index);
+    while (next_.fetch_add(1, std::memory_order_relaxed) < count) {
+      job(0);
     }
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return finished_ == threads_.size(); });
@@ -167,13 +164,8 @@ class DiagnosisEngine::WorkerPool {
         job = job_;
         count = count_;
       }
-      for (;;) {
-        const std::size_t index =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        if (index >= count) {
-          break;
-        }
-        (*job)(slot, index);
+      while (next_.fetch_add(1, std::memory_order_relaxed) < count) {
+        (*job)(slot);
       }
       {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -544,95 +536,38 @@ Report DiagnosisEngine::execute(const SessionSpec& spec,
       repairable = report.repair->fully_repairable();
     }
     const auto verify = scheme->diagnose(soc);
-    // Clean when nothing new shows up beyond what we could not repair.
+    // Clean only when every faulty site got a spare and the retest logs
+    // nothing at all.
     report.repair_verified_clean = repairable && verify.log.empty();
   }
   return report;
 }
 
-void DiagnosisEngine::run_serial(const std::vector<SessionSpec>& specs,
-                                 const RunObserver& observer,
-                                 AggregateReport& aggregate,
-                                 diagnosis::ClassifierCache& classifier_cache,
-                                 ExecutionScratch& scratch) const {
-  const SchemeRegistry& schemes = registry();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    aggregate.runs[i] = execute(specs[i], schemes, &classifier_cache,
-                                &scratch);
-    if (observer) {
-      observer(i, aggregate.runs[i]);
-    }
-  }
-}
-
-AggregateReport DiagnosisEngine::run_batch_impl(
-    const std::vector<SessionSpec>& specs, const RunObserver& observer,
-    diagnosis::ClassifierCache& classifier_cache) const {
-  AggregateReport aggregate;
-  aggregate.runs.resize(specs.size());
-  if (specs.empty()) {
-    return aggregate;
-  }
-
-  const DispatchLease lease(*this);
-  const std::size_t workers = worker_count(specs.size());
-  if (workers <= 1 || lease.pool() == nullptr) {
-    // Small batch, single-worker engine, or a re-entrant call: run on the
-    // calling thread.
-    ExecutionScratch local;
-    const TlsDispatchGuard tls(this);
-    run_serial(specs, observer, aggregate, classifier_cache,
-               lease.exclusive() ? scratch_[0] : local);
-    return aggregate;
-  }
-
-  const SchemeRegistry& schemes = registry();
-  std::mutex observer_mutex;
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  // Jobs inherit the submitting thread's dispatch chain, so a re-entrant
-  // run_batch from an observer or scheme — even one reached through
-  // another engine's pool thread — takes the serial fallback.
-  const TlsDispatchGuard* parent_chain = TlsDispatchGuard::current_chain();
-  const WorkerPool::Job job = [&, parent_chain](std::size_t slot,
-                                                std::size_t i) {
-    const TlsDispatchGuard tls(this, parent_chain);
-    try {
-      aggregate.runs[i] =
-          execute(specs[i], schemes, &classifier_cache, &scratch_[slot]);
-      if (observer) {
-        const std::lock_guard<std::mutex> lock(observer_mutex);
-        observer(i, aggregate.runs[i]);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  };
-  lease.pool()->run(specs.size(), job);
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-  return aggregate;
-}
-
 AggregateReport DiagnosisEngine::run_batch(
     const std::vector<SessionSpec>& specs,
     const RunObserver& observer) const {
-  // Shared across the whole batch (and its workers): runs with identical
-  // (test, geometry, retention) classify against one signature dictionary
-  // instead of rebuilding it per run.
-  diagnosis::ClassifierCache classifier_cache;
-  AggregateReport aggregate = run_batch_impl(specs, observer,
-                                             classifier_cache);
-  // Fold in submission order so a batch aggregate's folded state is
-  // bit-identical to a streaming sweep's over the same specs.
-  for (const Report& report : aggregate.runs) {
-    aggregate.folded.fold(report);
-  }
+  AggregateReport aggregate;
+  aggregate.runs.reserve(specs.size());
+  std::size_t next = 0;
+  // A window of the whole batch never holds a pull back; each Report moves
+  // into its submission slot as it is delivered.
+  run_pipeline(
+      [&]() -> std::optional<SessionSpec> {
+        if (next == specs.size()) {
+          return std::nullopt;
+        }
+        return specs[next++];
+      },
+      std::max<std::size_t>(specs.size(), 1),
+      [&](std::uint64_t index, Report&& report) {
+        // Deliveries come in submission order, so a batch aggregate's
+        // folded state is bit-identical to a streaming sweep's.
+        aggregate.folded.fold(report);
+        if (observer) {
+          observer(static_cast<std::size_t>(index), report);
+        }
+        aggregate.runs.push_back(std::move(report));
+      });
   return aggregate;
 }
 
@@ -664,14 +599,37 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
                           : std::max<std::size_t>(resolved_workers_ * 4, 16);
   const bool reports_progress =
       options.progress && options.progress_interval != 0;
+  // The Report is only read here; the pipeline frees it off its lock.
+  run_pipeline(source, window, [&](std::uint64_t index, Report&& report) {
+    result.aggregate.folded.fold(report);
+    if (options.sink) {
+      options.sink(static_cast<std::size_t>(first_index + index), report);
+    }
+    const std::uint64_t completed = result.aggregate.folded.count;
+    if (reports_progress && completed % options.progress_interval == 0) {
+      options.progress(completed, result.aggregate);
+    }
+  });
+  // Final progress call at stream end, unless the count already fired it.
+  if (reports_progress &&
+      result.aggregate.folded.count % options.progress_interval != 0) {
+    options.progress(result.aggregate.folded.count, result.aggregate);
+  }
+  result.completed = result.aggregate.folded.count;
+  return result;
+}
 
-  // One cache for the whole stream: a resident sweep keeps every signature
-  // dictionary it has ever built warm.
+void DiagnosisEngine::run_pipeline(
+    const SpecSource& source, std::size_t window,
+    const std::function<void(std::uint64_t, Report&&)>& deliver) const {
+  // One cache per batch or stream: runs with identical (test, geometry,
+  // retention) classify against one signature dictionary, and a resident
+  // sweep keeps every dictionary it has ever built warm.
   diagnosis::ClassifierCache classifier_cache;
   const SchemeRegistry& schemes = registry();
 
-  // Pipeline state, all guarded by `mutex`.  Every callback runs under it,
-  // which is what serializes the source, the fold, the sink and progress.
+  // Pipeline state, all guarded by `mutex`.  The source and every delivery
+  // run under it, which is what serializes them.
   std::mutex mutex;
   std::condition_variable delivered_cv;  ///< delivered advanced or stopped
   std::uint64_t pulled = 0;
@@ -680,16 +638,18 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
   bool stopped = false;  ///< no more pulls: the source ended or a step threw
   std::exception_ptr first_error;
 
-  // The lease spans the stream.  Without the pool (one worker, a
+  // The lease spans the pipeline.  Without the pool (one worker, a
   // re-entrant call) or with a window of one, the same loop runs on the
   // calling thread alone.
   const DispatchLease lease(*this);
   const std::size_t workers =
       lease.pool() != nullptr ? worker_count(window) : 1;
   ExecutionScratch local;
+  // Jobs inherit the submitting thread's dispatch chain, so a re-entrant
+  // call from a callback or scheme — even one reached through another
+  // engine's pool thread — takes the calling-thread fallback.
   const TlsDispatchGuard* parent_chain = TlsDispatchGuard::current_chain();
-  const WorkerPool::Job job = [&, parent_chain](std::size_t slot,
-                                                std::size_t) {
+  const WorkerPool::Job job = [&, parent_chain](std::size_t slot) {
     const TlsDispatchGuard tls(this, parent_chain);
     ExecutionScratch& scratch = lease.exclusive() ? scratch_[slot] : local;
     try {
@@ -724,24 +684,15 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
           // (and thus every checkpoint) depends only on the prefix.
           while (!ready.empty() && ready.begin()->first == delivered) {
             retired.push_back(ready.extract(ready.begin()));
-            const Report& head = retired.back().mapped();
-            result.aggregate.folded.fold(head);
-            if (options.sink) {
-              options.sink(static_cast<std::size_t>(first_index + delivered),
-                           head);
-            }
+            deliver(delivered, std::move(retired.back().mapped()));
             ++delivered;
-            const std::uint64_t completed = result.aggregate.folded.count;
-            if (reports_progress &&
-                completed % options.progress_interval == 0) {
-              options.progress(completed, result.aggregate);
-            }
           }
           if (!retired.empty()) {
             delivered_cv.notify_all();
           }
         }
-        // The retired Reports and the spec are freed here, off the lock.
+        // What the deliveries left of the Reports, and the spec, are freed
+        // here, off the lock.
       }
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mutex);
@@ -755,18 +706,11 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
   if (workers > 1) {
     lease.pool()->run(workers, job);
   } else {
-    job(0, 0);
+    job(0);
   }
   if (first_error) {
     std::rethrow_exception(first_error);
   }
-  // Final progress call at stream end, unless the count already fired it.
-  if (reports_progress &&
-      result.aggregate.folded.count % options.progress_interval != 0) {
-    options.progress(result.aggregate.folded.count, result.aggregate);
-  }
-  result.completed = result.aggregate.folded.count;
-  return result;
 }
 
 }  // namespace fastdiag::core

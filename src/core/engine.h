@@ -1,9 +1,10 @@
 // DiagnosisEngine: batched, parallel execution of validated SessionSpecs.
 //
 // Each run owns its RNG, its SoC and its scheme instance, so runs are
-// embarrassingly parallel: the engine fans a batch out across a persistent
-// worker pool and still produces bit-identical per-run Reports to serial
-// execution — a Report depends only on its spec, never on scheduling.
+// embarrassingly parallel: batches and streams share one pipeline over a
+// persistent worker pool and still produce bit-identical per-run Reports
+// to serial execution — a Report depends only on its spec, never on
+// scheduling.
 //
 // The pool is created once at engine construction and fed through a work
 // queue; run_batch()/run_sweep()/run_stream() never spawn or join threads,
@@ -105,9 +106,9 @@ class SweepCursor {
 };
 
 struct EngineOptions {
-  /// Worker threads for run_batch(); 0 picks the hardware concurrency
-  /// (queried once per process and cached).  An engine with workers == 1
-  /// owns no pool threads at all.
+  /// Worker threads for run_batch() and run_stream(); 0 picks the hardware
+  /// concurrency (queried once per process and cached).  An engine with
+  /// workers == 1 owns no pool threads at all.
   std::size_t workers = 1;
 
   /// Registry schemes are resolved from; nullptr means the global one.
@@ -115,9 +116,9 @@ struct EngineOptions {
   const SchemeRegistry* registry = nullptr;
 };
 
-/// Per-worker scratch persisted across run_batch() calls.  Only capacity
-/// hints live here: scratch can never change a Report, just how often the
-/// hot paths reallocate.
+/// Per-worker scratch persisted across run_batch() and run_stream() calls.
+/// Only capacity hints live here: scratch can never change a Report, just
+/// how often the hot paths reallocate.
 struct ExecutionScratch {
   /// High-water DiagnosisLog record count this worker has observed; fed to
   /// the scheme as a capacity hint before the next diagnose().
@@ -144,15 +145,17 @@ class DiagnosisEngine {
       diagnosis::ClassifierCache* classifier_cache = nullptr,
       ExecutionScratch* scratch = nullptr);
 
-  /// Called once per finished run, possibly from a worker thread but never
-  /// concurrently (the engine serializes observer calls).  @p index is the
-  /// run's position in the submitted batch; completion order across
-  /// indices is unspecified under > 1 worker.
+  /// Called once per finished run with the run's position in the submitted
+  /// batch: serialized, in submission order, on any engine thread, under
+  /// the pipeline lock.
   using RunObserver = std::function<void(std::size_t index, const Report&)>;
 
-  /// Executes the batch across the persistent worker pool and aggregates.
-  /// Per-run Reports land in AggregateReport::runs at their submission
-  /// index.  No threads are spawned here — the pool outlives the batch.
+  /// Executes the batch on run_stream()'s pipeline, with a window of the
+  /// whole batch, and aggregates.  Per-run Reports are moved into
+  /// AggregateReport::runs at their submission index, never copied.  No
+  /// threads are spawned here — the pool outlives the batch.  The first
+  /// exception from a run or the observer stops further runs, and
+  /// run_batch rethrows it once every worker has stopped.
   ///
   /// Concurrency contract: one batch dispatches on an engine at a time.
   /// A concurrent run_batch from another thread blocks until the engine
@@ -186,11 +189,11 @@ class DiagnosisEngine {
     /// it); 0 picks 4x the engine's workers (at least 16).
     std::size_t window = 0;
 
-    /// Per-run result sink, called in submission-index order (unlike the
-    /// batch observer, which fires in completion order) with the absolute
-    /// stream index; the Report is dropped right after, never retained.
-    /// Serialized with the source and progress, on any engine thread.
-    /// Delivery holds the stream's lock, so a slow sink stalls pulls.
+    /// Per-run result sink, called in submission-index order with the
+    /// absolute stream index; the Report is dropped right after, never
+    /// retained.  Serialized with the source and progress, on any engine
+    /// thread.  Delivery holds the stream's lock, so a slow sink stalls
+    /// pulls.
     RunObserver sink;
 
     /// When non-zero, progress() fires exactly at every multiple of this
@@ -257,17 +260,17 @@ class DiagnosisEngine {
   class DispatchLease;
 
   [[nodiscard]] const SchemeRegistry& registry() const;
-  void run_serial(const std::vector<SessionSpec>& specs,
-                  const RunObserver& observer, AggregateReport& aggregate,
-                  diagnosis::ClassifierCache& classifier_cache,
-                  ExecutionScratch& scratch) const;
 
-  /// The dispatch core of run_batch(): fills the aggregate's runs (at
-  /// submission indices) without folding, sharing @p classifier_cache
-  /// across the batch's workers.
-  [[nodiscard]] AggregateReport run_batch_impl(
-      const std::vector<SessionSpec>& specs, const RunObserver& observer,
-      diagnosis::ClassifierCache& classifier_cache) const;
+  /// The dispatch loop behind run_batch() and run_stream(): workers pull
+  /// from @p source while fewer than @p window runs are undelivered,
+  /// execute outside the lock, and @p deliver(index, report) runs under
+  /// the pipeline lock in submission order.  One ClassifierCache spans the
+  /// call.  The first exception stops further pulls and is rethrown once
+  /// every worker has stopped.
+  void run_pipeline(
+      const SpecSource& source, std::size_t window,
+      const std::function<void(std::uint64_t index, Report&& report)>&
+          deliver) const;
 
   EngineOptions options_;
   std::size_t resolved_workers_ = 1;

@@ -47,7 +47,6 @@
 #include "core/report.h"           // IWYU pragma: export
 #include "core/spec.h"             // IWYU pragma: export
 #include "diagnosis/classifier.h"  // IWYU pragma: export
-#include "diagnosis/resolution.h"  // IWYU pragma: export
 #include "diagnosis/syndrome.h"    // IWYU pragma: export
 #include "faults/dictionary.h"     // IWYU pragma: export
 #include "faults/fault_set.h"      // IWYU pragma: export

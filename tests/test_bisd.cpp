@@ -506,6 +506,10 @@ TEST(Repair, PlanRespectsSpareBudget) {
   EXPECT_EQ(plan.unrepaired_row_count(), 1u);
   apply_repair(soc, plan);
   EXPECT_EQ(soc.memory(0).spares_used(), 1u);
+  // Re-diagnosis still flags exactly the row the single spare left over.
+  ASSERT_EQ(plan.memories[0].unrepaired_rows.size(), 1u);
+  EXPECT_EQ(scheme.diagnose(soc).log.faulty_rows(0),
+            std::set<std::uint32_t>{plan.memories[0].unrepaired_rows[0]});
 }
 
 // ----------------------------------------------- wrap-around property sweep

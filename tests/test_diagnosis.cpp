@@ -355,43 +355,31 @@ TEST(ClassifierCache, SharedCacheMatchesLocalClassification) {
 TEST(ClosedLoop, EndsCleanWheneverSparesSuffice) {
   // Heterogeneous SoC (the narrow memory wraps under the controller sweep),
   // spare budget equal to the word count — every faulty row is repairable,
-  // so the retest must come back empty.
+  // so execute's retest must come back empty.
   for (const std::uint64_t seed : {3ull, 17ull, 91ull, 2026ull}) {
-    std::vector<SramConfig> configs = {cfg(16, 10, 16), cfg(8, 6, 8),
-                                       cfg(12, 14, 12)};
-    faults::InjectionSpec spec;
-    spec.cell_defect_rate = 0.03;
-    spec.include_retention = true;
-    auto soc = bisd::SocUnderTest::from_injection(configs, spec, seed);
-
-    const diagnosis::ResolutionFlow flow;
-    const auto report = flow.run(soc);
-    EXPECT_TRUE(report.fully_repaired) << "seed " << seed;
-    EXPECT_TRUE(report.clean()) << "seed " << seed << ": "
-                                << report.residual_records
-                                << " residual records";
-    EXPECT_EQ(report.classifications.size(), soc.memory_count());
+    const auto spec = core::SessionSpec::builder()
+                          .add_sram(cfg(16, 10, 16))
+                          .add_sram(cfg(8, 6, 8))
+                          .add_sram(cfg(12, 14, 12))
+                          .defect_rate(0.03)
+                          .include_retention_faults(true)
+                          .seed(seed)
+                          .classify(true)
+                          .with_repair(true)
+                          .build();
+    ASSERT_TRUE(spec.has_value()) << spec.error().to_string();
+    const auto report = core::DiagnosisEngine::execute(spec.value());
+    ASSERT_TRUE(report.repair.has_value()) << "seed " << seed;
+    EXPECT_TRUE(report.repair->fully_repairable()) << "seed " << seed;
+    EXPECT_TRUE(report.repair_verified_clean) << "seed " << seed;
+    ASSERT_TRUE(report.classification.has_value()) << "seed " << seed;
+    EXPECT_EQ(report.classification->memories.size(), 3u);
     // Every observed site must receive at least a partial hypothesis.
-    for (const auto& memory : report.classifications) {
-      EXPECT_EQ(memory.classified_sites(), memory.sites.size());
+    for (const auto& memory : report.classification->memories) {
+      EXPECT_EQ(memory.classified_sites(), memory.sites.size())
+          << "seed " << seed;
     }
   }
-}
-
-TEST(ClosedLoop, ReportsResidualWhenSpareBudgetExhausted) {
-  auto config = cfg(16, 8, /*spares=*/1);
-  bisd::SocUnderTest soc;
-  soc.add_memory(config,
-                 {faults::make_cell_fault(FaultKind::sa0, {2, 1}),
-                  faults::make_cell_fault(FaultKind::sa1, {9, 5}),
-                  faults::make_cell_fault(FaultKind::tf_down, {13, 0})});
-  const diagnosis::ResolutionFlow flow;
-  const auto report = flow.run(soc);
-  EXPECT_FALSE(report.fully_repaired);
-  EXPECT_FALSE(report.clean());
-  ASSERT_TRUE(report.repair.has_value());
-  EXPECT_EQ(report.repair->unrepaired_row_count(), 2u);
-  EXPECT_GT(report.residual_records, 0u);
 }
 
 // ---- engine integration ---------------------------------------------------

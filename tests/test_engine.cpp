@@ -231,6 +231,14 @@ std::vector<SessionSpec> spec_batch() {
   return std::move(specs).value();
 }
 
+std::vector<std::size_t> iota_indices(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> indices;
+  for (std::size_t i = from; i < to; ++i) {
+    indices.push_back(i);
+  }
+  return indices;
+}
+
 TEST(Engine, ParallelRunsAreBitIdenticalToSerial) {
   const auto specs = spec_batch();
   const auto serial = DiagnosisEngine({.workers = 1}).run_batch(specs);
@@ -253,18 +261,43 @@ TEST(Engine, ParallelRunsAreBitIdenticalToSerial) {
 }
 
 TEST(Engine, ObserverSeesEveryRunExactlyOnce) {
+  // A batch delivers through the stream pipeline: each index exactly once,
+  // strictly ascending, at any worker count.
   const auto specs = spec_batch();
-  std::atomic<std::size_t> calls{0};
-  std::set<std::size_t> indices;
-  const auto report = DiagnosisEngine({.workers = 4}).run_batch(
-      specs, [&](std::size_t index, const Report& run) {
-        ++calls;
-        indices.insert(index);  // serialized by the engine
-        EXPECT_FALSE(run.scheme_name.empty());
-      });
-  EXPECT_EQ(calls.load(), specs.size());
-  EXPECT_EQ(indices.size(), specs.size());
-  EXPECT_EQ(report.run_count(), specs.size());
+  for (const std::size_t workers : {1, 4, 8}) {
+    std::vector<std::size_t> indices;
+    const auto report = DiagnosisEngine({.workers = workers}).run_batch(
+        specs, [&](std::size_t index, const Report& run) {
+          indices.push_back(index);  // serialized by the engine
+          EXPECT_FALSE(run.scheme_name.empty());
+        });
+    EXPECT_EQ(indices, iota_indices(0, specs.size())) << workers << " workers";
+    EXPECT_EQ(report.run_count(), specs.size());
+  }
+}
+
+TEST(Engine, RunBatchMovesReportsIntoTheAggregate) {
+  // The log storage the observer saw is the storage the aggregate holds:
+  // each Report is moved into AggregateReport::runs, never copied.
+  const auto specs = spec_batch();
+  for (const std::size_t workers : {1, 4}) {
+    std::vector<const bisd::DiagnosisRecord*> seen(specs.size(), nullptr);
+    const auto aggregate = DiagnosisEngine({.workers = workers}).run_batch(
+        specs, [&](std::size_t index, const Report& run) {
+          seen[index] = run.result.log.records().data();
+        });
+    ASSERT_EQ(aggregate.run_count(), specs.size());
+    std::size_t with_records = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto& records = aggregate.runs[i].result.log.records();
+      if (records.empty()) {
+        continue;
+      }
+      ++with_records;
+      EXPECT_EQ(seen[i], records.data()) << workers << " workers, run " << i;
+    }
+    EXPECT_GT(with_records, 0u);
+  }
 }
 
 TEST(Engine, EmptyBatchIsFine) {
@@ -573,14 +606,6 @@ bool same_run(const Report& run, const Report& expected) {
          run.result.log.to_csv() == expected.result.log.to_csv();
 }
 
-std::vector<std::size_t> iota_indices(std::size_t from, std::size_t to) {
-  std::vector<std::size_t> indices;
-  for (std::size_t i = from; i < to; ++i) {
-    indices.push_back(i);
-  }
-  return indices;
-}
-
 TEST(Stream, FoldedAggregateIsBitIdenticalToBatch) {
   const auto specs = spec_batch();
   DiagnosisEngine engine({.workers = 4});
@@ -821,9 +846,22 @@ std::string stream_error(const DiagnosisEngine& engine,
   return "";
 }
 
+/// What run_batch threw, or "" when it returned.
+std::string batch_error(const DiagnosisEngine& engine,
+                        const std::vector<SessionSpec>& specs,
+                        const DiagnosisEngine::RunObserver& observer = {}) {
+  try {
+    (void)engine.run_batch(specs, observer);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(Stream, FailuresPropagateWithoutDeadlock) {
   // The first exception stops the pulls and surfaces on the calling
   // thread once the workers drain; the engine stays usable afterwards.
+  // Batches run on the same pipeline and fail the same way.
   SchemeRegistry registry;
   registry.register_scheme("fast", {.covers_drf = true},
                            [](const SchemeContext& context) {
@@ -847,6 +885,9 @@ TEST(Stream, FailuresPropagateWithoutDeadlock) {
             .build(registry)
             .value());
   }
+
+  const auto expected =
+      DiagnosisEngine({.workers = 1, .registry = &registry}).run_batch(specs);
 
   for (const std::size_t workers : {1, 4}) {
     DiagnosisEngine engine({.workers = workers, .registry = &registry});
@@ -874,9 +915,24 @@ TEST(Stream, FailuresPropagateWithoutDeadlock) {
     EXPECT_EQ(stream_error(engine, source_over(with_throwing_run)),
               "diagnose failed");
 
-    // The lease was released: a later stream runs normally.
+    // Nothing past the failing run (index 3) reaches the observer; one
+    // worker delivers runs 0-2 before it throws.
+    std::vector<std::size_t> observed;
+    EXPECT_EQ(batch_error(engine, with_throwing_run,
+                          [&](std::size_t index, const Report&) {
+                            observed.push_back(index);
+                          }),
+              "diagnose failed");
+    EXPECT_LE(observed.size(), 3u) << workers << " workers";
+    EXPECT_EQ(observed, iota_indices(0, workers == 1 ? 3 : observed.size()))
+        << workers << " workers";
+
+    // The lease was released: a later stream and batch run normally.
     const auto after = engine.run_stream(source_over(specs));
     EXPECT_EQ(after.completed, specs.size()) << workers << " workers";
+    const auto batch_after = engine.run_batch(specs);
+    EXPECT_EQ(batch_after.run_count(), specs.size()) << workers << " workers";
+    EXPECT_EQ(batch_after.folded, expected.folded) << workers << " workers";
   }
 }
 
