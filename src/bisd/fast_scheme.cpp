@@ -310,8 +310,8 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
         for (auto& group : groups) {
           // Expand the group SPC's parallel word into the per-column
           // broadcast image the packed slab writes consume.
-          simd::dispatch().expand_bits(group.spc.parallel_out().word_data(),
-                                       group.wbcast.data(), group.info.bits);
+          simd::expand_bits(group.spc.parallel_out().word_data(),
+                            group.wbcast.data(), group.info.bits);
         }
       }
 
@@ -370,9 +370,8 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                 // of the shared golden word.
                 group.slab.read(group.addr, deferred_ns);
                 group.golden.read_into(group.addr, group.expected);
-                simd::dispatch().expand_bits(group.expected.word_data(),
-                                             group.ebcast.data(),
-                                             group.info.bits);
+                simd::expand_bits(group.expected.word_data(),
+                                  group.ebcast.data(), group.info.bits);
               }
               ++lane_ops.reads;
               // Serialize the responses back, memories in parallel;

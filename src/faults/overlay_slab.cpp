@@ -479,7 +479,7 @@ void OverlaySlab::read(std::uint32_t addr, std::uint64_t elapsed_ns) {
     }
     std::uint64_t* out = scratch_.data();
     if (af == 0) {
-      simd::dispatch().copy_limbs(out, row, bits);
+      simd::copy_limbs(out, row, bits);
     } else {
       // Address-faulty lanes sense the wired-AND of their decoded rows (all
       // ones when none fires); every other lane its own row.
@@ -532,7 +532,7 @@ void OverlaySlab::read(std::uint32_t addr, std::uint64_t elapsed_ns) {
     observed_ = out;
   }
   // Every lane's sense amps latch what they just resolved.
-  simd::dispatch().copy_limbs(latch_.data(), observed_, bits);
+  simd::copy_limbs(latch_.data(), observed_, bits);
 }
 
 std::uint64_t OverlaySlab::compare(const std::uint64_t* expect_bcast,
@@ -540,9 +540,8 @@ std::uint64_t OverlaySlab::compare(const std::uint64_t* expect_bcast,
                                    std::uint32_t bit_end) const {
   require_in_range(bit_begin <= bit_end && bit_end <= slab_.bits(),
                    "OverlaySlab::compare: range out of bounds");
-  return simd::dispatch().lane_diff_or(observed_ + bit_begin,
-                                       expect_bcast + bit_begin, lane_mask(),
-                                       bit_end - bit_begin);
+  return simd::lane_diff_or(observed_ + bit_begin, expect_bcast + bit_begin,
+                            lane_mask(), bit_end - bit_begin);
 }
 
 std::uint64_t OverlaySlab::mismatch_columns(const std::uint64_t* expect_bcast,
@@ -551,9 +550,8 @@ std::uint64_t OverlaySlab::mismatch_columns(const std::uint64_t* expect_bcast,
                    "OverlaySlab::mismatch_columns: out of range");
   const std::uint32_t take =
       std::min<std::uint32_t>(64, slab_.bits() - bit_begin);
-  return simd::dispatch().diff_column_mask(observed_ + bit_begin,
-                                           expect_bcast + bit_begin,
-                                           lane_mask(), take);
+  return simd::diff_column_mask(observed_ + bit_begin,
+                                expect_bcast + bit_begin, lane_mask(), take);
 }
 
 void OverlaySlab::scatter() {

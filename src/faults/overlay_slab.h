@@ -58,7 +58,8 @@ class OverlaySlab {
   /// least one lane per 256 bits of width.  A slab op touches one limb per
   /// column for the whole group, a port op ceil(bits / 64) limbs per memory
   /// plus the per-memory scheme machinery (golden shadow, SPC/PSC).
-  /// Measured with FastScheme on a 4-vCPU AVX-512 VM (best of 7):
+  /// Measured with FastScheme on a 4-vCPU AVX-512 VM (best of 7), when the
+  /// limb kernels still dispatched to AVX-512 bodies at run time:
   /// fault-free, one lane is slower sliced (224x72: 1.69 vs 1.34 ms), two
   /// lanes are faster up to ~100 bits (224x72: 1.74 vs 2.50 ms, 64x100:
   /// 0.62 vs 0.75 ms) but slower at 1024 bits (9.8 vs 4.9 ms, crossover

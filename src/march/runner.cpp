@@ -223,8 +223,8 @@ void run_probe_chunk(
       bg_inv = bg.inverted();
       bcast_bg.resize(bits);
       bcast_inv.resize(bits);
-      simd::dispatch().expand_bits(bg.word_data(), bcast_bg.data(), bits);
-      simd::dispatch().expand_bits(bg_inv.word_data(), bcast_inv.data(), bits);
+      simd::expand_bits(bg.word_data(), bcast_bg.data(), bits);
+      simd::expand_bits(bg_inv.word_data(), bcast_inv.data(), bits);
     }
     void pause(std::uint64_t ns) { now_ns += ns; }
     void write(const OpCtx& ctx) {
@@ -244,8 +244,7 @@ void run_probe_chunk(
       if (golden != nullptr) {
         golden->read_into(ctx.addr, golden_scratch);
         ebcast.resize(bits);
-        simd::dispatch().expand_bits(golden_scratch.word_data(), ebcast.data(),
-                                     bits);
+        simd::expand_bits(golden_scratch.word_data(), ebcast.data(), bits);
         eb = ebcast.data();
       }
       batch.read(ctx.addr, now_ns);

@@ -15,9 +15,10 @@
 // failed-read sets.  run_group_chunk() is the one slab client: it replays
 // up to 64 packed probe lanes per faults::OverlaySlab for the
 // instance-sliced dictionary build and streams each lane's failing reads;
-// run_group_per_cell() folds that stream into run_per_cell's shape.  The clients differ only in delivery
-// (port vs broadcast) and demux (word mismatch vs lane/cell).  Fleets of
-// real memories slice inside bisd::FastScheme, which drives its own slabs.
+// run_group_per_cell() folds that stream into run_per_cell's shape.  The
+// clients differ only in delivery (port vs broadcast) and demux (word
+// mismatch vs lane/cell).  Fleets of real memories slice inside
+// bisd::FastScheme, which drives its own slabs.
 #pragma once
 
 #include <cstdint>

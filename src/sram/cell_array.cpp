@@ -65,8 +65,8 @@ void CellArray::set_row(std::uint32_t row, const BitVector& value) {
   require(value.width() == bits_, "CellArray::set_row: width mismatch");
   // value's bits above width() are zero (BitVector invariant), so a straight
   // limb copy preserves the arena's zero-padding invariant.
-  simd::dispatch().copy_limbs(&arena_[row * words_per_row_], value.word_data(),
-                              words_per_row_);
+  simd::copy_limbs(&arena_[row * words_per_row_], value.word_data(),
+                   words_per_row_);
 }
 
 const std::uint64_t* CellArray::row_words(std::uint32_t row) const {

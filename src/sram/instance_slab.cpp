@@ -60,7 +60,7 @@ void InstanceSlab::gather() {
       simd::transpose_64x64(block);
       const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
       const std::uint32_t take = std::min<std::uint32_t>(64, bits_ - base);
-      simd::dispatch().copy_limbs(arena_row + base, block, take);
+      simd::copy_limbs(arena_row + base, block, take);
     }
   }
 }
@@ -75,7 +75,7 @@ void InstanceSlab::scatter() {
     for (std::size_t w = 0; w < words_per_row; ++w) {
       const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
       const std::uint32_t take = std::min<std::uint32_t>(64, bits_ - base);
-      simd::dispatch().copy_limbs(block, arena_row + base, take);
+      simd::copy_limbs(block, arena_row + base, take);
       // Columns past bits() do not exist, so the zero fill keeps every
       // lane's padding bits above bits() zero — the CellArray invariant.
       std::fill(block + take, block + 64, 0);
@@ -92,8 +92,8 @@ void InstanceSlab::write_row(std::uint32_t row, const std::uint64_t* bcast) {
   // The broadcast image is all-ones/all-zeros per column, so unregistered
   // lane bits take harmless values: compares mask them out and scatter
   // only reads real lanes.
-  simd::dispatch().copy_limbs(&arena_[static_cast<std::size_t>(row) * bits_],
-                              bcast, bits_);
+  simd::copy_limbs(&arena_[static_cast<std::size_t>(row) * bits_], bcast,
+                   bits_);
 }
 
 std::uint64_t InstanceSlab::column(std::uint32_t row, std::uint32_t bit) const {

@@ -57,7 +57,7 @@ class InstanceSlab {
 
   /// One uniform word-write pulse into @p row: every lane's cell (row, j)
   /// takes bit j of the broadcast image — @p bcast[j] is all-ones or
-  /// all-zeros per column (see simd::LimbOps::expand_bits), bits() entries.
+  /// all-zeros per column (see simd::expand_bits), bits() entries.
   void write_row(std::uint32_t row, const std::uint64_t* bcast);
 
   /// The lane limb of one cell-column (bit k = lane k's value of cell

@@ -150,8 +150,7 @@ std::uint64_t BitVector::word_at(std::size_t offset, std::size_t count) const {
 
 void BitVector::xor_with(const BitVector& other) {
   require(width_ == other.width_, "BitVector::xor_with: width mismatch");
-  simd::dispatch().xor_limbs(words_.data(), other.words_.data(),
-                             words_.size());
+  simd::xor_limbs(words_.data(), other.words_.data(), words_.size());
 }
 
 std::ptrdiff_t BitVector::first_mismatch(const BitVector& other) const {
@@ -182,8 +181,8 @@ std::ptrdiff_t BitVector::last_mismatch(const BitVector& other) const {
 void BitVector::blend(const BitVector& mask, const BitVector& fallback) {
   require(width_ == mask.width_ && width_ == fallback.width_,
           "BitVector::blend: width mismatch");
-  simd::dispatch().blend_limbs(words_.data(), mask.words_.data(),
-                               fallback.words_.data(), words_.size());
+  simd::blend_limbs(words_.data(), mask.words_.data(), fallback.words_.data(),
+                    words_.size());
   trim();
 }
 
@@ -228,8 +227,7 @@ bool operator==(const BitVector& a, const BitVector& b) {
   // Same width implies the same limb count, and bits above width() are zero
   // (trim), so a limb-wise diff is an exact equality test.
   return a.width_ == b.width_ &&
-         simd::dispatch().diff_or(a.words_.data(), b.words_.data(),
-                                  a.words_.size()) == 0;
+         simd::diff_or(a.words_.data(), b.words_.data(), a.words_.size()) == 0;
 }
 
 BitVector BitVector::operator^(const BitVector& other) const {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/fastdiag.h"
-#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -476,8 +475,7 @@ TEST(Engine, ClassificationIsDeterministicAcrossWorkerCounts) {
 // performance transformation of the per_candidate reference.  Verdicts must
 // match byte for byte (the per-site to_string dump covers kinds,
 // confidences, placements and aggressor candidate bits), and so must the
-// exported dictionaries — every slot of every key — at every SIMD dispatch
-// level this CPU runs.
+// exported dictionaries — every slot of every key.
 
 /// The syndrome a lone @p fault leaves on @p config under the fast scheme;
 /// next to @p sweep_partner when given, whose deeper sweep @p config wraps.
@@ -579,7 +577,7 @@ void warm_all_cell_keys(const FaultClassifier& classifier,
   }
 }
 
-TEST(InstanceSliced, DictionariesByteIdenticalAcrossModesAndIsaLevels) {
+TEST(InstanceSliced, DictionariesByteIdenticalAcrossModes) {
   // Even and odd IO widths (the odd width exercises the packing plan's
   // round-robin bye column and the slab's partial-limb tails).
   for (const auto& config : {cfg(12, 6), cfg(9, 5)}) {
@@ -592,16 +590,11 @@ TEST(InstanceSliced, DictionariesByteIdenticalAcrossModesAndIsaLevels) {
     const auto want = reference.export_dictionaries();
     ASSERT_FALSE(want.cells.empty());
 
-    LevelGuard guard;
-    for (const auto level : available_levels()) {
-      ASSERT_TRUE(simd::force(level));
-      options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
-      const FaultClassifier instance(config, test, options);
-      warm_all_cell_keys(instance, config);
-      EXPECT_TRUE(want == instance.export_dictionaries())
-          << config.name << " at " << simd::isa_name(level);
-      EXPECT_GT(instance.dictionary_stats().slab_lanes, 0u);
-    }
+    options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
+    const FaultClassifier instance(config, test, options);
+    warm_all_cell_keys(instance, config);
+    EXPECT_TRUE(want == instance.export_dictionaries()) << config.name;
+    EXPECT_GT(instance.dictionary_stats().slab_lanes, 0u);
   }
 }
 

@@ -1,5 +1,5 @@
-// Differential tests for the instance-sliced execution paths and the SIMD
-// dispatch facade.
+// Differential tests for the instance-sliced execution paths and the limb
+// kernels under them.
 //
 // Group executors (FastScheme over slice_groups, the dictionary-build probe
 // slabs of MarchRunner::run_group_per_cell) advance up to 64
@@ -8,9 +8,8 @@
 // observably indistinguishable from their references — the per_cell kernel,
 // or each probe lane's own FaultSet memory — record for record, cycle
 // for cycle, counter for counter — for every group size around the 64-lane
-// boundary, for wrap emulation, for the full defect corpus on faulty lanes,
-// and at every SIMD dispatch level this CPU can run (simd::force walks
-// scalar -> avx2 -> avx512).
+// boundary, for wrap emulation and for the full defect corpus on faulty
+// lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 
 #include "core/fastdiag.h"
 #include "faults/overlay_slab.h"
-#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -111,36 +109,9 @@ std::vector<FaultInstance> random_fault_mix(const SramConfig& config,
   return out;
 }
 
-// ---- simd facade -----------------------------------------------------------
+// ---- limb kernels -----------------------------------------------------------
 
-TEST(SimdDispatch, ParseAndNames) {
-  EXPECT_EQ(simd::parse_isa("scalar"), simd::IsaLevel::scalar);
-  EXPECT_EQ(simd::parse_isa("avx2"), simd::IsaLevel::avx2);
-  EXPECT_EQ(simd::parse_isa("avx512"), simd::IsaLevel::avx512);
-  EXPECT_FALSE(simd::parse_isa("sse9").has_value());
-  for (const auto level : available_levels()) {
-    EXPECT_EQ(simd::parse_isa(simd::isa_name(level)), level);
-  }
-}
-
-TEST(SimdDispatch, ForceAboveDetectedIsRejected) {
-  LevelGuard guard;
-  if (simd::detected_level() < simd::IsaLevel::avx512) {
-    EXPECT_FALSE(simd::force(simd::IsaLevel::avx512));
-  }
-  if (simd::detected_level() < simd::IsaLevel::avx2) {
-    EXPECT_FALSE(simd::force(simd::IsaLevel::avx2));
-  }
-  // Every supported level must be selectable and visible via active_level().
-  for (const auto level : available_levels()) {
-    EXPECT_TRUE(simd::force(level));
-    EXPECT_EQ(simd::active_level(), level);
-    EXPECT_EQ(simd::dispatch().level, level);
-  }
-}
-
-TEST(SimdDispatch, KernelsMatchScalarReferenceAtEveryLevel) {
-  LevelGuard guard;
+TEST(SimdDispatch, KernelsMatchScalarReference) {
   Rng rng(404);
   for (const std::size_t n : {0ull, 1ull, 3ull, 4ull, 7ull, 8ull, 64ull,
                               130ull}) {
@@ -161,54 +132,47 @@ TEST(SimdDispatch, KernelsMatchScalarReferenceAtEveryLevel) {
       diff_ref |= a[i] ^ b[i];
     }
     const std::uint64_t lane_mask = rng.next_u64();
-    for (const auto level : available_levels()) {
-      ASSERT_TRUE(simd::force(level));
-      const auto& ops = simd::dispatch();
-      const std::string label =
-          std::string(simd::isa_name(level)) + " n=" + std::to_string(n);
+    const std::string label = "n=" + std::to_string(n);
 
-      std::vector<std::uint64_t> out(n, 0);
-      ops.copy_limbs(out.data(), a.data(), n);
-      EXPECT_EQ(out, a) << "copy " << label;
+    std::vector<std::uint64_t> out(n, 0);
+    simd::copy_limbs(out.data(), a.data(), n);
+    EXPECT_EQ(out, a) << "copy " << label;
 
-      out = a;
-      ops.xor_limbs(out.data(), b.data(), n);
-      EXPECT_EQ(out, xor_ref) << "xor " << label;
+    out = a;
+    simd::xor_limbs(out.data(), b.data(), n);
+    EXPECT_EQ(out, xor_ref) << "xor " << label;
 
-      EXPECT_EQ(ops.diff_or(a.data(), b.data(), n), diff_ref)
-          << "diff_or " << label;
-      EXPECT_EQ(ops.diff_or(a.data(), a.data(), n), 0u)
-          << "diff_or self " << label;
+    EXPECT_EQ(simd::diff_or(a.data(), b.data(), n), diff_ref)
+        << "diff_or " << label;
+    EXPECT_EQ(simd::diff_or(a.data(), a.data(), n), 0u)
+        << "diff_or self " << label;
 
-      out = a;
-      ops.blend_limbs(out.data(), mask.data(), fallback.data(), n);
-      EXPECT_EQ(out, blend_ref) << "blend " << label;
+    out = a;
+    simd::blend_limbs(out.data(), mask.data(), fallback.data(), n);
+    EXPECT_EQ(out, blend_ref) << "blend " << label;
 
-      EXPECT_EQ(ops.lane_diff_or(a.data(), b.data(), lane_mask, n),
-                diff_ref & lane_mask)
-          << "lane_diff_or " << label;
+    EXPECT_EQ(simd::lane_diff_or(a.data(), b.data(), lane_mask, n),
+              diff_ref & lane_mask)
+        << "lane_diff_or " << label;
 
-      // diff_column_mask: per-limb (not folded) disagreement flags for a
-      // chunk of <= 64 columns.
-      const std::size_t chunk = std::min<std::size_t>(n, 64);
-      std::uint64_t cols_ref = 0;
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (((a[i] ^ b[i]) & lane_mask) != 0) {
-          cols_ref |= std::uint64_t{1} << i;
-        }
+    // diff_column_mask: per-limb (not folded) disagreement flags for a
+    // chunk of <= 64 columns.
+    const std::size_t chunk = std::min<std::size_t>(n, 64);
+    std::uint64_t cols_ref = 0;
+    for (std::size_t i = 0; i < chunk; ++i) {
+      if (((a[i] ^ b[i]) & lane_mask) != 0) {
+        cols_ref |= std::uint64_t{1} << i;
       }
-      EXPECT_EQ(ops.diff_column_mask(a.data(), b.data(), lane_mask, chunk),
-                cols_ref)
-          << "diff_column_mask " << label;
-      EXPECT_EQ(ops.diff_column_mask(a.data(), a.data(), lane_mask, chunk),
-                0u)
-          << "diff_column_mask self " << label;
     }
+    EXPECT_EQ(simd::diff_column_mask(a.data(), b.data(), lane_mask, chunk),
+              cols_ref)
+        << "diff_column_mask " << label;
+    EXPECT_EQ(simd::diff_column_mask(a.data(), a.data(), lane_mask, chunk), 0u)
+        << "diff_column_mask self " << label;
   }
 }
 
-TEST(SimdDispatch, ExpandBitsMatchesScalarAtEveryLevel) {
-  LevelGuard guard;
+TEST(SimdDispatch, ExpandBitsMatchesScalarReference) {
   Rng rng(405);
   for (const std::size_t n_bits : {1ull, 21ull, 63ull, 64ull, 65ull, 100ull,
                                    130ull}) {
@@ -221,13 +185,9 @@ TEST(SimdDispatch, ExpandBitsMatchesScalarAtEveryLevel) {
       reference[j] =
           ((packed[j >> 6] >> (j & 63)) & 1u) != 0 ? ~std::uint64_t{0} : 0;
     }
-    for (const auto level : available_levels()) {
-      ASSERT_TRUE(simd::force(level));
-      std::vector<std::uint64_t> masks(n_bits, 0x5555);
-      simd::dispatch().expand_bits(packed.data(), masks.data(), n_bits);
-      EXPECT_EQ(masks, reference)
-          << simd::isa_name(level) << " n_bits=" << n_bits;
-    }
+    std::vector<std::uint64_t> masks(n_bits, 0x5555);
+    simd::expand_bits(packed.data(), masks.data(), n_bits);
+    EXPECT_EQ(masks, reference) << "n_bits=" << n_bits;
   }
 }
 
@@ -260,51 +220,44 @@ TEST(SimdDispatch, TransposeMatchesNaiveAndIsAnInvolution) {
 // ---- InstanceSlab ----------------------------------------------------------
 
 TEST(InstanceSlab, GatherScatterRoundTripAndColumnDemux) {
-  LevelGuard guard;
   Rng rng(500);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::size_t lane_count : {1ull, 5ull, 64ull}) {
-      const auto config = cfg("slab", 6, 70);
-      std::vector<std::unique_ptr<sram::Sram>> memories;
-      std::vector<sram::Sram*> lanes;
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        memories.push_back(std::make_unique<sram::Sram>(config));
-        for (int pokes = 0; pokes < 40; ++pokes) {
-          memories.back()->poke(random_cell(config, rng),
-                                rng.bernoulli(0.5));
-        }
-        lanes.push_back(memories.back().get());
+  for (const std::size_t lane_count : {1ull, 5ull, 64ull}) {
+    const auto config = cfg("slab", 6, 70);
+    std::vector<std::unique_ptr<sram::Sram>> memories;
+    std::vector<sram::Sram*> lanes;
+    for (std::size_t k = 0; k < lane_count; ++k) {
+      memories.push_back(std::make_unique<sram::Sram>(config));
+      for (int pokes = 0; pokes < 40; ++pokes) {
+        memories.back()->poke(random_cell(config, rng), rng.bernoulli(0.5));
       }
-      sram::InstanceSlab slab(lanes);
-      slab.gather();
-      // column(row, bit) demuxes exactly lane k's cell (row, bit).
+      lanes.push_back(memories.back().get());
+    }
+    sram::InstanceSlab slab(lanes);
+    slab.gather();
+    // column(row, bit) demuxes exactly lane k's cell (row, bit).
+    for (std::uint32_t row = 0; row < config.words; ++row) {
+      for (std::uint32_t bit = 0; bit < config.bits; ++bit) {
+        const std::uint64_t column = slab.column(row, bit);
+        for (std::size_t k = 0; k < lane_count; ++k) {
+          EXPECT_EQ(((column >> k) & 1u) != 0, memories[k]->peek({row, bit}))
+              << "lane " << k << " row " << row << " bit " << bit;
+        }
+        EXPECT_EQ(column & ~slab.lane_mask(), 0u)
+            << "unregistered lane bits must stay zero";
+      }
+    }
+    // scatter() restores every lane bit for bit.
+    std::vector<std::string> before;
+    for (const auto& memory : memories) {
+      before.push_back(memory->read(0).to_string());
+    }
+    slab.scatter();
+    for (std::size_t k = 0; k < lane_count; ++k) {
+      EXPECT_EQ(memories[k]->read(0).to_string(), before[k]);
       for (std::uint32_t row = 0; row < config.words; ++row) {
         for (std::uint32_t bit = 0; bit < config.bits; ++bit) {
           const std::uint64_t column = slab.column(row, bit);
-          for (std::size_t k = 0; k < lane_count; ++k) {
-            EXPECT_EQ(((column >> k) & 1u) != 0,
-                      memories[k]->peek({row, bit}))
-                << "lane " << k << " row " << row << " bit " << bit;
-          }
-          EXPECT_EQ(column & ~slab.lane_mask(), 0u)
-              << "unregistered lane bits must stay zero";
-        }
-      }
-      // scatter() restores every lane bit for bit.
-      std::vector<std::string> before;
-      for (const auto& memory : memories) {
-        before.push_back(memory->read(0).to_string());
-      }
-      slab.scatter();
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        EXPECT_EQ(memories[k]->read(0).to_string(), before[k]);
-        for (std::uint32_t row = 0; row < config.words; ++row) {
-          for (std::uint32_t bit = 0; bit < config.bits; ++bit) {
-            const std::uint64_t column = slab.column(row, bit);
-            EXPECT_EQ(memories[k]->peek({row, bit}),
-                      ((column >> k) & 1u) != 0);
-          }
+          EXPECT_EQ(memories[k]->peek({row, bit}), ((column >> k) & 1u) != 0);
         }
       }
     }
@@ -312,7 +265,6 @@ TEST(InstanceSlab, GatherScatterRoundTripAndColumnDemux) {
 }
 
 TEST(OverlaySlab, WriteReadAndCompareColumns) {
-  LevelGuard guard;
   const auto config = cfg("wr", 4, 66);
   std::vector<std::unique_ptr<sram::Sram>> memories;
   std::vector<sram::Sram*> lanes;
@@ -320,34 +272,30 @@ TEST(OverlaySlab, WriteReadAndCompareColumns) {
     memories.push_back(std::make_unique<sram::Sram>(config));
     lanes.push_back(memories.back().get());
   }
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    faults::OverlaySlab slab(lanes);
+  faults::OverlaySlab slab(lanes);
 
-    BitVector word(config.bits);
-    word.set(0, true);
-    word.set(65, true);
-    std::vector<std::uint64_t> bcast(config.bits);
-    simd::dispatch().expand_bits(word.word_data(), bcast.data(), config.bits);
-    slab.write(2, bcast.data(), sram::WriteStyle::normal, 10);
-    slab.read(2, 20);
-    EXPECT_EQ(slab.compare(bcast.data(), 0, config.bits), 0u);
+  BitVector word(config.bits);
+  word.set(0, true);
+  word.set(65, true);
+  std::vector<std::uint64_t> bcast(config.bits);
+  simd::expand_bits(word.word_data(), bcast.data(), config.bits);
+  slab.write(2, bcast.data(), sram::WriteStyle::normal, 10);
+  slab.read(2, 20);
+  EXPECT_EQ(slab.compare(bcast.data(), 0, config.bits), 0u);
 
-    // Flip exactly lane 1's bit 65 in the expectation.
-    std::vector<std::uint64_t> expect = bcast;
-    expect[65] ^= std::uint64_t{1} << 1;
-    EXPECT_EQ(slab.compare(expect.data(), 0, config.bits),
-              std::uint64_t{1} << 1);
-    EXPECT_EQ(slab.compare(expect.data(), 0, 65), 0u)
-        << "mismatch outside the compared column range must not register";
-    EXPECT_EQ(slab.mismatch_columns(expect.data(), 64),
-              std::uint64_t{1} << (65 - 64));
-    EXPECT_EQ(slab.mismatch_columns(expect.data(), 0), 0u);
-    slab.scatter();
-    EXPECT_TRUE(memories[0]->peek({2, 0}));
-    EXPECT_TRUE(memories[1]->peek({2, 65}));
-    EXPECT_FALSE(memories[2]->peek({2, 33}));
-  }
+  // Flip exactly lane 1's bit 65 in the expectation.
+  std::vector<std::uint64_t> expect = bcast;
+  expect[65] ^= std::uint64_t{1} << 1;
+  EXPECT_EQ(slab.compare(expect.data(), 0, config.bits), std::uint64_t{1} << 1);
+  EXPECT_EQ(slab.compare(expect.data(), 0, 65), 0u)
+      << "mismatch outside the compared column range must not register";
+  EXPECT_EQ(slab.mismatch_columns(expect.data(), 64),
+            std::uint64_t{1} << (65 - 64));
+  EXPECT_EQ(slab.mismatch_columns(expect.data(), 0), 0u);
+  slab.scatter();
+  EXPECT_TRUE(memories[0]->peek({2, 0}));
+  EXPECT_TRUE(memories[1]->peek({2, 65}));
+  EXPECT_FALSE(memories[2]->peek({2, 33}));
 }
 
 TEST(InstanceSlab, RejectsRepairedAndMismatchedLanes) {
@@ -409,8 +357,7 @@ std::vector<FaultInstance> probe_lane_candidates(std::size_t i,
   return lane;
 }
 
-TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
-  LevelGuard guard;
+TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizes) {
   auto probe_config = cfg("probe", 5, 7);
   probe_config.spare_rows = 0;
   const auto test = march::march_cw_nwrtm(probe_config.bits);
@@ -429,23 +376,17 @@ TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
                         std::make_unique<faults::FaultSet>(lane));
       expected.push_back(runner.run_per_cell(memory, test));
     }
-    for (const auto level : available_levels()) {
-      ASSERT_TRUE(simd::force(level));
-      const auto results =
-          runner.run_group_per_cell(probe_config, lanes, test);
-      ASSERT_EQ(results.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_TRUE(results[i] == expected[i])
-            << simd::isa_name(level) << " count=" << count << " lane " << i
-            << " (" << results[i].size() << " vs " << expected[i].size()
-            << " failing cells)";
-      }
+    const auto results = runner.run_group_per_cell(probe_config, lanes, test);
+    ASSERT_EQ(results.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(results[i] == expected[i])
+          << "count=" << count << " lane " << i << " (" << results[i].size()
+          << " vs " << expected[i].size() << " failing cells)";
     }
   }
 }
 
 TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
-  LevelGuard guard;
   auto probe_config = cfg("probe", 5, 7);
   probe_config.spare_rows = 0;
   const auto test = march::march_cw_nwrtm(probe_config.bits);
@@ -463,14 +404,10 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
     sram::Sram memory(probe_config, std::make_unique<faults::FaultSet>(lane));
     expected.push_back(runner.run_per_cell(memory, test, sweep));
   }
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    const auto results =
-        runner.run_group_per_cell(probe_config, lanes, test, sweep);
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      EXPECT_TRUE(results[i] == expected[i])
-          << simd::isa_name(level) << " lane " << i;
-    }
+  const auto results =
+      runner.run_group_per_cell(probe_config, lanes, test, sweep);
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    EXPECT_TRUE(results[i] == expected[i]) << "lane " << i;
   }
 }
 
@@ -541,16 +478,11 @@ void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
 }
 
 TEST(InstanceSliced, FastSchemeMatchesPerCellAcrossGroupSizes) {
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::size_t count : {1ull, 2ull, 63ull, 64ull, 65ull}) {
-      auto sliced_soc = make_sliced_soc(count, AccessKernel::word_parallel, 42);
-      auto ref_soc = make_sliced_soc(count, AccessKernel::per_cell, 42);
-      expect_scheme_identical(sliced_soc, ref_soc,
-                              std::string(simd::isa_name(level)) +
-                                  " count=" + std::to_string(count));
-    }
+  for (const std::size_t count : {1ull, 2ull, 63ull, 64ull, 65ull}) {
+    auto sliced_soc = make_sliced_soc(count, AccessKernel::word_parallel, 42);
+    auto ref_soc = make_sliced_soc(count, AccessKernel::per_cell, 42);
+    expect_scheme_identical(sliced_soc, ref_soc,
+                            "count=" + std::to_string(count));
   }
 }
 
@@ -629,43 +561,36 @@ TEST(InstanceSliced, IdleLessPortsMatchReferenceAndClosedForms) {
     soc.set_access_kernel(kernel);
     return soc;
   };
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    const std::string label = simd::isa_name(level);
-    auto sliced_soc = make_soc(AccessKernel::word_parallel);
-    auto ref_soc = make_soc(AccessKernel::per_cell);
-    ASSERT_EQ(sliced_soc.slice_groups().size(), 1u) << label;
+  auto sliced_soc = make_soc(AccessKernel::word_parallel);
+  auto ref_soc = make_soc(AccessKernel::per_cell);
+  ASSERT_EQ(sliced_soc.slice_groups().size(), 1u);
 
-    const std::uint32_t c_max = sliced_soc.max_bits();
-    bisd::FastSchemeOptions retest;
-    retest.test = march::with_retention_pause(march::march_cw(c_max), 5'000);
-    std::size_t run = 0;
-    for (const auto& options : {bisd::FastSchemeOptions{}, retest}) {
-      const std::string run_label = label + " run " + std::to_string(run++);
-      const auto sliced_before = memory_states(sliced_soc);
-      const auto ref_before = memory_states(ref_soc);
-      bisd::FastScheme scheme(options);
-      const auto sliced = scheme.diagnose(sliced_soc);
-      const auto reference = scheme.diagnose(ref_soc);
-      const auto test = scheme.test_for_width(c_max);
-      expect_closed_forms(sliced_soc, sliced_before, test, sliced,
-                          run_label);
-      expect_closed_forms(ref_soc, ref_before, test, reference,
-                          run_label + " per_cell");
-      expect_runs_identical(sliced_soc, ref_soc, sliced, reference,
-                            run_label);
-      // Repair what the run found: the retest drives the repaired memories
-      // through their own ports.
-      bisd::apply_repair(sliced_soc, bisd::plan_repair(sliced.log, sliced_soc));
-      bisd::apply_repair(ref_soc, bisd::plan_repair(reference.log, ref_soc));
-    }
-    std::uint32_t spares_used = 0;
-    for (std::size_t i = 0; i < sliced_soc.memory_count(); ++i) {
-      spares_used += sliced_soc.memory(i).spares_used();
-    }
-    EXPECT_GT(spares_used, 0u) << label << ": nothing was repaired";
+  const std::uint32_t c_max = sliced_soc.max_bits();
+  bisd::FastSchemeOptions retest;
+  retest.test = march::with_retention_pause(march::march_cw(c_max), 5'000);
+  std::size_t run = 0;
+  for (const auto& options : {bisd::FastSchemeOptions{}, retest}) {
+    const std::string run_label = "run " + std::to_string(run++);
+    const auto sliced_before = memory_states(sliced_soc);
+    const auto ref_before = memory_states(ref_soc);
+    bisd::FastScheme scheme(options);
+    const auto sliced = scheme.diagnose(sliced_soc);
+    const auto reference = scheme.diagnose(ref_soc);
+    const auto test = scheme.test_for_width(c_max);
+    expect_closed_forms(sliced_soc, sliced_before, test, sliced, run_label);
+    expect_closed_forms(ref_soc, ref_before, test, reference,
+                        run_label + " per_cell");
+    expect_runs_identical(sliced_soc, ref_soc, sliced, reference, run_label);
+    // Repair what the run found: the retest drives the repaired memories
+    // through their own ports.
+    bisd::apply_repair(sliced_soc, bisd::plan_repair(sliced.log, sliced_soc));
+    bisd::apply_repair(ref_soc, bisd::plan_repair(reference.log, ref_soc));
   }
+  std::uint32_t spares_used = 0;
+  for (std::size_t i = 0; i < sliced_soc.memory_count(); ++i) {
+    spares_used += sliced_soc.memory(i).spares_used();
+  }
+  EXPECT_GT(spares_used, 0u) << "nothing was repaired";
 }
 
 TEST(InstanceSliced, SliceGroupsChunkAt64InIndexOrder) {

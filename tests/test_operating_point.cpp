@@ -2,19 +2,19 @@
 // four depths behind one BISD controller, at a 1 % defect rate plus DRFs.
 //
 //  * The default kernel diagnoses like the per_cell reference (log, cycles,
-//    SRAM ops), fault-free and at 1 %, at every SIMD dispatch level.
+//    SRAM ops), fault-free and at 1 %.
 //  * instance_sliced dictionaries classify like per_candidate ones, on a
-//    wrap-free and on a wrapped SoC, at every SIMD dispatch level.
+//    wrap-free and on a wrapped SoC.
 //  * A 100,000-run streaming sweep peaks far below run_batch, which
 //    retains every Report.
 //  * Classifying the wrapped 64-memory fleet SoC cold stays under 500 MB
 //    of peak RSS and under its dictionary-key bound.
 //
-// Every gate runs in forked children, all started together when the suite
-// starts: the RSS legs so that each reads its own peak, and one child per
-// SIMD level for the differentials, because simd::force() pins a whole
-// process.  Still the heaviest tier-1 binary; the Debug and sanitizer CI
-// legs skip it with `ctest -E test_operating_point`.
+// Every gate runs in its own forked child, all five started together when
+// the suite starts: the RSS legs so that each reads its own peak, and the
+// two differentials so that they share the cores with them.  Still the
+// heaviest tier-1 binary; the Debug and sanitizer CI legs skip it with
+// `ctest -E test_operating_point`.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/fastdiag.h"
-#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -243,8 +242,8 @@ std::string diagnose_fleet(double defect_rate, sram::AccessKernel kernel) {
          " ops=" + std::to_string(ops) + "\n" + result.log.to_csv();
 }
 
-/// Fault-free and at 1 %, the default kernel against per_cell at the
-/// process's SIMD level; the four diagnoses run at once.
+/// Fault-free and at 1 %, the default kernel against per_cell; the four
+/// diagnoses run at once.
 void check_kernels(LegResult& out) {
   std::vector<std::future<std::string>> runs;
   for (const double rate : {0.0, 0.01}) {
@@ -282,9 +281,9 @@ std::string verdicts(const std::vector<SramConfig>& configs,
   return out;
 }
 
-/// Both build modes at the process's SIMD level, on a wrap-free 64-memory
-/// SoC at 1 % and on a small wrapped one at 3 % whose 48- and 40-word
-/// memories wrap the sweep with a remainder and the 32-word one evenly.
+/// Both build modes, on a wrap-free 64-memory SoC at 1 % and on a small
+/// wrapped one at 3 % whose 48- and 40-word memories wrap the sweep with a
+/// remainder and the 32-word one evenly.
 void check_dictionaries(LegResult& out) {
   const std::pair<std::vector<SramConfig>, double> socs[] = {
       {shapes(16, 32, {{64, 18}, {64, 40}, {64, 24}, {64, 72}}), 0.01},
@@ -302,24 +301,6 @@ void check_dictionaries(LegResult& out) {
 
 // ---- the suite --------------------------------------------------------------
 
-using LevelChildren = std::vector<std::pair<simd::IsaLevel, Child>>;
-
-/// @p check in one child per SIMD level this CPU supports: simd::force()
-/// pins the level of a whole process.
-LevelChildren spawn_at_every_level(void (*check)(LegResult&)) {
-  LevelChildren children;
-  for (const auto level : available_levels()) {
-    children.emplace_back(level, spawn([check, level](LegResult& out) {
-      if (simd::force(level)) {
-        check(out);
-      } else {
-        std::snprintf(out.failure, sizeof out.failure, "cannot force");
-      }
-    }));
-  }
-  return children;
-}
-
 class OperatingPoint : public ::testing::Test {
  protected:
   // Every leg forks when the suite starts, so all four gates share the
@@ -329,39 +310,32 @@ class OperatingPoint : public ::testing::Test {
     stream_ = spawn(stream_leg);
     batch_ = spawn(batch_leg);
     fleet_ = spawn(fleet_leg);
-    kernels_ = spawn_at_every_level(check_kernels);
-    dictionaries_ = spawn_at_every_level(check_dictionaries);
+    kernels_ = spawn(check_kernels);
+    dictionaries_ = spawn(check_dictionaries);
   }
 
   // Reaps the legs of tests a filter left out.
   static void TearDownTestSuite() {
-    for (Child* child : {&stream_, &batch_, &fleet_}) {
+    for (Child* child :
+         {&stream_, &batch_, &fleet_, &kernels_, &dictionaries_}) {
       (void)collect(*child);
     }
-    for (auto* children : {&kernels_, &dictionaries_}) {
-      for (auto& [level, child] : *children) {
-        (void)collect(child);
-      }
-    }
   }
 
-  static void expect_every_level_clean(LevelChildren& children) {
-    for (auto& [level, child] : children) {
-      const LegResult result = collect(child);
-      EXPECT_TRUE(result.ran) << simd::isa_name(level);
-      EXPECT_STREQ(result.failure, "") << simd::isa_name(level);
-    }
+  static void expect_clean(Child& child) {
+    const LegResult result = collect(child);
+    EXPECT_TRUE(result.ran);
+    EXPECT_STREQ(result.failure, "");
   }
 
-  static Child stream_, batch_, fleet_;
-  static LevelChildren kernels_, dictionaries_;
+  static Child stream_, batch_, fleet_, kernels_, dictionaries_;
 };
 
 Child OperatingPoint::stream_;
 Child OperatingPoint::batch_;
 Child OperatingPoint::fleet_;
-LevelChildren OperatingPoint::kernels_;
-LevelChildren OperatingPoint::dictionaries_;
+Child OperatingPoint::kernels_;
+Child OperatingPoint::dictionaries_;
 
 TEST_F(OperatingPoint, StreamingSweepPeaksFarBelowARetainingBatch) {
   // 100,000 seeds of one 8x4 memory at 2 %, 4 workers, each leg in its own
@@ -403,12 +377,12 @@ TEST_F(OperatingPoint, FleetSocClassifiesColdUnderItsMemoryBounds) {
   EXPECT_LE(leg.value, key_bound);
 }
 
-TEST_F(OperatingPoint, DefaultKernelDiagnosesLikePerCellAtEveryLevel) {
-  expect_every_level_clean(kernels_);
+TEST_F(OperatingPoint, DefaultKernelDiagnosesLikePerCell) {
+  expect_clean(kernels_);
 }
 
-TEST_F(OperatingPoint, SlicedDictionariesClassifyLikePerCandidateAtEveryLevel) {
-  expect_every_level_clean(dictionaries_);
+TEST_F(OperatingPoint, SlicedDictionariesClassifyLikePerCandidate) {
+  expect_clean(dictionaries_);
 }
 
 }  // namespace

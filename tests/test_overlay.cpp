@@ -10,8 +10,7 @@
 // contents, sense latches, retention clocks).  Two corpora:
 //
 //  * a scaled fleet: four geometries of three or more lanes each, three of
-//    them wrapping the shared sweep, 1 % defects plus DRFs, several seeds,
-//    every forced SIMD level;
+//    them wrapping the shared sweep, 1 % defects plus DRFs, several seeds;
 //  * hand-placed sites that share a cell, row or column inside one lane —
 //    the interactions per-kind records would get wrong — run through
 //    FastScheme and the single-memory word path.
@@ -23,7 +22,6 @@
 
 #include "core/fastdiag.h"
 #include "faults/overlay_slab.h"
-#include "simd_levels.h"
 
 namespace fastdiag {
 namespace {
@@ -118,27 +116,22 @@ bisd::SocUnderTest fleet(std::uint64_t seed, std::uint64_t retention_ns,
   return soc;
 }
 
-TEST(OverlayFleet, OperatingPointMatchesPerCellAtEveryLevel) {
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::uint64_t seed : {3ull, 17ull, 2024ull, 777ull}) {
-      for (const std::uint64_t retention_ns : {2'000ull, 50'000'000ull}) {
-        auto fast_soc = fleet(seed, retention_ns, AccessKernel::word_parallel);
-        auto ref_soc = fleet(seed, retention_ns, AccessKernel::per_cell);
-        std::size_t sliced = 0;
-        for (const auto& group : fast_soc.slice_groups()) {
-          sliced += group.members.size();
-        }
-        ASSERT_EQ(sliced, fast_soc.memory_count())
-            << "every unrepaired fleet memory rides a slab";
-        ASSERT_GT(fast_soc.total_faults(), 0u);
-        expect_fast_scheme_identical(
-            fast_soc, ref_soc, {},
-            std::string(simd::isa_name(level)) + " seed " +
-                std::to_string(seed) + " retention " +
-                std::to_string(retention_ns));
+TEST(OverlayFleet, OperatingPointMatchesPerCell) {
+  for (const std::uint64_t seed : {3ull, 17ull, 2024ull, 777ull}) {
+    for (const std::uint64_t retention_ns : {2'000ull, 50'000'000ull}) {
+      auto fast_soc = fleet(seed, retention_ns, AccessKernel::word_parallel);
+      auto ref_soc = fleet(seed, retention_ns, AccessKernel::per_cell);
+      std::size_t sliced = 0;
+      for (const auto& group : fast_soc.slice_groups()) {
+        sliced += group.members.size();
       }
+      ASSERT_EQ(sliced, fast_soc.memory_count())
+          << "every unrepaired fleet memory rides a slab";
+      ASSERT_GT(fast_soc.total_faults(), 0u);
+      expect_fast_scheme_identical(fast_soc, ref_soc, {},
+                                   "seed " + std::to_string(seed) +
+                                       " retention " +
+                                       std::to_string(retention_ns));
     }
   }
 }
@@ -147,27 +140,21 @@ TEST(OverlayFleet, RetentionPausesAndRepeatRunsMatchPerCell) {
   // A pause-based DRF test on top of NWRTM, run twice on the same SoC: the
   // second run starts from the first run's landed state (cells, latches,
   // retention clocks), so anything scatter drops shows up there.
-  LevelGuard guard;
   bisd::FastSchemeOptions options;
   options.test = march::with_retention_pause(march::march_cw_nwrtm(72),
                                              /*pause_ns=*/5'000);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    auto fast_soc = fleet(99, 3'000, AccessKernel::word_parallel);
-    auto ref_soc = fleet(99, 3'000, AccessKernel::per_cell);
-    for (int run = 0; run < 2; ++run) {
-      bisd::FastScheme fast_scheme(options);
-      bisd::FastScheme ref_scheme(options);
-      const auto fast = fast_scheme.diagnose(fast_soc);
-      const auto reference = ref_scheme.diagnose(ref_soc);
-      EXPECT_EQ(fast.log.to_csv(), reference.log.to_csv())
-          << simd::isa_name(level) << " run " << run;
-    }
-    for (std::size_t i = 0; i < fast_soc.memory_count(); ++i) {
-      expect_memory_identical(fast_soc.memory(i), ref_soc.memory(i),
-                              std::string(simd::isa_name(level)) +
-                                  " memory " + std::to_string(i));
-    }
+  auto fast_soc = fleet(99, 3'000, AccessKernel::word_parallel);
+  auto ref_soc = fleet(99, 3'000, AccessKernel::per_cell);
+  for (int run = 0; run < 2; ++run) {
+    bisd::FastScheme fast_scheme(options);
+    bisd::FastScheme ref_scheme(options);
+    const auto fast = fast_scheme.diagnose(fast_soc);
+    const auto reference = ref_scheme.diagnose(ref_soc);
+    EXPECT_EQ(fast.log.to_csv(), reference.log.to_csv()) << "run " << run;
+  }
+  for (std::size_t i = 0; i < fast_soc.memory_count(); ++i) {
+    expect_memory_identical(fast_soc.memory(i), ref_soc.memory(i),
+                            "memory " + std::to_string(i));
   }
 }
 
@@ -226,29 +213,23 @@ std::vector<FaultInstance> corpus_lane(std::size_t k, std::uint32_t bits) {
 }
 
 TEST(OverlayCorpus, FastSchemeMatchesPerCell) {
-  LevelGuard guard;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::uint32_t bits : {9u, 70u}) {
-      const auto build = [bits](AccessKernel kernel) {
-        bisd::SocUnderTest soc;
-        for (std::size_t k = 0; k < 5; ++k) {
-          soc.add_memory(cfg("c" + std::to_string(k), 8, bits, 400),
-                         corpus_lane(k, bits));
-        }
-        // A deeper clean memory makes the corpus lanes wrap the sweep.
-        soc.add_memory(cfg("deep", 12, 16, 400));
-        soc.set_access_kernel(kernel);
-        return soc;
-      };
-      auto fast_soc = build(AccessKernel::word_parallel);
-      auto ref_soc = build(AccessKernel::per_cell);
-      ASSERT_EQ(fast_soc.slice_groups().size(), 1u);
-      expect_fast_scheme_identical(
-          fast_soc, ref_soc, {},
-          std::string(simd::isa_name(level)) + " bits " +
-              std::to_string(bits));
-    }
+  for (const std::uint32_t bits : {9u, 70u}) {
+    const auto build = [bits](AccessKernel kernel) {
+      bisd::SocUnderTest soc;
+      for (std::size_t k = 0; k < 5; ++k) {
+        soc.add_memory(cfg("c" + std::to_string(k), 8, bits, 400),
+                       corpus_lane(k, bits));
+      }
+      // A deeper clean memory makes the corpus lanes wrap the sweep.
+      soc.add_memory(cfg("deep", 12, 16, 400));
+      soc.set_access_kernel(kernel);
+      return soc;
+    };
+    auto fast_soc = build(AccessKernel::word_parallel);
+    auto ref_soc = build(AccessKernel::per_cell);
+    ASSERT_EQ(fast_soc.slice_groups().size(), 1u);
+    expect_fast_scheme_identical(fast_soc, ref_soc, {},
+                                 "bits " + std::to_string(bits));
   }
 }
 
@@ -265,26 +246,21 @@ std::vector<std::unique_ptr<sram::Sram>> corpus_fleet(std::uint32_t bits,
 }
 
 TEST(OverlayCorpus, WordPathMatchesPerCell) {
-  LevelGuard guard;
   const march::MarchRunner runner;
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::uint32_t bits : {9u, 70u}) {
-      const auto test = march::march_cw_nwrtm(bits);
-      for (const std::uint32_t sweep : {0u, 11u}) {
-        const std::string label = std::string(simd::isa_name(level)) +
-                                  " bits " + std::to_string(bits) +
-                                  " sweep " + std::to_string(sweep);
-        auto single = corpus_fleet(bits, AccessKernel::word_parallel);
-        auto reference = corpus_fleet(bits, AccessKernel::per_cell);
-        for (std::size_t k = 0; k < single.size(); ++k) {
-          const auto word = runner.run(*single[k], test, sweep);
-          const auto expected = runner.run(*reference[k], test, sweep);
-          const std::string lane = label + " lane " + std::to_string(k);
-          EXPECT_TRUE(word.mismatches == expected.mismatches) << lane;
-          EXPECT_EQ(word.elapsed_ns, expected.elapsed_ns) << lane;
-          expect_memory_identical(*single[k], *reference[k], lane);
-        }
+  for (const std::uint32_t bits : {9u, 70u}) {
+    const auto test = march::march_cw_nwrtm(bits);
+    for (const std::uint32_t sweep : {0u, 11u}) {
+      const std::string label =
+          "bits " + std::to_string(bits) + " sweep " + std::to_string(sweep);
+      auto single = corpus_fleet(bits, AccessKernel::word_parallel);
+      auto reference = corpus_fleet(bits, AccessKernel::per_cell);
+      for (std::size_t k = 0; k < single.size(); ++k) {
+        const auto word = runner.run(*single[k], test, sweep);
+        const auto expected = runner.run(*reference[k], test, sweep);
+        const std::string lane = label + " lane " + std::to_string(k);
+        EXPECT_TRUE(word.mismatches == expected.mismatches) << lane;
+        EXPECT_EQ(word.elapsed_ns, expected.elapsed_ns) << lane;
+        expect_memory_identical(*single[k], *reference[k], lane);
       }
     }
   }
