@@ -565,6 +565,9 @@ bool decode_march_test(ByteReader& reader, march::MarchTest& test) {
 
 std::vector<std::uint8_t> encode_report(const core::Report& report) {
   ByteWriter writer;
+  // A record is 52 bytes plus its background's limbs; one limb covers the
+  // March CW patterns of every memory up to 64 bits wide.
+  writer.reserve(256 + 68 * report.result.log.records().size());
   writer.u32(kReportMagic);
   writer.u32(kFormatVersion);
   writer.str(report.scheme_name);

@@ -20,6 +20,7 @@
 //     is what the round-trip tests pin down.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -37,22 +38,19 @@ struct DecodeError {
   std::string message;
 };
 
-/// Little-endian append-only buffer the encoders write through.
+/// Little-endian append-only buffer the encoders write through.  Each
+/// fixed-width field is one store of its little-endian image.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for @p bytes more, so a caller that knows its
+  /// encoded size appends without reallocating.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   void u8(std::uint8_t value) { buffer_.push_back(value); }
 
-  void u32(std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
+  void u32(std::uint32_t value) { store(little_endian(value)); }
 
-  void u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
+  void u64(std::uint64_t value) { store(little_endian(value)); }
 
   void f64(double value);  ///< IEEE-754 bit image via uint64
 
@@ -73,6 +71,25 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename T>
+  static T little_endian(T value) {
+    if constexpr (std::endian::native == std::endian::big) {
+      T swapped = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        swapped = static_cast<T>(swapped << 8 | ((value >> (8 * i)) & 0xFF));
+      }
+      return swapped;
+    }
+    return value;
+  }
+
+  template <typename T>
+  void store(T value) {
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + sizeof(T));
+    std::memcpy(buffer_.data() + at, &value, sizeof(T));
+  }
+
   std::vector<std::uint8_t> buffer_;
 };
 
