@@ -228,19 +228,17 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
                                        const Candidate& candidate,
                                        std::size_t pass_group,
                                        std::size_t pass_index) {
-    const auto known = result.log.cells(i);
-    if (known.count({candidate.addr, candidate.bit}) != 0) {
+    const sram::CellCoord cell{candidate.addr, candidate.bit};
+    if (result.log.contains(i, cell)) {
       return false;
     }
-    DiagnosisRecord record;
-    record.memory_index = i;
-    record.addr = candidate.addr;
-    record.bit = candidate.bit;
-    record.background = background_ids[i];
-    record.phase = pass_group;
-    record.element = pass_index;
-    record.cycle = cycles;
-    result.log.add(record);
+    DiagnosisEvent event;
+    event.cycle_base = cycles;
+    event.phase = static_cast<std::uint32_t>(pass_group);
+    event.element = static_cast<std::uint32_t>(pass_index);
+    event.background = background_ids[i];
+    result.log.add(static_cast<std::uint32_t>(i), cell,
+                   result.log.intern(event));
 
     auto& memory = soc.memory(i);
     if (!memory.is_repaired(candidate.addr) &&
@@ -313,6 +311,7 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   }
 
   result.time.add_cycles(cycles);
+  result.log.seal();
   return result;
 }
 

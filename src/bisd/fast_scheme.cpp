@@ -1,8 +1,10 @@
 #include "bisd/fast_scheme.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <deque>
+#include <numeric>
 #include <vector>
 
 #include "bisd/address_gen.h"
@@ -88,6 +90,11 @@ struct Unit {
   sram::Sram golden;
   BitVector expected;      ///< golden word of the in-flight read
   std::uint32_t addr = 0;  ///< local address of the current step
+  /// The log event of this unit's failures in the read whose cycle base is
+  /// event_base: one per (read op, step, visit), interned at its first
+  /// failing bit.
+  std::uint64_t event_base = ~std::uint64_t{0};
+  std::uint32_t event = 0;
 };
 
 /// One memory on its own data port, serializing through its own PSC.
@@ -221,6 +228,7 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   std::vector<std::uint64_t> diff_scratch(memories, 0);
   std::vector<std::size_t> hits;
   hits.reserve(memories);
+  std::vector<std::size_t> by_clock;
   BitVector read_scratch;
 
   DiagnosisResult result;
@@ -237,6 +245,10 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
     const std::uint64_t bound = test.reads_per_address() * n_max * total_bits;
     result.log.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
         bound, std::max<std::uint64_t>(log_capacity_hint_, 256))));
+    for (std::size_t i = 0; i < memories; ++i) {
+      result.log.index_memory(static_cast<std::uint32_t>(i),
+                              soc.config(i).words, soc.config(i).bits);
+    }
   }
   std::uint64_t cycles = 0;
   // Ports advance with the controller clock.  Group lanes take one
@@ -356,6 +368,8 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
             }
             case MarchOpKind::read: {
               tick(1);  // capture into the PSCs
+              // Bit b of this word leaves its chain at read_base + b.
+              const std::uint64_t read_base = cycles + 1;
               for (auto& port : ports) {
                 port.memory.read_into(port.addr, read_scratch);
                 port.psc.capture(read_scratch);
@@ -377,13 +391,12 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
               // Serialize the responses back, memories in parallel;
               // narrower PSCs drain into the zero fill.  Up to 64 shift
               // clocks per word compare: records are emitted clock-major
-              // (memories in index order within a clock), and
-              // record.cycle is the exact clock the mismatching bit left
-              // the chain.
+              // (memories in index order within a clock), and a record's
+              // cycle, read_base + bit, is the exact clock the mismatching
+              // bit left the chain.
               for (std::uint32_t k = 0; k < c_max; k += 64) {
                 const auto batch = static_cast<std::size_t>(
                     std::min<std::uint32_t>(64, c_max - k));
-                const std::uint64_t batch_start_cycles = cycles;
                 cycles += batch;
                 deferred_ns += batch * period;
                 std::uint64_t any_diff = 0;
@@ -451,32 +464,55 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                 if (any_diff == 0) {
                   continue;
                 }
-                // Rare path: walk the mismatching clocks in order, and per
-                // clock only the memories that mismatched in this batch,
-                // ascending.
+                // Rare path: emit clock-major, memories ascending within a
+                // clock.  A stable counting sort of the (memory, clock)
+                // failures over the batch's clocks keeps it linear in the
+                // records emitted.
                 std::sort(hits.begin(), hits.end());
+                std::array<std::uint32_t, 65> clock_start{};
+                for (const std::size_t i : hits) {
+                  for (std::uint64_t d = diff_scratch[i]; d != 0;
+                       d &= d - 1) {
+                    ++clock_start[std::countr_zero(d) + 1];
+                  }
+                }
+                std::partial_sum(clock_start.begin(), clock_start.end(),
+                                 clock_start.begin());
+                by_clock.resize(clock_start[64]);
+                {
+                  auto next = clock_start;
+                  for (const std::size_t i : hits) {
+                    for (std::uint64_t d = diff_scratch[i]; d != 0;
+                         d &= d - 1) {
+                      by_clock[next[std::countr_zero(d)]++] = i;
+                    }
+                  }
+                }
                 while (any_diff != 0) {
                   const auto t =
                       static_cast<std::uint32_t>(std::countr_zero(any_diff));
                   any_diff &= any_diff - 1;
-                  const std::uint64_t bit_mask = std::uint64_t{1} << t;
-                  for (const std::size_t i : hits) {
-                    const Unit& unit = *unit_of[i];
-                    if ((diff_scratch[i] & bit_mask) == 0 ||
-                        k + t >= unit.golden.bits()) {
+                  for (std::uint32_t j = clock_start[t];
+                       j < clock_start[t + 1]; ++j) {
+                    const std::size_t i = by_clock[j];
+                    Unit& unit = *unit_of[i];
+                    if (k + t >= unit.golden.bits()) {
                       continue;
                     }
-                    DiagnosisRecord record;
-                    record.memory_index = i;
-                    record.addr = unit.addr;
-                    record.bit = k + t;
-                    record.background = background_id;
-                    record.phase = p;
-                    record.element = e;
-                    record.op = o;
-                    record.visit = step / unit.generator.words();
-                    record.cycle = batch_start_cycles + t + 1;
-                    result.log.add(record);
+                    if (unit.event_base != read_base) {
+                      DiagnosisEvent event;
+                      event.cycle_base = read_base;
+                      event.phase = static_cast<std::uint32_t>(p);
+                      event.element = static_cast<std::uint32_t>(e);
+                      event.op = static_cast<std::uint32_t>(o);
+                      event.visit = step / unit.generator.words();
+                      event.background = background_id;
+                      event.serial = true;
+                      unit.event = result.log.intern(event);
+                      unit.event_base = read_base;
+                    }
+                    result.log.add(static_cast<std::uint32_t>(i),
+                                   {unit.addr, k + t}, unit.event);
                   }
                 }
                 for (const std::size_t i : hits) {
@@ -518,6 +554,7 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   result.iterations = 1;
   ensure(cycles == predicted_cycles(test, n_max, c_max),
          "FastScheme: simulated cycles diverged from the closed form");
+  result.log.seal();
   return result;
 }
 

@@ -63,6 +63,8 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
     auto& memory = soc.memory(m);
     golden[m] = checkerboard(memory.bits());
     background_ids[m] = result.log.intern(golden[m]);
+    result.log.index_memory(static_cast<std::uint32_t>(m), memory.words(),
+                            memory.bits());
     words[m] = memory.words();
     layers[m] = soc.soft_behavior(m);
     event_driven[m] = layers[m] != nullptr && soc.truth(m).empty() &&
@@ -139,22 +141,28 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
       // slot; under periodic scrubbing, each earlier slot issued one.
       const std::uint64_t cycle =
           base + addr + 1 + (periodic ? slots_before(addr, m) : scrubs);
+      // The whole word is compared at once: one non-serial event covers
+      // every failing bit of it.
       bool mismatch = false;
+      std::uint32_t event = 0;
       const std::uint64_t* read = scratch.word_data();
       const std::uint64_t* expected = golden[m].word_data();
       for (std::size_t limb = 0; limb < golden[m].word_count(); ++limb) {
         for (std::uint64_t diff = read[limb] ^ expected[limb]; diff != 0;
              diff &= diff - 1) {
-          mismatch = true;
-          DiagnosisRecord record;
-          record.memory_index = m;
-          record.addr = addr;
-          record.bit =
-              static_cast<std::uint32_t>(limb * 64 + std::countr_zero(diff));
-          record.background = background_ids[m];
-          record.element = static_cast<std::uint32_t>(k);
-          record.cycle = cycle;
-          result.log.add(record);
+          if (!mismatch) {
+            DiagnosisEvent sensed;
+            sensed.cycle_base = cycle;
+            sensed.element = static_cast<std::uint32_t>(k);
+            sensed.background = background_ids[m];
+            event = result.log.intern(sensed);
+            mismatch = true;
+          }
+          result.log.add(
+              static_cast<std::uint32_t>(m),
+              {addr, static_cast<std::uint32_t>(limb * 64 +
+                                                std::countr_zero(diff))},
+              event);
         }
       }
       const bool corrected = soft.ecc && layers[m] != nullptr &&
@@ -197,6 +205,7 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
     result.time.add_pause_ns(soft.duration_ns - now);
   }
   result.iterations = std::max<std::uint64_t>(1, sweeps);
+  result.log.seal();
   ran_ = true;
   return result;
 }

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <compare>
 #include <condition_variable>
 #include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -396,20 +396,6 @@ const SchemeRegistry& DiagnosisEngine::registry() const {
 
 namespace {
 
-/// A comparator hit of a scanning scheme: the cell and the sweep that
-/// flagged it, ordered cell first.
-struct ScanHit {
-  std::uint32_t memory = 0;
-  std::uint32_t addr = 0;
-  std::uint32_t bit = 0;
-  std::uint32_t sweep = 0;
-
-  [[nodiscard]] bool same_cell(const ScanHit& other) const {
-    return memory == other.memory && addr == other.addr && bit == other.bit;
-  }
-  friend auto operator<=>(const ScanHit&, const ScanHit&) = default;
-};
-
 /// Scores an in-field run: resolves every injected transient upset against
 /// the scheme's scan windows and collects the residual/ECC accounting from
 /// each memory's SoftErrorBehavior.
@@ -422,16 +408,24 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
     out.scan_sweeps = info->sweep_count;
     out.scrub_writes = info->scrub_writes;
   }
-  // Every record's cell and sweep, sorted: the first hit at or after
-  // (m, row, bit, window) holds the earliest sweep >= window that flagged
-  // that cell, if any did.
-  std::vector<ScanHit> hits;
-  hits.reserve(log.records().size());
-  for (const auto& record : log.records()) {
-    hits.push_back(
-        {record.memory_index, record.addr, record.bit, record.element});
+  // The sweeps that flagged each cell, ascending per cell (a scan logs
+  // them in sweep order, so the sort rarely runs): the first one at or
+  // after an upset's window is the earliest sweep that caught it.
+  std::optional<bisd::DiagnosisLog> copy;
+  const bisd::DiagnosisLog& sealed = bisd::sealed_form(log, copy);
+  const auto& tables = sealed.tables();
+  const auto groups = sealed.entries_by_cell();
+  std::vector<std::uint32_t> sweeps(groups.order.size());
+  for (std::size_t j = 0; j < sweeps.size(); ++j) {
+    sweeps[j] = tables.events[tables.entries[groups.order[j]].event].element;
   }
-  std::sort(hits.begin(), hits.end());
+  for (std::size_t c = 0; c < tables.cells.size(); ++c) {
+    const auto first = sweeps.begin() + groups.offsets[c];
+    const auto last = sweeps.begin() + groups.offsets[c + 1];
+    if (!std::is_sorted(first, last)) {
+      std::sort(first, last);
+    }
+  }
   for (std::size_t m = 0; m < soc.memory_count(); ++m) {
     auto* soft = soc.soft_behavior(m);
     if (soft == nullptr) continue;
@@ -459,12 +453,18 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
       const std::uint64_t window = info->window_of(event.time_ns);
       if (window >= info->sweep_count) continue;  // after the final sweep
       ++out.scored_upsets;
-      const ScanHit upset{static_cast<std::uint32_t>(m), event.cell.row,
-                          event.cell.bit, static_cast<std::uint32_t>(window)};
-      const auto it = std::lower_bound(hits.begin(), hits.end(), upset);
-      if (it == hits.end() || !it->same_cell(upset)) continue;
+      const bisd::LoggedCell cell{static_cast<std::uint32_t>(m),
+                                  event.cell.row, event.cell.bit};
+      const auto found =
+          std::lower_bound(tables.cells.begin(), tables.cells.end(), cell);
+      if (found == tables.cells.end() || *found != cell) continue;
+      const auto c = static_cast<std::size_t>(found - tables.cells.begin());
+      const auto last = sweeps.begin() + groups.offsets[c + 1];
+      const auto caught =
+          std::lower_bound(sweeps.begin() + groups.offsets[c], last, window);
+      if (caught == last) continue;
       ++out.detected_upsets;
-      out.correct_window += it->sweep == window ? 1 : 0;
+      out.correct_window += *caught == window ? 1 : 0;
     }
   }
   return out;
@@ -494,6 +494,7 @@ Report DiagnosisEngine::execute(const SessionSpec& spec,
   report.defect_rate = spec.injection().cell_defect_rate;
   report.injected_faults = soc.total_faults();
   report.result = scheme->diagnose(soc);
+  report.result.log.seal();  // built-in schemes seal already; plug-ins may not
   report.total_ns = report.result.total_ns(spec.clock());
   if (scratch != nullptr) {
     scratch->log_records_high_water =

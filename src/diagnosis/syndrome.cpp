@@ -1,7 +1,7 @@
 #include "diagnosis/syndrome.h"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 #include <utility>
 
 namespace fastdiag::diagnosis {
@@ -38,36 +38,42 @@ std::map<std::uint32_t, std::size_t> MemorySyndrome::row_histogram() const {
 
 std::vector<MemorySyndrome> extract_syndromes(const bisd::DiagnosisLog& log,
                                               std::size_t memory_count) {
-  // (memory, cell) -> ordered set of failed reads; a std::map keeps cells in
-  // ascending order so the flattening below needs no sort.
-  std::map<std::pair<std::size_t, sram::CellCoord>,
-           std::pair<std::set<ReadKey>, std::size_t>>
-      folded;
-  for (const auto& record : log.records()) {
-    auto& slot = folded[{record.memory_index, record.cell()}];
-    ++slot.second;
-    slot.first.insert(
-        ReadKey{record.phase, record.element, record.visit, record.op});
-  }
-
   std::vector<MemorySyndrome> out(memory_count);
   for (std::size_t i = 0; i < memory_count; ++i) {
     out[i].memory_index = i;
   }
-  for (auto& [key, value] : folded) {
-    const auto [memory_index, cell] = key;
-    if (memory_index >= out.size()) {
+  // A sealed log's cells ascend by (memory, addr, bit), so each memory's
+  // syndromes come out in cell order, and grouping the entries by cell
+  // hands every cell its failed reads without decoding a record.
+  std::optional<bisd::DiagnosisLog> copy;
+  const bisd::DiagnosisLog& sealed = bisd::sealed_form(log, copy);
+  const auto& tables = sealed.tables();
+  const auto groups = sealed.entries_by_cell();
+  std::vector<ReadKey> reads;
+  for (std::size_t c = 0; c < tables.cells.size(); ++c) {
+    const bisd::LoggedCell& cell = tables.cells[c];
+    if (cell.memory >= out.size()) {
       const std::size_t first_new = out.size();
-      out.resize(memory_index + 1);
-      for (std::size_t i = first_new; i <= memory_index; ++i) {
+      out.resize(std::size_t{cell.memory} + 1);
+      for (std::size_t i = first_new; i <= cell.memory; ++i) {
         out[i].memory_index = i;
       }
     }
+    reads.clear();
+    for (std::uint32_t j = groups.offsets[c]; j < groups.offsets[c + 1];
+         ++j) {
+      const bisd::DiagnosisEvent& event =
+          tables.events[tables.entries[groups.order[j]].event];
+      reads.push_back(
+          ReadKey{event.phase, event.element, event.visit, event.op});
+    }
+    std::sort(reads.begin(), reads.end());
+    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
     CellSyndrome syndrome;
-    syndrome.cell = cell;
-    syndrome.failed_reads.assign(value.first.begin(), value.first.end());
-    syndrome.record_count = value.second;
-    out[memory_index].cells.push_back(std::move(syndrome));
+    syndrome.cell = {cell.addr, cell.bit};
+    syndrome.failed_reads = reads;
+    syndrome.record_count = groups.offsets[c + 1] - groups.offsets[c];
+    out[cell.memory].cells.push_back(std::move(syndrome));
   }
   return out;
 }

@@ -5,7 +5,7 @@
 namespace fastdiag::faults {
 
 MatchReport match_diagnosis(const std::vector<FaultInstance>& truth,
-                            const std::set<sram::CellCoord>& diagnosed,
+                            std::span<const sram::CellCoord> diagnosed,
                             const sram::SramConfig& config) {
   MatchReport report;
   report.truth_faults = truth.size();
@@ -13,8 +13,8 @@ MatchReport match_diagnosis(const std::vector<FaultInstance>& truth,
 
   // Two geometry-sized bitmaps: the diagnosed cells, and those some
   // footprint explains.  A cell outside the geometry (only a hand-made
-  // truth or log carries one) is looked up in @p diagnosed instead and
-  // tallied in a set, so the counts stay exact for any input.
+  // truth or log carries one) is binary-searched in @p diagnosed instead
+  // and tallied in a set, so the counts stay exact for any input.
   const std::uint64_t bits = config.bits;
   const auto inside = [&](const sram::CellCoord& cell) {
     return cell.row < config.words && cell.bit < config.bits;
@@ -35,7 +35,7 @@ MatchReport match_diagnosis(const std::vector<FaultInstance>& truth,
     bool matched = false;
     for (const auto& cell : fault.footprint(config)) {
       if (!inside(cell)) {
-        if (diagnosed.count(cell) != 0) {
+        if (std::binary_search(diagnosed.begin(), diagnosed.end(), cell)) {
           matched = true;
           explained_outside.insert(cell);
         }

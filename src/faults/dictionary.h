@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,9 +47,11 @@ struct MatchReport {
 };
 
 /// Matches @p diagnosed cells against @p truth for a memory of @p config.
+/// @p diagnosed is ascending and free of repeats, as DiagnosisLog::cells
+/// returns it.
 [[nodiscard]] MatchReport match_diagnosis(
     const std::vector<FaultInstance>& truth,
-    const std::set<sram::CellCoord>& diagnosed,
+    std::span<const sram::CellCoord> diagnosed,
     const sram::SramConfig& config);
 
 /// Confusion matrix of a fault *classification* run against the injected

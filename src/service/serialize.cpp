@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -110,7 +111,10 @@ bool decode_kind_counts(
   counts.reserve(size);
   for (std::size_t i = 0; i < size; ++i) {
     faults::FaultKind kind{};
-    if (!read_enum(reader, kind, kMaxFaultKind)) {
+    // Kinds ascend strictly, as the encoder's map order writes them.
+    if (!read_enum(reader, kind, kMaxFaultKind) ||
+        (!counts.empty() && !(counts.back().first < kind))) {
+      reader.fail();
       return false;
     }
     counts.emplace_back(kind, reader.u64());
@@ -148,8 +152,12 @@ bool decode_confusion(ByteReader& reader, faults::ConfusionMatrix& matrix) {
         !read_enum(reader, predicted, kMaxFaultKind)) {
       return false;
     }
-    snapshot.counts.emplace_back(std::make_pair(truth, predicted),
-                                 reader.u64());
+    const auto pair = std::make_pair(truth, predicted);
+    if (!snapshot.counts.empty() && !(snapshot.counts.back().first < pair)) {
+      reader.fail();  // pairs ascend strictly, as the encoder writes them
+      return false;
+    }
+    snapshot.counts.emplace_back(pair, reader.u64());
   }
   if (!decode_kind_counts(reader, snapshot.truth_totals) ||
       !decode_kind_counts(reader, snapshot.lenient_correct) ||
@@ -563,13 +571,140 @@ bool decode_march_test(ByteReader& reader, march::MarchTest& test) {
   return true;
 }
 
+namespace {
+
+/// The log section of "FDRP" v3: the sealed tables, integers as varints.
+///   backgrounds: count, then each non-empty one (id 0, the empty one, is
+///                implicit) as a bitvec
+///   events:      count, then phase, element, op, visit, background id,
+///                serial byte, cycle base
+///   cells:       count of memories with cells, then per memory (ascending)
+///                its index, its cell count and its (addr, bit) pairs
+///   entries:     count, then (cell id, event id) pairs in log order
+void encode_log(ByteWriter& writer, const bisd::DiagnosisLog& log) {
+  std::optional<bisd::DiagnosisLog> copy;
+  const auto& tables = bisd::sealed_form(log, copy).tables();
+  writer.varint(tables.backgrounds.size() - 1);
+  for (std::size_t id = 1; id < tables.backgrounds.size(); ++id) {
+    encode_bitvec(writer, tables.backgrounds[id]);
+  }
+  writer.varint(tables.events.size());
+  for (const bisd::DiagnosisEvent& event : tables.events) {
+    writer.varint(event.phase);
+    writer.varint(event.element);
+    writer.varint(event.op);
+    writer.varint(event.visit);
+    writer.varint(event.background);
+    writer.u8(event.serial ? 1 : 0);
+    writer.varint(event.cycle_base);
+  }
+  const auto& cells = tables.cells;
+  std::size_t memories = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    memories += c == 0 || cells[c].memory != cells[c - 1].memory ? 1 : 0;
+  }
+  writer.varint(memories);
+  for (std::size_t first = 0; first < cells.size();) {
+    std::size_t last = first + 1;
+    while (last < cells.size() && cells[last].memory == cells[first].memory) {
+      ++last;
+    }
+    writer.varint(cells[first].memory);
+    writer.varint(last - first);
+    writer.varints(2 * (last - first), [&](std::size_t i) {
+      const bisd::LoggedCell& cell = cells[first + i / 2];
+      return i % 2 == 0 ? cell.addr : cell.bit;
+    });
+    first = last;
+  }
+  const auto& entries = tables.entries;
+  writer.varint(entries.size());
+  writer.varints(2 * entries.size(), [&](std::size_t i) {
+    return i % 2 == 0 ? entries[i / 2].cell : entries[i / 2].event;
+  });
+}
+
+/// Decodes encode_log's section into @p log, or names what is wrong with
+/// it.  Counts are checked against the bytes left before anything is
+/// sized from them, and the tables must be canonical.
+std::optional<std::string> decode_log(ByteReader& reader,
+                                      bisd::DiagnosisLog& log) {
+  bool wide = false;
+  // A field the log holds in 32 bits: a wider value is an error, never
+  // truncated.
+  const auto field = [&]() -> std::uint32_t {
+    const std::uint64_t value = reader.varint();
+    if (value > std::numeric_limits<std::uint32_t>::max()) {
+      wide = true;
+      reader.fail();
+      return 0;
+    }
+    return static_cast<std::uint32_t>(value);
+  };
+  const auto corrupt = [&]() -> std::optional<std::string> {
+    return wide ? "log field wider than 32 bits" : "corrupt log";
+  };
+  bisd::DiagnosisLog::Tables tables;
+  // Smallest encodings: a one-limb bitvec, an event of one-byte fields, a
+  // memory with one cell, a cell, an entry.
+  const std::size_t backgrounds = reader.varint_count(16);
+  tables.backgrounds.reserve(backgrounds + 1);
+  std::vector<std::uint64_t> limbs;
+  for (std::size_t i = 0; i < backgrounds; ++i) {
+    if (!decode_bitvec(reader, tables.backgrounds.emplace_back(), limbs)) {
+      return corrupt();
+    }
+  }
+  const std::size_t events = reader.varint_count(7);
+  tables.events.reserve(events);
+  for (std::size_t i = 0; i < events && reader.ok(); ++i) {
+    bisd::DiagnosisEvent& event = tables.events.emplace_back();
+    event.phase = field();
+    event.element = field();
+    event.op = field();
+    event.visit = field();
+    event.background = field();
+    event.serial = reader.boolean();
+    event.cycle_base = reader.varint();
+  }
+  const std::size_t memories = reader.varint_count(4);
+  for (std::size_t i = 0; i < memories && reader.ok(); ++i) {
+    const std::uint32_t memory = field();
+    const std::size_t count = reader.varint_count(2);
+    if (count == 0 ||
+        (!tables.cells.empty() && memory <= tables.cells.back().memory)) {
+      reader.fail();  // an empty or out-of-order memory is not canonical
+    }
+    tables.cells.reserve(tables.cells.size() + count);
+    for (std::size_t c = 0; c < count && reader.ok(); ++c) {
+      const std::uint32_t addr = field();
+      tables.cells.push_back({memory, addr, field()});
+    }
+  }
+  const std::size_t entries = reader.varint_count(2);
+  tables.entries.reserve(entries);
+  for (std::size_t i = 0; i < entries && reader.ok(); ++i) {
+    const std::uint32_t cell = field();
+    tables.entries.push_back({cell, field()});
+  }
+  if (!reader.ok()) {
+    return corrupt();
+  }
+  std::string why;
+  auto adopted = bisd::DiagnosisLog::from_sealed_tables(std::move(tables), why);
+  if (!adopted) {
+    return "non-canonical log: " + why;
+  }
+  log = std::move(*adopted);
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_report(const core::Report& report) {
   ByteWriter writer;
-  // A record is 52 bytes plus its background's limbs; one limb covers the
-  // March CW patterns of every memory up to 64 bits wide.
-  writer.reserve(256 + 68 * report.result.log.records().size());
   writer.u32(kReportMagic);
-  writer.u32(kFormatVersion);
+  writer.u32(kReportFormatVersion);
   writer.str(report.scheme_name);
   writer.str(report.scheme_description);
   writer.u64(report.seed);
@@ -578,19 +713,7 @@ std::vector<std::uint8_t> encode_report(const core::Report& report) {
   writer.u64(report.result.iterations);
   writer.u64(report.result.time.cycles);
   writer.u64(report.result.time.pause_ns);
-  const auto& records = report.result.log.records();
-  writer.u64(records.size());
-  for (const auto& record : records) {
-    writer.u64(record.memory_index);
-    writer.u32(record.addr);
-    writer.u32(record.bit);
-    encode_bitvec(writer, report.result.log.background(record));
-    writer.u64(record.phase);
-    writer.u64(record.element);
-    writer.u64(record.op);
-    writer.u32(record.visit);
-    writer.u64(record.cycle);
-  }
+  encode_log(writer, report.result.log);
 
   writer.u64(report.matches.size());
   for (const auto& match : report.matches) {
@@ -655,7 +778,7 @@ core::Expected<core::Report, DecodeError> decode_report(
     return make_unexpected(DecodeError{"report: bad magic"});
   }
   if (const std::uint32_t version = reader.u32();
-      version != kFormatVersion) {
+      version != kReportFormatVersion) {
     return make_unexpected(DecodeError{"report: unsupported version " +
                                        std::to_string(version)});
   }
@@ -668,47 +791,8 @@ core::Expected<core::Report, DecodeError> decode_report(
   report.result.iterations = reader.u64();
   report.result.time.cycles = reader.u64();
   report.result.time.pause_ns = reader.u64();
-  const std::size_t records = reader.count(49);
-  bisd::DiagnosisLog& log = report.result.log;
-  log.reserve(records);
-  // Backgrounds decode into one scratch vector and intern by content; a
-  // phase's records share one, so the previous record's id is tried first.
-  BitVector background;
-  std::vector<std::uint64_t> limbs;
-  for (std::size_t i = 0; i < records; ++i) {
-    bisd::DiagnosisRecord record;
-    const std::uint64_t memory_index = reader.u64();
-    record.addr = reader.u32();
-    record.bit = reader.u32();
-    if (!decode_bitvec(reader, background, limbs)) {
-      return make_unexpected(DecodeError{"report: corrupt log record"});
-    }
-    const std::uint64_t phase = reader.u64();
-    const std::uint64_t element = reader.u64();
-    const std::uint64_t op = reader.u64();
-    record.visit = reader.u32();
-    record.cycle = reader.u64();
-    if (!reader.ok()) {
-      return make_unexpected(DecodeError{"report: corrupt log record"});
-    }
-    // The wire keeps 64-bit fields; the log holds 32 — never truncate.
-    constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
-    if (memory_index > kMax32 || phase > kMax32 || element > kMax32 ||
-        op > kMax32) {
-      return make_unexpected(DecodeError{
-          "report: log record " + std::to_string(i) +
-          " has a memory/phase/element/op field wider than 32 bits"});
-    }
-    record.memory_index = static_cast<std::uint32_t>(memory_index);
-    record.phase = static_cast<std::uint32_t>(phase);
-    record.element = static_cast<std::uint32_t>(element);
-    record.op = static_cast<std::uint32_t>(op);
-    const auto& added = log.records();
-    record.background =
-        !added.empty() && log.background(added.back()) == background
-            ? added.back().background
-            : log.intern(background);
-    log.add(record);
+  if (auto error = decode_log(reader, report.result.log)) {
+    return make_unexpected(DecodeError{"report: " + *error});
   }
 
   const std::size_t matches = reader.count(32);

@@ -6,9 +6,9 @@
 // replays), and streaming-sweep checkpoints (see service/checkpoint.h).
 // All three share one wire discipline:
 //
-//   - little-endian fixed-width integers, doubles as IEEE-754 bit images
-//     (std::bit_cast through uint64), so files are byte-identical across
-//     hosts of either endianness;
+//   - little-endian fixed-width integers or LEB128 varints, doubles as
+//     IEEE-754 bit images (std::bit_cast through uint64), so files are
+//     byte-identical across hosts of either endianness;
 //   - every variable-length field is length-prefixed, every container
 //     count is checked against the bytes actually remaining before any
 //     allocation — truncated or corrupt input fails with a DecodeError,
@@ -20,6 +20,7 @@
 //     is what the round-trip tests pin down.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -62,6 +63,38 @@ class ByteWriter {
     buffer_.insert(buffer_.end(), value.begin(), value.end());
   }
 
+  /// LEB128: seven bits per byte, low groups first, high bit set on every
+  /// byte but the last; 1 byte below 2^7, at most 10.
+  void varint(std::uint64_t value) {
+    std::uint8_t raw[10];
+    const std::size_t length = static_cast<std::size_t>(put_varint(raw, value) - raw);
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + length);
+    std::memcpy(buffer_.data() + at, raw, length);
+  }
+
+  /// Appends the varints value(0) .. value(count - 1): one pass sizes them,
+  /// one grows the buffer once, one stores them.  Long runs (a log's
+  /// entries) go through here.
+  template <typename Value>
+  void varints(std::size_t count, Value&& value) {
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      bytes += varint_size(value(i));
+    }
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + bytes);
+    std::uint8_t* out = buffer_.data() + at;
+    for (std::size_t i = 0; i < count; ++i) {
+      out = put_varint(out, value(i));
+    }
+  }
+
+  [[nodiscard]] static std::size_t varint_size(std::uint64_t value) {
+    return value == 0 ? 1
+                      : static_cast<std::size_t>(std::bit_width(value) + 6) / 7;
+  }
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const {
     return buffer_;
   }
@@ -81,6 +114,14 @@ class ByteWriter {
       return swapped;
     }
     return value;
+  }
+
+  static std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t value) {
+    for (; value >= 0x80; value >>= 7) {
+      *out++ = static_cast<std::uint8_t>(value | 0x80);
+    }
+    *out++ = static_cast<std::uint8_t>(value);
+    return out;
   }
 
   template <typename T>
@@ -156,6 +197,40 @@ class ByteReader {
     return value;
   }
 
+  /// Reads a varint.  Only the shortest encoding of a value is accepted
+  /// (no zero final byte after the first, nothing past 64 bits), so every
+  /// accepted value re-encodes to the bytes it came from.
+  std::uint64_t varint() {
+    const std::size_t limit = ok_ ? std::min<std::size_t>(10, remaining()) : 0;
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < limit; ++i) {
+      const std::uint8_t byte = data_[pos_ + i];
+      if (i == 9 && byte > 1) {
+        break;
+      }
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        if (byte == 0 && i != 0) {
+          break;
+        }
+        pos_ += i + 1;
+        return value;
+      }
+    }
+    ok_ = false;
+    return 0;
+  }
+
+  /// count() for a varint count.
+  std::size_t varint_count(std::size_t min_element_bytes) {
+    const std::uint64_t value = varint();
+    if (value != 0 && value > remaining() / min_element_bytes) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<std::size_t>(value);
+  }
+
   /// Reads a u64 element count and rejects it unless count *
   /// @p min_element_bytes fits in the remaining bytes — a corrupt count
   /// fails here instead of driving a huge reserve() downstream.
@@ -193,11 +268,15 @@ class ByteReader {
 inline constexpr std::uint32_t kReportMagic = 0x50524446;      // "FDRP"
 inline constexpr std::uint32_t kCacheMagic = 0x43434446;       // "FDCC"
 inline constexpr std::uint32_t kCheckpointMagic = 0x4B434446;  // "FDCK"
-/// "FDRP" and "FDCK" version 2: reports gained an optional soft-error
-/// outcome section and folded aggregates the two soft-error metric folds.
-/// Readers reject other versions outright — blobs are cache/transport
-/// artifacts regenerated per build, not long-lived archives.
+/// "FDCK" version 2: folded aggregates carry the two soft-error metric
+/// folds.  Readers reject other versions outright — blobs are cache and
+/// transport artifacts regenerated per build, not long-lived archives.
 inline constexpr std::uint32_t kFormatVersion = 2;
+/// "FDRP" version 3: the diagnosis log travels as its sealed tables —
+/// backgrounds, events, per-memory cells — then (cell id, event id) entries,
+/// all integers but the background limbs as varints.  A v2 report (one
+/// fixed-width record per failure) is rejected.
+inline constexpr std::uint32_t kReportFormatVersion = 3;
 /// "FDCC" version 3: cell signatures are read masks over the classifier's
 /// read universe, and wrapped dictionaries key by row class.  A v2 cache
 /// is rejected, so a server loading one starts cold.
@@ -225,7 +304,12 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 
 // ---- top-level blobs -------------------------------------------------------
 
-/// "FDRP" v2: one per-run Report, classification included when present.
+/// "FDRP" v3: one per-run Report, classification included when present.
+/// decode_report accepts only the canonical encoding: the log section must
+/// be exactly what encode_report writes for its sealed form (see
+/// DiagnosisLog::from_sealed_tables), varints must be shortest, and a
+/// field the log holds in 32 bits must fit them.  So a decoded report
+/// re-encodes to the same bytes, and its log is sealed.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const core::Report& report);
 [[nodiscard]] core::Expected<core::Report, DecodeError> decode_report(

@@ -3,6 +3,7 @@
 // all — the two diagnosis schemes and their paper-equation identities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -27,6 +28,12 @@ using faults::FaultInstance;
 using faults::FaultKind;
 using sram::CellCoord;
 using sram::SramConfig;
+
+/// A reference set's elements in the ascending order the log queries use.
+template <typename T>
+std::vector<T> ascending(const std::set<T>& values) {
+  return {values.begin(), values.end()};
+}
 
 SramConfig cfg(std::uint32_t words, std::uint32_t bits,
                std::uint32_t spares = 4, const std::string& name = "") {
@@ -98,8 +105,8 @@ TEST(DiagnosisLog, DedupesCellsAndRows) {
   r.memory_index = 1;
   log.add(r);
   EXPECT_EQ(log.records().size(), 4u);
-  EXPECT_EQ(log.cells(0), (std::set<CellCoord>{{3, 1}, {3, 2}}));
-  EXPECT_EQ(log.faulty_rows(0), (std::set<std::uint32_t>{3}));
+  EXPECT_EQ(log.cells(0), (std::vector<CellCoord>{{3, 1}, {3, 2}}));
+  EXPECT_EQ(log.faulty_rows(0), (std::vector<std::uint32_t>{3}));
   EXPECT_EQ(log.distinct_cell_count(), 3u);
 }
 
@@ -119,10 +126,10 @@ TEST(DiagnosisLog, PerMemoryQueriesSurviveExtremeCoordinates) {
   r.memory_index = 0xFFFFFFFFu;  // past the indexed range: scan fallback
   log.add(r);
   EXPECT_EQ(log.cells(5),
-            (std::set<CellCoord>{{2, 7}, {0xFFFFFFFFu, 0xFFFFFFFFu}}));
-  EXPECT_EQ(log.faulty_rows(5), (std::set<std::uint32_t>{2, 0xFFFFFFFFu}));
-  EXPECT_EQ(log.cells(0xFFFFFFFFu), (std::set<CellCoord>{{2, 7}}));
-  EXPECT_EQ(log.faulty_rows(0xFFFFFFFFu), (std::set<std::uint32_t>{2}));
+            (std::vector<CellCoord>{{2, 7}, {0xFFFFFFFFu, 0xFFFFFFFFu}}));
+  EXPECT_EQ(log.faulty_rows(5), (std::vector<std::uint32_t>{2, 0xFFFFFFFFu}));
+  EXPECT_EQ(log.cells(0xFFFFFFFFu), (std::vector<CellCoord>{{2, 7}}));
+  EXPECT_EQ(log.faulty_rows(0xFFFFFFFFu), (std::vector<std::uint32_t>{2}));
   EXPECT_TRUE(log.cells(4).empty());
   EXPECT_TRUE(log.faulty_rows(6).empty());
   EXPECT_EQ(log.distinct_cell_count(), 3u);
@@ -192,8 +199,10 @@ TEST(DiagnosisLog, PerMemoryQueriesMatchBruteForceOnInterleavedLogs) {
     }
     std::size_t distinct = 0;
     for (const std::uint32_t m : memories) {
-      EXPECT_EQ(log.cells(m), cells[m]) << "trial " << trial << " mem " << m;
-      EXPECT_EQ(log.faulty_rows(m), faulty_rows[m]) << "trial " << trial;
+      EXPECT_EQ(log.cells(m), ascending(cells[m]))
+          << "trial " << trial << " mem " << m;
+      EXPECT_EQ(log.faulty_rows(m), ascending(faulty_rows[m]))
+          << "trial " << trial;
       distinct += cells[m].size();
     }
     EXPECT_EQ(log.distinct_cell_count(), distinct) << "trial " << trial;
@@ -327,7 +336,7 @@ TEST(FastScheme, LocatesSingleStuckAtCell) {
                  {faults::make_cell_fault(FaultKind::sa0, {3, 2})});
   FastScheme scheme;
   const auto result = scheme.diagnose(soc);
-  EXPECT_EQ(result.log.cells(0), (std::set<CellCoord>{{3, 2}}));
+  EXPECT_EQ(result.log.cells(0), (std::vector<CellCoord>{{3, 2}}));
 }
 
 TEST(FastScheme, OneRunExposesManyFaultsAtOnce) {
@@ -343,7 +352,7 @@ TEST(FastScheme, OneRunExposesManyFaultsAtOnce) {
   const auto result = scheme.diagnose(soc);
   EXPECT_EQ(result.iterations, 1u);
   EXPECT_EQ(result.log.cells(0),
-            (std::set<CellCoord>{{3, 2}, {3, 5}, {9, 0}, {12, 7}}));
+            (std::vector<CellCoord>{{3, 2}, {3, 5}, {9, 0}, {12, 7}}));
 }
 
 TEST(FastScheme, FullRecallOnLogicFaultPopulation) {
@@ -385,7 +394,7 @@ TEST(FastScheme, DrfFoundOnlyWithNwrtm) {
     options.include_drf = true;
     FastScheme with_nwrtm(options);
     const auto result = with_nwrtm.diagnose(soc);
-    EXPECT_EQ(result.log.cells(0), (std::set<CellCoord>{{5, 1}, {9, 3}}));
+    EXPECT_EQ(result.log.cells(0), (std::vector<CellCoord>{{5, 1}, {9, 3}}));
   }
   {
     SocUnderTest soc;
@@ -420,7 +429,7 @@ TEST(FastScheme, FaultInWrappingMemoryLocatedAtLocalAddress) {
   FastScheme scheme;
   const auto result = scheme.diagnose(soc);
   EXPECT_TRUE(result.log.cells(0).empty());
-  EXPECT_EQ(result.log.cells(1), (std::set<CellCoord>{{2, 1}}));
+  EXPECT_EQ(result.log.cells(1), (std::vector<CellCoord>{{2, 1}}));
 }
 
 TEST(FastScheme, MemoryWithoutIdleModeStillDiagnosesCorrectly) {
@@ -430,7 +439,7 @@ TEST(FastScheme, MemoryWithoutIdleModeStillDiagnosesCorrectly) {
   soc.add_memory(config, {faults::make_cell_fault(FaultKind::sa1, {6, 0})});
   FastScheme scheme;
   const auto result = scheme.diagnose(soc);
-  EXPECT_EQ(result.log.cells(0), (std::set<CellCoord>{{6, 0}}));
+  EXPECT_EQ(result.log.cells(0), (std::vector<CellCoord>{{6, 0}}));
 }
 
 TEST(FastScheme, RejectsElementsMixingWritePolarities) {
@@ -509,7 +518,7 @@ TEST(Repair, PlanRespectsSpareBudget) {
   // Re-diagnosis still flags exactly the row the single spare left over.
   ASSERT_EQ(plan.memories[0].unrepaired_rows.size(), 1u);
   EXPECT_EQ(scheme.diagnose(soc).log.faulty_rows(0),
-            std::set<std::uint32_t>{plan.memories[0].unrepaired_rows[0]});
+            std::vector<std::uint32_t>{plan.memories[0].unrepaired_rows[0]});
 }
 
 // ----------------------------------------------- wrap-around property sweep
@@ -539,7 +548,7 @@ TEST_P(WrapAroundSweep, CleanAndSingleFaultBehaviour) {
     FastScheme scheme;
     const auto result = scheme.diagnose(soc);
     EXPECT_TRUE(result.log.cells(0).empty());
-    EXPECT_EQ(result.log.cells(1), (std::set<CellCoord>{cell}));
+    EXPECT_EQ(result.log.cells(1), (std::vector<CellCoord>{cell}));
   }
 }
 
@@ -678,7 +687,7 @@ TEST(Baseline, LocatesSingleFault) {
   BaselineScheme scheme;
   const auto result = scheme.diagnose(soc);
   const auto cells = result.log.cells(0);
-  EXPECT_EQ(cells.count({5, 3}), 1u);
+  EXPECT_EQ(std::ranges::count(cells, CellCoord{5, 3}), 1);
 }
 
 TEST(Baseline, IterationCountGrowsWithFaultCount) {
@@ -718,7 +727,7 @@ TEST(Baseline, EventuallyFindsAllFaultyRowsViaIteration) {
   soc.add_memory(cfg(32, 8, 32), truth);
   BaselineScheme scheme;
   const auto result = scheme.diagnose(soc);
-  EXPECT_EQ(result.log.faulty_rows(0), expected_rows);
+  EXPECT_EQ(result.log.faulty_rows(0), ascending(expected_rows));
 }
 
 TEST(Baseline, DrfInvisibleWithoutRetentionBlock) {
@@ -739,7 +748,7 @@ TEST(Baseline, RetentionBlockFindsDrfAtTheCostOfPauses) {
   options.include_drf = true;
   BaselineScheme scheme(options);
   const auto result = scheme.diagnose(soc);
-  EXPECT_EQ(result.log.cells(0).count({5, 1}), 1u);
+  EXPECT_EQ(std::ranges::count(result.log.cells(0), CellCoord{5, 1}), 1);
   // Two 100 ms pauses per iteration, and 9+8 passes per iteration.
   EXPECT_EQ(result.time.pause_ns, result.iterations * 2u * 100'000'000u);
   EXPECT_EQ(result.time.cycles,

@@ -222,7 +222,9 @@ TEST(Differential, FastAndBaselineAgreeOnStuckAtTransitionRows) {
     const auto base_rows = base_result.log.faulty_rows(0);
 
     EXPECT_EQ(fast_rows, base_rows) << "trial " << trial;
-    EXPECT_EQ(fast_rows, used_rows) << "trial " << trial;
+    EXPECT_EQ(fast_rows, std::vector<std::uint32_t>(used_rows.begin(),
+                                                    used_rows.end()))
+        << "trial " << trial;
 
     // The baseline's cell candidates stay inside the faulty rows even when
     // serial-chain corruption shifts them off the defective bit.

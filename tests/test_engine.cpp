@@ -281,20 +281,20 @@ TEST(Engine, RunBatchMovesReportsIntoTheAggregate) {
   // each Report is moved into AggregateReport::runs, never copied.
   const auto specs = spec_batch();
   for (const std::size_t workers : {1, 4}) {
-    std::vector<const bisd::DiagnosisRecord*> seen(specs.size(), nullptr);
+    std::vector<const bisd::LogEntry*> seen(specs.size(), nullptr);
     const auto aggregate = DiagnosisEngine({.workers = workers}).run_batch(
         specs, [&](std::size_t index, const Report& run) {
-          seen[index] = run.result.log.records().data();
+          seen[index] = run.result.log.tables().entries.data();
         });
     ASSERT_EQ(aggregate.run_count(), specs.size());
     std::size_t with_records = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto& records = aggregate.runs[i].result.log.records();
-      if (records.empty()) {
+      const auto& entries = aggregate.runs[i].result.log.tables().entries;
+      if (entries.empty()) {
         continue;
       }
       ++with_records;
-      EXPECT_EQ(seen[i], records.data()) << workers << " workers, run " << i;
+      EXPECT_EQ(seen[i], entries.data()) << workers << " workers, run " << i;
     }
     EXPECT_GT(with_records, 0u);
   }

@@ -2,6 +2,8 @@
 // (driven through a real Sram), defect translation, injection, dictionary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <set>
 
@@ -426,13 +428,20 @@ TEST(Injector, RateOutOfRangeRejected) {
 
 // -------------------------------------------------------------- dictionary
 
+/// Diagnosed cells as match_diagnosis takes them: ascending, no repeats.
+std::vector<CellCoord> cells(std::initializer_list<CellCoord> list) {
+  std::vector<CellCoord> out(list);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(Dictionary, PerfectDiagnosisScoresFull) {
   const auto config = small_config();
   const std::vector<FaultInstance> truth = {
       make_cell_fault(FaultKind::sa0, {1, 2}),
       make_cell_fault(FaultKind::tf_up, {3, 0}),
   };
-  const std::set<CellCoord> diagnosed = {{1, 2}, {3, 0}};
+  const std::vector<CellCoord> diagnosed = {{1, 2}, {3, 0}};
   const auto report = match_diagnosis(truth, diagnosed, config);
   EXPECT_EQ(report.matched_faults, 2u);
   EXPECT_EQ(report.spurious_cells, 0u);
@@ -446,7 +455,7 @@ TEST(Dictionary, MissedFaultLowersRecall) {
       make_cell_fault(FaultKind::sa0, {1, 2}),
       make_cell_fault(FaultKind::sa1, {5, 1}),
   };
-  const std::set<CellCoord> diagnosed = {{1, 2}};
+  const std::vector<CellCoord> diagnosed = {{1, 2}};
   const auto report = match_diagnosis(truth, diagnosed, config);
   EXPECT_DOUBLE_EQ(report.recall(), 0.5);
   EXPECT_DOUBLE_EQ(report.precision(), 1.0);
@@ -457,7 +466,7 @@ TEST(Dictionary, SpuriousCellLowersPrecision) {
   const std::vector<FaultInstance> truth = {
       make_cell_fault(FaultKind::sa0, {1, 2}),
   };
-  const std::set<CellCoord> diagnosed = {{1, 2}, {7, 3}};
+  const std::vector<CellCoord> diagnosed = {{1, 2}, {7, 3}};
   const auto report = match_diagnosis(truth, diagnosed, config);
   EXPECT_EQ(report.spurious_cells, 1u);
   EXPECT_DOUBLE_EQ(report.precision(), 0.5);
@@ -468,8 +477,10 @@ TEST(Dictionary, CouplingMatchedByVictimOrAggressor) {
   const std::vector<FaultInstance> truth = {
       make_coupling_fault(FaultKind::cf_id_up1, {2, 0}, {2, 1}),
   };
-  EXPECT_EQ(match_diagnosis(truth, {{2, 1}}, config).matched_faults, 1u);
-  EXPECT_EQ(match_diagnosis(truth, {{2, 0}}, config).matched_faults, 1u);
+  EXPECT_EQ(match_diagnosis(truth, cells({{2, 1}}), config).matched_faults,
+            1u);
+  EXPECT_EQ(match_diagnosis(truth, cells({{2, 0}}), config).matched_faults,
+            1u);
 }
 
 TEST(Dictionary, AddressFaultMatchedByRowCell) {
@@ -477,9 +488,12 @@ TEST(Dictionary, AddressFaultMatchedByRowCell) {
   const std::vector<FaultInstance> truth = {
       make_address_fault(FaultKind::af_wrong_row, 3, 6),
   };
-  EXPECT_EQ(match_diagnosis(truth, {{3, 0}}, config).matched_faults, 1u);
-  EXPECT_EQ(match_diagnosis(truth, {{6, 2}}, config).matched_faults, 1u);
-  EXPECT_EQ(match_diagnosis(truth, {{5, 2}}, config).matched_faults, 0u);
+  EXPECT_EQ(match_diagnosis(truth, cells({{3, 0}}), config).matched_faults,
+            1u);
+  EXPECT_EQ(match_diagnosis(truth, cells({{6, 2}}), config).matched_faults,
+            1u);
+  EXPECT_EQ(match_diagnosis(truth, cells({{5, 2}}), config).matched_faults,
+            0u);
 }
 
 /// The set-based scoring match_diagnosis replaced: the differential
@@ -562,7 +576,9 @@ TEST(Dictionary, BitmapScoringMatchesSetReference) {
     }
     diagnosed.insert({0xFFFFFFFFu, 0xFFFFFFFFu});
 
-    const MatchReport got = match_diagnosis(truth, diagnosed, config);
+    const MatchReport got = match_diagnosis(
+        truth, std::vector<CellCoord>(diagnosed.begin(), diagnosed.end()),
+        config);
     const MatchReport want = match_by_sets(truth, diagnosed, config);
     EXPECT_EQ(got.truth_faults, want.truth_faults) << "trial " << trial;
     EXPECT_EQ(got.diagnosed_cells, want.diagnosed_cells) << "trial " << trial;

@@ -3,6 +3,7 @@
 // golden model), full diagnose-repair-verify lifecycles, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -106,9 +107,9 @@ TEST(Differential, FastSchemeAgreesWithRunnerOnSingleMemory) {
     const auto scheme_result = scheme.diagnose(soc);
 
     const auto suspects = runner_result.suspect_cells();  // sorted unique
-    const std::set<sram::CellCoord> suspect_set(suspects.begin(),
-                                                suspects.end());
-    EXPECT_EQ(scheme_result.log.cells(0), suspect_set) << "trial " << trial;
+    EXPECT_EQ(scheme_result.log.cells(0),
+              std::vector<sram::CellCoord>(suspects.begin(), suspects.end()))
+        << "trial " << trial;
   }
 }
 
@@ -207,11 +208,12 @@ TEST(Lifecycle, BaselineAndFastAgreeOnFaultyRowsOfRepairablePopulations) {
           << "baseline row " << row << " not explained, trial " << trial;
     }
     // Every fault is found by both at row granularity.
-    const auto rows_of = [&](const std::set<std::uint32_t>& diagnosed) {
+    const auto rows_of = [&](const std::vector<std::uint32_t>& diagnosed) {
       std::size_t matched = 0;
       for (const auto& fault : truth) {
         for (const auto& cell : fault.footprint(config)) {
-          if (diagnosed.count(cell.row) != 0) {
+          if (std::binary_search(diagnosed.begin(), diagnosed.end(),
+                                 cell.row)) {
             ++matched;
             break;
           }

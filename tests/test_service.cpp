@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "core/fastdiag.h"
 #include "service/checkpoint.h"
@@ -59,6 +63,21 @@ std::string temp_path(const std::string& name) {
     writer.u8(static_cast<std::uint8_t>(c));
   }
   return std::move(writer).take();
+}
+
+/// @p report with its @p old_bytes of log section at @p at replaced by
+/// @p section.  Out of line for the same -O3 false positive as above.
+[[gnu::noinline]] std::vector<std::uint8_t> splice_log(
+    const std::vector<std::uint8_t>& report, std::size_t at,
+    std::size_t old_bytes, const ByteWriter& section) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(report.size() + section.size());
+  for (std::size_t i = 0; i < at; ++i) bytes.push_back(report[i]);
+  for (const std::uint8_t byte : section.data()) bytes.push_back(byte);
+  for (std::size_t i = at + old_bytes; i < report.size(); ++i) {
+    bytes.push_back(report[i]);
+  }
+  return bytes;
 }
 
 [[gnu::noinline]] std::vector<std::uint8_t> evil_march_bytes(
@@ -214,7 +233,9 @@ TEST(Serialize, CorruptReportBytesNeverCrashTheDecoder) {
     corrupt[at] ^= 0x5A;
     const auto decoded = decode_report(corrupt.data(), corrupt.size());
     if (decoded.has_value()) {
-      EXPECT_EQ(encode_report(decoded.value()).size(), corrupt.size());
+      // The decoder accepts only canonical bytes, so whatever it accepts
+      // re-encodes to exactly those bytes.
+      EXPECT_EQ(encode_report(decoded.value()), corrupt) << "flip at " << at;
     }
   }
 }
@@ -248,45 +269,145 @@ TEST(Serialize, OverflowingBitvecWidthIsRejectedNotWrapped) {
 }
 
 TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
-  // The wire carries memory_index/phase/element/op as u64; the log holds
-  // them in 32 bits, so a wider value must fail, never truncate.
-  core::Report report;
-  bisd::DiagnosisRecord record;
-  record.memory_index = 5;
-  record.background = report.result.log.intern(BitVector::from_string("0110"));
-  report.result.log.add(record);
-  const auto blob = encode_report(report);
-
+  // The log holds memory, addr, bit, phase, element, op, visit and every
+  // table id in 32 bits and v3 writes them as varints, so a wider value
+  // must fail, never truncate.  A one-record log section is written by
+  // hand between the header and the tail of an empty report's blob.
+  const auto empty = encode_report(core::Report{});
   // Magic, version, two empty strings, seed, defect rate, iterations,
-  // cycles, pause and the record count precede the first record; inside
-  // it, a 4-bit background is a width word plus one limb.
-  constexpr std::size_t kRecord = 4 + 4 + 4 + 4 + 8 * 5 + 8;
-  constexpr std::size_t kPhase = kRecord + 8 + 4 + 4 + 8 + 8;
-  ASSERT_EQ(blob[kRecord], 5u);
-  const auto patched = [&](std::size_t at, std::uint64_t value) {
-    auto bytes = blob;
-    for (int i = 0; i < 8; ++i) {
-      bytes[at + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(value >> (8 * i));
-    }
-    return bytes;
+  // cycles and pause precede the log; an empty log is four zero counts.
+  constexpr std::size_t kLog = 4 + 4 + 4 + 4 + 8 * 5;
+  ASSERT_EQ(std::vector<std::uint8_t>(empty.begin() + kLog,
+                                      empty.begin() + kLog + 4),
+            std::vector<std::uint8_t>(4, 0));
+  enum Field { kPhase, kElement, kOp, kVisit, kBackground, kMemory, kAddr,
+               kBit, kCellId, kEventId, kNone };
+  const auto blob = [&](Field wide, std::uint64_t value) {
+    const auto field = [&](Field f, std::uint64_t normal) {
+      return f == wide ? value : normal;
+    };
+    ByteWriter log;
+    log.varint(1);  // one non-empty background: 4 bits in one limb
+    log.u64(4);
+    log.u64(0b0110);
+    log.varint(1);  // one event
+    log.varint(field(kPhase, 0));
+    log.varint(field(kElement, 0));
+    log.varint(field(kOp, 0));
+    log.varint(field(kVisit, 0));
+    log.varint(field(kBackground, 1));
+    log.u8(1);  // serial
+    log.varint(100);  // cycle base
+    log.varint(1);  // one memory with one cell
+    log.varint(field(kMemory, 5));
+    log.varint(1);
+    log.varint(field(kAddr, 3));
+    log.varint(field(kBit, 2));
+    log.varint(1);  // one entry
+    log.varint(field(kCellId, 0));
+    log.varint(field(kEventId, 0));
+    return splice_log(empty, kLog, 4, log);
   };
-  for (const std::size_t at : {kRecord, kPhase, kPhase + 8, kPhase + 16}) {
-    const auto widest = patched(at, 0xFFFFFFFFull);
-    const auto fits = decode_report(widest.data(), widest.size());
-    ASSERT_TRUE(fits.has_value()) << "offset " << at;
-    EXPECT_EQ(encode_report(fits.value()), widest) << "offset " << at;
+  const auto plain = blob(kNone, 0);
+  const auto decoded = decode_report(plain.data(), plain.size());
+  ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
+  EXPECT_EQ(encode_report(decoded.value()), plain);
+  EXPECT_EQ(decoded.value().result.log.records()[0].cycle, 102u);
 
-    const auto over = patched(at, 0x100000000ull);
-    const auto decoded = decode_report(over.data(), over.size());
-    ASSERT_FALSE(decoded.has_value()) << "offset " << at;
-    EXPECT_NE(decoded.error().message.find("32 bits"), std::string::npos);
+  for (int f = kPhase; f < kNone; ++f) {
+    const auto field = static_cast<Field>(f);
+    if (field != kBackground && field != kCellId && field != kEventId) {
+      // The widest 32-bit value fits every coordinate and March index.
+      const auto widest = blob(field, 0xFFFFFFFFull);
+      const auto fits = decode_report(widest.data(), widest.size());
+      ASSERT_TRUE(fits.has_value()) << "field " << f << ": "
+                                    << fits.error().message;
+      EXPECT_EQ(encode_report(fits.value()), widest) << "field " << f;
+    }
+    const auto over = blob(field, 0x100000000ull);
+    const auto rejected = decode_report(over.data(), over.size());
+    ASSERT_FALSE(rejected.has_value()) << "field " << f;
+    EXPECT_NE(rejected.error().message.find("32 bits"), std::string::npos)
+        << "field " << f << ": " << rejected.error().message;
+  }
+}
+
+TEST(Serialize, NonCanonicalLogsAreDecodeErrors) {
+  // Two records of one cell in one read: the canonical tables are one
+  // background, one event, one cell and two entries.  Each variant below
+  // decodes to the same records through different bytes, so it is refused.
+  core::Report report;
+  auto& log = report.result.log;
+  bisd::DiagnosisEvent event;
+  event.background = log.intern(BitVector::from_string("0110"));
+  event.serial = true;
+  const std::uint32_t id = log.intern(event);
+  log.add(5, {3, 2}, id);
+  log.add(5, {3, 2}, id);
+  const auto canonical = encode_report(report);
+  ASSERT_TRUE(decode_report(canonical.data(), canonical.size()).has_value());
+
+  // The canonical section: counts, one background, one event, one memory
+  // with one cell, two entries.
+  constexpr std::size_t kLog = 4 + 4 + 4 + 4 + 8 * 5;
+  constexpr std::size_t kLogBytes = 1 + 16 + 1 + 7 + 1 + 2 + 2 + 1 + 4;
+  struct Variant {
+    const char* what;
+    int events;          ///< event rows (a repeat of the first)
+    int backgrounds;     ///< background rows (a repeat of the first)
+    int cells;           ///< cell rows (a repeat of the first)
+    bool overlong;       ///< the cycle base as a two-byte zero varint
+  };
+  for (const Variant variant :
+       {Variant{"canonical", 1, 1, 1, false},
+        Variant{"repeated event", 2, 1, 1, false},
+        Variant{"repeated background", 1, 2, 1, false},
+        Variant{"repeated cell", 1, 1, 2, false},
+        Variant{"overlong varint", 1, 1, 1, true}}) {
+    ByteWriter section;
+    section.varint(variant.backgrounds);
+    for (int b = 0; b < variant.backgrounds; ++b) {
+      section.u64(4);
+      section.u64(0b0110);
+    }
+    section.varint(variant.events);
+    for (int e = 0; e < variant.events; ++e) {
+      for (const std::uint64_t field : {0, 0, 0, 0, 1}) section.varint(field);
+      section.u8(1);
+      if (variant.overlong) {
+        section.u8(0x80);
+        section.u8(0x00);
+      } else {
+        section.varint(0);
+      }
+    }
+    section.varint(1);
+    section.varint(5);
+    section.varint(variant.cells);
+    for (int c = 0; c < variant.cells; ++c) {
+      section.varint(3);
+      section.varint(2);
+    }
+    section.varint(2);
+    // The second entry names the repeated row when there is one.
+    section.varint(0);
+    section.varint(0);
+    section.varint(variant.cells - 1);
+    section.varint(variant.events - 1);
+    const auto bytes = splice_log(canonical, kLog, kLogBytes, section);
+    const auto decoded = decode_report(bytes.data(), bytes.size());
+    if (std::string(variant.what) == "canonical") {
+      EXPECT_EQ(bytes, canonical);
+      EXPECT_TRUE(decoded.has_value());
+    } else {
+      EXPECT_FALSE(decoded.has_value()) << variant.what;
+    }
   }
 }
 
 TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
-  // 10k distinct backgrounds, each logged twice: decode interns by content,
-  // so shared backgrounds stay shared and the bytes re-encode exactly.
+  // 10k distinct backgrounds, each logged twice: the table holds each one
+  // once, so shared backgrounds stay shared and the bytes re-encode exactly.
   constexpr std::size_t kDistinct = 10'000;
   core::Report report;
   auto& log = report.result.log;
@@ -314,6 +435,154 @@ TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
   }
   EXPECT_NE(records[0].background, records[1].background);
 }
+
+TEST(Serialize, FleetReportFitsInFourMegabytes) {
+  // The paper's operating point, as perfbench's fleet_1pct runs it: 64
+  // SRAMs of four depths (three wrap the 256-step sweep), 1 % defects plus
+  // DRFs.  ~500k records over ~47k cells: "FDRP" v2 took ~38 MB.
+  auto builder = core::SessionSpec::builder();
+  int n = 0;
+  for (const auto& [words, bits] :
+       {std::pair{256u, 18u}, {128u, 40u}, {192u, 24u}, {224u, 72u}}) {
+    for (int k = 0; k < 16; ++k) {
+      builder.add_sram(small("fleet" + std::to_string(n++), words, bits, 2));
+    }
+  }
+  const auto spec = builder.defect_rate(0.01)
+                        .include_retention_faults(true)
+                        .scheme("fast")
+                        .seed(1)
+                        .build();
+  ASSERT_TRUE(spec.has_value());
+  const auto report = core::DiagnosisEngine::execute(spec.value());
+  const auto& log = report.result.log;
+  ASSERT_GT(log.records().size(), 400'000u);
+
+  // At rest the log is sealed: 8 B per record (at most 1/8 spare), 12 B
+  // per cell, 32 B per event and its backgrounds — no insertion index.
+  ASSERT_TRUE(log.sealed());
+  const auto& tables = log.tables();
+  std::size_t backgrounds = tables.backgrounds.capacity() * sizeof(BitVector);
+  for (const auto& background : tables.backgrounds) {
+    backgrounds += background.word_count() * sizeof(std::uint64_t);
+  }
+  EXPECT_LE(log.table_bytes(), 9 * tables.entries.size() +
+                                   12 * tables.cells.size() +
+                                   32 * tables.events.size() + backgrounds);
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto blob = encode_report(report);
+  const auto encoded = std::chrono::steady_clock::now();
+  const auto decoded = decode_report(blob.data(), blob.size());
+  const auto finished = std::chrono::steady_clock::now();
+  EXPECT_LE(blob.size(), std::size_t{4} << 20);
+  ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
+  EXPECT_EQ(encode_report(decoded.value()), blob);
+  // Reported, not gated: wall time depends on the host and build type.
+  const auto ms = [](auto from, auto to) {
+    return std::chrono::duration<double, std::milli>(to - from).count();
+  };
+  RecordProperty("report_bytes", std::to_string(blob.size()));
+  RecordProperty("encode_ms", std::to_string(ms(start, encoded)));
+  RecordProperty("decode_ms", std::to_string(ms(encoded, finished)));
+}
+
+// ---- report fuzz ----------------------------------------------------------
+
+/// FASTDIAG_REPORT_FUZZ=1 is the long mode (CI's sanitizer job): every
+/// byte of each report flipped under three masks and every truncation.
+/// Its cases are named *Long, so a PASSED count shows the knob was read.
+bool long_fuzz() {
+  const char* env = std::getenv("FASTDIAG_REPORT_FUZZ");
+  return env != nullptr && env[0] == '1';
+}
+
+/// Mixed depths and widths, two of them wrapping, under the fast scheme.
+core::SessionSpec mixed_soc_spec() {
+  auto spec = core::SessionSpec::builder()
+                  .add_sram(small("m0", 32, 8))
+                  .add_sram(small("m1", 24, 8))
+                  .add_sram(small("m2", 16, 12))
+                  .add_sram(small("m3", 32, 16))
+                  .defect_rate(0.03)
+                  .include_retention_faults(true)
+                  .seed(11)
+                  .build();
+  EXPECT_TRUE(spec.has_value());
+  return std::move(spec).value();
+}
+
+/// periodic_scan with ECC: non-serial events and check-column bits.
+core::SessionSpec in_field_spec() {
+  faults::SoftErrorSpec soft;
+  soft.enabled = true;
+  soft.mean_upset_gap_ns = 4'000;
+  soft.duration_ns = 200'000;
+  soft.scan_period_ns = 10'000;
+  soft.intermittent_fraction = 0.2;
+  soft.ecc = true;
+  auto spec = core::SessionSpec::builder()
+                  .add_sram(small("f0", 64, 16))
+                  .add_sram(small("f1", 48, 12))
+                  .scheme("periodic_scan")
+                  .soft_error(soft)
+                  .seed(5)
+                  .build();
+  EXPECT_TRUE(spec.has_value());
+  return std::move(spec).value();
+}
+
+core::SessionSpec classified_spec() { return demo_spec(7, true, true); }
+
+struct FuzzCase {
+  const char* name;
+  core::SessionSpec (*spec)();
+};
+
+class ReportFuzz : public ::testing::TestWithParam<FuzzCase> {};
+
+TEST_P(ReportFuzz, CorruptBytesDecodeCanonicallyOrFail) {
+  const auto report = core::DiagnosisEngine::execute(GetParam().spec());
+  ASSERT_FALSE(report.result.log.empty());
+  const auto blob = encode_report(report);
+  ASSERT_TRUE(decode_report(blob.data(), blob.size()).has_value());
+  RecordProperty("report_bytes", std::to_string(blob.size()));
+  const bool exhaustive = long_fuzz();
+  // Every strict prefix fails cleanly: the format consumes the blob exactly.
+  const std::size_t step =
+      exhaustive ? 1 : std::max<std::size_t>(1, blob.size() / 300);
+  for (std::size_t length = 0; length < blob.size(); length += step) {
+    EXPECT_FALSE(decode_report(blob.data(), length).has_value())
+        << "prefix length " << length;
+  }
+  // A flipped byte either fails or decodes to a report that re-encodes to
+  // exactly the flipped bytes; never UB (the sanitizer job runs this).
+  constexpr std::uint8_t kMasks[3] = {0x01, 0x5A, 0x80};
+  const std::size_t flips = exhaustive ? 3 * blob.size() : 384;
+  std::size_t decodable = 0;
+  for (std::size_t i = 0; i < flips; ++i) {
+    auto corrupt = blob;
+    const std::size_t at =
+        exhaustive ? i / 3 : (i * 2654435761u) % corrupt.size();
+    corrupt[at] ^= kMasks[i % 3];
+    const auto decoded = decode_report(corrupt.data(), corrupt.size());
+    if (decoded.has_value()) {
+      ++decodable;
+      EXPECT_EQ(encode_report(decoded.value()), corrupt)
+          << "flip " << int{kMasks[i % 3]} << " at " << at;
+    }
+  }
+  RecordProperty("decodable_flips", std::to_string(decodable));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Reports, ReportFuzz,
+    ::testing::Values(FuzzCase{"MixedSoc", mixed_soc_spec},
+                      FuzzCase{"InField", in_field_spec},
+                      FuzzCase{"Classified", classified_spec}),
+    [](const ::testing::TestParamInfo<FuzzCase>& info) {
+      return std::string(info.param.name) + (long_fuzz() ? "Long" : "");
+    });
 
 // ---- classifier cache -----------------------------------------------------
 
