@@ -259,7 +259,7 @@ std::vector<std::uint8_t> encode_log(const DiagnosisLog& log) {
 
 TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
   Rng rng(20261018);
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 32; ++trial) {
     Shape shape;
     // Odd trials add memory indices no dense table may cover; extract_syndromes
     // would size its output by them, so only even trials fold syndromes.
