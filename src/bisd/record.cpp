@@ -65,10 +65,10 @@ DiagnosisLog::Index& DiagnosisLog::index() {
 }
 
 std::uint32_t DiagnosisLog::intern(const BitVector& background) {
-  Index& index = this->index();
   if (background.empty()) {
     return 0;
   }
+  Index& index = this->index();
   const auto it = index.backgrounds.lower_bound(background);
   if (it != index.backgrounds.end() && it->first == background) {
     return it->second;
@@ -455,17 +455,6 @@ DiagnosisLog::CellGroups DiagnosisLog::entries_by_cell() const {
     groups.order[cursor[tables_.entries[i].cell]++] = i;
   }
   return groups;
-}
-
-std::size_t DiagnosisLog::table_bytes() const {
-  std::size_t bytes = tables_.entries.capacity() * sizeof(LogEntry) +
-                      tables_.cells.capacity() * sizeof(LoggedCell) +
-                      tables_.events.capacity() * sizeof(DiagnosisEvent) +
-                      tables_.backgrounds.capacity() * sizeof(BitVector);
-  for (const BitVector& background : tables_.backgrounds) {
-    bytes += background.word_count() * sizeof(std::uint64_t);
-  }
-  return bytes;
 }
 
 std::string DiagnosisLog::to_string(const DiagnosisRecord& record) const {

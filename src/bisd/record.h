@@ -251,10 +251,6 @@ class DiagnosisLog {
   };
   [[nodiscard]] CellGroups entries_by_cell() const;
 
-  /// Heap bytes the tables hold, by capacity.  The insertion index of an
-  /// unsealed log is not counted; a sealed log has none.
-  [[nodiscard]] std::size_t table_bytes() const;
-
   /// The scan-out line of one record, its background resolved.
   [[nodiscard]] std::string to_string(const DiagnosisRecord& record) const;
 

@@ -1,6 +1,7 @@
 #include "faults/dictionary.h"
 
 #include <algorithm>
+#include <set>
 
 namespace fastdiag::faults {
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>

@@ -341,12 +341,10 @@ TEST(DiagnosisLog, SealedLogHoldsEntriesCellsEventsAndNoIndex) {
   const auto& tables = log.tables();
   EXPECT_EQ(tables.entries.size(), 10'000u);
   EXPECT_LE(tables.entries.capacity(), tables.entries.size() * 9 / 8);
-  const std::size_t backgrounds =
-      tables.backgrounds.capacity() * sizeof(BitVector) +
-      tables.backgrounds.size() * sizeof(std::uint64_t);
-  EXPECT_LE(log.table_bytes(), 9 * tables.entries.size() +
-                                   12 * tables.cells.size() +
-                                   32 * tables.events.size() + backgrounds);
+  EXPECT_EQ(tables.cells.capacity(), tables.cells.size());
+  EXPECT_EQ(tables.events.capacity(), tables.events.size());
+  EXPECT_EQ(tables.events.size(), 2000u);
+  EXPECT_EQ(tables.backgrounds.size(), 2u);  // the empty one and "0101"
 }
 
 }  // namespace

@@ -458,17 +458,13 @@ TEST(Serialize, FleetReportFitsInFourMegabytes) {
   const auto& log = report.result.log;
   ASSERT_GT(log.records().size(), 400'000u);
 
-  // At rest the log is sealed: 8 B per record (at most 1/8 spare), 12 B
-  // per cell, 32 B per event and its backgrounds — no insertion index.
+  // At rest the log is sealed, so it holds no insertion index: 8 B per
+  // record (at most 1/8 spare), 12 B per cell, 32 B per event.
   ASSERT_TRUE(log.sealed());
   const auto& tables = log.tables();
-  std::size_t backgrounds = tables.backgrounds.capacity() * sizeof(BitVector);
-  for (const auto& background : tables.backgrounds) {
-    backgrounds += background.word_count() * sizeof(std::uint64_t);
-  }
-  EXPECT_LE(log.table_bytes(), 9 * tables.entries.size() +
-                                   12 * tables.cells.size() +
-                                   32 * tables.events.size() + backgrounds);
+  EXPECT_LE(tables.entries.capacity(), tables.entries.size() * 9 / 8);
+  EXPECT_EQ(tables.cells.capacity(), tables.cells.size());
+  EXPECT_EQ(tables.events.capacity(), tables.events.size());
 
   const auto start = std::chrono::steady_clock::now();
   const auto blob = encode_report(report);
