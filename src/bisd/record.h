@@ -193,24 +193,6 @@ class DiagnosisLog {
   /// The records in registration order, decoded on the fly.
   [[nodiscard]] RecordView records() const;
 
-  /// Record @p i of records().
-  [[nodiscard]] DiagnosisRecord record(std::size_t i) const {
-    const LogEntry entry = tables_.entries[i];
-    const LoggedCell& cell = tables_.cells[entry.cell];
-    const DiagnosisEvent& event = tables_.events[entry.event];
-    DiagnosisRecord out;
-    out.cycle = event.cycle(cell.bit);
-    out.memory_index = cell.memory;
-    out.addr = cell.addr;
-    out.bit = cell.bit;
-    out.phase = event.phase;
-    out.element = event.element;
-    out.op = event.op;
-    out.visit = event.visit;
-    out.background = event.background;
-    return out;
-  }
-
   /// The data background of @p record.  Throws std::out_of_range when the
   /// id was not interned in this log.
   [[nodiscard]] const BitVector& background(
@@ -302,6 +284,24 @@ class DiagnosisLog {
 
   /// The insertion index, built from the tables if absent; unseals.
   Index& index();
+
+  /// Entry @p i decoded.
+  [[nodiscard]] DiagnosisRecord record(std::size_t i) const {
+    const LogEntry entry = tables_.entries[i];
+    const LoggedCell& cell = tables_.cells[entry.cell];
+    const DiagnosisEvent& event = tables_.events[entry.event];
+    DiagnosisRecord out;
+    out.cycle = event.cycle(cell.bit);
+    out.memory_index = cell.memory;
+    out.addr = cell.addr;
+    out.bit = cell.bit;
+    out.phase = event.phase;
+    out.element = event.element;
+    out.op = event.op;
+    out.visit = event.visit;
+    out.background = event.background;
+    return out;
+  }
 
   std::uint32_t cell_id(std::uint32_t memory, sram::CellCoord cell) {
     if (index_ != nullptr && memory < index_->dense.size()) {

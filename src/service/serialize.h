@@ -66,11 +66,7 @@ class ByteWriter {
   /// LEB128: seven bits per byte, low groups first, high bit set on every
   /// byte but the last; 1 byte below 2^7, at most 10.
   void varint(std::uint64_t value) {
-    std::uint8_t raw[10];
-    const std::size_t length = static_cast<std::size_t>(put_varint(raw, value) - raw);
-    const std::size_t at = buffer_.size();
-    buffer_.resize(at + length);
-    std::memcpy(buffer_.data() + at, raw, length);
+    varints(1, [value](std::size_t) { return value; });
   }
 
   /// Appends the varints value(0) .. value(count - 1): one pass sizes them,
