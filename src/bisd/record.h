@@ -21,8 +21,7 @@
 // most 1/8 spare capacity, plus 12 B per distinct cell, 32 B per event and
 // its background table, and no insertion index.  At the paper's operating
 // point (the 64-memory fleet SoC at 1 % defects) that is ~5 MB for ~495k
-// records over ~45k cells and ~9k events, against ~24 MB of 40-byte
-// records and per-memory key lists before.
+// records over ~45k cells and ~9k events.
 #pragma once
 
 #include <cstddef>

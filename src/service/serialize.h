@@ -270,8 +270,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4B434446;  // "FDCK"
 inline constexpr std::uint32_t kFormatVersion = 2;
 /// "FDRP" version 3: the diagnosis log travels as its sealed tables —
 /// backgrounds, events, per-memory cells — then (cell id, event id) entries,
-/// all integers but the background limbs as varints.  A v2 report (one
-/// fixed-width record per failure) is rejected.
+/// all integers but the background limbs as varints.  Readers reject other
+/// versions, as for "FDCK".
 inline constexpr std::uint32_t kReportFormatVersion = 3;
 /// "FDCC" version 3: cell signatures are read masks over the classifier's
 /// read universe, and wrapped dictionaries key by row class.  A v2 cache

@@ -203,7 +203,7 @@ void expect_reads(const DiagnosisLog& log, const Reference& reference,
   EXPECT_FALSE(log.contains(2, {0, 0})) << where;
 }
 
-/// The syndrome fold the table-driven one replaced: a map over records.
+/// The reference syndrome fold: a map over the records.
 std::vector<diagnosis::MemorySyndrome> fold_records(
     const Reference& reference, std::size_t memory_count) {
   std::map<std::pair<std::size_t, sram::CellCoord>,

@@ -439,7 +439,7 @@ TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
 TEST(Serialize, FleetReportFitsInFourMegabytes) {
   // The paper's operating point, as perfbench's fleet_1pct runs it: 64
   // SRAMs of four depths (three wrap the 256-step sweep), 1 % defects plus
-  // DRFs.  ~500k records over ~47k cells: "FDRP" v2 took ~38 MB.
+  // DRFs: ~500k records over ~45k cells.
   auto builder = core::SessionSpec::builder();
   int n = 0;
   for (const auto& [words, bits] :
