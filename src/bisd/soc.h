@@ -80,16 +80,19 @@ class SocUnderTest {
   void set_access_kernel(sram::AccessKernel kernel);
   [[nodiscard]] sram::AccessKernel access_kernel() const { return kernel_; }
 
-  /// Instance-sliced execution groups: unrepaired, idle-capable,
-  /// FaultSet-backed memories of identical geometry — faulty or not —
-  /// chunked into groups of at most 64 in ascending memory-index order
-  /// (deterministic — the 65th identical memory opens a second group), and
-  /// kept only where faults::OverlaySlab::worth_slicing() says the group
-  /// pays.  Repaired, idle-less and in-field (SoftErrorBehavior) memories
-  /// are simply absent and stay on their own ports — an idle-less memory
-  /// is read with data ignored on every shift clock, per-instance traffic
-  /// a shared slab cannot replay.  Group membership is independent of the
-  /// selected kernel; callers gate on access_kernel().
+  /// Instance-sliced execution groups: idle-capable, FaultSet-backed
+  /// memories of identical words x bits — faulty or not, row-repaired or
+  /// not — chunked into groups of at most 64 in ascending memory-index
+  /// order (deterministic — the 65th identical memory opens a second
+  /// group), and kept only where faults::OverlaySlab::worth_slicing() says
+  /// the group pays.  Row repair keeps a memory in its group (its repaired
+  /// addresses run on spare rows of the group's arena), so a retest after
+  /// repair slices like the diagnosis.  Column-repaired, idle-less and
+  /// in-field (SoftErrorBehavior) memories are simply absent and stay on
+  /// their own ports — an idle-less memory is read with data ignored on
+  /// every shift clock, per-instance traffic a shared slab cannot replay.
+  /// Group membership is independent of the selected kernel; callers gate
+  /// on access_kernel().
   [[nodiscard]] std::vector<SliceGroup> slice_groups() const;
 
   /// Total injected faults over all memories.

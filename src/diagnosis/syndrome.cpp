@@ -52,12 +52,8 @@ std::vector<MemorySyndrome> extract_syndromes(const bisd::DiagnosisLog& log,
   std::vector<ReadKey> reads;
   for (std::size_t c = 0; c < tables.cells.size(); ++c) {
     const bisd::LoggedCell& cell = tables.cells[c];
-    if (cell.memory >= out.size()) {
-      const std::size_t first_new = out.size();
-      out.resize(std::size_t{cell.memory} + 1);
-      for (std::size_t i = first_new; i <= cell.memory; ++i) {
-        out[i].memory_index = i;
-      }
+    if (cell.memory >= memory_count) {
+      break;  // cells ascend by memory: the rest are out of range too
     }
     reads.clear();
     for (std::uint32_t j = groups.offsets[c]; j < groups.offsets[c + 1];

@@ -74,8 +74,9 @@ struct MemorySyndrome {
   [[nodiscard]] bool empty() const { return cells.empty(); }
 };
 
-/// Folds @p log into per-memory syndromes; the result always has
-/// @p memory_count entries (memories without failures get empty syndromes).
+/// Folds @p log into per-memory syndromes; the result always has exactly
+/// @p memory_count entries (memories without failures get empty syndromes,
+/// and cells of memories at or past @p memory_count are dropped).
 [[nodiscard]] std::vector<MemorySyndrome> extract_syndromes(
     const bisd::DiagnosisLog& log, std::size_t memory_count);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <string>
 
 #include "util/require.h"
@@ -36,7 +37,7 @@ void for_each_lane(std::uint64_t mask, Fn&& fn) {
 }  // namespace
 
 bool OverlaySlab::lane_capable(const sram::Sram& memory) {
-  return memory.spares_used() == 0 && memory.col_spares_used() == 0 &&
+  return memory.col_spares_used() == 0 &&
          (dynamic_cast<const FaultSet*>(&memory.behavior()) != nullptr ||
           dynamic_cast<const sram::FaultFreeBehavior*>(&memory.behavior()) !=
               nullptr);
@@ -161,43 +162,57 @@ void OverlaySlab::index_lanes() {
   std::vector<std::uint32_t> column_count;
   std::vector<std::uint32_t> column_patch;
   std::vector<std::vector<Contributor>> by_addr;
+  const auto contribute = [&](std::uint32_t addr, std::uint32_t arena_row,
+                              std::uint64_t lane_bit) {
+    auto& list = by_addr[addr];
+    const auto it = std::find_if(
+        list.begin(), list.end(),
+        [arena_row](const Contributor& c) { return c.row == arena_row; });
+    if (it == list.end()) {
+      list.push_back(Contributor{arena_row, lane_bit});
+    } else {
+      it->lanes |= lane_bit;
+    }
+  };
   for (std::uint32_t row = 0; row < rows; ++row) {
     entries.clear();
     for (std::uint32_t k = 0; k < faults_.size(); ++k) {
       const FaultSet* faults = faults_[k];
-      if (faults == nullptr) {
-        continue;
-      }
       const std::uint64_t lane_bit = std::uint64_t{1} << k;
-      const auto sites = faults->row_sites(row);
-      if (std::any_of(sites.begin(), sites.end(), [](const auto& site) {
-            return packing(site) == Packing::exact;
-          })) {
-        exact_lanes_[row] |= lane_bit;
-      } else {
-        for (std::uint32_t i = 0; i < sites.size(); ++i) {
-          entries.push_back(
-              {sites[i].cell.bit, k, faults->row_offset_[row] + i});
+      if (faults != nullptr) {
+        const auto sites = faults->row_sites(row);
+        if (std::any_of(sites.begin(), sites.end(), [](const auto& site) {
+              return packing(site) == Packing::exact;
+            })) {
+          exact_lanes_[row] |= lane_bit;
+        } else {
+          for (std::uint32_t i = 0; i < sites.size(); ++i) {
+            entries.push_back(
+                {sites[i].cell.bit, k, faults->row_offset_[row] + i});
+          }
         }
       }
-      if (!faults->address_faulty(row)) {
+      // Address `row` of lane k lands on its spare row when repaired (the
+      // repair bypasses the decoder, faulty or not, as in sram::Sram), on
+      // its decoded rows when address-faulty, and on its own row otherwise.
+      const std::optional<std::uint32_t> spare =
+          memories_.empty() ? std::nullopt : memories_[k]->spare_row(row);
+      if (!spare && (faults == nullptr || !faults->address_faulty(row))) {
         continue;
       }
       if (af_lanes_.empty()) {
         af_lanes_.assign(rows, 0);
+        spare_lanes_.assign(rows, 0);
         by_addr.resize(rows);
       }
       af_lanes_[row] |= lane_bit;
+      if (spare) {
+        spare_lanes_[row] |= lane_bit;
+        contribute(row, rows + *spare, lane_bit);
+        continue;
+      }
       for (const std::uint32_t decoded : faults->decode_rows(row)) {
-        auto& list = by_addr[row];
-        const auto it = std::find_if(
-            list.begin(), list.end(),
-            [decoded](const Contributor& c) { return c.row == decoded; });
-        if (it == list.end()) {
-          list.push_back(Contributor{decoded, lane_bit});
-        } else {
-          it->lanes |= lane_bit;
-        }
+        contribute(row, decoded, lane_bit);
       }
     }
     // Columns ascending, lanes ascending within a column (a stable counting
@@ -301,7 +316,10 @@ void OverlaySlab::write(std::uint32_t addr, const std::uint64_t* bcast,
                         sram::WriteStyle style, std::uint64_t elapsed_ns) {
   require_in_range(addr < slab_.rows(), "OverlaySlab::write: bad address");
   const std::uint64_t af = af_lanes_.empty() ? 0 : af_lanes_[addr];
-  const std::uint64_t live = ~af;  // lanes whose decode of addr is {addr}
+  const std::uint64_t live = ~af;  // lanes whose access of addr is {addr}
+  // Address-faulty lanes replay the sites of their decoded rows; repaired
+  // lanes land on a spare row, which holds none.
+  const std::uint64_t wired = af_lanes_.empty() ? 0 : af & ~spare_lanes_[addr];
   const std::uint64_t exact = exact_lanes_[addr] & live;
   const std::uint32_t p_begin = patch_offset_[addr];
   const std::uint32_t p_end = patch_offset_[addr + 1];
@@ -315,13 +333,13 @@ void OverlaySlab::write(std::uint32_t addr, const std::uint64_t* bcast,
   const std::uint32_t own_row[] = {addr};
   // The rows lane k's pulse reaches: its decode of addr.
   const auto rows_of = [&](std::uint32_t k) -> std::span<const std::uint32_t> {
-    return ((af >> k) & 1u) != 0 ? faults_[k]->decode_rows(addr)
-                                 : std::span<const std::uint32_t>(own_row);
+    return ((wired >> k) & 1u) != 0 ? faults_[k]->decode_rows(addr)
+                                    : std::span<const std::uint32_t>(own_row);
   };
   const auto data = [bcast](std::uint32_t bit) {
     return (bcast[bit] & 1u) != 0;
   };
-  const std::uint64_t per_site = exact | af;
+  const std::uint64_t per_site = exact | wired;
 
   // Hold every exact site cell the pulse reaches and every patched
   // column's pre-pulse limb, pulse, put the exact cells back.
@@ -450,6 +468,7 @@ void OverlaySlab::read(std::uint32_t addr, std::uint64_t elapsed_ns) {
   require_in_range(addr < slab_.rows(), "OverlaySlab::read: bad address");
   const std::uint64_t af = af_lanes_.empty() ? 0 : af_lanes_[addr];
   const std::uint64_t live = ~af;
+  const std::uint64_t wired = af_lanes_.empty() ? 0 : af & ~spare_lanes_[addr];
   const std::uint64_t exact = exact_lanes_[addr] & live;
   const std::uint32_t p_begin = patch_offset_[addr];
   const std::uint32_t p_end = patch_offset_[addr + 1];
@@ -482,7 +501,8 @@ void OverlaySlab::read(std::uint32_t addr, std::uint64_t elapsed_ns) {
       simd::copy_limbs(out, row, bits);
     } else {
       // Address-faulty lanes sense the wired-AND of their decoded rows (all
-      // ones when none fires); every other lane its own row.
+      // ones when none fires), repaired lanes their spare row, every other
+      // lane its own row.
       for (std::uint32_t j = 0; j < bits; ++j) {
         out[j] = row[j] | af;
       }
@@ -516,13 +536,13 @@ void OverlaySlab::read(std::uint32_t addr, std::uint64_t elapsed_ns) {
       }
     }
     // Exact sites: a column nothing drives repeats the lane's latch.
-    for_each_lane(exact | af, [&](std::uint32_t k) {
+    for_each_lane(exact | wired, [&](std::uint32_t k) {
       const auto patch = [&](std::uint32_t bit, bool value, bool drove) {
         set_lane_bit(out[bit], k,
                      drove ? value : ((latch_[bit] >> k) & 1u) != 0);
       };
       SlabLane view = lane(k);
-      if (((af >> k) & 1u) != 0) {
+      if (((wired >> k) & 1u) != 0) {
         faults_[k]->read_sites_wired(view, faults_[k]->decode_rows(addr),
                                      now(k, elapsed_ns), patch);
       } else {

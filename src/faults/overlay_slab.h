@@ -23,13 +23,18 @@
 //  * address faults: lanes whose decode of the address is not {addr} are
 //    left out of the address row's pulse and written into their decoded
 //    rows with single-lane blends; their reads take the wired-AND of the
-//    decoded rows' lane bits, one vectorized pass per decoded row.
+//    decoded rows' lane bits, one vectorized pass per decoded row;
+//  * row repair: a row-repaired address is an address fault with a
+//    one-row decode onto the lane's spare arena row (InstanceSlab keeps
+//    spare rows after the word rows).  Repair takes precedence over the
+//    lane's own decode of the address, as in sram::Sram, and spare rows
+//    hold no sites, so the lane replays nothing per site there.
 //
 // DRF timing runs on the caller's clock: each op carries the time elapsed
 // since construction, and each lane's sites see its own start time plus
 // that, exactly the clock a per-memory run would have shown.  scatter()
-// lands every lane's cells and sense latch in its Sram; retention clocks
-// already live in the lane's FaultSet.
+// lands every lane's cells, spare rows and sense latch in its Sram;
+// retention clocks already live in the lane's FaultSet.
 //
 // The dictionary-build probe slabs use the standalone constructor: each
 // lane's packed candidate list compiles into a private FaultSet (the probe
@@ -49,8 +54,9 @@ namespace fastdiag::faults {
 
 class OverlaySlab {
  public:
-  /// True when @p memory may be a slab lane: no row or column spares
-  /// consumed, and its behaviour is a FaultSet or FaultFreeBehavior.
+  /// True when @p memory may be a slab lane: no column spares consumed
+  /// (row-repaired memories qualify), and its behaviour is a FaultSet or
+  /// FaultFreeBehavior.
   [[nodiscard]] static bool lane_capable(const sram::Sram& memory);
 
   /// True when @p lanes same-geometry memories of width @p bits run faster
@@ -70,7 +76,8 @@ class OverlaySlab {
                                           std::uint32_t bits);
 
   /// Memory-backed lanes: 1..64 lane_capable() memories of identical
-  /// geometry (lane k = lanes[k]).  Gathers their cells and latches.
+  /// words x bits (lane k = lanes[k]; spare_rows may differ).  Gathers
+  /// their cells, spare rows and latches.
   explicit OverlaySlab(const std::vector<sram::Sram*>& lanes);
 
   /// Standalone probe lanes: @p lane_count (1..64) candidate lists against
@@ -108,12 +115,15 @@ class OverlaySlab {
   [[nodiscard]] std::uint64_t mismatch_columns(
       const std::uint64_t* expect_bcast, std::uint32_t bit_begin) const;
 
-  /// Writes every lane's cells and sense latch back to its memory (the
-  /// caller settles clocks and op counters).  Memory-backed slabs only.
+  /// Writes every lane's cells, spare rows and sense latch back to its
+  /// memory (the caller settles clocks and op counters).  Memory-backed
+  /// slabs only.
   void scatter();
 
  private:
-  /// A decoded row of an address-faulty address and the lanes decoding it.
+  /// An arena row an address reaches off its own row — a decoded row of
+  /// address-faulty lanes or the spare row of repaired lanes — and the
+  /// lanes reaching it.
   struct Contributor {
     std::uint32_t row = 0;
     std::uint64_t lanes = 0;
@@ -194,7 +204,10 @@ class OverlaySlab {
   std::vector<AggressorRef> aggressors_;
   std::vector<std::uint64_t> old_limbs_;    ///< per patch: pre-pulse limb
   std::vector<std::uint64_t> transitions_;  ///< per patch: aggressor flips
-  std::vector<std::uint64_t> af_lanes_;  ///< per address; empty when none
+  /// Per address: lanes off their own row (address-faulty or repaired),
+  /// and the repaired ones among them; both empty when none.
+  std::vector<std::uint64_t> af_lanes_;
+  std::vector<std::uint64_t> spare_lanes_;
   std::vector<std::uint32_t> contrib_offset_;  ///< per address CSR
   std::vector<Contributor> contribs_;
   std::vector<std::uint64_t> latch_;    ///< per column lane latch limbs

@@ -16,8 +16,8 @@ namespace fastdiag::sram {
 ///    FaultBehavior hooks: one packed limb copy plus the row's sparse fault
 ///    sites (faults::FaultSet).  bisd::FastScheme, over
 ///    bisd::SocUnderTest::slice_groups, additionally packs identical-
-///    geometry, unrepaired, FaultSet-backed memories — faulty or not — as
-///    bit-lanes of an sram::InstanceSlab (bit k of each limb = memory k's
+///    geometry, FaultSet-backed memories — faulty, row-repaired or not —
+///    as bit-lanes of an sram::InstanceSlab (bit k of each limb = memory k's
 ///    cell) and overlays each lane's fault sites on its column bits
 ///    (faults::OverlaySlab), so one March op
 ///    advances up to 64 memories per word operation.  Which groups slice

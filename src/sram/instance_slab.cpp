@@ -22,15 +22,17 @@ InstanceSlab::InstanceSlab(std::vector<Sram*> lanes)
               return "InstanceSlab: lane '" + lane->config().name +
                      "' geometry differs from the group";
             });
-    require(lane->spares_used() == 0 && lane->col_spares_used() == 0, [&] {
+    require(lane->col_spares_used() == 0, [&] {
       return "InstanceSlab: lane '" + lane->config().name +
-             "' has consumed spares (repaired rows live outside the slab)";
+             "' has consumed column spares (a swapped column lives outside "
+             "the slab)";
     });
+    spare_rows_ = std::max(spare_rows_, lane->config().spare_rows);
   }
   lane_count_ = lanes_.size();
   lane_mask_ = lane_count_ == 64 ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << lane_count_) - 1;
-  arena_.assign(static_cast<std::size_t>(rows_) * bits_, 0);
+  arena_.assign((static_cast<std::size_t>(rows_) + spare_rows_) * bits_, 0);
 }
 
 InstanceSlab::InstanceSlab(std::uint32_t rows, std::uint32_t bits,
@@ -44,17 +46,34 @@ InstanceSlab::InstanceSlab(std::uint32_t rows, std::uint32_t bits,
   arena_.assign(static_cast<std::size_t>(rows_) * bits_, 0);
 }
 
+void InstanceSlab::lane_rows(std::uint32_t row, std::uint64_t** limbs) {
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    Sram& lane = *lanes_[k];
+    if (row < rows_) {
+      limbs[k] = lane.cells_mut().row_words_mut(row);
+      continue;
+    }
+    CellArray* spares = lane.spare_cells_mut();
+    const std::uint32_t s = row - rows_;
+    limbs[k] = spares != nullptr && s < spares->rows()
+                   ? spares->row_words_mut(s)
+                   : nullptr;
+  }
+}
+
 void InstanceSlab::gather() {
   require(!lanes_.empty(), "InstanceSlab::gather: standalone slab");
   const std::size_t words_per_row = lanes_.front()->cells().words_per_row();
+  std::uint64_t* limbs[64];
   std::uint64_t block[64];
-  for (std::uint32_t row = 0; row < rows_; ++row) {
+  for (std::uint32_t row = 0; row < rows_ + spare_rows_; ++row) {
+    lane_rows(row, limbs);
     std::uint64_t* arena_row = &arena_[static_cast<std::size_t>(row) * bits_];
     for (std::size_t w = 0; w < words_per_row; ++w) {
       // block[k] = lane k's limb of 64 consecutive cell-columns; after the
       // transpose, block[b] is the lane limb of column 64w + b.
       for (std::size_t k = 0; k < lanes_.size(); ++k) {
-        block[k] = lanes_[k]->cells().row_words(row)[w];
+        block[k] = limbs[k] != nullptr ? limbs[k][w] : 0;
       }
       std::fill(block + lanes_.size(), block + 64, 0);
       simd::transpose_64x64(block);
@@ -68,8 +87,10 @@ void InstanceSlab::gather() {
 void InstanceSlab::scatter() {
   require(!lanes_.empty(), "InstanceSlab::scatter: standalone slab");
   const std::size_t words_per_row = lanes_.front()->cells().words_per_row();
+  std::uint64_t* limbs[64];
   std::uint64_t block[64];
-  for (std::uint32_t row = 0; row < rows_; ++row) {
+  for (std::uint32_t row = 0; row < rows_ + spare_rows_; ++row) {
+    lane_rows(row, limbs);
     const std::uint64_t* arena_row =
         &arena_[static_cast<std::size_t>(row) * bits_];
     for (std::size_t w = 0; w < words_per_row; ++w) {
@@ -81,7 +102,9 @@ void InstanceSlab::scatter() {
       std::fill(block + take, block + 64, 0);
       simd::transpose_64x64(block);
       for (std::size_t k = 0; k < lanes_.size(); ++k) {
-        lanes_[k]->cells_mut().row_words_mut(row)[w] = block[k];
+        if (limbs[k] != nullptr) {
+          limbs[k][w] = block[k];
+        }
       }
     }
   }
@@ -97,7 +120,7 @@ void InstanceSlab::write_row(std::uint32_t row, const std::uint64_t* bcast) {
 }
 
 std::uint64_t InstanceSlab::column(std::uint32_t row, std::uint32_t bit) const {
-  require_in_range(row < rows_ && bit < bits_,
+  require_in_range(row < rows_ + spare_rows_ && bit < bits_,
                    "InstanceSlab::column: out of range");
   return arena_[static_cast<std::size_t>(row) * bits_ + bit];
 }

@@ -209,9 +209,13 @@ std::uint32_t Sram::spares_used() const {
 }
 
 bool Sram::is_repaired(std::uint32_t addr) const {
+  return spare_row(addr).has_value();
+}
+
+std::optional<std::uint32_t> Sram::spare_row(std::uint32_t addr) const {
   require_in_range(addr < config_.words,
-                   "Sram::is_repaired: address out of range");
-  return row_remap_[addr].has_value();
+                   "Sram::spare_row: address out of range");
+  return row_remap_[addr];
 }
 
 void Sram::repair_column(std::uint32_t bit, std::uint32_t spare) {

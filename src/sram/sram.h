@@ -12,9 +12,9 @@
 // unrepaired-column accesses through the behaviour's word-level hooks
 // (write_row / read_row) — for faults::FaultSet one packed limb copy plus
 // the row's sparse fault-site patches — and lets bisd::FastScheme advance
-// the unrepaired memories of bisd::SocUnderTest::slice_groups as bit-lanes
-// of a shared sram::InstanceSlab with the same fault sites overlaid per
-// lane.  The per_cell kernel forces the
+// the memories of bisd::SocUnderTest::slice_groups (row-repaired ones
+// included) as bit-lanes of a shared sram::InstanceSlab with the same fault
+// sites overlaid per lane.  The per_cell kernel forces the
 // bit-at-a-time reference loop on every access and never slices.  Both
 // produce bit-identical results — the reference exists so differential
 // tests and benchmarks can prove it.
@@ -124,6 +124,19 @@ class Sram {
   /// counters, like peek()/poke().
   [[nodiscard]] const CellArray& cells() const { return cells_; }
   [[nodiscard]] CellArray& cells_mut() { return cells_; }
+
+  /// The spare-row storage (config().spare_rows x bits(); null when the
+  /// memory has no spare rows) and the spare row serving @p addr (nullopt
+  /// while it is unrepaired) — the seam a sliced group uses to carry
+  /// row-repaired addresses on its arena.  Same contract as cells().
+  [[nodiscard]] const CellArray* spare_cells() const {
+    return spare_cells_ ? &*spare_cells_ : nullptr;
+  }
+  [[nodiscard]] CellArray* spare_cells_mut() {
+    return spare_cells_ ? &*spare_cells_ : nullptr;
+  }
+  [[nodiscard]] std::optional<std::uint32_t> spare_row(
+      std::uint32_t addr) const;
 
   /// The per-column sense-amplifier latch (the last value each column's
   /// sense amp resolved) and its restore seam: a sliced group carries each

@@ -89,20 +89,21 @@ TEST(Syndromes, FoldRecordsPerCellInMarchOrder) {
   EXPECT_EQ(syndromes[1].cells.size(), 1u);
 }
 
-TEST(Syndromes, GrowsPastDeclaredMemoryCountWithCorrectIndices) {
+TEST(Syndromes, DropMemoriesPastTheDeclaredCount) {
   bisd::DiagnosisLog log;
   bisd::DiagnosisRecord record;
-  record.memory_index = 3;  // beyond the declared count of 1
   record.addr = 2;
-  record.bit = 0;
+  log.add(record);
+  record.memory_index = 3;  // beyond the declared count of 2
   log.add(record);
 
-  const auto syndromes = diagnosis::extract_syndromes(log, 1);
-  ASSERT_EQ(syndromes.size(), 4u);
+  const auto syndromes = diagnosis::extract_syndromes(log, 2);
+  ASSERT_EQ(syndromes.size(), 2u);
   for (std::size_t i = 0; i < syndromes.size(); ++i) {
     EXPECT_EQ(syndromes[i].memory_index, i);
   }
-  EXPECT_EQ(syndromes[3].cells.size(), 1u);
+  EXPECT_EQ(syndromes[0].cells.size(), 1u);
+  EXPECT_TRUE(syndromes[1].empty());
 }
 
 // ---- classifier: randomized single-fault scenarios ------------------------

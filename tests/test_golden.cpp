@@ -208,9 +208,10 @@ TEST(GoldenTrace, PeriodicScanScrubPoliciesSeed17) {
 }
 
 TEST(GoldenTrace, FastSchemeSlicedAndIdleLessSeed13) {
-  // Diagnose, repair the diagnosed rows, retest: the retest runs the
-  // repaired memories on their own ports.  Pinned beyond the log: every
-  // memory's clock and op counters after each run.
+  // Diagnose, repair the diagnosed rows, retest: the repaired memories stay
+  // lanes of their groups, so the retest runs sliced with their repaired
+  // addresses on spare arena rows.  Pinned beyond the log: every memory's
+  // clock and op counters after each run.
   auto soc = sliced_idle_less_soc(13);
   ASSERT_EQ(soc.slice_groups().size(), 2u);
   bisd::FastScheme scheme;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -298,7 +299,7 @@ TEST(OverlaySlab, WriteReadAndCompareColumns) {
   EXPECT_FALSE(memories[2]->peek({2, 33}));
 }
 
-TEST(InstanceSlab, RejectsRepairedAndMismatchedLanes) {
+TEST(InstanceSlab, AcceptsRowRepairedRejectsColumnRepairedAndMismatched) {
   const auto config = cfg("bad", 4, 9);
   sram::Sram clean(config);
   sram::Sram faulty(config,
@@ -308,10 +309,39 @@ TEST(InstanceSlab, RejectsRepairedAndMismatchedLanes) {
   // Faulty lanes ride the slab; their sites are overlaid per lane.
   EXPECT_TRUE(faults::OverlaySlab::lane_capable(faulty));
   EXPECT_NO_THROW(faults::OverlaySlab({&clean, &faulty}));
-  sram::Sram repaired(config);
-  repaired.repair_row(1, 0);
-  EXPECT_FALSE(faults::OverlaySlab::lane_capable(repaired));
-  EXPECT_THROW(sram::InstanceSlab({&clean, &repaired}), std::exception);
+
+  // Row-repaired lanes ride it too: spare rows follow the word rows, as
+  // many as the lane with the most spares has.
+  auto roomy = cfg("roomy", 4, 9);
+  roomy.spare_rows = 6;
+  sram::Sram repaired(roomy);
+  repaired.repair_row(1, 5);
+  repaired.spare_cells_mut()->set({5, 3}, true);
+  EXPECT_TRUE(faults::OverlaySlab::lane_capable(repaired));
+  EXPECT_NO_THROW(faults::OverlaySlab({&clean, &repaired}));
+  sram::InstanceSlab slab({&clean, &repaired});
+  EXPECT_EQ(slab.rows(), 4u);
+  EXPECT_EQ(slab.spare_rows(), 6u);
+  slab.gather();
+  EXPECT_EQ(slab.column(4 + 5, 3), 0b10u);
+  // scatter() lands spare rows back where a lane has them: lane 0 owns
+  // spare rows 0..3 only.
+  slab.arena()[(4 + 1) * 9 + 3] = 0b01;
+  slab.arena()[(4 + 5) * 9 + 3] = 0b01;
+  slab.scatter();
+  EXPECT_TRUE(clean.spare_cells()->get({1, 3}));
+  EXPECT_FALSE(repaired.spare_cells()->get({1, 3}));
+  EXPECT_FALSE(repaired.spare_cells()->get({5, 3}));
+
+  // Column-repaired lanes stay ports: a swapped column lives outside the
+  // slab.
+  auto with_columns = cfg("columns", 4, 9);
+  with_columns.spare_cols = 1;
+  sram::Sram column_repaired(with_columns);
+  column_repaired.repair_column(2, 0);
+  EXPECT_FALSE(faults::OverlaySlab::lane_capable(column_repaired));
+  EXPECT_THROW(sram::InstanceSlab({&clean, &column_repaired}),
+               std::exception);
   sram::Sram other(cfg("other", 4, 10));
   EXPECT_THROW(sram::InstanceSlab({&clean, &other}), std::exception);
   EXPECT_THROW(sram::InstanceSlab(std::vector<sram::Sram*>{}),
@@ -441,7 +471,21 @@ bisd::SocUnderTest make_sliced_soc(std::size_t clean_count,
   return soc;
 }
 
+/// Expects two cell matrices to hold the same bits.
+void expect_cells_identical(const sram::CellArray& a, const sram::CellArray& b,
+                            const std::string& where) {
+  ASSERT_EQ(a.rows(), b.rows()) << where;
+  for (std::uint32_t row = 0; row < a.rows(); ++row) {
+    ASSERT_EQ(a.get_row(row).to_string(), b.get_row(row).to_string())
+        << where << " row " << row;
+  }
+}
+
 /// Expects two runs' results and their SoCs' memories to be identical.
+/// Memories compare by raw state (cells, spare rows, sense latch), not
+/// through the port: a read follows the repair remap, so it cannot see
+/// the defective row under a repaired address, and it would move the
+/// latch and counters it compares.
 void expect_runs_identical(bisd::SocUnderTest& sliced_soc,
                            bisd::SocUnderTest& ref_soc,
                            const bisd::DiagnosisResult& sliced,
@@ -451,18 +495,21 @@ void expect_runs_identical(bisd::SocUnderTest& sliced_soc,
   EXPECT_EQ(sliced.log.to_csv(), reference.log.to_csv()) << label;
   ASSERT_EQ(sliced_soc.memory_count(), ref_soc.memory_count()) << label;
   for (std::size_t i = 0; i < sliced_soc.memory_count(); ++i) {
-    auto& a = sliced_soc.memory(i);
-    auto& b = ref_soc.memory(i);
-    EXPECT_EQ(a.now_ns(), b.now_ns()) << label << " memory " << i;
-    EXPECT_EQ(a.counters().reads, b.counters().reads)
-        << label << " memory " << i;
-    EXPECT_EQ(a.counters().writes, b.counters().writes)
-        << label << " memory " << i;
-    EXPECT_EQ(a.counters().nwrc_writes, b.counters().nwrc_writes)
-        << label << " memory " << i;
-    for (std::uint32_t row = 0; row < a.words(); ++row) {
-      ASSERT_EQ(a.read(row), b.read(row))
-          << label << " memory " << i << " row " << row;
+    const auto& a = sliced_soc.memory(i);
+    const auto& b = ref_soc.memory(i);
+    const std::string where = label + " memory " + std::to_string(i);
+    EXPECT_EQ(a.now_ns(), b.now_ns()) << where;
+    EXPECT_EQ(a.counters().reads, b.counters().reads) << where;
+    EXPECT_EQ(a.counters().writes, b.counters().writes) << where;
+    EXPECT_EQ(a.counters().nwrc_writes, b.counters().nwrc_writes) << where;
+    EXPECT_EQ(a.sense_latch().to_string(), b.sense_latch().to_string())
+        << where;
+    expect_cells_identical(a.cells(), b.cells(), where);
+    ASSERT_EQ(a.spare_cells() != nullptr, b.spare_cells() != nullptr)
+        << where;
+    if (a.spare_cells() != nullptr) {
+      expect_cells_identical(*a.spare_cells(), *b.spare_cells(),
+                             where + " spare");
     }
   }
 }
@@ -581,8 +628,8 @@ TEST(InstanceSliced, IdleLessPortsMatchReferenceAndClosedForms) {
     expect_closed_forms(ref_soc, ref_before, test, reference,
                         run_label + " per_cell");
     expect_runs_identical(sliced_soc, ref_soc, sliced, reference, run_label);
-    // Repair what the run found: the retest drives the repaired memories
-    // through their own ports.
+    // Repair what the run found: the repaired memories stay in their
+    // group, so the retest drives them as slab lanes.
     bisd::apply_repair(sliced_soc, bisd::plan_repair(sliced.log, sliced_soc));
     bisd::apply_repair(ref_soc, bisd::plan_repair(reference.log, ref_soc));
   }
@@ -596,13 +643,18 @@ TEST(InstanceSliced, IdleLessPortsMatchReferenceAndClosedForms) {
 TEST(InstanceSliced, SliceGroupsChunkAt64InIndexOrder) {
   Rng rng(64);
   bisd::SocUnderTest soc;
-  // 67 identical memories, every fifth one faulty; memory 3 gets repaired.
+  // 67 identical memories, every fifth one faulty; memory 3 gets a spare
+  // row, the 68th identical memory a spare column.
   for (int i = 0; i < 67; ++i) {
     auto config = cfg("c" + std::to_string(i), 8, 21);
     soc.add_memory(config, i % 5 == 0 ? random_fault_mix(config, 3, rng)
                                       : std::vector<FaultInstance>{});
   }
-  soc.memory(3).repair_row(2, 0);            // repaired: stays out
+  soc.memory(3).repair_row(2, 0);            // row-repaired: stays a lane
+  auto columns = cfg("columns", 8, 21);
+  columns.spare_cols = 1;
+  soc.add_memory(columns);
+  soc.memory(67).repair_column(4, 0);        // column-repaired: stays out
   soc.add_memory(cfg("odd0", 12, 33));       // different geometry: own group
   soc.add_memory(cfg("odd1", 12, 33),
                  {faults::make_cell_fault(FaultKind::sa1, {4, 4})});
@@ -616,21 +668,22 @@ TEST(InstanceSliced, SliceGroupsChunkAt64InIndexOrder) {
 
   const auto groups = soc.slice_groups();
   ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].members.size(), 64u);  // the 66th eligible opens a
-  EXPECT_EQ(groups[1].members.size(), 2u);   // second group
-  EXPECT_EQ(groups[1].members.front(), 65u);
+  EXPECT_EQ(groups[0].members.size(), 64u);  // the 65th eligible opens a
+  EXPECT_EQ(groups[0].members[3], 3u);       // second group
+  EXPECT_EQ(groups[1].members,
+            (std::vector<std::size_t>{64, 65, 66}));
   ASSERT_EQ(groups[2].members.size(), 2u);   // the odd-geometry pair
-  EXPECT_EQ(groups[2].members.front(), 67u);
+  EXPECT_EQ(groups[2].members.front(), 68u);
   std::size_t faulty_members = 0;
   for (const auto& group : groups) {
     EXPECT_TRUE(std::is_sorted(group.members.begin(), group.members.end()));
     for (const auto m : group.members) {
-      EXPECT_NE(m, 3u) << "repaired memories must stay ungrouped";
-      EXPECT_LT(m, 69u) << "idle-less, in-field and lone memories stay out";
+      EXPECT_NE(m, 67u) << "column-repaired memories must stay ungrouped";
+      EXPECT_LT(m, 70u) << "idle-less, in-field and lone memories stay out";
       faulty_members += soc.truth(m).empty() ? 0 : 1;
     }
   }
-  EXPECT_EQ(faulty_members, 15u) << "faulty unrepaired memories join groups";
+  EXPECT_EQ(faulty_members, 15u) << "faulty memories join groups";
 }
 
 TEST(InstanceSliced, BaselineSchemeMatchesPerCellReference) {
@@ -672,6 +725,206 @@ TEST(InstanceSliced, EngineSpecSelectionIsBitIdentical) {
   EXPECT_EQ(sliced.runs[0].result.time.cycles,
             reference.runs[0].result.time.cycles);
   EXPECT_EQ(sliced.runs[0].injected_faults, reference.runs[0].injected_faults);
+}
+
+// ---- row-repaired lanes ----------------------------------------------------
+
+/// FASTDIAG_REPAIR_STRESS=1 is the long mode (CI's sanitizer job): many
+/// more seeds of the repaired-lane differential.  The case is then named
+/// RepairedLanesRetestLikePerCellLong, so a PASSED count shows the knob was
+/// read.
+bool repair_stress() {
+  const char* env = std::getenv("FASTDIAG_REPAIR_STRESS");
+  return env != nullptr && env[0] == '1';
+}
+
+/// Repairs @p addr of @p memory onto a random free spare row (spare
+/// indices need not be consumed in order); a no-op when the address is
+/// already repaired or no spare row is free.
+void repair_onto_free_spare(sram::Sram& memory, std::uint32_t addr,
+                            Rng& rng) {
+  if (memory.is_repaired(addr)) {
+    return;
+  }
+  std::vector<bool> taken(memory.config().spare_rows, false);
+  for (std::uint32_t a = 0; a < memory.words(); ++a) {
+    if (const auto spare = memory.spare_row(a)) {
+      taken[*spare] = true;
+    }
+  }
+  std::vector<std::uint32_t> free;
+  for (std::uint32_t spare = 0; spare < taken.size(); ++spare) {
+    if (!taken[spare]) {
+      free.push_back(spare);
+    }
+  }
+  if (!free.empty()) {
+    memory.repair_row(addr, free[rng.uniform(free.size())]);
+  }
+}
+
+/// One round of repairs: plan_repair's rows for @p log, then hand repairs
+/// the plan would not make on its own — rows an address fault decodes
+/// into, addresses whose own decode is faulty, DRF rows (each faulty
+/// lane's two-role exact site among them) and an address of each
+/// fault-free lane.  A function of the SoC's state and @p rng alone, so
+/// both SoCs of a differential get the same repairs.
+void repair_round(bisd::SocUnderTest& soc, const bisd::DiagnosisLog& log,
+                  Rng rng) {
+  const auto plan = bisd::plan_repair(log, soc);
+  for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+    for (const std::uint32_t row : plan.memories[i].rows) {
+      repair_onto_free_spare(soc.memory(i), row, rng);
+    }
+  }
+  for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+    auto& memory = soc.memory(i);
+    if (soc.truth(i).empty()) {
+      repair_onto_free_spare(
+          memory, static_cast<std::uint32_t>(rng.uniform(memory.words())),
+          rng);
+      continue;
+    }
+    for (const FaultInstance& fault : soc.truth(i)) {
+      if (!rng.bernoulli(0.5)) {
+        continue;
+      }
+      if (faults::is_address_fault(fault.kind)) {
+        const bool decoded_row =
+            fault.kind != FaultKind::af_no_access && rng.bernoulli(0.5);
+        repair_onto_free_spare(memory,
+                               decoded_row ? fault.other_row : fault.addr, rng);
+      } else if (fault.kind == FaultKind::drf1) {
+        repair_onto_free_spare(memory, fault.victim.row, rng);
+      }
+    }
+  }
+}
+
+/// Row-repaired lanes against the per_cell reference over @p seeds SoCs:
+/// one same-geometry group whose lanes differ in spare_rows, carry the
+/// full fault mix (address faults and DRFs included) plus one two-role
+/// cell each, or no faults at all.  Each SoC is diagnosed and then
+/// retested twice, the last time with a retention pause, with a repair
+/// round after every run.
+void expect_repaired_lanes_retest_like_per_cell(std::uint64_t seeds) {
+  std::size_t repaired_lane_runs = 0;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const auto make_soc = [seed](AccessKernel kernel) {
+      Rng rng(seed);
+      bisd::SocUnderTest soc;
+      const std::size_t lanes = 4 + rng.uniform(6);
+      for (std::size_t k = 0; k < lanes; ++k) {
+        auto config = cfg("r" + std::to_string(k), 16, 13);
+        config.spare_rows = 1 + static_cast<std::uint32_t>(rng.uniform(6));
+        config.retention_ns = 3'000;
+        std::vector<FaultInstance> truth;
+        if (k % 4 != 1) {
+          truth = random_fault_mix(config, 1 + rng.uniform(5), rng);
+          // A retention cell that also blocks falling writes: an exact
+          // site, replayed per cell rather than from packed masks.
+          const CellCoord cell = random_cell(config, rng);
+          truth.push_back(faults::make_cell_fault(FaultKind::drf1, cell));
+          truth.push_back(faults::make_cell_fault(FaultKind::tf_down, cell));
+        }
+        soc.add_memory(config, std::move(truth));
+      }
+      soc.set_access_kernel(kernel);
+      return soc;
+    };
+    auto sliced_soc = make_soc(AccessKernel::word_parallel);
+    auto ref_soc = make_soc(AccessKernel::per_cell);
+    bisd::FastSchemeOptions paused;
+    paused.test = march::with_retention_pause(
+        march::march_cw(sliced_soc.max_bits()), 5'000);
+    const bisd::FastSchemeOptions rounds[] = {{}, {}, paused};
+    for (std::size_t round = 0; round < std::size(rounds); ++round) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const auto groups = sliced_soc.slice_groups();
+      ASSERT_EQ(groups.size(), 1u) << label;
+      for (std::size_t i = 0; i < sliced_soc.memory_count(); ++i) {
+        if (sliced_soc.memory(i).spares_used() == 0) {
+          continue;
+        }
+        EXPECT_TRUE(std::find(groups[0].members.begin(),
+                              groups[0].members.end(),
+                              i) != groups[0].members.end())
+            << label << " memory " << i << " left its group";
+        ++repaired_lane_runs;
+      }
+      bisd::FastScheme scheme(rounds[round]);
+      const auto sliced = scheme.diagnose(sliced_soc);
+      const auto reference = scheme.diagnose(ref_soc);
+      expect_runs_identical(sliced_soc, ref_soc, sliced, reference, label);
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+      repair_round(sliced_soc, sliced.log, Rng(seed * 7 + round));
+      repair_round(ref_soc, reference.log, Rng(seed * 7 + round));
+    }
+  }
+  ::testing::Test::RecordProperty("repaired_lane_runs",
+                                  std::to_string(repaired_lane_runs));
+  EXPECT_GT(repaired_lane_runs, 4 * seeds) << "too few repaired lanes";
+}
+
+/// The differential as a case whose name carries its mode (see
+/// repair_stress); registered below instead of through TEST().
+class RepairedLanesRetestLikePerCell : public ::testing::Test {
+ public:
+  void TestBody() override {
+    expect_repaired_lanes_retest_like_per_cell(repair_stress() ? 1000 : 60);
+  }
+};
+
+[[maybe_unused]] const auto* const kRepairedLanesCase = ::testing::RegisterTest(
+    "InstanceSliced",
+    repair_stress() ? "RepairedLanesRetestLikePerCellLong"
+                    : "RepairedLanesRetestLikePerCell",
+    nullptr, nullptr, __FILE__, __LINE__,
+    []() -> ::testing::Test* { return new RepairedLanesRetestLikePerCell; });
+
+TEST(InstanceSliced, ClassifyWrapGroupsSurviveRepair) {
+  // perfbench's classify_wrap SoC: 8 x 64x16, 4 x 48x16 and 4 x 40x24
+  // memories with 16 spare rows each at 1 % defects.  Repair moves no
+  // memory out of its group, so the retest runs as sliced as the
+  // diagnosis did.
+  auto builder = core::SessionSpec::builder();
+  int n = 0;
+  const auto add = [&](int count, std::uint32_t words, std::uint32_t bits) {
+    for (int k = 0; k < count; ++k) {
+      auto config = cfg("wrap" + std::to_string(n++), words, bits);
+      config.spare_rows = 16;
+      builder.add_sram(config);
+    }
+  };
+  add(8, 64, 16);
+  add(4, 48, 16);
+  add(4, 40, 24);
+  builder.defect_rate(0.01);
+  std::uint32_t spares_used = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto spec = builder.seed(seed).build();
+    ASSERT_TRUE(spec.has_value());
+    auto soc = bisd::SocUnderTest::from_injection(
+        spec.value().configs(), spec.value().injection(), seed);
+    const auto before = soc.slice_groups();
+    ASSERT_EQ(before.size(), 3u) << "seed " << seed;
+    bisd::FastScheme scheme;
+    const auto result = scheme.diagnose(soc);
+    bisd::apply_repair(soc, bisd::plan_repair(result.log, soc));
+    const auto after = soc.slice_groups();
+    ASSERT_EQ(after.size(), before.size()) << "seed " << seed;
+    for (std::size_t g = 0; g < before.size(); ++g) {
+      EXPECT_EQ(after[g].members, before[g].members)
+          << "seed " << seed << " group " << g;
+    }
+    for (std::size_t i = 0; i < soc.memory_count(); ++i) {
+      spares_used += soc.memory(i).spares_used();
+    }
+  }
+  EXPECT_GT(spares_used, 0u) << "nothing was repaired";
 }
 
 }  // namespace

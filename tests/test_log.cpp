@@ -203,7 +203,9 @@ void expect_reads(const DiagnosisLog& log, const Reference& reference,
   EXPECT_FALSE(log.contains(2, {0, 0})) << where;
 }
 
-/// The reference syndrome fold: a map over the records.
+/// The reference syndrome fold: a map over the records, with
+/// extract_syndromes' contract (exactly @p memory_count entries; cells of
+/// later memories dropped).
 std::vector<diagnosis::MemorySyndrome> fold_records(
     const Reference& reference, std::size_t memory_count) {
   std::map<std::pair<std::size_t, sram::CellCoord>,
@@ -218,12 +220,8 @@ std::vector<diagnosis::MemorySyndrome> fold_records(
   std::vector<diagnosis::MemorySyndrome> out(memory_count);
   for (std::size_t i = 0; i < memory_count; ++i) out[i].memory_index = i;
   for (const auto& [key, value] : folded) {
-    if (key.first >= out.size()) {
-      const std::size_t first_new = out.size();
-      out.resize(key.first + 1);
-      for (std::size_t i = first_new; i <= key.first; ++i) {
-        out[i].memory_index = i;
-      }
+    if (key.first >= memory_count) {
+      continue;
     }
     diagnosis::CellSyndrome syndrome;
     syndrome.cell = key.second;
@@ -261,8 +259,8 @@ TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
   Rng rng(20261018);
   for (int trial = 0; trial < 32; ++trial) {
     Shape shape;
-    // Odd trials add memory indices no dense table may cover; extract_syndromes
-    // would size its output by them, so only even trials fold syndromes.
+    // Odd trials add memory indices no dense table may cover, past the
+    // syndrome fold's memory count too.
     shape.memories = trial % 2 == 0
                          ? std::vector<std::uint32_t>{0, 1, 7}
                          : std::vector<std::uint32_t>{0, 7, 70000, kMax32};
@@ -288,12 +286,12 @@ TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
 
     expect_reads(log, reference, shape, where + " (unsealed)");
     const auto unsealed_bytes = encode_log(log);
-    if (trial % 2 == 0) expect_syndromes(log, reference, where);
+    expect_syndromes(log, reference, where);
 
     log.seal();
     ASSERT_TRUE(log.sealed()) << where;
     expect_reads(log, reference, shape, where + " (sealed)");
-    if (trial % 2 == 0) expect_syndromes(log, reference, where + " (sealed)");
+    expect_syndromes(log, reference, where + " (sealed)");
     log.seal();  // idempotent
 
     // v3 round trip: byte-identical, and the decoded log is sealed.
@@ -314,6 +312,27 @@ TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
       copy.add(record);
     }
     expect_reads(copy, reference, shape, where + " (copy)");
+  }
+}
+
+TEST(DiagnosisLog, SyndromesKeepExactlyTheMemoryCount) {
+  // A log naming memory 2^32 - 1 (a decoded report can) folds into
+  // memory_count syndromes, not 2^32 of them.
+  DiagnosisLog log;
+  DiagnosisEvent event;
+  event.background = log.intern(BitVector::from_string("01"));
+  const std::uint32_t id = log.intern(event);
+  log.add(1, {2, 1}, id);
+  log.add(kMax32, {0, 0}, id);
+  for (const bool sealed : {false, true}) {
+    if (sealed) log.seal();
+    const auto syndromes = diagnosis::extract_syndromes(log, 3);
+    ASSERT_EQ(syndromes.size(), 3u);
+    for (std::size_t m = 0; m < syndromes.size(); ++m) {
+      EXPECT_EQ(syndromes[m].memory_index, m);
+      EXPECT_EQ(syndromes[m].cells.size(), m == 1 ? 1u : 0u)
+          << "memory " << m;
+    }
   }
 }
 
