@@ -3,13 +3,15 @@
 //
 // Each scenario runs a scheme over a deterministically injected SoC and
 // compares the serialized trace byte-exactly against tests/golden/*.log.
+// The paper's tables (E1-E9, core/paper_tables.h) are pinned the same way
+// against tests/golden/paper_tables.txt.
 // The traces are portable because every random draw goes through the
 // project's own xoshiro256** Rng (see util/rng.h) — no standard-library
 // distribution is involved anywhere in the pipeline.
 //
 // Regenerating after an *intentional* trace change:
 //
-//   $ ./test_golden --regen         # rewrites tests/golden/*.log in the
+//   $ ./test_golden --regen         # rewrites tests/golden/* in the
 //                                   # source tree, then re-checks
 //
 // (FASTDIAG_REGEN_GOLDEN=1 in the environment works too, e.g. through
@@ -26,6 +28,7 @@
 
 #include "bisd/periodic_scan.h"
 #include "core/fastdiag.h"
+#include "core/paper_tables.h"
 
 namespace fastdiag {
 namespace {
@@ -318,6 +321,12 @@ TEST(GoldenTrace, EngineReportSeed11) {
       << " verified_clean=" << (report.repair_verified_clean ? 1 : 0)
       << "\n";
   check_golden("engine_seed11.log", out.str());
+}
+
+TEST(GoldenTrace, PaperTables) {
+  std::ostringstream out;
+  core::print_paper_tables(out);
+  check_golden("paper_tables.txt", out.str());
 }
 
 }  // namespace
