@@ -958,7 +958,7 @@ void print(std::ostream& out) {
 }  // namespace e8
 
 // E9 (extension) — ablations of this reproduction's design decisions, the
-// ones DESIGN.md documents as deviations or judgement calls:
+// ones where it deviates from the paper or makes a judgement call:
 //
 //  A. March CW top-up: the paper's 2-read element set (Eq. (2) exact) vs.
 //     our 3-read set with the trailing verify read — cycles vs. intra-word
@@ -1101,7 +1101,7 @@ void table_register_ablation(std::ostream& out) {
 void print(std::ostream& out) {
   print_banner(out, "E9 (extension): ablations of the reproduction's design "
                "decisions",
-               "quantifies DESIGN.md's documented deviations");
+               "quantifies where the reproduction deviates from the paper");
   table_topup_ablation(out);
   table_nwrtm_ablation(out);
   table_register_ablation(out);
