@@ -1,6 +1,6 @@
 // Analytic diagnosis-time model: the paper's Eq. (1)-(4) plus the exact
-// formulas of this implementation's constructions, so benches can print
-// paper-accounting and our-accounting side by side.
+// formulas of this implementation's constructions, so the paper tables can
+// print paper-accounting and our-accounting side by side.
 //
 // Eq. (1)  T_[7,8]   = (17 + 9k) * n * c * t
 // Eq. (2)  T_prop    = [5n + 5c + 5n(c+1)] + [3n + 3c + 2n(c+1)] * ceil(log2 c)

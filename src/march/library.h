@@ -59,11 +59,11 @@ namespace fastdiag::march {
 [[nodiscard]] MarchTest march_g(std::size_t width,
                                 std::uint64_t pause_ns = 100'000'000);
 
-// ---- ablation variants (bench/bench_ablation.cpp) --------------------------
+// ---- ablation variants (E9 in core/paper_tables.cpp) -----------------------
 
 /// March CW with the *paper's* 2-read top-up {wB; (rB,w~B); (r~B,wB)} —
 /// exactly Eq. (2)'s (3n+3c+2n(c+1)) per background, but its final write is
-/// unverified and some intra-word CFid instances escape (see DESIGN.md).
+/// unverified and some intra-word CFid instances escape (see E9's table A).
 [[nodiscard]] MarchTest march_cw_paper_topup(std::size_t width);
 
 /// NWRTM merge in the "NWRC + immediate verify read" form:

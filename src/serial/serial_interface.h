@@ -14,7 +14,7 @@
 // (the problem [7,8] fixed); the bi-directional interface recovers one more
 // fault per element by shifting the other way — and no more.  This module
 // reproduces that behaviour bit-accurately; the diagnosis consequences are
-// exercised in src/bisd and bench/bench_serial_masking.
+// exercised in src/bisd and in E5 of core/paper_tables.cpp.
 #pragma once
 
 #include <cstdint>

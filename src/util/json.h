@@ -1,5 +1,4 @@
-// Minimal JSON emission shared by the bench binaries and the diagd stats
-// endpoint.
+// Minimal JSON emission shared by the diagd stats endpoint and perfbench.
 //
 // JsonObject renders one flat (or manually nested via raw()) object; values
 // are the types the callers actually emit.  Doubles use a fixed precision so

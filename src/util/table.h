@@ -1,8 +1,8 @@
-// ASCII table rendering for the benchmark harnesses.
+// ASCII table rendering for the paper's tables (core/paper_tables.cpp) and
+// the example CLIs.
 //
-// Every bench binary regenerates one of the paper's tables/series; the
-// TablePrinter gives them a single, consistent look (right-aligned numeric
-// columns, optional title and footnotes).
+// TablePrinter gives every table a single, consistent look (right-aligned
+// numeric columns, optional title and footnotes).
 #pragma once
 
 #include <cstddef>

@@ -529,7 +529,7 @@ TEST(Coverage, MarchLrDetectsClassicalFaults) {
 }
 
 TEST(Coverage, PaperTopUpMissesWhatTheVerifyReadCatches) {
-  // The ablation pair behind DESIGN.md's March CW decision: the paper's
+  // The ablation pair behind E9's March CW top-up table: the paper's
   // 2-read top-up leaves its last write unverified.
   const auto full = coverage_of(march_cw(4), FaultKind::cf_id_down0,
                                 CouplingScope::intra_word);
