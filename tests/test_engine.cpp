@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "core/fastdiag.h"
+#include "service/serialize.h"
 
 namespace fastdiag::core {
 namespace {
@@ -242,21 +243,26 @@ std::vector<std::size_t> iota_indices(std::size_t from, std::size_t to) {
 TEST(Engine, ParallelRunsAreBitIdenticalToSerial) {
   const auto specs = spec_batch();
   const auto serial = DiagnosisEngine({.workers = 1}).run_batch(specs);
-  const auto parallel = DiagnosisEngine({.workers = 8}).run_batch(specs);
-
   ASSERT_EQ(serial.run_count(), specs.size());
-  ASSERT_EQ(parallel.run_count(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& a = serial.runs[i];
-    const auto& b = parallel.runs[i];
-    EXPECT_EQ(a.scheme_name, b.scheme_name) << "run " << i;
-    EXPECT_EQ(a.seed, b.seed) << "run " << i;
-    EXPECT_EQ(a.injected_faults, b.injected_faults) << "run " << i;
-    EXPECT_EQ(a.total_ns, b.total_ns) << "run " << i;
-    EXPECT_EQ(a.result.time.cycles, b.result.time.cycles) << "run " << i;
-    EXPECT_EQ(a.result.log.to_csv(), b.result.log.to_csv()) << "run " << i;
-    EXPECT_EQ(a.repair_verified_clean, b.repair_verified_clean)
-        << "run " << i;
+  for (const std::size_t workers : {2, 4, 8}) {
+    const auto parallel =
+        DiagnosisEngine({.workers = workers}).run_batch(specs);
+    ASSERT_EQ(parallel.run_count(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto& a = serial.runs[i];
+      const auto& b = parallel.runs[i];
+      const auto where = "run " + std::to_string(i) + ", " +
+                         std::to_string(workers) + " workers";
+      EXPECT_EQ(a.scheme_name, b.scheme_name) << where;
+      EXPECT_EQ(a.seed, b.seed) << where;
+      EXPECT_EQ(a.injected_faults, b.injected_faults) << where;
+      EXPECT_EQ(a.total_ns, b.total_ns) << where;
+      EXPECT_EQ(a.result.time.cycles, b.result.time.cycles) << where;
+      EXPECT_EQ(a.result.log.to_csv(), b.result.log.to_csv()) << where;
+      EXPECT_EQ(a.repair_verified_clean, b.repair_verified_clean) << where;
+      EXPECT_EQ(service::encode_report(a), service::encode_report(b))
+          << where;
+    }
   }
 }
 
