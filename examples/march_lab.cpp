@@ -70,8 +70,7 @@ void diagnose_custom(const march::MarchTest& test, std::uint32_t words,
                      std::uint32_t bits) {
   core::SchemeRegistry registry;
   registry.register_scheme(
-      "lab-custom", {.covers_drf = false, .needs_repair_pass = false},
-      [test](const core::SchemeContext& context) {
+      "lab-custom", {}, [test](const core::SchemeContext& context) {
         bisd::FastSchemeOptions options;
         options.clock = context.clock;
         options.include_drf = false;

@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
 
     // One batch, heterogeneous specs: the fast scheme with the repair
     // flow, plus (with --compare-baseline) the baseline WITHOUT it — the
-    // iterative baseline already spends spare rows mid-diagnosis (its
-    // needs_repair_pass capability), so a second repair pass would
-    // double-allocate them.  The engine runs both concurrently.
+    // iterative baseline already spends spare rows mid-diagnosis, so a
+    // second repair pass would double-allocate them.  The engine runs both
+    // concurrently.
     const auto base = core::SessionSpec::builder()
                           .add_srams(configs)
                           .defect_rate(rate)

@@ -87,16 +87,23 @@ std::vector<PassSpec> m1_passes() {
   };
 }
 
+/// Retention pause per polarity (the paper's 100 ms).
+constexpr std::uint64_t kRetentionPauseNs = 100'000'000;
+
+/// Safety bound on diagnostic iterations.
+constexpr std::uint64_t kMaxIterations = 100'000;
+
 /// Delay-based retention block: (w, pause, r) pairs for both data states —
 /// 8 passes, two pauses per block (Eq. (4)'s 8k and 200 ms terms).  Each
 /// observe pass shifts against its fill so decayed cells localize.
-std::vector<PassSpec> retention_passes(std::uint64_t pause_ns) {
+std::vector<PassSpec> retention_passes() {
   using D = ShiftDirection;
+  constexpr std::uint64_t pause = kRetentionPauseNs;
   return {
-      {D::right, Fill::zeros},          // w0 fill
-      {D::left, Fill::zeros, pause_ns}, // pause, then observe the zeros
-      {D::right, Fill::ones},           // w1 fill
-      {D::left, Fill::ones, pause_ns},  // pause, then observe the ones
+      {D::right, Fill::zeros},       // w0 fill
+      {D::left, Fill::zeros, pause}, // pause, then observe the zeros
+      {D::right, Fill::ones},        // w1 fill
+      {D::left, Fill::ones, pause},  // pause, then observe the ones
       {D::right, Fill::zeros},
       {D::left, Fill::zeros},
       {D::right, Fill::ones},
@@ -144,18 +151,6 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
 
   DiagnosisResult result;
   result.iterations = 0;
-  // Capacity hint: records are deduplicated per cell, so the SoC's total
-  // cell count is a hard ceiling on the log.  It caps the engine's
-  // high-water feedback — which may come from a bigger scheme or SoC
-  // sharing the worker slot — while a fresh engine seeds a couple of
-  // diagnostic iterations' worth (two registrations per memory each).
-  std::size_t cell_bound = 0;
-  for (std::size_t i = 0; i < memories; ++i) {
-    cell_bound += static_cast<std::size_t>(soc.config(i).words) *
-                  soc.config(i).bits;
-  }
-  result.log.reserve(std::min(
-      cell_bound, std::max<std::size_t>(log_capacity_hint_, memories * 4)));
   // The passes carry no March background: records log an all-zero one of
   // their memory's width.
   std::vector<std::uint32_t> background_ids(memories);
@@ -268,11 +263,10 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   // ---- diagnostic loop: M1 (+ retention) blocks until nothing new --------
   auto m1 = m1_passes();
   ensure(m1.size() == 9, "BaselineScheme: M1 block must be 9 passes");
-  for (std::uint64_t iteration = 0; iteration < options_.max_iterations;
-       ++iteration) {
+  for (std::uint64_t iteration = 0; iteration < kMaxIterations; ++iteration) {
     std::vector<PassSpec> block = m1;
     if (options_.include_drf) {
-      const auto drf = retention_passes(options_.retention_pause_ns);
+      const auto drf = retention_passes();
       block.insert(block.end(), drf.begin(), drf.end());
     }
 

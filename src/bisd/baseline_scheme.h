@@ -40,12 +40,6 @@ struct BaselineSchemeOptions {
 
   /// Append the delay-based DRF block to every iteration.
   bool include_drf = false;
-
-  /// Retention pause per polarity (the paper's 100 ms).
-  std::uint64_t retention_pause_ns = 100'000'000;
-
-  /// Safety bound on diagnostic iterations.
-  std::uint64_t max_iterations = 100'000;
 };
 
 class BaselineScheme final : public DiagnosisScheme {

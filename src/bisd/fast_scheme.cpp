@@ -232,23 +232,9 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   BitVector read_scratch;
 
   DiagnosisResult result;
-  // Log capacity: every failing bit of every read can register, so the
-  // structural ceiling is read ops across the whole sweep times the summed
-  // IO width.  It caps the engine's high-water feedback (which can carry
-  // over from a bigger SoC on the same worker slot); a fresh engine starts
-  // from a modest floor instead of pre-paying the worst case.
-  {
-    std::uint64_t total_bits = 0;
-    for (std::size_t i = 0; i < memories; ++i) {
-      total_bits += soc.config(i).bits;
-    }
-    const std::uint64_t bound = test.reads_per_address() * n_max * total_bits;
-    result.log.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-        bound, std::max<std::uint64_t>(log_capacity_hint_, 256))));
-    for (std::size_t i = 0; i < memories; ++i) {
-      result.log.index_memory(static_cast<std::uint32_t>(i),
-                              soc.config(i).words, soc.config(i).bits);
-    }
+  for (std::size_t i = 0; i < memories; ++i) {
+    result.log.index_memory(static_cast<std::uint32_t>(i),
+                            soc.config(i).words, soc.config(i).bits);
   }
   std::uint64_t cycles = 0;
   // Ports advance with the controller clock.  Group lanes take one

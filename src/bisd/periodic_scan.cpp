@@ -100,7 +100,6 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
     }
   }
 
-  result.log.reserve(log_capacity_hint_);
   BitVector scratch;
   std::vector<std::uint32_t> rows;
   std::vector<std::uint64_t> live;

@@ -48,7 +48,6 @@
 namespace fastdiag::bisd {
 
 struct PeriodicScanOptions {
-  sram::ClockDomain clock{10};
   faults::SoftErrorSpec soft{};
 };
 

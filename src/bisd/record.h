@@ -164,11 +164,6 @@ class DiagnosisLog {
   /// std::invalid_argument when the background id was not interned here.
   void add(const DiagnosisRecord& record);
 
-  /// Pre-sizes the entry table.  Schemes call this with their structural
-  /// upper bounds (memories x reads) or with high-water feedback from the
-  /// engine, so hot diagnosis loops stop reallocating mid-run.
-  void reserve(std::size_t records) { tables_.entries.reserve(records); }
-
   /// Brings the tables to their canonical form (see Tables) and drops the
   /// insertion index; ids interned before are void afterwards.  Records,
   /// their order and every query are unchanged.  Linear in entries plus the

@@ -77,18 +77,6 @@ class DiagnosisScheme {
     (void)c_max;
     return std::nullopt;
   }
-
-  /// Capacity feedback for the next diagnose() call's DiagnosisLog: the
-  /// record count a previous same-shape run produced (the engine's
-  /// per-worker scratch feeds its high-water mark back here).  Schemes
-  /// combine it with their own structural upper bounds; 0 means no
-  /// feedback.  Only affects reserved capacity, never results.
-  void set_log_capacity_hint(std::size_t records) {
-    log_capacity_hint_ = records;
-  }
-
- protected:
-  std::size_t log_capacity_hint_ = 0;
 };
 
 }  // namespace fastdiag::bisd

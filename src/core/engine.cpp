@@ -94,13 +94,12 @@ thread_local const TlsDispatchGuard* TlsDispatchGuard::head_ = nullptr;
 /// — so the job function's lifetime safely ends with run().
 class DiagnosisEngine::WorkerPool {
  public:
-  using Job = std::function<void(std::size_t slot)>;
+  using Job = std::function<void()>;
 
   explicit WorkerPool(std::size_t threads) {
     threads_.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t) {
-      // Slot 0 is the calling thread's; pool threads take 1..threads.
-      threads_.emplace_back([this, slot = t + 1] { worker(slot); });
+      threads_.emplace_back([this] { worker(); });
     }
   }
 
@@ -125,10 +124,9 @@ class DiagnosisEngine::WorkerPool {
   void acquire() { dispatch_mutex_.lock(); }
   void release() { dispatch_mutex_.unlock(); }
 
-  /// Runs @p job(slot) @p count times, each claimed by whichever thread is
-  /// free, the calling thread participating as slot 0.  Blocks until all
-  /// work is done and every pool thread has retired the generation.
-  /// @p job must not throw.
+  /// Runs @p job @p count times, each claimed by whichever thread is free,
+  /// the calling thread included.  Blocks until all work is done and every
+  /// pool thread has retired the generation.  @p job must not throw.
   void run(std::size_t count, const Job& job) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -140,7 +138,7 @@ class DiagnosisEngine::WorkerPool {
     }
     wake_cv_.notify_all();
     while (next_.fetch_add(1, std::memory_order_relaxed) < count) {
-      job(0);
+      job();
     }
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return finished_ == threads_.size(); });
@@ -148,7 +146,7 @@ class DiagnosisEngine::WorkerPool {
   }
 
  private:
-  void worker(std::size_t slot) {
+  void worker() {
     std::uint64_t seen = 0;
     for (;;) {
       const Job* job = nullptr;
@@ -165,7 +163,7 @@ class DiagnosisEngine::WorkerPool {
         count = count_;
       }
       while (next_.fetch_add(1, std::memory_order_relaxed) < count) {
-        (*job)(slot);
+        (*job)();
       }
       {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -189,32 +187,24 @@ class DiagnosisEngine::WorkerPool {
   bool stop_ = false;
 };
 
-/// Holds the engine for one batch or stream: one dispatches on an engine at
-/// a time.  A re-entrant call (an observer, sink or scheme re-entering the
-/// engine from inside a running dispatch, detected through the dispatch
-/// chain) holds nothing and runs on the calling thread; a concurrent call
-/// from another thread blocks until the engine frees, then dispatches
-/// normally.  Releases happen by RAII even when a run throws — a leaked
-/// busy engine would silently demote every later call to serial.
+/// Holds the engine's pool for one batch or stream: one dispatches on a
+/// pool at a time.  A re-entrant call (an observer, sink or scheme
+/// re-entering the engine from inside a running dispatch, detected through
+/// the dispatch chain) holds nothing and runs on the calling thread; a
+/// concurrent call from another thread blocks until the pool frees, then
+/// dispatches normally.  Releases happen by RAII even when a run throws — a
+/// leaked pool would block every later call.
 class DiagnosisEngine::DispatchLease {
  public:
   explicit DispatchLease(const DiagnosisEngine& engine) {
-    if (TlsDispatchGuard::dispatching(&engine)) {
-      return;
-    }
-    if (engine.pool_ != nullptr) {
+    if (engine.pool_ != nullptr && !TlsDispatchGuard::dispatching(&engine)) {
       engine.pool_->acquire();
       pool_ = engine.pool_.get();
-    } else if (!engine.serial_busy_.exchange(true)) {
-      flag_ = &engine.serial_busy_;
     }
   }
   ~DispatchLease() {
     if (pool_ != nullptr) {
       pool_->release();
-    }
-    if (flag_ != nullptr) {
-      flag_->store(false);
     }
   }
   DispatchLease(const DispatchLease&) = delete;
@@ -223,15 +213,8 @@ class DiagnosisEngine::DispatchLease {
   /// The held pool; nullptr means the call runs on the calling thread.
   [[nodiscard]] WorkerPool* pool() const { return pool_; }
 
-  /// True while the call holds the engine exclusively, which is what makes
-  /// the persistent per-slot scratch safe to use.
-  [[nodiscard]] bool exclusive() const {
-    return pool_ != nullptr || flag_ != nullptr;
-  }
-
  private:
   WorkerPool* pool_ = nullptr;
-  std::atomic<bool>* flag_ = nullptr;
 };
 
 std::size_t SweepSpec::cardinality() const {
@@ -376,7 +359,6 @@ DiagnosisEngine::DiagnosisEngine(EngineOptions options)
   if (resolved_workers_ > 1) {
     pool_ = std::make_unique<WorkerPool>(resolved_workers_ - 1);
   }
-  scratch_.resize(resolved_workers_);
 }
 
 DiagnosisEngine::~DiagnosisEngine() = default;
@@ -474,8 +456,7 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
 
 Report DiagnosisEngine::execute(const SessionSpec& spec,
                                 const SchemeRegistry& registry,
-                                diagnosis::ClassifierCache* classifier_cache,
-                                ExecutionScratch* scratch) {
+                                diagnosis::ClassifierCache* classifier_cache) {
   const faults::SoftErrorSpec& soft = spec.soft_error();
   auto soc = bisd::SocUnderTest::from_injection(
       spec.configs(), spec.injection(), spec.seed(),
@@ -483,9 +464,6 @@ Report DiagnosisEngine::execute(const SessionSpec& spec,
   soc.set_access_kernel(spec.access_kernel());
   auto scheme = registry.make(
       spec.scheme(), {.clock = spec.clock(), .soft_error = soft});
-  if (scratch != nullptr) {
-    scheme->set_log_capacity_hint(scratch->log_records_high_water);
-  }
 
   Report report;
   report.scheme_name = spec.scheme();
@@ -496,11 +474,6 @@ Report DiagnosisEngine::execute(const SessionSpec& spec,
   report.result = scheme->diagnose(soc);
   report.result.log.seal();  // built-in schemes seal already; plug-ins may not
   report.total_ns = report.result.total_ns(spec.clock());
-  if (scratch != nullptr) {
-    scratch->log_records_high_water =
-        std::max(scratch->log_records_high_water,
-                 report.result.log.records().size());
-  }
 
   for (std::size_t i = 0; i < soc.memory_count(); ++i) {
     report.matches.push_back(faults::match_diagnosis(
@@ -645,14 +618,12 @@ void DiagnosisEngine::run_pipeline(
   const DispatchLease lease(*this);
   const std::size_t workers =
       lease.pool() != nullptr ? worker_count(window) : 1;
-  ExecutionScratch local;
   // Jobs inherit the submitting thread's dispatch chain, so a re-entrant
   // call from a callback or scheme — even one reached through another
   // engine's pool thread — takes the calling-thread fallback.
   const TlsDispatchGuard* parent_chain = TlsDispatchGuard::current_chain();
-  const WorkerPool::Job job = [&, parent_chain](std::size_t slot) {
+  const WorkerPool::Job job = [&, parent_chain] {
     const TlsDispatchGuard tls(this, parent_chain);
-    ExecutionScratch& scratch = lease.exclusive() ? scratch_[slot] : local;
     try {
       for (;;) {
         std::optional<SessionSpec> spec;
@@ -672,7 +643,7 @@ void DiagnosisEngine::run_pipeline(
           }
           index = pulled++;
         }
-        Report report = execute(*spec, schemes, &classifier_cache, &scratch);
+        Report report = execute(*spec, schemes, &classifier_cache);
         std::vector<std::map<std::uint64_t, Report>::node_type> retired;
         {
           const std::lock_guard<std::mutex> lock(mutex);
@@ -707,7 +678,7 @@ void DiagnosisEngine::run_pipeline(
   if (workers > 1) {
     lease.pool()->run(workers, job);
   } else {
-    job(0);
+    job();
   }
   if (first_error) {
     std::rethrow_exception(first_error);

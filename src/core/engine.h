@@ -8,17 +8,14 @@
 //
 // The pool is created once at engine construction and fed through a work
 // queue; run_batch()/run_sweep()/run_stream() never spawn or join threads,
-// so steady-state batch traffic does zero thread churn.  Each worker slot
-// keeps an ExecutionScratch persisted across batches (DiagnosisLog
-// capacity feedback), trimming per-run allocation without ever touching
-// results — scratch only pre-sizes buffers.
+// so steady-state batch traffic does zero thread churn.  Workers keep no
+// state between runs.
 //
 // SweepSpec builds such batches declaratively: the cartesian product of
 // SoC configurations x schemes x defect rates x seeds over a shared base
 // spec, validated axis by axis through the same Expected pipeline.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -116,15 +113,6 @@ struct EngineOptions {
   const SchemeRegistry* registry = nullptr;
 };
 
-/// Per-worker scratch persisted across run_batch() and run_stream() calls.
-/// Only capacity hints live here: scratch can never change a Report, just
-/// how often the hot paths reallocate.
-struct ExecutionScratch {
-  /// High-water DiagnosisLog record count this worker has observed; fed to
-  /// the scheme as a capacity hint before the next diagnose().
-  std::size_t log_records_high_water = 0;
-};
-
 class DiagnosisEngine {
  public:
   explicit DiagnosisEngine(EngineOptions options = {});
@@ -137,13 +125,11 @@ class DiagnosisEngine {
   /// When the spec classifies, signature dictionaries come from
   /// @p classifier_cache if given (run_batch shares one per batch, so a
   /// sweep builds each distinct dictionary once); else they are rebuilt
-  /// for this call.  @p scratch, when given, feeds capacity hints into the
-  /// scheme and records this run's high-water marks.
+  /// for this call.
   [[nodiscard]] static Report execute(
       const SessionSpec& spec,
       const SchemeRegistry& registry = SchemeRegistry::global(),
-      diagnosis::ClassifierCache* classifier_cache = nullptr,
-      ExecutionScratch* scratch = nullptr);
+      diagnosis::ClassifierCache* classifier_cache = nullptr);
 
   /// Called once per finished run with the run's position in the submitted
   /// batch: serialized, in submission order, on any engine thread, under
@@ -157,10 +143,11 @@ class DiagnosisEngine {
   /// exception from a run or the observer stops further runs, and
   /// run_batch rethrows it once every worker has stopped.
   ///
-  /// Concurrency contract: one batch dispatches on an engine at a time.
-  /// A concurrent run_batch from another thread blocks until the engine
-  /// frees, then runs parallel itself (want overlap? use one engine per
-  /// submitting thread — engines are cheap).  A *re-entrant* call — an
+  /// Concurrency contract: one batch dispatches on an engine's pool at a
+  /// time.  A concurrent run_batch from another thread blocks until the
+  /// pool frees, then runs parallel itself (want overlap? use one engine
+  /// per submitting thread — engines are cheap); on a one-worker engine it
+  /// runs at once on its own thread.  A *re-entrant* call — an
   /// observer or scheme re-entering the same engine mid-batch, even
   /// through another engine's dispatch — runs serially on the calling
   /// thread instead of deadlocking.  Like any blocking resource, engines
@@ -226,14 +213,14 @@ class DiagnosisEngine {
   /// ClassifierCache spans the whole stream, so a resident sweep keeps its
   /// dictionaries warm.
   ///
-  /// The engine is held for the whole stream: a concurrent run_batch or
-  /// run_stream from another thread blocks until it ends.  A re-entrant
-  /// stream (a callback or scheme re-entering this engine), a one-worker
-  /// engine and a window of 1 run pull -> execute -> deliver per spec on
-  /// the calling thread.  The first exception from the source, a run or a
-  /// callback stops further pulls, and run_stream rethrows it on the
-  /// calling thread once every worker has stopped; Reports not yet
-  /// delivered are dropped.
+  /// The engine's pool is held for the whole stream: a concurrent
+  /// run_batch or run_stream from another thread blocks until it ends.  A
+  /// re-entrant stream (a callback or scheme re-entering this engine), a
+  /// one-worker engine and a window of 1 run pull -> execute -> deliver
+  /// per spec on the calling thread.  The first exception from the
+  /// source, a run or a callback stops further pulls, and run_stream
+  /// rethrows it on the calling thread once every worker has stopped;
+  /// Reports not yet delivered are dropped.
   ///
   /// @p resume seeds the fold: pass a checkpointed folded aggregate (and a
   /// source seeked past its completed prefix) and the final aggregate is
@@ -275,16 +262,6 @@ class DiagnosisEngine {
   EngineOptions options_;
   std::size_t resolved_workers_ = 1;
   std::unique_ptr<WorkerPool> pool_;  ///< nullptr when resolved_workers_ == 1
-
-  /// Slot w belongs to worker w (slot 0 = the calling thread); a slot is
-  /// only ever touched by its worker while a batch or stream runs.
-  mutable std::vector<ExecutionScratch> scratch_;
-
-  /// Pool-less engines gate their slot-0 scratch here so concurrent
-  /// run_batch / run_stream calls from different threads stay race-free
-  /// (a loser just runs with throwaway local scratch; pooled engines
-  /// serialize on the pool's dispatch mutex instead).
-  mutable std::atomic<bool> serial_busy_{false};
 };
 
 }  // namespace fastdiag::core

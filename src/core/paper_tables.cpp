@@ -93,7 +93,7 @@ void table_sweep(std::ostream& out) {
   for (const std::uint32_t n : {128u, 256u, 512u, 1024u, 2048u}) {
     for (const std::uint32_t c : {32u, 100u}) {
       const double faults =
-          static_cast<double>(n) * c * 0.01 / 2.0;  // cells_per_fault = 2
+          static_cast<double>(n) * c * 0.01 / 2.0;  // kCellsPerFault
       const auto k = static_cast<std::uint64_t>(faults * 0.75 / 2.0);
       const auto base = analysis::baseline_no_drf_ns(n, c, 10, k);
       const auto prop =

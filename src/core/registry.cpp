@@ -11,44 +11,36 @@ namespace {
 
 void register_builtin_schemes(SchemeRegistry& registry) {
   registry.register_scheme(
-      "fast", {.covers_drf = true, .needs_repair_pass = false},
-      [](const SchemeContext& context) {
+      "fast", {}, [](const SchemeContext& context) {
         bisd::FastSchemeOptions options;
         options.clock = context.clock;
         options.include_drf = true;
         return std::make_unique<bisd::FastScheme>(options);
       });
   registry.register_scheme(
-      "fast-without-drf", {.covers_drf = false, .needs_repair_pass = false},
-      [](const SchemeContext& context) {
+      "fast-without-drf", {}, [](const SchemeContext& context) {
         bisd::FastSchemeOptions options;
         options.clock = context.clock;
         options.include_drf = false;
         return std::make_unique<bisd::FastScheme>(options);
       });
   registry.register_scheme(
-      "baseline", {.covers_drf = false, .needs_repair_pass = true},
-      [](const SchemeContext& context) {
+      "baseline", {}, [](const SchemeContext& context) {
         bisd::BaselineSchemeOptions options;
         options.clock = context.clock;
         options.include_drf = false;
         return std::make_unique<bisd::BaselineScheme>(options);
       });
   registry.register_scheme(
-      "baseline-with-retention",
-      {.covers_drf = true, .needs_repair_pass = true},
-      [](const SchemeContext& context) {
+      "baseline-with-retention", {}, [](const SchemeContext& context) {
         bisd::BaselineSchemeOptions options;
         options.clock = context.clock;
         options.include_drf = true;
         return std::make_unique<bisd::BaselineScheme>(options);
       });
   registry.register_scheme(
-      "periodic_scan",
-      {.covers_drf = false, .needs_repair_pass = false, .in_field = true},
-      [](const SchemeContext& context) {
+      "periodic_scan", {.in_field = true}, [](const SchemeContext& context) {
         bisd::PeriodicScanOptions options;
-        options.clock = context.clock;
         options.soft = context.soft_error;
         return std::make_unique<bisd::PeriodicScanScheme>(options);
       });

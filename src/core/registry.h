@@ -1,7 +1,7 @@
 // String-keyed registry of diagnosis-scheme factories.
 //
-// Schemes are looked up by name, carry capability flags the engine and
-// callers can query, and user-defined schemes plug in through
+// Schemes are looked up by name, carry capabilities the spec builder
+// checks, and user-defined schemes plug in through
 // register_scheme() without touching core.  The built-in schemes
 // self-register into the global() instance:
 //
@@ -29,16 +29,8 @@
 
 namespace fastdiag::core {
 
-/// What a scheme can (or must be given to) do; consulted by callers that
-/// build sweeps and by reporting.
+/// What a scheme must be given to run; SessionSpec::build() checks it.
 struct SchemeCapabilities {
-  /// Diagnoses data-retention faults (NWRTM merge or delay-based block).
-  bool covers_drf = false;
-
-  /// Repairs located rows mid-diagnosis to make progress (the iterative
-  /// baseline); such schemes want configs with spare rows.
-  bool needs_repair_pass = false;
-
   /// Monitors deployed memories for soft errors (periodic_scan) instead of
   /// running a manufacturing-time March diagnosis; requires — and is
   /// required by — a SessionSpec with an enabled SoftErrorSpec.
@@ -75,7 +67,7 @@ class SchemeRegistry {
   [[nodiscard]] std::unique_ptr<bisd::DiagnosisScheme> make(
       const std::string& name, const SchemeContext& context) const;
 
-  /// Capability flags of a registered scheme (throws on unknown names).
+  /// Capabilities of a registered scheme (throws on unknown names).
   [[nodiscard]] SchemeCapabilities capabilities(const std::string& name) const;
 
   /// Registered names in sorted order.

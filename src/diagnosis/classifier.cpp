@@ -21,6 +21,20 @@ using faults::FaultInstance;
 using faults::FaultKind;
 using sram::CellCoord;
 
+/// Partial (non-exact) hypotheses below this Jaccard score are dropped.
+constexpr double kMinConfidence = 0.5;
+
+/// Address span of the probe memories (clamped to the real word count).
+/// Only used when the memory is swept without wrap-around; wrapped
+/// memories are probed at their own geometry.  Note the shrunken probe
+/// also shrinks sweep elapsed time: retention thresholds within the same
+/// order of magnitude as one sweep (instead of the pause-dominated regime
+/// the NWRC elements create) can decay in the real run but not in the
+/// probe.  Also bounds the instance_sliced packing plan: packed candidates
+/// live inside the same kProbeWords x bits geometry, so dictionaries are
+/// identical across build modes by construction.
+constexpr std::uint32_t kProbeWords = 4;
+
 /// Cell-local fault kinds the dictionary probes directly.
 constexpr FaultKind kCellKinds[] = {
     FaultKind::sa0,  FaultKind::sa1,  FaultKind::tf_up, FaultKind::tf_down,
@@ -370,20 +384,13 @@ FaultClassifier::FaultClassifier(sram::SramConfig config,
   config_.validate();
   require(test_.width() >= config_.bits,
           "FaultClassifier: test narrower than the memory");
-  require(options_.probe_words >= 3,
-          "FaultClassifier: probe_words must be >= 3");
-  // ClassifierCache orders its keys on min_confidence: a NaN would break
-  // the map's strict weak ordering.
-  require(options_.min_confidence >= 0.0 && options_.min_confidence <= 1.0,
-          "FaultClassifier: min_confidence must be in [0, 1]");
 
   // Without wrap, the probe shrinks to a few words and victims keep only
   // their sweep-edge category; with wrap, visit counts differ per address,
   // so the probe keeps the memory's geometry and victims their key row.
   auto& g = geometry_;
   g.wrap = options_.global_words > config_.words;
-  g.words = g.wrap ? config_.words
-                   : std::min(options_.probe_words, config_.words);
+  g.words = g.wrap ? config_.words : std::min(kProbeWords, config_.words);
   g.sweep = g.wrap ? options_.global_words : g.words;
   g.remainder = g.wrap ? g.sweep % g.words : 0;
   // Row classes are exact only while no hold time inside one probe replay
@@ -417,18 +424,17 @@ void FaultClassifier::set_read(const ReadKey& read,
 }
 
 std::map<CellCoord, std::vector<ReadKey>> FaultClassifier::probe_signature(
-    const FaultInstance& fault, std::uint32_t probe_words,
-    std::uint32_t sweep) const {
+    const FaultInstance& fault) const {
   auto probe_config = config_;
   probe_config.name = "probe";
-  probe_config.words = probe_words;
+  probe_config.words = geometry_.words;
   probe_config.spare_rows = 0;
   probe_config.spare_cols = 0;
   sram::Sram memory(probe_config,
                     std::make_unique<faults::FaultSet>(
                         std::vector<FaultInstance>{fault}));
-  const auto by_cell =
-      march::MarchRunner(options_.clock).run_per_cell(memory, test_, sweep);
+  const auto by_cell = march::MarchRunner(options_.clock)
+                           .run_per_cell(memory, test_, geometry_.sweep);
 
   std::map<CellCoord, std::vector<ReadKey>> out;
   for (const auto& [cell, events] : by_cell) {
@@ -603,8 +609,7 @@ FaultClassifier::build_cell_per_candidate(const CellKey& key,
     const auto& spec = specs[s];
     dictionary.signatures.push_back(
         {spec.fault.kind, spec.placement, spec.aggressor_bit});
-    const auto by_cell =
-        probe_signature(spec.fault, geometry_.words, geometry_.sweep);
+    const auto by_cell = probe_signature(spec.fault);
     const auto it = by_cell.find(spec.fault.victim);
     if (it != by_cell.end()) {
       for (const auto& read : it->second) {
@@ -863,7 +868,6 @@ const std::vector<FaultClassifier::RowSignature>&
 FaultClassifier::row_dictionary(std::uint32_t row) const {
   const bool wrap = geometry_.wrap;
   const std::uint32_t words = geometry_.words;
-  const std::uint32_t sweep = geometry_.sweep;
   // Without wrap the build below probes every anchor/pair, so its content
   // does not depend on the observed row (classify_row filters by position
   // per entry) — one shared cache slot covers all rows.  Under wrap the
@@ -882,7 +886,7 @@ FaultClassifier::row_dictionary(std::uint32_t row) const {
   std::vector<RowSignature> dictionary;
   const auto add = [&](const FaultInstance& fault) {
     ++probes;
-    auto by_cell = probe_signature(fault, words, sweep);
+    auto by_cell = probe_signature(fault);
     // Every probe row that failed yields one signature: the observed site
     // can be either involved row of a wrong-row / extra-row fault.
     std::map<std::uint32_t, std::vector<std::pair<ReadKey, std::uint32_t>>>
@@ -1017,7 +1021,7 @@ SiteClassification FaultClassifier::classify_cell(
         continue;
       }
       const double score = mask_jaccard(mask, observed);
-      if (score < options_.min_confidence) {
+      if (score < kMinConfidence) {
         continue;
       }
       auto& slot = best[{signature.kind, signature.placement}];
@@ -1072,7 +1076,7 @@ std::optional<SiteClassification> FaultClassifier::classify_row(
     const double score = signature.reads == observed
                              ? 1.0
                              : jaccard(signature.reads, observed);
-    if (score < options_.min_confidence) {
+    if (score < kMinConfidence) {
       continue;
     }
     auto existing = std::find_if(
@@ -1145,7 +1149,6 @@ ClassifierCache::Key ClassifierCache::make_key(
   return Key{test.to_string(),      config.words,
              config.bits,           config.retention_ns,
              options.clock.period_ns, options.global_words,
-             options.probe_words,   options.min_confidence,
              static_cast<int>(options.build_mode)};
 }
 

@@ -153,24 +153,10 @@ struct CacheStats {
 };
 
 struct ClassifierOptions {
-  /// Partial (non-exact) hypotheses below this Jaccard score are dropped.
-  double min_confidence = 0.5;
-
   /// Clock the probe simulations run at — must match the clock of the run
   /// that produced the syndromes, or retention-scale DRF signatures drift
   /// off the observed timebase.
   sram::ClockDomain clock{};
-
-  /// Address span of the probe memories (clamped to the real word count).
-  /// Only used when the memory is swept without wrap-around; wrapped
-  /// memories are probed at their own geometry.  Note the shrunken probe
-  /// also shrinks sweep elapsed time: retention thresholds within the same
-  /// order of magnitude as one sweep (instead of the pause-dominated
-  /// regime the NWRC elements create) can decay in the real run but not in
-  /// the probe.  Also bounds the instance_sliced packing plan: packed
-  /// candidates live inside the same probe_words x bits geometry, so
-  /// dictionaries are identical across build modes by construction.
-  std::uint32_t probe_words = 4;
 
   /// The shared controller's sweep span (the SoC's n_max, Sec. 3.1).
   /// 0 means the memory's own word count (no wrap-around).
@@ -226,23 +212,14 @@ class ReadUniverse {
 class FaultClassifier {
  public:
   /// Throws std::invalid_argument when @p config is unusable, @p test is
-  /// narrower than the memory, options.probe_words < 3,
-  /// options.min_confidence is NaN or outside [0, 1], or the read universe
-  /// would exceed 2^32 - 2 bits.
+  /// narrower than the memory, or the read universe would exceed 2^32 - 2
+  /// bits.
   FaultClassifier(sram::SramConfig config, march::MarchTest test,
                   ClassifierOptions options = {});
 
   /// Classifies every site of @p syndrome (memory_index is carried over).
   [[nodiscard]] MemoryClassification classify(
       const MemorySyndrome& syndrome) const;
-
-  /// The signature a single @p fault would leave on a probe memory of
-  /// @p probe_words addresses swept over @p sweep controller steps: the
-  /// failed read set of each failing cell, keyed by cell.  Exposed for
-  /// tests and tooling; fault coordinates refer to the probe geometry.
-  [[nodiscard]] std::map<sram::CellCoord, std::vector<ReadKey>>
-  probe_signature(const faults::FaultInstance& fault,
-                  std::uint32_t probe_words, std::uint32_t sweep) const;
 
   [[nodiscard]] const sram::SramConfig& config() const { return config_; }
   [[nodiscard]] const march::MarchTest& test() const { return test_; }
@@ -369,6 +346,12 @@ class FaultClassifier {
 
   [[nodiscard]] Position position_of(std::uint32_t row,
                                      std::uint32_t words) const;
+  /// The signature a single @p fault leaves on the probe memory (the probe
+  /// geometry's words, swept over its sweep steps): the failed read set of
+  /// each failing cell, keyed by cell.  Fault coordinates refer to the
+  /// probe geometry.
+  [[nodiscard]] std::map<sram::CellCoord, std::vector<ReadKey>>
+  probe_signature(const faults::FaultInstance& fault) const;
   /// The probe row a victim of @p position is placed at (no-wrap builds).
   [[nodiscard]] static std::uint32_t probe_victim_row(Position position,
                                                       std::uint32_t words);
@@ -470,8 +453,7 @@ class ClassifierCache {
 
  private:
   using Key = std::tuple<std::string, std::uint32_t, std::uint32_t,
-                         std::uint64_t, std::uint64_t, std::uint32_t,
-                         std::uint32_t, double, int>;
+                         std::uint64_t, std::uint64_t, std::uint32_t, int>;
 
   struct Slot {
     std::shared_ptr<FaultClassifier> classifier;

@@ -11,15 +11,13 @@ std::uint64_t expected_fault_count(const sram::SramConfig& config,
                                    const InjectionSpec& spec) {
   require(spec.cell_defect_rate >= 0.0 && spec.cell_defect_rate <= 1.0,
           "InjectionSpec: cell_defect_rate must be in [0,1]");
-  require(spec.cells_per_fault >= 1,
-          "InjectionSpec: cells_per_fault must be >= 1");
   if (spec.cell_defect_rate == 0.0) {
     return 0;
   }
   const double defective =
       static_cast<double>(config.cell_count()) * spec.cell_defect_rate;
   const auto count = static_cast<std::uint64_t>(
-      std::floor(defective / spec.cells_per_fault));
+      std::floor(defective / kCellsPerFault));
   return count == 0 ? 1 : count;
 }
 

@@ -17,15 +17,14 @@
 
 namespace fastdiag::faults {
 
+/// Two defective cells manifest as one observable fault on average in the
+/// paper's accounting (512 defective cells -> "at most 256 faults"); this
+/// divisor reproduces that bookkeeping.
+inline constexpr std::uint32_t kCellsPerFault = 2;
+
 struct InjectionSpec {
   /// Fraction of cells hit by a defect.  The paper's case study uses 0.01.
   double cell_defect_rate = 0.01;
-
-  /// Two defective cells manifest as one observable fault on average in the
-  /// paper's accounting (512 defective cells -> "at most 256 faults"); this
-  /// divisor reproduces that bookkeeping.  Set to 1 to get one fault per
-  /// defective cell.
-  std::uint32_t cells_per_fault = 2;
 
   /// Also inject open-pull-up defects (DRFs)?  Baseline-vs-baseline
   /// comparisons without retention coverage set this to false.
@@ -47,7 +46,7 @@ struct InjectionResult {
                                      const InjectionSpec& spec, Rng& rng);
 
 /// Number of logic faults the spec yields for @p config
-/// (= cells * rate / cells_per_fault, at least 1 when rate > 0).
+/// (= cells * rate / kCellsPerFault, at least 1 when rate > 0).
 [[nodiscard]] std::uint64_t expected_fault_count(
     const sram::SramConfig& config, const InjectionSpec& spec);
 

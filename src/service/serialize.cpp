@@ -241,18 +241,14 @@ namespace {
 
 void encode_classifier_options(ByteWriter& writer,
                                const diagnosis::ClassifierOptions& options) {
-  writer.f64(options.min_confidence);
   writer.u64(options.clock.period_ns);
-  writer.u32(options.probe_words);
   writer.u32(options.global_words);
   writer.u8(static_cast<std::uint8_t>(options.build_mode));
 }
 
 bool decode_classifier_options(ByteReader& reader,
                                diagnosis::ClassifierOptions& options) {
-  options.min_confidence = reader.f64();
   options.clock.period_ns = reader.u64();
-  options.probe_words = reader.u32();
   options.global_words = reader.u32();
   const std::uint8_t mode = reader.u8();
   if (!reader.ok() ||

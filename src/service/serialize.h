@@ -273,10 +273,11 @@ inline constexpr std::uint32_t kFormatVersion = 2;
 /// all integers but the background limbs as varints.  Readers reject other
 /// versions, as for "FDCK".
 inline constexpr std::uint32_t kReportFormatVersion = 3;
-/// "FDCC" version 3: cell signatures are read masks over the classifier's
-/// read universe, and wrapped dictionaries key by row class.  A v2 cache
-/// is rejected, so a server loading one starts cold.
-inline constexpr std::uint32_t kCacheFormatVersion = 3;
+/// "FDCC" version 4: cell signatures are read masks over the classifier's
+/// read universe, wrapped dictionaries key by row class, and an entry's
+/// options are its clock period, global words and build mode.  Older
+/// caches are rejected, so a server loading one starts cold.
+inline constexpr std::uint32_t kCacheFormatVersion = 4;
 
 // ---- embedded encoders (no magic; exposed for composition and tests) -------
 

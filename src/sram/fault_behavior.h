@@ -6,15 +6,16 @@
 // library.  A fault-free memory uses FaultFreeBehavior.
 //
 // The interface is two-tier.  The per-cell hooks (write_cell / read_cell)
-// define the exact defect semantics; the word-level hooks (write_row /
-// read_row) are the performance seam: their default implementations loop
-// per cell — bit-for-bit the reference semantics — while implementations
-// override them with packed limb copies (real measurement hardware scans
-// full words per cycle, and so should the simulator).  FaultFreeBehavior
-// below copies whole rows; faults::FaultSet copies the row and patches its
-// sparse fault sites.  Instance-sliced groups bypass these hooks:
-// faults::OverlaySlab applies FaultSet's site records to one bit-lane of a
-// shared arena instead.
+// define the exact defect semantics; Sram calls them directly on its
+// per-cell path (the per_cell kernel, multi-row decodes, column repair),
+// which is the reference.  The word-level hooks (write_row / read_row)
+// are the performance seam: each implementation gives them packed limb
+// copies with the same result as its per-cell loop (real measurement
+// hardware scans full words per cycle, and so should the simulator).
+// FaultFreeBehavior below copies whole rows; faults::FaultSet copies the
+// row and patches its sparse fault sites.  Instance-sliced groups bypass
+// these hooks: faults::OverlaySlab applies FaultSet's site records to one
+// bit-lane of a shared arena instead.
 #pragma once
 
 #include <cstdint>
@@ -73,41 +74,21 @@ class FaultBehavior {
 
   // ---- word-level hooks (the simulation fast path) -------------------------
 
-  /// One word-write pulse of @p value into physical @p row.  The default
-  /// brackets a per-cell write_cell loop in begin_word_op/end_word_op —
-  /// exactly what Sram's per-cell reference path does for a single decoded
-  /// row — so existing FaultBehavior implementations keep their semantics
-  /// without overriding anything.
+  /// One word-write pulse of @p value into physical @p row: the same
+  /// result as a per-cell write_cell loop bracketed in
+  /// begin_word_op/end_word_op, which is what Sram's per-cell reference
+  /// path does for a single decoded row.
   virtual void write_row(CellArray& cells, std::uint32_t row,
                          const BitVector& value, WriteStyle style,
-                         std::uint64_t now_ns) {
-    begin_word_op();
-    const std::uint32_t bits = cells.bits();
-    for (std::uint32_t j = 0; j < bits; ++j) {
-      write_cell(cells, CellCoord{row, j}, value.get(j), style, now_ns);
-    }
-    end_word_op(cells, now_ns);
-  }
+                         std::uint64_t now_ns) = 0;
 
   /// One word-read of physical @p row into @p out, recording which cells
-  /// drove their bitlines in @p drives (both pre-sized to cells.bits()).
-  /// Returns true when every cell drove — the caller may then skip the
-  /// sense-latch fallback and @p drives is left unspecified.  The default
-  /// loops read_cell per cell.
+  /// drove their bitlines in @p drives (both pre-sized to cells.bits()):
+  /// the same result as a per-cell read_cell loop.  Returns true when every
+  /// cell drove — the caller may then skip the sense-latch fallback and
+  /// @p drives is left unspecified.
   virtual bool read_row(CellArray& cells, std::uint32_t row, BitVector& out,
-                        BitVector& drives, std::uint64_t now_ns) {
-    bool all_drive = true;
-    const std::uint32_t bits = cells.bits();
-    for (std::uint32_t j = 0; j < bits; ++j) {
-      bool cell_drives = true;
-      const bool value =
-          read_cell(cells, CellCoord{row, j}, now_ns, cell_drives);
-      out.set(j, value);
-      drives.set(j, cell_drives);
-      all_drive = all_drive && cell_drives;
-    }
-    return all_drive;
-  }
+                        BitVector& drives, std::uint64_t now_ns) = 0;
 };
 
 /// Behaviour of a defect-free memory: identity decode, plain packed storage.

@@ -98,10 +98,6 @@ TEST(Spec, RetentionFaultsNeedTheRightScheme) {
   const auto delay = run("baseline-with-retention");
   EXPECT_GT(delay.result.time.pause_ns, 0u);
   EXPECT_EQ(seeing.result.time.pause_ns, 0u);
-  // The capability flags say the same thing up front.
-  EXPECT_TRUE(SchemeRegistry::global().capabilities("fast").covers_drf);
-  EXPECT_FALSE(
-      SchemeRegistry::global().capabilities("fast-without-drf").covers_drf);
 }
 
 TEST(Spec, RepairFlowVerifiesClean) {

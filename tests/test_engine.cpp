@@ -100,13 +100,12 @@ TEST(Registry, BuiltinsAreRegistered) {
 }
 
 TEST(Registry, CapabilitiesDescribeTheBuiltins) {
+  // Only the in-field scan needs a SoftErrorSpec.
   auto& registry = SchemeRegistry::global();
-  EXPECT_TRUE(registry.capabilities("fast").covers_drf);
-  EXPECT_FALSE(registry.capabilities("fast").needs_repair_pass);
-  EXPECT_FALSE(registry.capabilities("baseline").covers_drf);
-  EXPECT_TRUE(registry.capabilities("baseline").needs_repair_pass);
-  EXPECT_TRUE(
-      registry.capabilities("baseline-with-retention").covers_drf);
+  for (const auto& name : registry.names()) {
+    EXPECT_EQ(registry.capabilities(name).in_field, name == "periodic_scan")
+        << name;
+  }
 }
 
 TEST(Registry, UnknownNamesThrowOnUse) {
@@ -123,8 +122,7 @@ TEST(Registry, UserSchemesPlugInWithoutTouchingCore) {
   // same way.
   SchemeRegistry registry;
   registry.register_scheme(
-      "user-fast", {.covers_drf = true, .needs_repair_pass = false},
-      [](const SchemeContext& context) {
+      "user-fast", {}, [](const SchemeContext& context) {
         bisd::FastSchemeOptions options;
         options.clock = context.clock;
         return std::make_unique<bisd::FastScheme>(options);
@@ -355,9 +353,9 @@ TEST(Engine, PoolThreadsMatchResolvedWorkers) {
 
 TEST(Engine, ConcurrentCallersShareOneEngineSafely) {
   // One batch dispatches per engine at a time: a concurrent caller blocks
-  // until the pool frees (pooled engine) or runs with throwaway scratch
-  // (pool-less engine).  Either way both callers get bit-identical
-  // reports and no data races.
+  // until the pool frees (pooled engine) or runs at once on its own thread
+  // (pool-less engine, whose calls share no state).  Either way both
+  // callers get bit-identical reports and no data races.
   const auto specs = spec_batch();
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     DiagnosisEngine engine({.workers = workers});
@@ -869,7 +867,7 @@ TEST(Stream, FailuresPropagateWithoutDeadlock) {
   // thread once the workers drain; the engine stays usable afterwards.
   // Batches run on the same pipeline and fail the same way.
   SchemeRegistry registry;
-  registry.register_scheme("fast", {.covers_drf = true},
+  registry.register_scheme("fast", {},
                            [](const SchemeContext& context) {
                              bisd::FastSchemeOptions scheme;
                              scheme.clock = context.clock;

