@@ -277,8 +277,9 @@ void print(std::ostream& out) {
 // Two views:
 //  (a) scheme-level: every fault kind injected one at a time into a small
 //      e-SRAM, the baseline [7,8] architecture vs. the proposed scheme
-//      run end to end — the proposed scheme keeps the logical coverage and
-//      adds the DRFs;
+//      run end to end — the proposed scheme adds the DRFs but misses the
+//      stuck-open (SOF) cells the baseline's serial passes catch, which
+//      March CW exposes only at element boundaries;
 //  (b) algorithm-level (RAMSES-style): March C- vs. March CW vs.
 //      March CW+NWRTM through the word-parallel runner.
 namespace e3 {
@@ -362,6 +363,14 @@ void table_scheme_level(std::ostream& out) {
                  fmt_percent(nwrtm_total / rows)});
   table.add_note("DRF rows: baseline and plain March CW are blind (0%),");
   table.add_note("the NWRTM merge sees them all — Sec. 4.1's added coverage");
+  table.add_note(
+      "SOF row: a stuck-open cell returns the sense latch, which the");
+  table.add_note("previous read in its column leaves at the expected value");
+  table.add_note(
+      "inside a March CW element, so only element boundaries expose");
+  table.add_note(
+      "it; the baseline's serial passes see every one, and this row");
+  table.add_note("alone puts the plain proposed mean below the baseline's");
   table.print(out);
   out << '\n';
 }
