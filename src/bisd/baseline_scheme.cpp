@@ -96,14 +96,13 @@ constexpr std::uint64_t kMaxIterations = 100'000;
 /// Delay-based retention block: (w, pause, r) pairs for both data states —
 /// 8 passes, two pauses per block (Eq. (4)'s 8k and 200 ms terms).  Each
 /// observe pass shifts against its fill so decayed cells localize.
-std::vector<PassSpec> retention_passes() {
+std::vector<PassSpec> retention_passes(std::uint64_t pause_ns) {
   using D = ShiftDirection;
-  constexpr std::uint64_t pause = kRetentionPauseNs;
   return {
-      {D::right, Fill::zeros},       // w0 fill
-      {D::left, Fill::zeros, pause}, // pause, then observe the zeros
-      {D::right, Fill::ones},        // w1 fill
-      {D::left, Fill::ones, pause},  // pause, then observe the ones
+      {D::right, Fill::zeros},          // w0 fill
+      {D::left, Fill::zeros, pause_ns}, // pause, then observe the zeros
+      {D::right, Fill::ones},           // w1 fill
+      {D::left, Fill::ones, pause_ns},  // pause, then observe the ones
       {D::right, Fill::zeros},
       {D::left, Fill::zeros},
       {D::right, Fill::ones},
@@ -266,7 +265,7 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   for (std::uint64_t iteration = 0; iteration < kMaxIterations; ++iteration) {
     std::vector<PassSpec> block = m1;
     if (options_.include_drf) {
-      const auto drf = retention_passes();
+      const auto drf = retention_passes(kRetentionPauseNs);
       block.insert(block.end(), drf.begin(), drf.end());
     }
 

@@ -312,7 +312,7 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 [[nodiscard]] core::Expected<core::Report, DecodeError> decode_report(
     const std::uint8_t* data, std::size_t size);
 
-/// "FDCC" v3: every resident classifier of @p cache — its construction
+/// "FDCC" v4: every resident classifier of @p cache — its construction
 /// inputs (config, test, options), its read-universe width, then the
 /// signature dictionaries built so far (cell signatures as fixed-width
 /// masks).  Importing into a fresh cache reconstructs classifiers that
