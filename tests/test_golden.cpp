@@ -229,6 +229,43 @@ TEST(GoldenTrace, FastSchemeSlicedAndIdleLessSeed13) {
   check_golden("fast_sliced_idle_less_seed13.log", out.str());
 }
 
+/// A SoC whose words cross the comparator's 64-bit batches: a sliced group
+/// of three identical 72-bit memories, a lone 136-bit port (the widest, so
+/// every read shifts out three batches) and a 9-bit memory that wraps the
+/// 20-step sweep, DRFs on.  The log holds records in all three batches, so
+/// it pins record order across a batch boundary, within a word and between
+/// memories that share a read.
+bisd::SocUnderTest wide_word_soc(std::uint64_t seed) {
+  std::vector<sram::SramConfig> configs;
+  const auto add = [&configs](const std::string& name, std::uint32_t words,
+                              std::uint32_t bits) {
+    sram::SramConfig config;
+    config.name = name;
+    config.words = words;
+    config.bits = bits;
+    config.spare_rows = 4;
+    configs.push_back(config);
+  };
+  for (int i = 0; i < 3; ++i) {
+    add("wide" + std::to_string(i), 16, 72);
+  }
+  add("bus", 20, 136);
+  add("lut", 8, 9);
+  faults::InjectionSpec spec;
+  spec.cell_defect_rate = 0.004;
+  spec.include_retention = true;
+  return bisd::SocUnderTest::from_injection(configs, spec, seed);
+}
+
+TEST(GoldenTrace, FastSchemeWideWordsSeed110) {
+  auto soc = wide_word_soc(110);
+  ASSERT_EQ(soc.slice_groups().size(), 1u);
+  bisd::FastScheme scheme;
+  const auto result = scheme.diagnose(soc);
+  check_golden("fast_wide_words_seed110.log",
+               serialize(result) + serialize_memories(soc));
+}
+
 /// A wrapped classification SoC: the 64-word memory sets the controller
 /// sweep; the 48- and 40-word memories wrap it with a partial remainder,
 /// the 32- and 16-word ones wrap it a whole number of times, and the
