@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "serial/serial_interface.h"
@@ -215,15 +216,16 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
         }
       };
 
-  // Registers a candidate (one failure register per direction), repairs the
-  // row from the backup memory, and syncs it to the golden image so the
-  // next pass sees consistent data.  Returns true when the fault is new.
+  // Registers a candidate (one failure register per direction) as a
+  // one-bit entry, repairs the row from the backup memory, and syncs it to
+  // the golden image so the next pass sees consistent data.  Returns true
+  // when the fault is new.
+  std::vector<std::set<sram::CellCoord>> registered(memories);
   const auto register_and_repair = [&](std::size_t i,
                                        const Candidate& candidate,
                                        std::size_t pass_group,
                                        std::size_t pass_index) {
-    const sram::CellCoord cell{candidate.addr, candidate.bit};
-    if (result.log.contains(i, cell)) {
+    if (!registered[i].insert({candidate.addr, candidate.bit}).second) {
       return false;
     }
     DiagnosisEvent event;
@@ -231,8 +233,10 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
     event.phase = static_cast<std::uint32_t>(pass_group);
     event.element = static_cast<std::uint32_t>(pass_index);
     event.background = background_ids[i];
-    result.log.add(static_cast<std::uint32_t>(i), cell,
-                   result.log.intern(event));
+    result.log.add_word(static_cast<std::uint32_t>(i), candidate.addr,
+                        candidate.bit / 64,
+                        std::uint64_t{1} << (candidate.bit % 64),
+                        result.log.intern(event));
 
     auto& memory = soc.memory(i);
     if (!memory.is_repaired(candidate.addr) &&

@@ -1,10 +1,8 @@
 #include "bisd/fast_scheme.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <deque>
-#include <numeric>
 #include <vector>
 
 #include "bisd/address_gen.h"
@@ -228,14 +226,9 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   std::vector<std::uint64_t> diff_scratch(memories, 0);
   std::vector<std::size_t> hits;
   hits.reserve(memories);
-  std::vector<std::size_t> by_clock;
   BitVector read_scratch;
 
   DiagnosisResult result;
-  for (std::size_t i = 0; i < memories; ++i) {
-    result.log.index_memory(static_cast<std::uint32_t>(i),
-                            soc.config(i).words, soc.config(i).bits);
-  }
   std::uint64_t cycles = 0;
   // Ports advance with the controller clock.  Group lanes take one
   // deferred advance of the full amount at the end (an O(all memories)
@@ -376,16 +369,13 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
               ++lane_ops.reads;
               // Serialize the responses back, memories in parallel;
               // narrower PSCs drain into the zero fill.  Up to 64 shift
-              // clocks per word compare: records are emitted clock-major
-              // (memories in index order within a clock), and a record's
-              // cycle, read_base + bit, is the exact clock the mismatching
-              // bit left the chain.
+              // clocks per word compare, and one log entry per memory that
+              // failed them.
               for (std::uint32_t k = 0; k < c_max; k += 64) {
                 const auto batch = static_cast<std::size_t>(
                     std::min<std::uint32_t>(64, c_max - k));
                 cycles += batch;
                 deferred_ns += batch * period;
-                std::uint64_t any_diff = 0;
                 hits.clear();
                 for (auto& port : ports) {
                   if (port.memory.config().has_idle_mode) {
@@ -404,7 +394,6 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                       port.psc.shift_out_word(batch), batch);
                   if (diff != 0) {
                     diff_scratch[port.index] = diff;
-                    any_diff |= diff;
                     hits.push_back(port.index);
                   }
                 }
@@ -431,7 +420,6 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                         static_cast<std::uint32_t>(std::countr_zero(cols));
                     cols &= cols - 1;
                     const std::uint64_t clock_bit = std::uint64_t{1} << t;
-                    any_diff |= clock_bit;
                     std::uint64_t lanes_diff =
                         (observed[k + t] ^ group.ebcast[k + t]) &
                         group.slab.lane_mask();
@@ -447,62 +435,43 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
                     }
                   }
                 }
-                if (any_diff == 0) {
+                if (hits.empty()) {
                   continue;
                 }
-                // Rare path: emit clock-major, memories ascending within a
-                // clock.  A stable counting sort of the (memory, clock)
-                // failures over the batch's clocks keeps it linear in the
-                // records emitted.
+                // Rare path: each failing memory's mismatch mask, cut to
+                // its width, memories ascending.  The log yields a serial
+                // read's entries clock-major, memories ascending within a
+                // clock, and a record's cycle, read_base + bit, is the
+                // exact clock the mismatching bit left the chain.
                 std::sort(hits.begin(), hits.end());
-                std::array<std::uint32_t, 65> clock_start{};
                 for (const std::size_t i : hits) {
-                  for (std::uint64_t d = diff_scratch[i]; d != 0;
-                       d &= d - 1) {
-                    ++clock_start[std::countr_zero(d) + 1];
-                  }
-                }
-                std::partial_sum(clock_start.begin(), clock_start.end(),
-                                 clock_start.begin());
-                by_clock.resize(clock_start[64]);
-                {
-                  auto next = clock_start;
-                  for (const std::size_t i : hits) {
-                    for (std::uint64_t d = diff_scratch[i]; d != 0;
-                         d &= d - 1) {
-                      by_clock[next[std::countr_zero(d)]++] = i;
-                    }
-                  }
-                }
-                while (any_diff != 0) {
-                  const auto t =
-                      static_cast<std::uint32_t>(std::countr_zero(any_diff));
-                  any_diff &= any_diff - 1;
-                  for (std::uint32_t j = clock_start[t];
-                       j < clock_start[t + 1]; ++j) {
-                    const std::size_t i = by_clock[j];
-                    Unit& unit = *unit_of[i];
-                    if (k + t >= unit.golden.bits()) {
-                      continue;
-                    }
-                    if (unit.event_base != read_base) {
-                      DiagnosisEvent event;
-                      event.cycle_base = read_base;
-                      event.phase = static_cast<std::uint32_t>(p);
-                      event.element = static_cast<std::uint32_t>(e);
-                      event.op = static_cast<std::uint32_t>(o);
-                      event.visit = step / unit.generator.words();
-                      event.background = background_id;
-                      event.serial = true;
-                      unit.event = result.log.intern(event);
-                      unit.event_base = read_base;
-                    }
-                    result.log.add(static_cast<std::uint32_t>(i),
-                                   {unit.addr, k + t}, unit.event);
-                  }
-                }
-                for (const std::size_t i : hits) {
+                  Unit& unit = *unit_of[i];
+                  const std::uint32_t width = unit.golden.bits();
+                  std::uint64_t mask = diff_scratch[i];
                   diff_scratch[i] = 0;
+                  if (k >= width) {
+                    continue;
+                  }
+                  if (width - k < 64) {
+                    mask &= (std::uint64_t{1} << (width - k)) - 1;
+                  }
+                  if (mask == 0) {
+                    continue;
+                  }
+                  if (unit.event_base != read_base) {
+                    DiagnosisEvent event;
+                    event.cycle_base = read_base;
+                    event.phase = static_cast<std::uint32_t>(p);
+                    event.element = static_cast<std::uint32_t>(e);
+                    event.op = static_cast<std::uint32_t>(o);
+                    event.visit = step / unit.generator.words();
+                    event.background = background_id;
+                    event.serial = true;
+                    unit.event = result.log.intern(event);
+                    unit.event_base = read_base;
+                  }
+                  result.log.add_word(static_cast<std::uint32_t>(i),
+                                      unit.addr, k / 64, mask, unit.event);
                 }
               }
               for (auto& port : ports) {

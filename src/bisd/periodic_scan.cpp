@@ -1,7 +1,6 @@
 #include "bisd/periodic_scan.h"
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <limits>
 
@@ -63,8 +62,6 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
     auto& memory = soc.memory(m);
     golden[m] = checkerboard(memory.bits());
     background_ids[m] = result.log.intern(golden[m]);
-    result.log.index_memory(static_cast<std::uint32_t>(m), memory.words(),
-                            memory.bits());
     words[m] = memory.words();
     layers[m] = soc.soft_behavior(m);
     event_driven[m] = layers[m] != nullptr && soc.truth(m).empty() &&
@@ -141,28 +138,26 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
       const std::uint64_t cycle =
           base + addr + 1 + (periodic ? slots_before(addr, m) : scrubs);
       // The whole word is compared at once: one non-serial event covers
-      // every failing bit of it.
+      // every failing bit of it, one entry each failing limb.
       bool mismatch = false;
       std::uint32_t event = 0;
       const std::uint64_t* read = scratch.word_data();
       const std::uint64_t* expected = golden[m].word_data();
       for (std::size_t limb = 0; limb < golden[m].word_count(); ++limb) {
-        for (std::uint64_t diff = read[limb] ^ expected[limb]; diff != 0;
-             diff &= diff - 1) {
-          if (!mismatch) {
-            DiagnosisEvent sensed;
-            sensed.cycle_base = cycle;
-            sensed.element = static_cast<std::uint32_t>(k);
-            sensed.background = background_ids[m];
-            event = result.log.intern(sensed);
-            mismatch = true;
-          }
-          result.log.add(
-              static_cast<std::uint32_t>(m),
-              {addr, static_cast<std::uint32_t>(limb * 64 +
-                                                std::countr_zero(diff))},
-              event);
+        const std::uint64_t diff = read[limb] ^ expected[limb];
+        if (diff == 0) {
+          continue;
         }
+        if (!mismatch) {
+          DiagnosisEvent sensed;
+          sensed.cycle_base = cycle;
+          sensed.element = static_cast<std::uint32_t>(k);
+          sensed.background = background_ids[m];
+          event = result.log.intern(sensed);
+          mismatch = true;
+        }
+        result.log.add_word(static_cast<std::uint32_t>(m), addr,
+                            static_cast<std::uint32_t>(limb), diff, event);
       }
       const bool corrected = soft.ecc && layers[m] != nullptr &&
                              layers[m]->last_read_corrected();

@@ -1,6 +1,7 @@
 #include "bisd/record.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -33,23 +34,52 @@ DiagnosisLog& DiagnosisLog::operator=(DiagnosisLog&& other) noexcept =
     default;
 
 DiagnosisLog::DiagnosisLog(const DiagnosisLog& other)
-    : tables_(other.tables_), sealed_(other.sealed_) {}
+    : tables_(other.tables_),
+      records_(other.records_),
+      cell_offsets_(other.cell_offsets_),
+      cell_masks_(other.cell_masks_),
+      cell_count_(other.cell_count_),
+      sealed_(other.sealed_) {}
 
 DiagnosisLog& DiagnosisLog::operator=(const DiagnosisLog& other) {
   if (this != &other) {
-    tables_ = other.tables_;
-    sealed_ = other.sealed_;
-    index_.reset();
+    DiagnosisLog copy(other);
+    *this = std::move(copy);
   }
   return *this;
+}
+
+std::uint32_t& DiagnosisLog::Index::slot(LoggedWord word) {
+  if (word.memory < kIndexedMemories && word.addr < kIndexedWords) {
+    if (word.memory >= slots.size()) {
+      slots.resize(std::size_t{word.memory} + 1);
+    }
+    Slots& memory = slots[word.memory];
+    if (word.addr >= memory.ids.size() && !memory.frozen) {
+      const std::size_t grown = std::size_t{word.addr} + 1;
+      if (slot_count + grown - memory.ids.size() <= kMaxIndexSlots) {
+        slot_count += grown - memory.ids.size();
+        memory.ids.resize(grown, 0);
+      } else {
+        memory.frozen = true;
+      }
+    }
+    if (word.addr < memory.ids.size()) {
+      return memory.ids[word.addr];
+    }
+  }
+  return words[word];
 }
 
 DiagnosisLog::Index& DiagnosisLog::index() {
   sealed_ = false;
   if (index_ == nullptr) {
+    cell_offsets_.assign(1, 0);
+    cell_masks_.clear();
+    cell_count_ = 0;
     index_ = std::make_unique<Index>();
-    for (std::uint32_t id = 0; id < tables_.cells.size(); ++id) {
-      index_->cells.emplace(tables_.cells[id], id);
+    for (std::uint32_t id = 0; id < tables_.words.size(); ++id) {
+      index_->slot(tables_.words[id]) = id + 1;
     }
     for (std::uint32_t id = 1; id < tables_.backgrounds.size(); ++id) {
       index_->backgrounds.emplace(tables_.backgrounds[id], id);
@@ -121,78 +151,14 @@ std::uint32_t DiagnosisLog::append_event(const DiagnosisEvent& event) {
   return static_cast<std::uint32_t>(tables_.events.size() - 1);
 }
 
-std::uint32_t DiagnosisLog::append_cell(const LoggedCell& cell) {
-  require(tables_.cells.size() < kUnseen, "DiagnosisLog: cell table full");
-  tables_.cells.push_back(cell);
-  return static_cast<std::uint32_t>(tables_.cells.size() - 1);
-}
-
-void DiagnosisLog::index_memory(std::uint32_t memory, std::uint32_t words,
-                                std::uint32_t bits) {
-  Index& index = this->index();
-  if (memory >= kIndexedMemories || words == 0 || bits == 0 ||
-      std::uint64_t{words} * bits > kMaxMemorySlots) {
-    return;
+std::uint32_t DiagnosisLog::resolve_word(LoggedWord word) {
+  std::uint32_t& slot = index().slot(word);
+  if (slot == 0) {
+    require(tables_.words.size() < kUnseen, "DiagnosisLog: word table full");
+    tables_.words.push_back(word);
+    slot = static_cast<std::uint32_t>(tables_.words.size());
   }
-  if (memory >= index.dense.size()) {
-    index.dense.resize(std::size_t{memory} + 1);
-  }
-  Index::Dense& dense = index.dense[memory];
-  if (dense.slots.empty()) {
-    dense.words = words;
-    dense.bits = bits;
-  }
-}
-
-std::uint32_t DiagnosisLog::resolve_cell(std::uint32_t memory,
-                                         sram::CellCoord cell) {
-  Index& index = this->index();
-  const LoggedCell key{memory, cell.row, cell.bit};
-  if (memory < index.dense.size() && index.dense[memory].words != 0) {
-    Index::Dense& dense = index.dense[memory];
-    const bool inside = cell.row < dense.words && cell.bit < dense.bits;
-    if (inside && dense.slots.empty()) {
-      // First record of a declared memory: allocate its table unless the
-      // budget is spent or the map already holds some of its cells.
-      const std::size_t slots = std::size_t{dense.words} * dense.bits;
-      const auto held = index.cells.lower_bound({memory, 0, 0});
-      if (index.dense_slots + slots <= kMaxIndexSlots &&
-          (held == index.cells.end() || held->first.memory != memory)) {
-        dense.slots.assign(slots, 0);
-        index.dense_slots += slots;
-      } else {
-        dense = Index::Dense{};
-      }
-    }
-    if (!dense.slots.empty()) {
-      if (inside) {
-        std::uint32_t& slot =
-            dense.slots[std::size_t{cell.row} * dense.bits + cell.bit];
-        if (slot == 0) {
-          slot = append_cell(key) + 1;
-        }
-        return slot - 1;
-      }
-      // A cell outside the declared geometry: the memory's cells move to
-      // the map, which then serves it alone.
-      for (std::size_t s = 0; s < dense.slots.size(); ++s) {
-        if (dense.slots[s] != 0) {
-          index.cells.emplace(
-              LoggedCell{memory, static_cast<std::uint32_t>(s / dense.bits),
-                         static_cast<std::uint32_t>(s % dense.bits)},
-              dense.slots[s] - 1);
-        }
-      }
-      index.dense_slots -= dense.slots.size();
-      dense = Index::Dense{};
-    }
-  }
-  const auto [it, inserted] = index.cells.try_emplace(
-      key, static_cast<std::uint32_t>(tables_.cells.size()));
-  if (inserted) {
-    append_cell(key);
-  }
-  return it->second;
+  return slot - 1;
 }
 
 void DiagnosisLog::add(const DiagnosisRecord& record) {
@@ -203,23 +169,26 @@ void DiagnosisLog::add(const DiagnosisRecord& record) {
   event.op = record.op;
   event.visit = record.visit;
   event.background = record.background;
-  add(record.memory_index, record.cell(), intern(event));
+  const std::uint32_t id = intern(event);
+  add_word(record.memory_index, record.addr, record.bit / 64,
+           std::uint64_t{1} << (record.bit % 64), id);
 }
 
-std::vector<std::uint32_t> DiagnosisLog::sorted_cell_ids() {
-  // Dense tables walk in (addr, bit) order and the map is ordered by
-  // (memory, addr, bit); no memory is in both, so a merge by memory sorts.
+std::vector<std::uint32_t> DiagnosisLog::sorted_word_ids() {
+  // Slots walk in address order and the map is ordered by (memory, addr);
+  // a memory's words in the map all lie past its slots, so a merge by
+  // memory sorts.
   const Index& index = this->index();
   std::vector<std::uint32_t> ids;
-  ids.reserve(tables_.cells.size());
-  auto held = index.cells.begin();
-  for (std::uint32_t memory = 0; memory < index.dense.size(); ++memory) {
-    const auto& slots = index.dense[memory].slots;
+  ids.reserve(tables_.words.size());
+  auto held = index.words.begin();
+  for (std::uint32_t memory = 0; memory < index.slots.size(); ++memory) {
+    const auto& slots = index.slots[memory].ids;
     if (slots.empty()) {
       continue;
     }
-    for (; held != index.cells.end() && held->first.memory < memory; ++held) {
-      ids.push_back(held->second);
+    for (; held != index.words.end() && held->first.memory < memory; ++held) {
+      ids.push_back(held->second - 1);
     }
     for (const std::uint32_t slot : slots) {
       if (slot != 0) {
@@ -227,11 +196,11 @@ std::vector<std::uint32_t> DiagnosisLog::sorted_cell_ids() {
       }
     }
   }
-  for (; held != index.cells.end(); ++held) {
-    ids.push_back(held->second);
+  for (; held != index.words.end(); ++held) {
+    ids.push_back(held->second - 1);
   }
-  ensure(ids.size() == tables_.cells.size(),
-         "DiagnosisLog: insertion index lost a cell");
+  ensure(ids.size() == tables_.words.size(),
+         "DiagnosisLog: insertion index lost a word");
   return ids;
 }
 
@@ -240,16 +209,16 @@ void DiagnosisLog::seal() {
     return;
   }
   Tables& t = tables_;
-  const std::vector<std::uint32_t> order = sorted_cell_ids();
-  std::vector<std::uint32_t> cell_rank(order.size());
+  const std::vector<std::uint32_t> order = sorted_word_ids();
+  std::vector<std::uint32_t> word_rank(order.size());
   for (std::uint32_t rank = 0; rank < order.size(); ++rank) {
-    cell_rank[order[rank]] = rank;
+    word_rank[order[rank]] = rank;
   }
-  // One pass renumbers cells by rank and events by first use.
+  // One pass renumbers words by rank and events by first use.
   std::vector<std::uint32_t> event_rank(t.events.size(), kUnseen);
   std::uint32_t events_used = 0;
   for (LogEntry& entry : t.entries) {
-    entry.cell = cell_rank[entry.cell];
+    entry.word = word_rank[entry.word];
     std::uint32_t& rank = event_rank[entry.event];
     if (rank == kUnseen) {
       rank = events_used++;
@@ -279,18 +248,70 @@ void DiagnosisLog::seal() {
       backgrounds[background_rank[id]] = std::move(t.backgrounds[id]);
     }
   }
-  std::vector<LoggedCell> cells(order.size());
+  std::vector<LoggedWord> words(order.size());
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    cells[rank] = t.cells[order[rank]];
+    words[rank] = t.words[order[rank]];
   }
-  t.cells = std::move(cells);
+  t.words = std::move(words);
   t.events = std::move(events);
   t.backgrounds = std::move(backgrounds);
   if (t.entries.capacity() - t.entries.size() > t.entries.size() / 8) {
     t.entries.shrink_to_fit();
   }
   index_.reset();
+  index_cells();
   sealed_ = true;
+}
+
+std::vector<std::uint32_t> DiagnosisLog::entries_by_word(
+    std::vector<std::uint32_t>& offsets) const {
+  const auto& entries = tables_.entries;
+  offsets.assign(tables_.words.size() + 1, 0);
+  for (const LogEntry& entry : entries) {
+    ++offsets[entry.word + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<std::uint32_t> order(entries.size());
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    order[cursor[entries[i].word]++] = i;
+  }
+  // A word's entries are few and their limbs mostly in order already.
+  const auto by_limb = [&entries](std::uint32_t a, std::uint32_t b) {
+    return entries[a].limb < entries[b].limb;
+  };
+  for (std::size_t w = 0; w + 1 < offsets.size(); ++w) {
+    const auto first = order.begin() + offsets[w];
+    const auto last = order.begin() + offsets[w + 1];
+    if (!std::is_sorted(first, last, by_limb)) {
+      std::stable_sort(first, last, by_limb);
+    }
+  }
+  return order;
+}
+
+void DiagnosisLog::index_cells() {
+  const auto& entries = tables_.entries;
+  std::vector<std::uint32_t> offsets;
+  const std::vector<std::uint32_t> order = entries_by_word(offsets);
+  cell_offsets_.assign(offsets.size(), 0);
+  cell_masks_.clear();
+  for (std::size_t w = 0; w + 1 < offsets.size(); ++w) {
+    cell_offsets_[w] = static_cast<std::uint32_t>(cell_masks_.size());
+    for (std::uint32_t j = offsets[w]; j < offsets[w + 1]; ++j) {
+      const LogEntry& entry = entries[order[j]];
+      if (j == offsets[w] || entry.limb != cell_masks_.back().limb) {
+        cell_masks_.push_back({entry.limb, 0});
+      }
+      cell_masks_.back().mask |= entry.mask;
+    }
+  }
+  cell_offsets_.back() = static_cast<std::uint32_t>(cell_masks_.size());
+  cell_masks_.shrink_to_fit();
+  cell_count_ = 0;
+  for (const CellMask& cells : cell_masks_) {
+    cell_count_ += static_cast<std::size_t>(std::popcount(cells.mask));
+  }
 }
 
 std::optional<DiagnosisLog> DiagnosisLog::from_sealed_tables(
@@ -339,17 +360,19 @@ std::optional<DiagnosisLog> DiagnosisLog::from_sealed_tables(
     }
   }
 
-  for (std::size_t i = 1; i < tables.cells.size(); ++i) {
-    if (!(tables.cells[i - 1] < tables.cells[i])) {
-      return reject("cells not in strictly ascending order");
+  for (std::size_t i = 1; i < tables.words.size(); ++i) {
+    if (!(tables.words[i - 1] < tables.words[i])) {
+      return reject("words not in strictly ascending order");
     }
   }
-  std::vector<bool> cell_used(tables.cells.size(), false);
-  std::size_t cells_used = 0;
+  std::vector<bool> word_used(tables.words.size(), false);
+  std::size_t words_used = 0;
   std::uint64_t events_seen = 0;
-  for (const LogEntry& entry : tables.entries) {
-    if (entry.cell >= tables.cells.size()) {
-      return reject("cell id out of range");
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < tables.entries.size(); ++i) {
+    const LogEntry& entry = tables.entries[i];
+    if (entry.word >= tables.words.size()) {
+      return reject("word id out of range");
     }
     if (entry.event >= events_seen) {
       if (entry.event != events_seen ||
@@ -358,59 +381,108 @@ std::optional<DiagnosisLog> DiagnosisLog::from_sealed_tables(
       }
       ++events_seen;
     }
-    if (!cell_used[entry.cell]) {
-      cell_used[entry.cell] = true;
-      ++cells_used;
+    if (entry.mask == 0 || entry.limb >= kMaxLimbs) {
+      return reject("empty mask or limb past 2^32 bits");
     }
+    if (i > 0 && entry.limb < tables.entries[i - 1].limb) {
+      const DiagnosisEvent& before = tables.events[tables.entries[i - 1].event];
+      const DiagnosisEvent& event = tables.events[entry.event];
+      if (before.serial && event.serial &&
+          before.cycle_base == event.cycle_base) {
+        return reject("limbs decrease within a serial run");
+      }
+    }
+    if (!word_used[entry.word]) {
+      word_used[entry.word] = true;
+      ++words_used;
+    }
+    records += static_cast<std::size_t>(std::popcount(entry.mask));
   }
   if (events_seen != tables.events.size()) {
     return reject("unused event");
   }
-  if (cells_used != tables.cells.size()) {
-    return reject("unused cell");
+  if (words_used != tables.words.size()) {
+    return reject("unused word");
   }
   DiagnosisLog log;
   log.tables_ = std::move(tables);
+  log.records_ = records;
+  log.index_cells();
   return log;
+}
+
+std::pair<std::size_t, std::size_t> DiagnosisLog::word_range(
+    std::size_t memory) const {
+  const auto& words = tables_.words;
+  const auto below = [memory](const LoggedWord& word) {
+    return word.memory < memory;
+  };
+  const auto lo = std::partition_point(words.begin(), words.end(), below);
+  const auto hi = std::partition_point(lo, words.end(),
+                                       [memory](const LoggedWord& word) {
+                                         return word.memory == memory;
+                                       });
+  return {static_cast<std::size_t>(lo - words.begin()),
+          static_cast<std::size_t>(hi - words.begin())};
+}
+
+std::vector<LoggedCell> DiagnosisLog::scan_cells(
+    std::optional<std::size_t> memory_index) const {
+  std::vector<LoggedCell> out;
+  for (const LogEntry& entry : tables_.entries) {
+    const LoggedWord& word = tables_.words[entry.word];
+    if (memory_index && word.memory != *memory_index) {
+      continue;
+    }
+    for (std::uint64_t mask = entry.mask; mask != 0; mask &= mask - 1) {
+      out.push_back({word.memory, word.addr,
+                     entry.limb * 64 +
+                         static_cast<std::uint32_t>(std::countr_zero(mask))});
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::vector<sram::CellCoord> DiagnosisLog::cells(
     std::size_t memory_index) const {
   std::vector<sram::CellCoord> out;
-  if (memory_index > std::numeric_limits<std::uint32_t>::max()) {
-    return out;
-  }
-  const auto memory = static_cast<std::uint32_t>(memory_index);
-  const auto& cells = tables_.cells;
-  if (sealed_) {
-    const auto lo = std::lower_bound(cells.begin(), cells.end(),
-                                     LoggedCell{memory, 0, 0});
-    auto hi = lo;
-    while (hi != cells.end() && hi->memory == memory) {
-      ++hi;
-    }
-    out.reserve(static_cast<std::size_t>(hi - lo));
-    for (auto it = lo; it != hi; ++it) {
-      out.push_back({it->addr, it->bit});
-    }
-    return out;
-  }
-  for (const LoggedCell& cell : cells) {
-    if (cell.memory == memory) {
+  if (!sealed_) {
+    for (const LoggedCell& cell : scan_cells(memory_index)) {
       out.push_back({cell.addr, cell.bit});
     }
+    return out;
   }
-  std::sort(out.begin(), out.end());
+  const auto [lo, hi] = word_range(memory_index);
+  for (std::size_t w = lo; w < hi; ++w) {
+    for (std::uint32_t c = cell_offsets_[w]; c < cell_offsets_[w + 1]; ++c) {
+      const CellMask& cells = cell_masks_[c];
+      for (std::uint64_t mask = cells.mask; mask != 0; mask &= mask - 1) {
+        out.push_back({tables_.words[w].addr,
+                       cells.limb * 64 + static_cast<std::uint32_t>(
+                                             std::countr_zero(mask))});
+      }
+    }
+  }
   return out;
 }
 
 std::vector<std::uint32_t> DiagnosisLog::faulty_rows(
     std::size_t memory_index) const {
   std::vector<std::uint32_t> rows;
-  for (const sram::CellCoord& cell : cells(memory_index)) {
-    if (rows.empty() || rows.back() != cell.row) {
-      rows.push_back(cell.row);
+  if (!sealed_) {
+    for (const LoggedCell& cell : scan_cells(memory_index)) {
+      if (rows.empty() || rows.back() != cell.addr) {
+        rows.push_back(cell.addr);
+      }
     }
+    return rows;
+  }
+  const auto [lo, hi] = word_range(memory_index);
+  rows.reserve(hi - lo);
+  for (std::size_t w = lo; w < hi; ++w) {
+    rows.push_back(tables_.words[w].addr);
   }
   return rows;
 }
@@ -420,39 +492,74 @@ bool DiagnosisLog::contains(std::size_t memory_index,
   if (memory_index > std::numeric_limits<std::uint32_t>::max()) {
     return false;
   }
-  const LoggedCell key{static_cast<std::uint32_t>(memory_index), cell.row,
-                       cell.bit};
-  if (index_ != nullptr) {
-    if (key.memory < index_->dense.size()) {
-      const Index::Dense& dense = index_->dense[key.memory];
-      if (!dense.slots.empty() && key.addr < dense.words &&
-          key.bit < dense.bits) {
-        return dense.slots[std::size_t{key.addr} * dense.bits + key.bit] != 0;
-      }
-    }
-    return index_->cells.count(key) != 0;
+  const LoggedWord key{static_cast<std::uint32_t>(memory_index), cell.row};
+  const auto& words = tables_.words;
+  const std::uint32_t limb = cell.bit / 64;
+  if (!sealed_) {
+    // A log being built: one pass over its entries, no copy.
+    return std::any_of(tables_.entries.begin(), tables_.entries.end(),
+                       [&](const LogEntry& entry) {
+                         return entry.limb == limb &&
+                                (entry.mask >> (cell.bit % 64) & 1) != 0 &&
+                                words[entry.word] == key;
+                       });
   }
-  if (sealed_) {
-    return std::binary_search(tables_.cells.begin(), tables_.cells.end(),
-                              key);
+  const auto word = std::lower_bound(words.begin(), words.end(), key);
+  if (word == words.end() || *word != key) {
+    return false;
   }
-  return std::find(tables_.cells.begin(), tables_.cells.end(), key) !=
-         tables_.cells.end();
+  const auto w = static_cast<std::size_t>(word - words.begin());
+  const auto first = cell_masks_.begin() + cell_offsets_[w];
+  const auto last = cell_masks_.begin() + cell_offsets_[w + 1];
+  const auto cells = std::lower_bound(
+      first, last, limb,
+      [](const CellMask& m, std::uint32_t l) { return m.limb < l; });
+  return cells != last && cells->limb == limb &&
+         (cells->mask >> (cell.bit % 64) & 1) != 0;
+}
+
+std::size_t DiagnosisLog::distinct_cell_count() const {
+  return sealed_ ? cell_count_ : scan_cells(std::nullopt).size();
 }
 
 DiagnosisLog::CellGroups DiagnosisLog::entries_by_cell() const {
-  CellGroups groups;
-  groups.offsets.assign(tables_.cells.size() + 1, 0);
-  for (const LogEntry& entry : tables_.entries) {
-    ++groups.offsets[entry.cell + 1];
+  if (!sealed_) {
+    std::optional<DiagnosisLog> copy;
+    return sealed_form(*this, copy).entries_by_cell();
   }
-  std::partial_sum(groups.offsets.begin(), groups.offsets.end(),
-                   groups.offsets.begin());
-  groups.order.resize(tables_.entries.size());
-  std::vector<std::uint32_t> cursor(groups.offsets.begin(),
-                                    groups.offsets.end() - 1);
-  for (std::uint32_t i = 0; i < tables_.entries.size(); ++i) {
-    groups.order[cursor[tables_.entries[i].cell]++] = i;
+  const auto& entries = tables_.entries;
+  std::vector<std::uint32_t> offsets;
+  const std::vector<std::uint32_t> order = entries_by_word(offsets);
+  CellGroups groups;
+  groups.cells.reserve(cell_count_);
+  groups.offsets.reserve(cell_count_ + 1);
+  groups.offsets.push_back(0);
+  groups.order.reserve(records_);
+  for (std::size_t w = 0; w < tables_.words.size(); ++w) {
+    const LoggedWord& word = tables_.words[w];
+    // One limb's entries at a time: each cell of the limb takes the
+    // entries whose mask has it, in log order.
+    for (std::uint32_t first = offsets[w]; first < offsets[w + 1];) {
+      const std::uint32_t limb = entries[order[first]].limb;
+      std::uint32_t last = first;
+      std::uint64_t cells = 0;
+      for (; last < offsets[w + 1] && entries[order[last]].limb == limb;
+           ++last) {
+        cells |= entries[order[last]].mask;
+      }
+      for (; cells != 0; cells &= cells - 1) {
+        const auto bit = static_cast<std::uint32_t>(std::countr_zero(cells));
+        for (std::uint32_t j = first; j < last; ++j) {
+          if ((entries[order[j]].mask >> bit & 1) != 0) {
+            groups.order.push_back(order[j]);
+          }
+        }
+        groups.cells.push_back({word.memory, word.addr, limb * 64 + bit});
+        groups.offsets.push_back(
+            static_cast<std::uint32_t>(groups.order.size()));
+      }
+      first = last;
+    }
   }
   return groups;
 }

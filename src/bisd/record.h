@@ -4,26 +4,39 @@
 // "the diagnosis information ... will be registered for on-chip repair or
 // shifted out for off-line analysis").
 //
-// A log stores what a record is made of, once each:
-//   - a cell table of (memory, addr, bit), one 12-byte row per distinct
-//     failing cell;
+// The comparator registers a failing word, so a log stores words, once each:
+//   - a word table of (memory, addr), one 8-byte row per distinct failing
+//     word;
 //   - an event table of (phase, element, op, visit, background, cycle
 //     base), one row per comparator read that registered a failure.  A word
 //     serialized through a PSC registers bit b at cycle base + b, so one
 //     event covers every failing bit of that word;
 //   - a background table: the data backgrounds events refer to;
-//   - the log itself: 8-byte (cell id, event id) entries in registration
-//     order.
-// A DiagnosisRecord is the decoded form of one entry; records() decodes
-// them on the fly.
+//   - the log itself: (word id, event id, limb, mask) entries, one per
+//     failing read and 64-bit batch of a word; mask bit j is a failure of IO
+//     bit 64 * limb + j.
+// A DiagnosisRecord is one set mask bit; records() decodes them on the fly.
 //
-// Size at rest.  A sealed log (see seal()) holds 8 B per record, with at
-// most 1/8 spare capacity, plus 12 B per distinct cell, 32 B per event and
-// its background table, and no insertion index.  At the paper's operating
-// point (the 64-memory fleet SoC at 1 % defects) that is ~5 MB for ~495k
-// records over ~45k cells and ~9k events.
+// Record order.  records() yields the entries in log order and each
+// entry's bits ascending, except within a run of consecutive entries whose
+// events are serial and share one cycle base: there records come in clock
+// order (64 * limb + bit ascending), then in entry order, which is the
+// order the PSCs shift them out.  So FastScheme, which appends one entry
+// per failing memory and batch, memories ascending, yields its records in
+// ascending (cycle, memory) order, and periodic_scan, the baseline and the
+// generic add(record) yield theirs as appended.  Within such a run, limbs
+// never decrease (the PSCs shift batches in order); add_word() and
+// from_sealed_tables() refuse entries that break this.
+//
+// Size at rest.  A sealed log (see seal()) holds 24 B per entry, with at
+// most 1/8 spare capacity, plus 8 B per distinct word, 32 B per event and
+// its background table, a 16 B cell mask per (word, limb) and no insertion
+// index.  At the paper's operating point (the 64-memory fleet SoC at 1 %
+// defects) that is ~1.2 MB for ~495k records in ~38.5k entries over ~2.4k
+// words and ~9k events.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -32,6 +45,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sram/cell_array.h"
@@ -83,7 +97,15 @@ struct DiagnosisEvent {
                           const DiagnosisEvent&) = default;
 };
 
-/// A distinct failing cell of one memory.
+/// A distinct failing word of one memory.
+struct LoggedWord {
+  std::uint32_t memory = 0;
+  std::uint32_t addr = 0;
+
+  friend auto operator<=>(const LoggedWord&, const LoggedWord&) = default;
+};
+
+/// A failing cell of one memory (DiagnosisLog::entries_by_cell).
 struct LoggedCell {
   std::uint32_t memory = 0;
   std::uint32_t addr = 0;
@@ -92,28 +114,41 @@ struct LoggedCell {
   friend auto operator<=>(const LoggedCell&, const LoggedCell&) = default;
 };
 
-/// One registered failure: ids into its log's cell and event tables.
+/// One failing read of one 64-bit batch of a word: ids into its log's word
+/// and event tables, and the batch's failing bits (mask bit j is IO bit
+/// 64 * limb + j).
 struct LogEntry {
-  std::uint32_t cell = 0;
+  std::uint64_t mask = 0;
+  std::uint32_t word = 0;
   std::uint32_t event = 0;
+  std::uint32_t limb = 0;
 };
 
-static_assert(sizeof(LogEntry) == 8 && sizeof(LoggedCell) == 12 &&
-                  sizeof(DiagnosisEvent) == 32,
+/// The failing cells of one batch of a word: the OR of its entries' masks.
+struct CellMask {
+  std::uint32_t limb = 0;
+  std::uint64_t mask = 0;
+};
+
+static_assert(sizeof(LogEntry) == 24 && sizeof(LoggedWord) == 8 &&
+                  sizeof(DiagnosisEvent) == 32 && sizeof(CellMask) == 16,
               "the size bound in the header comment depends on these");
 
 class DiagnosisLog {
  public:
   class RecordView;
 
-  /// A log's tables.  In a sealed log they are canonical: cells in strictly
-  /// ascending (memory, addr, bit) order, events and non-empty backgrounds
-  /// in first-use order, every row used and none repeated, and
-  /// backgrounds[0] the empty background.
+  /// Limbs of a word: every bit index 64 * limb + j fits 32 bits.
+  static constexpr std::uint32_t kMaxLimbs = std::uint32_t{1} << 26;
+
+  /// A log's tables.  In a sealed log they are canonical: words in strictly
+  /// ascending (memory, addr) order, events and non-empty backgrounds in
+  /// first-use order, every row used and none repeated, backgrounds[0] the
+  /// empty background, and every entry's mask non-zero.
   struct Tables {
     std::vector<BitVector> backgrounds = std::vector<BitVector>(1);
     std::vector<DiagnosisEvent> events;
-    std::vector<LoggedCell> cells;
+    std::vector<LoggedWord> words;
     std::vector<LogEntry> entries;
   };
 
@@ -128,8 +163,8 @@ class DiagnosisLog {
 
   // ---- building ------------------------------------------------------------
   // Every call below unseals the log and, while it is unsealed, keeps an
-  // insertion index (content -> id maps and dense slot tables) beside the
-  // tables.  seal() drops it.
+  // insertion index (content -> id maps and per-memory word slots) beside
+  // the tables.  seal() drops it.
 
   /// Returns the id of @p background in this log's table, adding it on
   /// first sight; equal contents always map to the same id, and the empty
@@ -143,48 +178,57 @@ class DiagnosisLog {
   /// std::invalid_argument when its background was not interned here.
   std::uint32_t intern(const DiagnosisEvent& event);
 
-  /// Declares @p memory's geometry, so its cells resolve through a dense
-  /// slot table (4 B per cell of the geometry, allocated at the memory's
-  /// first record) instead of an ordered map.  Memories at or above 2^16,
-  /// tables that would pass the slot budget and cells outside the declared
-  /// geometry use the map, so no input sizes a table on its own.
-  void index_memory(std::uint32_t memory, std::uint32_t words,
-                    std::uint32_t bits);
-
-  /// The scheme entry point: appends a failure of (@p memory, @p cell)
-  /// registered by @p event, an id from intern().  Throws
-  /// std::invalid_argument when @p event is not in this log.
-  void add(std::uint32_t memory, sram::CellCoord cell, std::uint32_t event) {
+  /// The scheme entry point: appends a failing read of (@p memory, @p addr)
+  /// registered by @p event, an id from intern(); bit j of @p mask is a
+  /// failure of IO bit 64 * @p limb + j.  Words resolve through a slot per
+  /// address of each memory, grown on demand; addresses or memories past
+  /// 2^16 and slots past the index budget use an ordered map.  Throws
+  /// std::invalid_argument when @p event is not in this log, @p mask is 0,
+  /// @p limb is kMaxLimbs or more, or the entry continues a serial run (see
+  /// "Record order" above) with a lower limb than the entry before it.
+  void add_word(std::uint32_t memory, std::uint32_t addr, std::uint32_t limb,
+                std::uint64_t mask, std::uint32_t event) {
     require(event < tables_.events.size(),
             "DiagnosisLog: event id not interned in this log");
-    tables_.entries.push_back({cell_id(memory, cell), event});
+    require(mask != 0 && limb < kMaxLimbs,
+            "DiagnosisLog: an entry needs a non-zero mask inside 2^32 bits");
+    require(tables_.entries.empty() || limb >= tables_.entries.back().limb ||
+                !same_run(tables_.entries.back().event, event),
+            "DiagnosisLog: limbs decrease within a serial run");
+    const std::uint32_t word = word_id(memory, addr);
+    tables_.entries.push_back({mask, word, event, limb});
+    records_ += static_cast<std::size_t>(std::popcount(mask));
   }
 
   /// Appends @p record through a non-serial event at its cycle.  Throws
   /// std::invalid_argument when the background id was not interned here.
   void add(const DiagnosisRecord& record);
 
-  /// Brings the tables to their canonical form (see Tables) and drops the
-  /// insertion index; ids interned before are void afterwards.  Records,
-  /// their order and every query are unchanged.  Linear in entries plus the
-  /// slot tables' size; a no-op on a sealed log.  Schemes seal their
-  /// result, and decode_report returns sealed logs.
+  /// Brings the tables to their canonical form (see Tables), drops the
+  /// insertion index and builds the cell masks the readers walk; ids
+  /// interned before are void afterwards.  Records, their order and every
+  /// query are unchanged.  Linear in entries plus the word slots, and a
+  /// sort of each word's entries by limb; a no-op on a sealed log.  Schemes
+  /// seal their result, and decode_report returns sealed logs.
   void seal();
 
   [[nodiscard]] bool sealed() const { return sealed_; }
 
-  /// Adopts @p tables as a sealed log when they are canonical; otherwise
-  /// returns nullopt and names the first rule they break in @p why.  Checks
-  /// duplicates by sorting, never by hashing, so crafted rows cannot slow
-  /// it past O(n log n).
+  /// Adopts @p tables as a sealed log when they are canonical and keep the
+  /// serial-run limb order; otherwise returns nullopt and names the first
+  /// rule they break in @p why.  Checks duplicates by sorting, never by
+  /// hashing, so crafted rows cannot slow it past O(n log n).
   [[nodiscard]] static std::optional<DiagnosisLog> from_sealed_tables(
       Tables tables, std::string& why);
 
   // ---- reading -------------------------------------------------------------
+  // The per-cell queries below read a sealed log's cell masks.  On a log
+  // still being built they scan and sort its records instead, and
+  // entries_by_cell() reads a sealed copy (sealed_form).
 
   [[nodiscard]] const Tables& tables() const { return tables_; }
 
-  /// The records in registration order, decoded on the fly.
+  /// The records in the order set out in the header, decoded on the fly.
   [[nodiscard]] RecordView records() const;
 
   /// The data background of @p record.  Throws std::out_of_range when the
@@ -196,32 +240,33 @@ class DiagnosisLog {
     return tables_.backgrounds[record.background];
   }
 
-  /// Distinct faulty cells of @p memory_index, ascending.  A binary search
-  /// and a copy on a sealed log.
+  /// Distinct faulty cells of @p memory_index, ascending: a binary search
+  /// and a walk of the memory's cell masks.
   [[nodiscard]] std::vector<sram::CellCoord> cells(
       std::size_t memory_index) const;
 
-  /// Distinct rows needing repair in @p memory_index, ascending.
+  /// Distinct rows needing repair in @p memory_index, ascending: the
+  /// memory's words.
   [[nodiscard]] std::vector<std::uint32_t> faulty_rows(
       std::size_t memory_index) const;
 
-  /// Whether (@p memory_index, @p cell) has a record.  O(1) or O(log n)
-  /// through the insertion index or the sealed table.
+  /// Whether (@p memory_index, @p cell) has a record: two binary searches,
+  /// or one pass over the entries of a log still being built.
   [[nodiscard]] bool contains(std::size_t memory_index,
                               sram::CellCoord cell) const;
 
-  /// Distinct (memory, cell) pairs across the whole SoC: the cell table's
-  /// size.
-  [[nodiscard]] std::size_t distinct_cell_count() const {
-    return tables_.cells.size();
-  }
+  /// Distinct (memory, cell) pairs across the whole SoC.
+  [[nodiscard]] std::size_t distinct_cell_count() const;
 
   [[nodiscard]] bool empty() const { return tables_.entries.empty(); }
 
-  /// Entries grouped by cell in compressed-row form: the entries of cell c
-  /// are the entry indices order[offsets[c]] .. order[offsets[c + 1]) in
-  /// log order.  One counting pass; no record is decoded.
+  /// Entries grouped by failing cell in compressed-row form: cells[c] is a
+  /// cell, in ascending (memory, addr, bit) order, and its entries are the
+  /// entry indices order[offsets[c]] .. order[offsets[c + 1]) in log order
+  /// (one per record of the cell).  Linear in records; no record is
+  /// decoded.
   struct CellGroups {
+    std::vector<LoggedCell> cells;
     std::vector<std::uint32_t> offsets;
     std::vector<std::uint32_t> order;
   };
@@ -238,11 +283,11 @@ class DiagnosisLog {
   [[nodiscard]] std::string to_csv() const;
 
  private:
-  /// Memory indices below this may get a dense slot table.
+  /// Memories and addresses below these may resolve through word slots.
   static constexpr std::uint32_t kIndexedMemories = std::uint32_t{1} << 16;
-  /// Slot budget of one memory's table and of all of them together
-  /// (4 B each): at most 4 and 16 MB of scratch while a log is built.
-  static constexpr std::size_t kMaxMemorySlots = std::size_t{1} << 20;
+  static constexpr std::uint32_t kIndexedWords = std::uint32_t{1} << 16;
+  /// Slot budget of all memories together (4 B each): at most 16 MB of
+  /// scratch while a log is built.
   static constexpr std::size_t kMaxIndexSlots = std::size_t{1} << 22;
   /// Events sharing the newest cycle base that intern() compares against
   /// before it switches to the ordered event map.
@@ -257,16 +302,17 @@ class DiagnosisLog {
   /// built.  An ordered map rather than a hash keeps every lookup
   /// O(log n) for any input; a hash could be flooded with collisions.
   struct Index {
-    struct Dense {
-      std::uint32_t words = 0;  ///< declared geometry; 0 = none
-      std::uint32_t bits = 0;
-      std::vector<std::uint32_t> slots;  ///< addr * bits + bit -> id + 1
+    /// One memory's word ids + 1 by address.  Addresses below the slots'
+    /// size resolve here and the rest in `words`; the slots grow to each
+    /// new address until the budget is spent, then stay frozen, so no word
+    /// is ever in both.
+    struct Slots {
+      std::vector<std::uint32_t> ids;
+      bool frozen = false;
     };
-    /// By memory.  A memory whose table is allocated has no cell in
-    /// `cells`; one that cannot get a table keeps all its cells there.
-    std::vector<Dense> dense;
-    std::size_t dense_slots = 0;
-    std::map<LoggedCell, std::uint32_t> cells;
+    std::vector<Slots> slots;  ///< by memory
+    std::size_t slot_count = 0;
+    std::map<LoggedWord, std::uint32_t> words;  ///< id + 1
     std::map<BitVector, std::uint32_t, ContentOrder> backgrounds;
     /// While true, event cycle bases are non-decreasing in table order and
     /// `events` is unused: the events with the newest base are the ones
@@ -274,21 +320,32 @@ class DiagnosisLog {
     bool events_in_order = true;
     std::size_t tail_begin = 0;
     std::map<DiagnosisEvent, std::uint32_t> events;
+
+    /// The id + 1 of @p word, 0 while it has none.
+    std::uint32_t& slot(LoggedWord word);
   };
 
   /// The insertion index, built from the tables if absent; unseals.
   Index& index();
 
-  /// Entry @p i decoded.
-  [[nodiscard]] DiagnosisRecord record(std::size_t i) const {
-    const LogEntry entry = tables_.entries[i];
-    const LoggedCell& cell = tables_.cells[entry.cell];
+  /// Whether entries of events @p a and @p b belong to one serial run.
+  [[nodiscard]] bool same_run(std::uint32_t a, std::uint32_t b) const {
+    const DiagnosisEvent& x = tables_.events[a];
+    const DiagnosisEvent& y = tables_.events[b];
+    return x.serial && y.serial && x.cycle_base == y.cycle_base;
+  }
+
+  /// Bit @p bit of entry @p at decoded.
+  [[nodiscard]] DiagnosisRecord record(std::size_t at,
+                                       std::uint32_t bit) const {
+    const LogEntry& entry = tables_.entries[at];
+    const LoggedWord& word = tables_.words[entry.word];
     const DiagnosisEvent& event = tables_.events[entry.event];
     DiagnosisRecord out;
-    out.cycle = event.cycle(cell.bit);
-    out.memory_index = cell.memory;
-    out.addr = cell.addr;
-    out.bit = cell.bit;
+    out.bit = entry.limb * 64 + bit;
+    out.cycle = event.cycle(out.bit);
+    out.memory_index = word.memory;
+    out.addr = word.addr;
     out.phase = event.phase;
     out.element = event.element;
     out.op = event.op;
@@ -297,37 +354,55 @@ class DiagnosisLog {
     return out;
   }
 
-  std::uint32_t cell_id(std::uint32_t memory, sram::CellCoord cell) {
-    if (index_ != nullptr && memory < index_->dense.size()) {
-      Index::Dense& dense = index_->dense[memory];
-      if (!dense.slots.empty() && cell.row < dense.words &&
-          cell.bit < dense.bits) {
-        std::uint32_t& slot =
-            dense.slots[std::size_t{cell.row} * dense.bits + cell.bit];
-        if (slot == 0) {
-          slot = append_cell({memory, cell.row, cell.bit}) + 1;
-        }
-        return slot - 1;
+  std::uint32_t word_id(std::uint32_t memory, std::uint32_t addr) {
+    if (index_ != nullptr && memory < index_->slots.size()) {
+      const auto& ids = index_->slots[memory].ids;
+      if (addr < ids.size() && ids[addr] != 0) {
+        return ids[addr] - 1;
       }
     }
-    return resolve_cell(memory, cell);
+    return resolve_word({memory, addr});
   }
 
-  /// cell_id's path for everything but an allocated dense slot.
-  std::uint32_t resolve_cell(std::uint32_t memory, sram::CellCoord cell);
-  std::uint32_t append_cell(const LoggedCell& cell);
+  /// word_id's path for everything but a filled slot.
+  std::uint32_t resolve_word(LoggedWord word);
   std::uint32_t append_event(const DiagnosisEvent& event);
 
-  /// Cell ids in ascending (memory, addr, bit) order, from the index.
-  [[nodiscard]] std::vector<std::uint32_t> sorted_cell_ids();
+  /// Word ids in ascending (memory, addr) order, from the index.
+  [[nodiscard]] std::vector<std::uint32_t> sorted_word_ids();
+
+  /// Entry indices grouped by word (word w's are order[offsets[w]] ..
+  /// order[offsets[w + 1])), limbs ascending within a word and log order
+  /// within a limb.
+  [[nodiscard]] std::vector<std::uint32_t> entries_by_word(
+      std::vector<std::uint32_t>& offsets) const;
+
+  /// Builds the cell masks and counts of sealed tables.
+  void index_cells();
+
+  /// The distinct cells of @p memory_index (all memories when nullopt),
+  /// ascending: an unsealed log's cell queries.
+  [[nodiscard]] std::vector<LoggedCell> scan_cells(
+      std::optional<std::size_t> memory_index) const;
+
+  /// Word @p memory's range of the sealed word table.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> word_range(
+      std::size_t memory) const;
 
   Tables tables_;
+  std::size_t records_ = 0;  ///< set mask bits over all entries
+  /// Sealed only: word w's cells are cell_masks_[cell_offsets_[w] ..
+  /// cell_offsets_[w + 1]), limbs ascending.
+  std::vector<std::uint32_t> cell_offsets_ = std::vector<std::uint32_t>(1);
+  std::vector<CellMask> cell_masks_;
+  std::size_t cell_count_ = 0;
   bool sealed_ = true;
   std::unique_ptr<Index> index_;
 };
 
-/// A forward view over a log's records in registration order.  size() is
-/// O(1); dereferencing decodes one entry.
+/// A forward view over a log's records in the order set out in the header.
+/// size() is O(1); dereferencing decodes one record, and advancing is
+/// amortized O(1) per record plus O(64) per entry.
 class DiagnosisLog::RecordView {
  public:
   class iterator {
@@ -339,36 +414,90 @@ class DiagnosisLog::RecordView {
     using reference = DiagnosisRecord;
 
     iterator() = default;
-    iterator(const DiagnosisLog* log, std::size_t at) : log_(log), at_(at) {}
 
-    DiagnosisRecord operator*() const { return log_->record(at_); }
+    DiagnosisRecord operator*() const { return log_->record(at_, bit_); }
     iterator& operator++() {
-      ++at_;
+      const auto& entries = log_->tables_.entries;
+      for (std::size_t j = at_ + 1; j < last_; ++j) {
+        if ((entries[j].mask >> bit_ & 1) != 0) {
+          at_ = j;
+          return *this;
+        }
+      }
+      if (rest_ != 0) {
+        seek(rest_);
+      } else {
+        enter(last_);
+      }
       return *this;
     }
     iterator operator++(int) {
       iterator before = *this;
-      ++at_;
+      ++*this;
       return before;
     }
-    friend bool operator==(const iterator&, const iterator&) = default;
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.at_ == b.at_ && a.bit_ == b.bit_;
+    }
 
    private:
+    friend class RecordView;
+
+    iterator(const DiagnosisLog* log, std::size_t first) : log_(log) {
+      enter(first);
+    }
+
+    /// Starts the group of entries at @p first: the entry alone, or with
+    /// the serial entries after it that share its cycle base and limb.
+    void enter(std::size_t first) {
+      const Tables& t = log_->tables_;
+      first_ = last_ = at_ = first;
+      bit_ = 0;
+      rest_ = 0;
+      if (first == t.entries.size()) {
+        return;
+      }
+      const LogEntry& head = t.entries[first];
+      std::uint64_t bits = head.mask;
+      for (last_ = first + 1; last_ < t.entries.size(); ++last_) {
+        const LogEntry& next = t.entries[last_];
+        if (next.limb != head.limb ||
+            !log_->same_run(head.event, next.event)) {
+          break;
+        }
+        bits |= next.mask;
+      }
+      seek(bits);
+    }
+
+    /// Moves to the lowest bit of @p bits, at the group's first entry that
+    /// has it.
+    void seek(std::uint64_t bits) {
+      const auto& entries = log_->tables_.entries;
+      bit_ = static_cast<std::uint32_t>(std::countr_zero(bits));
+      rest_ = bits & (bits - 1);
+      at_ = first_;
+      while ((entries[at_].mask >> bit_ & 1) == 0) {
+        ++at_;
+      }
+    }
+
     const DiagnosisLog* log_ = nullptr;
-    std::size_t at_ = 0;
+    std::size_t at_ = 0;     ///< entry of the current record
+    std::size_t first_ = 0;  ///< the current group: entries [first_, last_)
+    std::size_t last_ = 0;
+    std::uint64_t rest_ = 0;  ///< the group's bits above bit_
+    std::uint32_t bit_ = 0;   ///< the current record's bit within its limb
   };
 
   explicit RecordView(const DiagnosisLog& log) : log_(&log) {}
 
   [[nodiscard]] iterator begin() const { return {log_, 0}; }
-  [[nodiscard]] iterator end() const { return {log_, size()}; }
-  [[nodiscard]] std::size_t size() const {
-    return log_->tables_.entries.size();
+  [[nodiscard]] iterator end() const {
+    return {log_, log_->tables_.entries.size()};
   }
+  [[nodiscard]] std::size_t size() const { return log_->records_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] DiagnosisRecord operator[](std::size_t i) const {
-    return log_->record(i);
-  }
 
  private:
   const DiagnosisLog* log_;
@@ -380,8 +509,8 @@ inline DiagnosisLog::RecordView DiagnosisLog::records() const {
 
 /// @p log itself when it is sealed, otherwise a sealed copy placed in
 /// @p copy.  Readers that need the canonical tables (the codec, the
-/// syndrome fold, soft-error scoring) read through it, so a log still
-/// being built reads the same as its sealed form.
+/// per-cell queries, the syndrome fold, soft-error scoring) read through
+/// it, so a log still being built reads the same as its sealed form.
 [[nodiscard]] const DiagnosisLog& sealed_form(
     const DiagnosisLog& log, std::optional<DiagnosisLog>& copy);
 

@@ -401,7 +401,7 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
   for (std::size_t j = 0; j < sweeps.size(); ++j) {
     sweeps[j] = tables.events[tables.entries[groups.order[j]].event].element;
   }
-  for (std::size_t c = 0; c < tables.cells.size(); ++c) {
+  for (std::size_t c = 0; c < groups.cells.size(); ++c) {
     const auto first = sweeps.begin() + groups.offsets[c];
     const auto last = sweeps.begin() + groups.offsets[c + 1];
     if (!std::is_sorted(first, last)) {
@@ -438,9 +438,9 @@ SoftErrorOutcome score_soft_error(bisd::SocUnderTest& soc,
       const bisd::LoggedCell cell{static_cast<std::uint32_t>(m),
                                   event.cell.row, event.cell.bit};
       const auto found =
-          std::lower_bound(tables.cells.begin(), tables.cells.end(), cell);
-      if (found == tables.cells.end() || *found != cell) continue;
-      const auto c = static_cast<std::size_t>(found - tables.cells.begin());
+          std::lower_bound(groups.cells.begin(), groups.cells.end(), cell);
+      if (found == groups.cells.end() || *found != cell) continue;
+      const auto c = static_cast<std::size_t>(found - groups.cells.begin());
       const auto last = sweeps.begin() + groups.offsets[c + 1];
       const auto caught =
           std::lower_bound(sweeps.begin() + groups.offsets[c], last, window);

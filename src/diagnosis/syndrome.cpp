@@ -42,7 +42,7 @@ std::vector<MemorySyndrome> extract_syndromes(const bisd::DiagnosisLog& log,
   for (std::size_t i = 0; i < memory_count; ++i) {
     out[i].memory_index = i;
   }
-  // A sealed log's cells ascend by (memory, addr, bit), so each memory's
+  // The grouped cells ascend by (memory, addr, bit), so each memory's
   // syndromes come out in cell order, and grouping the entries by cell
   // hands every cell its failed reads without decoding a record.
   std::optional<bisd::DiagnosisLog> copy;
@@ -50,8 +50,8 @@ std::vector<MemorySyndrome> extract_syndromes(const bisd::DiagnosisLog& log,
   const auto& tables = sealed.tables();
   const auto groups = sealed.entries_by_cell();
   std::vector<ReadKey> reads;
-  for (std::size_t c = 0; c < tables.cells.size(); ++c) {
-    const bisd::LoggedCell& cell = tables.cells[c];
+  for (std::size_t c = 0; c < groups.cells.size(); ++c) {
+    const bisd::LoggedCell& cell = groups.cells[c];
     if (cell.memory >= memory_count) {
       break;  // cells ascend by memory: the rest are out of range too
     }

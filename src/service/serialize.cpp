@@ -569,14 +569,14 @@ bool decode_march_test(ByteReader& reader, march::MarchTest& test) {
 
 namespace {
 
-/// The log section of "FDRP" v3: the sealed tables, integers as varints.
+/// The log section of "FDRP" v4: the sealed tables, integers as varints.
 ///   backgrounds: count, then each non-empty one (id 0, the empty one, is
 ///                implicit) as a bitvec
 ///   events:      count, then phase, element, op, visit, background id,
 ///                serial byte, cycle base
-///   cells:       count of memories with cells, then per memory (ascending)
-///                its index, its cell count and its (addr, bit) pairs
-///   entries:     count, then (cell id, event id) pairs in log order
+///   words:       count of memories with words, then per memory (ascending)
+///                its index, its word count and its addresses
+///   entries:     count, then (word id, event id, limb, mask) in log order
 void encode_log(ByteWriter& writer, const bisd::DiagnosisLog& log) {
   std::optional<bisd::DiagnosisLog> copy;
   const auto& tables = bisd::sealed_form(log, copy).tables();
@@ -594,29 +594,37 @@ void encode_log(ByteWriter& writer, const bisd::DiagnosisLog& log) {
     writer.u8(event.serial ? 1 : 0);
     writer.varint(event.cycle_base);
   }
-  const auto& cells = tables.cells;
+  const auto& words = tables.words;
   std::size_t memories = 0;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    memories += c == 0 || cells[c].memory != cells[c - 1].memory ? 1 : 0;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    memories += w == 0 || words[w].memory != words[w - 1].memory ? 1 : 0;
   }
   writer.varint(memories);
-  for (std::size_t first = 0; first < cells.size();) {
+  for (std::size_t first = 0; first < words.size();) {
     std::size_t last = first + 1;
-    while (last < cells.size() && cells[last].memory == cells[first].memory) {
+    while (last < words.size() && words[last].memory == words[first].memory) {
       ++last;
     }
-    writer.varint(cells[first].memory);
+    writer.varint(words[first].memory);
     writer.varint(last - first);
-    writer.varints(2 * (last - first), [&](std::size_t i) {
-      const bisd::LoggedCell& cell = cells[first + i / 2];
-      return i % 2 == 0 ? cell.addr : cell.bit;
-    });
+    writer.varints(last - first,
+                   [&](std::size_t i) { return words[first + i].addr; });
     first = last;
   }
   const auto& entries = tables.entries;
   writer.varint(entries.size());
-  writer.varints(2 * entries.size(), [&](std::size_t i) {
-    return i % 2 == 0 ? entries[i / 2].cell : entries[i / 2].event;
+  writer.varints(4 * entries.size(), [&](std::size_t i) -> std::uint64_t {
+    const bisd::LogEntry& entry = entries[i / 4];
+    switch (i % 4) {
+      case 0:
+        return entry.word;
+      case 1:
+        return entry.event;
+      case 2:
+        return entry.limb;
+      default:
+        return entry.mask;
+    }
   });
 }
 
@@ -642,7 +650,7 @@ std::optional<std::string> decode_log(ByteReader& reader,
   };
   bisd::DiagnosisLog::Tables tables;
   // Smallest encodings: a one-limb bitvec, an event of one-byte fields, a
-  // memory with one cell, a cell, an entry.
+  // memory with one word, a word, an entry.
   const std::size_t backgrounds = reader.varint_count(16);
   tables.backgrounds.reserve(backgrounds + 1);
   std::vector<std::uint64_t> limbs;
@@ -663,25 +671,27 @@ std::optional<std::string> decode_log(ByteReader& reader,
     event.serial = reader.boolean();
     event.cycle_base = reader.varint();
   }
-  const std::size_t memories = reader.varint_count(4);
+  const std::size_t memories = reader.varint_count(3);
   for (std::size_t i = 0; i < memories && reader.ok(); ++i) {
     const std::uint32_t memory = field();
-    const std::size_t count = reader.varint_count(2);
+    const std::size_t count = reader.varint_count(1);
     if (count == 0 ||
-        (!tables.cells.empty() && memory <= tables.cells.back().memory)) {
+        (!tables.words.empty() && memory <= tables.words.back().memory)) {
       reader.fail();  // an empty or out-of-order memory is not canonical
     }
-    tables.cells.reserve(tables.cells.size() + count);
-    for (std::size_t c = 0; c < count && reader.ok(); ++c) {
-      const std::uint32_t addr = field();
-      tables.cells.push_back({memory, addr, field()});
+    tables.words.reserve(tables.words.size() + count);
+    for (std::size_t w = 0; w < count && reader.ok(); ++w) {
+      tables.words.push_back({memory, field()});
     }
   }
-  const std::size_t entries = reader.varint_count(2);
+  const std::size_t entries = reader.varint_count(4);
   tables.entries.reserve(entries);
   for (std::size_t i = 0; i < entries && reader.ok(); ++i) {
-    const std::uint32_t cell = field();
-    tables.entries.push_back({cell, field()});
+    bisd::LogEntry& entry = tables.entries.emplace_back();
+    entry.word = field();
+    entry.event = field();
+    entry.limb = field();
+    entry.mask = reader.varint();
   }
   if (!reader.ok()) {
     return corrupt();

@@ -268,11 +268,12 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4B434446;  // "FDCK"
 /// folds.  Readers reject other versions outright — blobs are cache and
 /// transport artifacts regenerated per build, not long-lived archives.
 inline constexpr std::uint32_t kFormatVersion = 2;
-/// "FDRP" version 3: the diagnosis log travels as its sealed tables —
-/// backgrounds, events, per-memory cells — then (cell id, event id) entries,
-/// all integers but the background limbs as varints.  Readers reject other
+/// "FDRP" version 4: the diagnosis log travels as its sealed tables —
+/// backgrounds, events, per-memory words — then (word id, event id, limb,
+/// mask) entries, one per failing read and 64-bit batch of a word, all
+/// integers but the background limbs as varints.  Readers reject other
 /// versions, as for "FDCK".
-inline constexpr std::uint32_t kReportFormatVersion = 3;
+inline constexpr std::uint32_t kReportFormatVersion = 4;
 /// "FDCC" version 4: cell signatures are read masks over the classifier's
 /// read universe, wrapped dictionaries key by row class, and an entry's
 /// options are its clock period, global words and build mode.  Older
@@ -301,12 +302,13 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 
 // ---- top-level blobs -------------------------------------------------------
 
-/// "FDRP" v3: one per-run Report, classification included when present.
+/// "FDRP" v4: one per-run Report, classification included when present.
 /// decode_report accepts only the canonical encoding: the log section must
 /// be exactly what encode_report writes for its sealed form (see
-/// DiagnosisLog::from_sealed_tables), varints must be shortest, and a
-/// field the log holds in 32 bits must fit them.  So a decoded report
-/// re-encodes to the same bytes, and its log is sealed.
+/// DiagnosisLog::from_sealed_tables: words ascending, non-zero masks, every
+/// row used once), varints must be shortest, and a field the log holds in
+/// 32 bits must fit them.  So a decoded report re-encodes to the same
+/// bytes, and its log is sealed.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const core::Report& report);
 [[nodiscard]] core::Expected<core::Report, DecodeError> decode_report(

@@ -268,8 +268,8 @@ TEST(Serialize, OverflowingBitvecWidthIsRejectedNotWrapped) {
 }
 
 TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
-  // The log holds memory, addr, bit, phase, element, op, visit and every
-  // table id in 32 bits and v3 writes them as varints, so a wider value
+  // The log holds memory, addr, limb, phase, element, op, visit and every
+  // table id in 32 bits and v4 writes them as varints, so a wider value
   // must fail, never truncate.  A one-record log section is written by
   // hand between the header and the tail of an empty report's blob.
   const auto empty = encode_report(core::Report{});
@@ -280,7 +280,7 @@ TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
                                       empty.begin() + kLog + 4),
             std::vector<std::uint8_t>(4, 0));
   enum Field { kPhase, kElement, kOp, kVisit, kBackground, kMemory, kAddr,
-               kBit, kCellId, kEventId, kNone };
+               kWordId, kEventId, kLimb, kNone };
   const auto blob = [&](Field wide, std::uint64_t value) {
     const auto field = [&](Field f, std::uint64_t normal) {
       return f == wide ? value : normal;
@@ -297,25 +297,29 @@ TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
     log.varint(field(kBackground, 1));
     log.u8(1);  // serial
     log.varint(100);  // cycle base
-    log.varint(1);  // one memory with one cell
+    log.varint(1);  // one memory with one word
     log.varint(field(kMemory, 5));
     log.varint(1);
     log.varint(field(kAddr, 3));
-    log.varint(field(kBit, 2));
-    log.varint(1);  // one entry
-    log.varint(field(kCellId, 0));
+    log.varint(1);  // one entry: bit 2 of the first batch
+    log.varint(field(kWordId, 0));
     log.varint(field(kEventId, 0));
+    log.varint(field(kLimb, 0));
+    log.varint(0b100);
     return splice_log(empty, kLog, 4, log);
   };
   const auto plain = blob(kNone, 0);
   const auto decoded = decode_report(plain.data(), plain.size());
   ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
   EXPECT_EQ(encode_report(decoded.value()), plain);
-  EXPECT_EQ(decoded.value().result.log.records()[0].cycle, 102u);
+  EXPECT_EQ((*decoded.value().result.log.records().begin()).cycle, 102u);
 
   for (int f = kPhase; f < kNone; ++f) {
     const auto field = static_cast<Field>(f);
-    if (field != kBackground && field != kCellId && field != kEventId) {
+    // Ids past their table, and a limb whose bits pass 2^32, are not
+    // canonical even when they fit 32 bits.
+    if (field != kBackground && field != kWordId && field != kEventId &&
+        field != kLimb) {
       // The widest 32-bit value fits every coordinate and March index.
       const auto widest = blob(field, 0xFFFFFFFFull);
       const auto fits = decode_report(widest.data(), widest.size());
@@ -333,36 +337,42 @@ TEST(Serialize, OverWideLogRecordFieldsAreDecodeErrors) {
 
 TEST(Serialize, NonCanonicalLogsAreDecodeErrors) {
   // Two records of one cell in one read: the canonical tables are one
-  // background, one event, one cell and two entries.  Each variant below
-  // decodes to the same records through different bytes, so it is refused.
+  // background, one event, one word and two entries.  The repeats and the
+  // overlong varint decode to the same records through different bytes, so
+  // they are refused, and so are an empty mask and a serial read whose
+  // limbs go backwards.
   core::Report report;
   auto& log = report.result.log;
   bisd::DiagnosisEvent event;
   event.background = log.intern(BitVector::from_string("0110"));
   event.serial = true;
   const std::uint32_t id = log.intern(event);
-  log.add(5, {3, 2}, id);
-  log.add(5, {3, 2}, id);
+  log.add_word(5, 3, 0, 0b100, id);
+  log.add_word(5, 3, 0, 0b100, id);
   const auto canonical = encode_report(report);
   ASSERT_TRUE(decode_report(canonical.data(), canonical.size()).has_value());
 
   // The canonical section: counts, one background, one event, one memory
-  // with one cell, two entries.
+  // with one word, two entries.
   constexpr std::size_t kLog = 4 + 4 + 4 + 4 + 8 * 5;
-  constexpr std::size_t kLogBytes = 1 + 16 + 1 + 7 + 1 + 2 + 2 + 1 + 4;
+  constexpr std::size_t kLogBytes = 1 + 16 + 1 + 7 + 1 + 2 + 1 + 1 + 8;
   struct Variant {
     const char* what;
     int events;          ///< event rows (a repeat of the first)
     int backgrounds;     ///< background rows (a repeat of the first)
-    int cells;           ///< cell rows (a repeat of the first)
+    int words;           ///< word rows (a repeat of the first)
     bool overlong;       ///< the cycle base as a two-byte zero varint
+    std::uint64_t mask;  ///< the second entry's mask
+    std::uint64_t limb;  ///< the first entry's limb
   };
   for (const Variant variant :
-       {Variant{"canonical", 1, 1, 1, false},
-        Variant{"repeated event", 2, 1, 1, false},
-        Variant{"repeated background", 1, 2, 1, false},
-        Variant{"repeated cell", 1, 1, 2, false},
-        Variant{"overlong varint", 1, 1, 1, true}}) {
+       {Variant{"canonical", 1, 1, 1, false, 0b100, 0},
+        Variant{"repeated event", 2, 1, 1, false, 0b100, 0},
+        Variant{"repeated background", 1, 2, 1, false, 0b100, 0},
+        Variant{"repeated word", 1, 1, 2, false, 0b100, 0},
+        Variant{"overlong varint", 1, 1, 1, true, 0b100, 0},
+        Variant{"empty mask", 1, 1, 1, false, 0, 0},
+        Variant{"limbs going backwards", 1, 1, 1, false, 0b100, 1}}) {
     ByteWriter section;
     section.varint(variant.backgrounds);
     for (int b = 0; b < variant.backgrounds; ++b) {
@@ -382,17 +392,20 @@ TEST(Serialize, NonCanonicalLogsAreDecodeErrors) {
     }
     section.varint(1);
     section.varint(5);
-    section.varint(variant.cells);
-    for (int c = 0; c < variant.cells; ++c) {
+    section.varint(variant.words);
+    for (int w = 0; w < variant.words; ++w) {
       section.varint(3);
-      section.varint(2);
     }
     section.varint(2);
     // The second entry names the repeated row when there is one.
-    section.varint(0);
-    section.varint(0);
-    section.varint(variant.cells - 1);
+    for (const std::uint64_t field : {std::uint64_t{0}, std::uint64_t{0},
+                                      variant.limb, std::uint64_t{0b100}}) {
+      section.varint(field);
+    }
+    section.varint(variant.words - 1);
     section.varint(variant.events - 1);
+    section.varint(0);
+    section.varint(variant.mask);
     const auto bytes = splice_log(canonical, kLog, kLogBytes, section);
     const auto decoded = decode_report(bytes.data(), bytes.size());
     if (std::string(variant.what) == "canonical") {
@@ -427,7 +440,8 @@ TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
   ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
   EXPECT_EQ(encode_report(decoded.value()), blob);
   EXPECT_EQ(decoded.value().result.log.to_csv(), log.to_csv());
-  const auto& records = decoded.value().result.log.records();
+  const auto view = decoded.value().result.log.records();
+  const std::vector<bisd::DiagnosisRecord> records(view.begin(), view.end());
   ASSERT_EQ(records.size(), 2 * kDistinct);
   for (std::size_t i = 0; i < kDistinct; ++i) {
     ASSERT_EQ(records[i].background, records[kDistinct + i].background) << i;
@@ -435,10 +449,10 @@ TEST(Serialize, ManyDistinctBackgroundsRoundTripByteIdentical) {
   EXPECT_NE(records[0].background, records[1].background);
 }
 
-TEST(Serialize, FleetReportFitsInFourMegabytes) {
+TEST(Serialize, FleetReportFitsInOneMegabyte) {
   // The paper's operating point, as perfbench's fleet_1pct runs it: 64
   // SRAMs of four depths (three wrap the 256-step sweep), 1 % defects plus
-  // DRFs: ~500k records over ~45k cells.
+  // DRFs: ~500k records in ~38k entries over ~2.4k words.
   auto builder = core::SessionSpec::builder();
   int n = 0;
   for (const auto& [words, bits] :
@@ -457,20 +471,30 @@ TEST(Serialize, FleetReportFitsInFourMegabytes) {
   const auto& log = report.result.log;
   ASSERT_GT(log.records().size(), 400'000u);
 
-  // At rest the log is sealed, so it holds no insertion index: 8 B per
-  // record (at most 1/8 spare), 12 B per cell, 32 B per event.
+  // At rest the log is sealed, so it holds no insertion index: 24 B per
+  // entry (at most 1/8 spare), 8 B per word, 32 B per event, and the
+  // tables stay under 2.5 MB, half of what a per-bit log held.
   ASSERT_TRUE(log.sealed());
   const auto& tables = log.tables();
   EXPECT_LE(tables.entries.capacity(), tables.entries.size() * 9 / 8);
-  EXPECT_EQ(tables.cells.capacity(), tables.cells.size());
+  EXPECT_EQ(tables.words.capacity(), tables.words.size());
   EXPECT_EQ(tables.events.capacity(), tables.events.size());
+  std::size_t table_bytes =
+      tables.entries.capacity() * sizeof(bisd::LogEntry) +
+      tables.words.capacity() * sizeof(bisd::LoggedWord) +
+      tables.events.capacity() * sizeof(bisd::DiagnosisEvent) +
+      tables.backgrounds.capacity() * sizeof(BitVector);
+  for (const BitVector& background : tables.backgrounds) {
+    table_bytes += background.word_count() * sizeof(std::uint64_t);
+  }
+  EXPECT_LE(table_bytes, std::size_t{5} << 19);
 
   const auto start = std::chrono::steady_clock::now();
   const auto blob = encode_report(report);
   const auto encoded = std::chrono::steady_clock::now();
   const auto decoded = decode_report(blob.data(), blob.size());
   const auto finished = std::chrono::steady_clock::now();
-  EXPECT_LE(blob.size(), std::size_t{4} << 20);
+  EXPECT_LE(blob.size(), std::size_t{1} << 20);
   ASSERT_TRUE(decoded.has_value()) << decoded.error().message;
   EXPECT_EQ(encode_report(decoded.value()), blob);
   // Reported, not gated: wall time depends on the host and build type.
@@ -492,13 +516,15 @@ bool long_fuzz() {
   return env != nullptr && env[0] == '1';
 }
 
-/// Mixed depths and widths, two of them wrapping, under the fast scheme.
+/// Mixed depths and widths, three of them wrapping and one wider than a
+/// 64-bit batch, under the fast scheme.
 core::SessionSpec mixed_soc_spec() {
   auto spec = core::SessionSpec::builder()
                   .add_sram(small("m0", 32, 8))
                   .add_sram(small("m1", 24, 8))
                   .add_sram(small("m2", 16, 12))
                   .add_sram(small("m3", 32, 16))
+                  .add_sram(small("m4", 16, 72))
                   .defect_rate(0.03)
                   .include_retention_faults(true)
                   .seed(11)
@@ -733,10 +759,10 @@ TEST(CacheSerialize, VersionsTwoAndThreeAreRejectedAndTheServerStartsCold) {
   // "FDCC" carries its own version: v2 blobs (ReadKey-vector signatures,
   // exact-row wrapped keys) and v3 blobs (options carrying the confidence
   // floor and the probe span) are a DecodeError naming the version, and a
-  // server loading one keeps an empty cache.  "FDRP" stays at 3 and
-  // "FDCK" at 2.
+  // server loading one keeps an empty cache.  "FDRP" is at 4 and "FDCK"
+  // at 2.
   EXPECT_EQ(kCacheFormatVersion, 4u);
-  EXPECT_EQ(kReportFormatVersion, 3u);
+  EXPECT_EQ(kReportFormatVersion, 4u);
   EXPECT_EQ(kFormatVersion, 2u);
   for (const std::uint32_t version : {2u, 3u}) {
     CraftedEntry entry;
