@@ -138,7 +138,7 @@ DiagnosisResult PeriodicScanScheme::diagnose(SocUnderTest& soc) {
       const std::uint64_t cycle =
           base + addr + 1 + (periodic ? slots_before(addr, m) : scrubs);
       // The whole word is compared at once: one non-serial event covers
-      // every failing bit of it, one entry each failing limb.
+      // every failing bit of it, one entry per failing limb.
       bool mismatch = false;
       std::uint32_t event = 0;
       const std::uint64_t* read = scratch.word_data();

@@ -382,11 +382,13 @@ TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
   for (int trial = 0; trial < 36; ++trial) {
     Shape shape;
     // Odd trials add memory indices no word slot may cover, past the
-    // syndrome fold's memory count too.  Trials 32 and up spread words
-    // over 2^16 addresses of 70 memories, past the slot budget, so some
-    // memories freeze their slots and keep later words in the map.
-    if (trial >= 32) {
-      for (std::uint32_t m = 0; m < 70; ++m) shape.memories.push_back(m);
+    // syndrome fold's memory count too.  Trials 32 and up spread ~900
+    // words over 2^16 addresses of 100 memories: their slots would need
+    // ~5.9M entries, past the 2^22 budget, so some memories freeze their
+    // slots and keep later words in the map.
+    const bool spread = trial >= 32;
+    if (spread) {
+      for (std::uint32_t m = 0; m < 100; ++m) shape.memories.push_back(m);
       shape.addr_span = std::uint64_t{1} << 16;
     } else {
       shape.memories = trial % 2 == 0
@@ -394,7 +396,7 @@ TEST(DiagnosisLog, TablesReadBackLikeARecordVector) {
                            : std::vector<std::uint32_t>{0, 7, 70000, kMax32};
     }
     shape.monotone_cycles = trial % 4 < 2;
-    shape.operations = trial == 0 ? 0 : rng.uniform_in(1, 600);
+    shape.operations = trial == 0 ? 0 : spread ? 600 : rng.uniform_in(1, 600);
     shape.backgrounds = trial == 5 ? 12'000 : 1 + rng.uniform(20);
     const std::string where = "trial " + std::to_string(trial);
 
