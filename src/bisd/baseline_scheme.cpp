@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "serial/serial_interface.h"
@@ -220,12 +219,11 @@ DiagnosisResult BaselineScheme::diagnose(SocUnderTest& soc) {
   // one-bit entry, repairs the row from the backup memory, and syncs it to
   // the golden image so the next pass sees consistent data.  Returns true
   // when the fault is new.
-  std::vector<std::set<sram::CellCoord>> registered(memories);
   const auto register_and_repair = [&](std::size_t i,
                                        const Candidate& candidate,
                                        std::size_t pass_group,
                                        std::size_t pass_index) {
-    if (!registered[i].insert({candidate.addr, candidate.bit}).second) {
+    if (result.log.contains(i, {candidate.addr, candidate.bit})) {
       return false;
     }
     DiagnosisEvent event;

@@ -38,8 +38,11 @@ DiagnosisLog::DiagnosisLog(const DiagnosisLog& other)
       records_(other.records_),
       cell_offsets_(other.cell_offsets_),
       cell_masks_(other.cell_masks_),
-      cell_count_(other.cell_count_),
-      sealed_(other.sealed_) {}
+      cell_count_(other.cell_count_) {
+  if (!other.sealed_) {
+    (void)index();
+  }
+}
 
 DiagnosisLog& DiagnosisLog::operator=(const DiagnosisLog& other) {
   if (this != &other) {
@@ -55,31 +58,52 @@ std::uint32_t& DiagnosisLog::Index::slot(LoggedWord word) {
       slots.resize(std::size_t{word.memory} + 1);
     }
     Slots& memory = slots[word.memory];
-    if (word.addr >= memory.ids.size() && !memory.frozen) {
-      const std::size_t grown = std::size_t{word.addr} + 1;
-      if (slot_count + grown - memory.ids.size() <= kMaxIndexSlots) {
-        slot_count += grown - memory.ids.size();
-        memory.ids.resize(grown, 0);
+    auto& ids = memory.ids;
+    const std::size_t grown = std::size_t{word.addr} + 1;
+    if (grown > ids.capacity() && !memory.frozen) {
+      // Doubles like a vector would, within what is left of the budget.
+      const std::size_t held = ids.capacity();
+      const std::size_t room = held + (kMaxIndexSlots - slot_count);
+      if (grown <= room) {
+        ids.reserve(std::min(std::max(grown, 2 * held), room));
+        slot_count += ids.capacity() - held;
       } else {
         memory.frozen = true;
       }
     }
-    if (word.addr < memory.ids.size()) {
-      return memory.ids[word.addr];
+    if (grown > ids.size() && !memory.frozen) {
+      ids.resize(grown, 0);
+    }
+    if (word.addr < ids.size()) {
+      return ids[word.addr];
     }
   }
   return words[word];
 }
 
+std::uint32_t DiagnosisLog::Index::find(LoggedWord word) const {
+  if (word.memory < slots.size() &&
+      word.addr < slots[word.memory].ids.size()) {
+    return slots[word.memory].ids[word.addr];
+  }
+  const auto it = words.find(word);
+  return it == words.end() ? 0 : it->second;
+}
+
 DiagnosisLog::Index& DiagnosisLog::index() {
   sealed_ = false;
   if (index_ == nullptr) {
-    cell_offsets_.assign(1, 0);
-    cell_masks_.clear();
+    // The index holds the cells while the log is being built.
+    cell_offsets_ = std::vector<std::uint32_t>(1);
+    cell_masks_ = {};
     cell_count_ = 0;
     index_ = std::make_unique<Index>();
     for (std::uint32_t id = 0; id < tables_.words.size(); ++id) {
       index_->slot(tables_.words[id]) = id + 1;
+    }
+    index_->cells.low.resize(tables_.words.size());
+    for (const LogEntry& entry : tables_.entries) {
+      index_->cells.add(entry.word, entry.limb, entry.mask);
     }
     for (std::uint32_t id = 1; id < tables_.backgrounds.size(); ++id) {
       index_->backgrounds.emplace(tables_.backgrounds[id], id);
@@ -152,10 +176,12 @@ std::uint32_t DiagnosisLog::append_event(const DiagnosisEvent& event) {
 }
 
 std::uint32_t DiagnosisLog::resolve_word(LoggedWord word) {
-  std::uint32_t& slot = index().slot(word);
+  Index& index = this->index();
+  std::uint32_t& slot = index.slot(word);
   if (slot == 0) {
     require(tables_.words.size() < kUnseen, "DiagnosisLog: word table full");
     tables_.words.push_back(word);
+    index.cells.low.emplace_back();
     slot = static_cast<std::uint32_t>(tables_.words.size());
   }
   return slot - 1;
@@ -258,60 +284,47 @@ void DiagnosisLog::seal() {
   if (t.entries.capacity() - t.entries.size() > t.entries.size() / 8) {
     t.entries.shrink_to_fit();
   }
+  take_cells(index_->cells, order);
   index_.reset();
-  index_cells();
   sealed_ = true;
 }
 
-std::vector<std::uint32_t> DiagnosisLog::entries_by_word(
-    std::vector<std::uint32_t>& offsets) const {
-  const auto& entries = tables_.entries;
-  offsets.assign(tables_.words.size() + 1, 0);
-  for (const LogEntry& entry : entries) {
-    ++offsets[entry.word + 1];
+void DiagnosisLog::take_cells(const WordCells& cells,
+                              const std::vector<std::uint32_t>& order) {
+  std::size_t masks = cells.high.size();
+  for (const auto& low : cells.low) {
+    masks += static_cast<std::size_t>(std::count_if(
+        low.begin(), low.end(), [](std::uint64_t m) { return m != 0; }));
   }
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<std::uint32_t> order(entries.size());
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::uint32_t i = 0; i < entries.size(); ++i) {
-    order[cursor[entries[i].word]++] = i;
+  std::vector<std::uint32_t> offsets(order.size() + 1);
+  std::vector<CellMask> cell_masks;
+  cell_masks.reserve(masks);
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < order.size(); ++w) {
+    offsets[w] = static_cast<std::uint32_t>(cell_masks.size());
+    cells.for_each(order[w], [&](std::uint32_t limb, std::uint64_t mask) {
+      cell_masks.push_back({limb, mask});
+      count += static_cast<std::size_t>(std::popcount(mask));
+    });
   }
-  // A word's entries are few and their limbs mostly in order already.
-  const auto by_limb = [&entries](std::uint32_t a, std::uint32_t b) {
-    return entries[a].limb < entries[b].limb;
-  };
-  for (std::size_t w = 0; w + 1 < offsets.size(); ++w) {
-    const auto first = order.begin() + offsets[w];
-    const auto last = order.begin() + offsets[w + 1];
-    if (!std::is_sorted(first, last, by_limb)) {
-      std::stable_sort(first, last, by_limb);
-    }
-  }
-  return order;
+  offsets.back() = static_cast<std::uint32_t>(cell_masks.size());
+  cell_offsets_ = std::move(offsets);
+  cell_masks_ = std::move(cell_masks);
+  cell_count_ = count;
 }
 
-void DiagnosisLog::index_cells() {
-  const auto& entries = tables_.entries;
-  std::vector<std::uint32_t> offsets;
-  const std::vector<std::uint32_t> order = entries_by_word(offsets);
-  cell_offsets_.assign(offsets.size(), 0);
-  cell_masks_.clear();
-  for (std::size_t w = 0; w + 1 < offsets.size(); ++w) {
-    cell_offsets_[w] = static_cast<std::uint32_t>(cell_masks_.size());
-    for (std::uint32_t j = offsets[w]; j < offsets[w + 1]; ++j) {
-      const LogEntry& entry = entries[order[j]];
-      if (j == offsets[w] || entry.limb != cell_masks_.back().limb) {
-        cell_masks_.push_back({entry.limb, 0});
-      }
-      cell_masks_.back().mask |= entry.mask;
-    }
+std::size_t DiagnosisLog::cell_mask_of(const LogEntry& entry) const {
+  if (cell_offsets_[entry.word + 1] - cell_offsets_[entry.word] == 1) {
+    return cell_offsets_[entry.word];  // most words fail in one limb
   }
-  cell_offsets_.back() = static_cast<std::uint32_t>(cell_masks_.size());
-  cell_masks_.shrink_to_fit();
-  cell_count_ = 0;
-  for (const CellMask& cells : cell_masks_) {
-    cell_count_ += static_cast<std::size_t>(std::popcount(cells.mask));
-  }
+  const auto first = cell_masks_.begin() + cell_offsets_[entry.word];
+  const auto last = cell_masks_.begin() + cell_offsets_[entry.word + 1];
+  return static_cast<std::size_t>(
+      std::lower_bound(first, last, entry.limb,
+                       [](const CellMask& m, std::uint32_t limb) {
+                         return m.limb < limb;
+                       }) -
+      cell_masks_.begin());
 }
 
 std::optional<DiagnosisLog> DiagnosisLog::from_sealed_tables(
@@ -407,84 +420,106 @@ std::optional<DiagnosisLog> DiagnosisLog::from_sealed_tables(
   DiagnosisLog log;
   log.tables_ = std::move(tables);
   log.records_ = records;
-  log.index_cells();
+  WordCells cells;
+  cells.low.resize(log.tables_.words.size());
+  for (const LogEntry& entry : log.tables_.entries) {
+    cells.add(entry.word, entry.limb, entry.mask);
+  }
+  std::vector<std::uint32_t> order(log.tables_.words.size());
+  std::iota(order.begin(), order.end(), 0);
+  log.take_cells(cells, order);
   return log;
 }
 
-std::pair<std::size_t, std::size_t> DiagnosisLog::word_range(
-    std::size_t memory) const {
+template <class F>
+void DiagnosisLog::for_each_cell_mask(std::uint32_t memory, F&& f) const {
+  if (index_ != nullptr) {
+    // A log being built: the memory's slots in address order, then its
+    // words in the map, which all lie past the slots.
+    const auto word = [&](std::uint32_t id) {
+      index_->cells.for_each(id, [&](std::uint32_t limb, std::uint64_t mask) {
+        f(tables_.words[id].addr, limb, mask);
+      });
+    };
+    if (memory < index_->slots.size()) {
+      for (const std::uint32_t slot : index_->slots[memory].ids) {
+        if (slot != 0) {
+          word(slot - 1);
+        }
+      }
+    }
+    for (auto it = index_->words.lower_bound({memory, 0});
+         it != index_->words.end() && it->first.memory == memory; ++it) {
+      word(it->second - 1);
+    }
+    return;
+  }
   const auto& words = tables_.words;
   const auto below = [memory](const LoggedWord& word) {
     return word.memory < memory;
   };
-  const auto lo = std::partition_point(words.begin(), words.end(), below);
-  const auto hi = std::partition_point(lo, words.end(),
-                                       [memory](const LoggedWord& word) {
-                                         return word.memory == memory;
-                                       });
-  return {static_cast<std::size_t>(lo - words.begin()),
-          static_cast<std::size_t>(hi - words.begin())};
-}
-
-std::vector<LoggedCell> DiagnosisLog::scan_cells(
-    std::optional<std::size_t> memory_index) const {
-  std::vector<LoggedCell> out;
-  for (const LogEntry& entry : tables_.entries) {
-    const LoggedWord& word = tables_.words[entry.word];
-    if (memory_index && word.memory != *memory_index) {
-      continue;
-    }
-    for (std::uint64_t mask = entry.mask; mask != 0; mask &= mask - 1) {
-      out.push_back({word.memory, word.addr,
-                     entry.limb * 64 +
-                         static_cast<std::uint32_t>(std::countr_zero(mask))});
+  for (auto w = static_cast<std::size_t>(
+           std::partition_point(words.begin(), words.end(), below) -
+           words.begin());
+       w < words.size() && words[w].memory == memory; ++w) {
+    for (std::uint32_t c = cell_offsets_[w]; c < cell_offsets_[w + 1]; ++c) {
+      f(words[w].addr, cell_masks_[c].limb, cell_masks_[c].mask);
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<sram::CellCoord> DiagnosisLog::cells(
     std::size_t memory_index) const {
   std::vector<sram::CellCoord> out;
-  if (!sealed_) {
-    for (const LoggedCell& cell : scan_cells(memory_index)) {
-      out.push_back({cell.addr, cell.bit});
-    }
+  if (memory_index > std::numeric_limits<std::uint32_t>::max()) {
     return out;
   }
-  const auto [lo, hi] = word_range(memory_index);
-  for (std::size_t w = lo; w < hi; ++w) {
-    for (std::uint32_t c = cell_offsets_[w]; c < cell_offsets_[w + 1]; ++c) {
-      const CellMask& cells = cell_masks_[c];
-      for (std::uint64_t mask = cells.mask; mask != 0; mask &= mask - 1) {
-        out.push_back({tables_.words[w].addr,
-                       cells.limb * 64 + static_cast<std::uint32_t>(
-                                             std::countr_zero(mask))});
-      }
-    }
-  }
+  for_each_cell_mask(static_cast<std::uint32_t>(memory_index),
+                     [&out](std::uint32_t addr, std::uint32_t limb,
+                            std::uint64_t mask) {
+                       for (; mask != 0; mask &= mask - 1) {
+                         out.push_back(
+                             {addr, limb * 64 + static_cast<std::uint32_t>(
+                                                    std::countr_zero(mask))});
+                       }
+                     });
   return out;
 }
 
 std::vector<std::uint32_t> DiagnosisLog::faulty_rows(
     std::size_t memory_index) const {
   std::vector<std::uint32_t> rows;
-  if (!sealed_) {
-    for (const LoggedCell& cell : scan_cells(memory_index)) {
-      if (rows.empty() || rows.back() != cell.addr) {
-        rows.push_back(cell.addr);
-      }
-    }
+  if (memory_index > std::numeric_limits<std::uint32_t>::max()) {
     return rows;
   }
-  const auto [lo, hi] = word_range(memory_index);
-  rows.reserve(hi - lo);
-  for (std::size_t w = lo; w < hi; ++w) {
-    rows.push_back(tables_.words[w].addr);
-  }
+  for_each_cell_mask(static_cast<std::uint32_t>(memory_index),
+                     [&rows](std::uint32_t addr, std::uint32_t,
+                             std::uint64_t) {
+                       if (rows.empty() || rows.back() != addr) {
+                         rows.push_back(addr);
+                       }
+                     });
   return rows;
+}
+
+std::uint64_t DiagnosisLog::cell_mask(LoggedWord word,
+                                      std::uint32_t limb) const {
+  if (index_ != nullptr) {
+    const std::uint32_t id = index_->find(word);
+    return id == 0 ? 0 : index_->cells.get(id - 1, limb);
+  }
+  const auto& words = tables_.words;
+  const auto found = std::lower_bound(words.begin(), words.end(), word);
+  if (found == words.end() || *found != word) {
+    return 0;
+  }
+  const auto w = static_cast<std::size_t>(found - words.begin());
+  const auto first = cell_masks_.begin() + cell_offsets_[w];
+  const auto last = cell_masks_.begin() + cell_offsets_[w + 1];
+  const auto cells = std::lower_bound(
+      first, last, limb,
+      [](const CellMask& m, std::uint32_t l) { return m.limb < l; });
+  return cells != last && cells->limb == limb ? cells->mask : 0;
 }
 
 bool DiagnosisLog::contains(std::size_t memory_index,
@@ -492,34 +527,21 @@ bool DiagnosisLog::contains(std::size_t memory_index,
   if (memory_index > std::numeric_limits<std::uint32_t>::max()) {
     return false;
   }
-  const LoggedWord key{static_cast<std::uint32_t>(memory_index), cell.row};
-  const auto& words = tables_.words;
-  const std::uint32_t limb = cell.bit / 64;
-  if (!sealed_) {
-    // A log being built: one pass over its entries, no copy.
-    return std::any_of(tables_.entries.begin(), tables_.entries.end(),
-                       [&](const LogEntry& entry) {
-                         return entry.limb == limb &&
-                                (entry.mask >> (cell.bit % 64) & 1) != 0 &&
-                                words[entry.word] == key;
-                       });
-  }
-  const auto word = std::lower_bound(words.begin(), words.end(), key);
-  if (word == words.end() || *word != key) {
-    return false;
-  }
-  const auto w = static_cast<std::size_t>(word - words.begin());
-  const auto first = cell_masks_.begin() + cell_offsets_[w];
-  const auto last = cell_masks_.begin() + cell_offsets_[w + 1];
-  const auto cells = std::lower_bound(
-      first, last, limb,
-      [](const CellMask& m, std::uint32_t l) { return m.limb < l; });
-  return cells != last && cells->limb == limb &&
-         (cells->mask >> (cell.bit % 64) & 1) != 0;
+  const LoggedWord word{static_cast<std::uint32_t>(memory_index), cell.row};
+  return (cell_mask(word, cell.bit / 64) >> (cell.bit % 64) & 1) != 0;
 }
 
 std::size_t DiagnosisLog::distinct_cell_count() const {
-  return sealed_ ? cell_count_ : scan_cells(std::nullopt).size();
+  if (index_ == nullptr) {
+    return cell_count_;
+  }
+  std::size_t count = 0;
+  for (std::uint32_t w = 0; w < index_->cells.low.size(); ++w) {
+    index_->cells.for_each(w, [&count](std::uint32_t, std::uint64_t mask) {
+      count += static_cast<std::size_t>(std::popcount(mask));
+    });
+  }
+  return count;
 }
 
 DiagnosisLog::CellGroups DiagnosisLog::entries_by_cell() const {
@@ -527,38 +549,51 @@ DiagnosisLog::CellGroups DiagnosisLog::entries_by_cell() const {
     std::optional<DiagnosisLog> copy;
     return sealed_form(*this, copy).entries_by_cell();
   }
-  const auto& entries = tables_.entries;
-  std::vector<std::uint32_t> offsets;
-  const std::vector<std::uint32_t> order = entries_by_word(offsets);
+  // Cells are numbered in cell-mask order, which is (memory, addr, bit)
+  // order: first[k] cells lie before cell mask k.
   CellGroups groups;
   groups.cells.reserve(cell_count_);
-  groups.offsets.reserve(cell_count_ + 1);
-  groups.offsets.push_back(0);
-  groups.order.reserve(records_);
+  std::vector<std::uint32_t> first(cell_masks_.size());
   for (std::size_t w = 0; w < tables_.words.size(); ++w) {
     const LoggedWord& word = tables_.words[w];
-    // One limb's entries at a time: each cell of the limb takes the
-    // entries whose mask has it, in log order.
-    for (std::uint32_t first = offsets[w]; first < offsets[w + 1];) {
-      const std::uint32_t limb = entries[order[first]].limb;
-      std::uint32_t last = first;
-      std::uint64_t cells = 0;
-      for (; last < offsets[w + 1] && entries[order[last]].limb == limb;
-           ++last) {
-        cells |= entries[order[last]].mask;
+    for (std::uint32_t k = cell_offsets_[w]; k < cell_offsets_[w + 1]; ++k) {
+      first[k] = static_cast<std::uint32_t>(groups.cells.size());
+      for (std::uint64_t bits = cell_masks_[k].mask; bits != 0;
+           bits &= bits - 1) {
+        groups.cells.push_back(
+            {word.memory, word.addr,
+             cell_masks_[k].limb * 64 +
+                 static_cast<std::uint32_t>(std::countr_zero(bits))});
       }
-      for (; cells != 0; cells &= cells - 1) {
-        const auto bit = static_cast<std::uint32_t>(std::countr_zero(cells));
-        for (std::uint32_t j = first; j < last; ++j) {
-          if ((entries[order[j]].mask >> bit & 1) != 0) {
-            groups.order.push_back(order[j]);
-          }
-        }
-        groups.cells.push_back({word.memory, word.addr, limb * 64 + bit});
-        groups.offsets.push_back(
-            static_cast<std::uint32_t>(groups.order.size()));
-      }
-      first = last;
+    }
+  }
+  // Each record's cell: its bit's rank among its cell mask's, past
+  // first[k].  Records are numbered in log order, bits ascending.
+  const auto& entries = tables_.entries;
+  std::vector<std::uint32_t> cell_of(records_);
+  groups.offsets.assign(groups.cells.size() + 1, 0);
+  std::size_t r = 0;
+  for (const LogEntry& entry : entries) {
+    const std::size_t k = cell_mask_of(entry);
+    for (std::uint64_t bits = entry.mask; bits != 0; bits &= bits - 1) {
+      const std::uint64_t below = (bits & (0 - bits)) - 1;
+      const std::uint32_t c =
+          first[k] + static_cast<std::uint32_t>(
+                         std::popcount(cell_masks_[k].mask & below));
+      cell_of[r++] = c;
+      ++groups.offsets[c + 1];
+    }
+  }
+  std::partial_sum(groups.offsets.begin(), groups.offsets.end(),
+                   groups.offsets.begin());
+  // Entries in log order, so each cell's come in log order too.
+  groups.order.resize(records_);
+  std::vector<std::uint32_t>& cursor = first;
+  cursor.assign(groups.offsets.begin(), groups.offsets.end() - 1);
+  r = 0;
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    for (std::uint64_t bits = entries[i].mask; bits != 0; bits &= bits - 1) {
+      groups.order[cursor[cell_of[r++]]++] = i;
     }
   }
   return groups;

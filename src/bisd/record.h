@@ -36,6 +36,7 @@
 // words and ~9k events.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -154,8 +155,8 @@ class DiagnosisLog {
 
   DiagnosisLog();
   ~DiagnosisLog();
-  /// Copies the tables; the copy builds its own insertion index if it is
-  /// added to.
+  /// Copies the tables; a copy of a log being built rebuilds its insertion
+  /// index from them, so ids interned in @p other stay valid in the copy.
   DiagnosisLog(const DiagnosisLog& other);
   DiagnosisLog& operator=(const DiagnosisLog& other);
   DiagnosisLog(DiagnosisLog&& other) noexcept;
@@ -163,8 +164,9 @@ class DiagnosisLog {
 
   // ---- building ------------------------------------------------------------
   // Every call below unseals the log and, while it is unsealed, keeps an
-  // insertion index (content -> id maps and per-memory word slots) beside
-  // the tables.  seal() drops it.
+  // insertion index beside the tables: content -> id maps, per-memory word
+  // slots and each word's cell masks so far.  Its word slots take at most
+  // 16 MB; the rest is linear in the tables.  seal() drops it.
 
   /// Returns the id of @p background in this log's table, adding it on
   /// first sight; equal contents always map to the same id, and the empty
@@ -182,7 +184,9 @@ class DiagnosisLog {
   /// registered by @p event, an id from intern(); bit j of @p mask is a
   /// failure of IO bit 64 * @p limb + j.  Words resolve through a slot per
   /// address of each memory, grown on demand; addresses or memories past
-  /// 2^16 and slots past the index budget use an ordered map.  Throws
+  /// 2^16 and slots past the index budget use an ordered map.  The mask is
+  /// ORed into the word's cell masks: O(1) for limbs 0 and 1, O(log n)
+  /// above.  Throws
   /// std::invalid_argument when @p event is not in this log, @p mask is 0,
   /// @p limb is kMaxLimbs or more, or the entry continues a serial run (see
   /// "Record order" above) with a lower limb than the entry before it.
@@ -198,18 +202,19 @@ class DiagnosisLog {
     const std::uint32_t word = word_id(memory, addr);
     tables_.entries.push_back({mask, word, event, limb});
     records_ += static_cast<std::size_t>(std::popcount(mask));
+    index_->cells.add(word, limb, mask);
   }
 
   /// Appends @p record through a non-serial event at its cycle.  Throws
   /// std::invalid_argument when the background id was not interned here.
   void add(const DiagnosisRecord& record);
 
-  /// Brings the tables to their canonical form (see Tables), drops the
-  /// insertion index and builds the cell masks the readers walk; ids
-  /// interned before are void afterwards.  Records, their order and every
-  /// query are unchanged.  Linear in entries plus the word slots, and a
-  /// sort of each word's entries by limb; a no-op on a sealed log.  Schemes
-  /// seal their result, and decode_report returns sealed logs.
+  /// Brings the tables to their canonical form (see Tables), moves the
+  /// index's cell masks into word order and drops the index; ids interned
+  /// before are void afterwards.  Records, their order and every query are
+  /// unchanged.  Linear in entries plus the word slots, with a map search
+  /// per word once some word passes 128 bits; a no-op on a sealed log.
+  /// Schemes seal their result, and decode_report returns sealed logs.
   void seal();
 
   [[nodiscard]] bool sealed() const { return sealed_; }
@@ -222,9 +227,10 @@ class DiagnosisLog {
       Tables tables, std::string& why);
 
   // ---- reading -------------------------------------------------------------
-  // The per-cell queries below read a sealed log's cell masks.  On a log
-  // still being built they scan and sort its records instead, and
-  // entries_by_cell() reads a sealed copy (sealed_form).
+  // The per-cell queries below read a sealed log's cell masks, and a log
+  // still being built its insertion index, at the same cost.
+  // entries_by_cell() reads a sealed copy of a log being built
+  // (sealed_form).
 
   [[nodiscard]] const Tables& tables() const { return tables_; }
 
@@ -240,22 +246,25 @@ class DiagnosisLog {
     return tables_.backgrounds[record.background];
   }
 
-  /// Distinct faulty cells of @p memory_index, ascending: a binary search
-  /// and a walk of the memory's cell masks.
+  /// Distinct faulty cells of @p memory_index, ascending: a walk of the
+  /// memory's words and their cell masks (after a binary search once
+  /// sealed, or over the memory's word slots while being built).
   [[nodiscard]] std::vector<sram::CellCoord> cells(
       std::size_t memory_index) const;
 
   /// Distinct rows needing repair in @p memory_index, ascending: the
-  /// memory's words.
+  /// memory's words, found as cells() finds them.
   [[nodiscard]] std::vector<std::uint32_t> faulty_rows(
       std::size_t memory_index) const;
 
-  /// Whether (@p memory_index, @p cell) has a record: two binary searches,
-  /// or one pass over the entries of a log still being built.
+  /// Whether (@p memory_index, @p cell) has a record: two binary searches
+  /// once sealed; while being built, a slot lookup (or O(log n) in the
+  /// index's maps) and the word's mask of the cell's limb.
   [[nodiscard]] bool contains(std::size_t memory_index,
                               sram::CellCoord cell) const;
 
-  /// Distinct (memory, cell) pairs across the whole SoC.
+  /// Distinct (memory, cell) pairs across the whole SoC: a count kept at
+  /// seal time, or a pass over the cell masks of a log being built.
   [[nodiscard]] std::size_t distinct_cell_count() const;
 
   [[nodiscard]] bool empty() const { return tables_.entries.empty(); }
@@ -263,8 +272,9 @@ class DiagnosisLog {
   /// Entries grouped by failing cell in compressed-row form: cells[c] is a
   /// cell, in ascending (memory, addr, bit) order, and its entries are the
   /// entry indices order[offsets[c]] .. order[offsets[c + 1]) in log order
-  /// (one per record of the cell).  Linear in records; no record is
-  /// decoded.
+  /// (one per record of the cell).  A counting sort of the records by
+  /// cell, each entry's cells found in its word's cell masks: linear in
+  /// records plus cells; no record is decoded.
   struct CellGroups {
     std::vector<LoggedCell> cells;
     std::vector<std::uint32_t> offsets;
@@ -286,8 +296,8 @@ class DiagnosisLog {
   /// Memories and addresses below these may resolve through word slots.
   static constexpr std::uint32_t kIndexedMemories = std::uint32_t{1} << 16;
   static constexpr std::uint32_t kIndexedWords = std::uint32_t{1} << 16;
-  /// Slot budget of all memories together (4 B each): at most 16 MB of
-  /// scratch while a log is built.
+  /// Slot budget of all memories together, counted by capacity (4 B each):
+  /// at most 16 MB of word slots while a log is built.
   static constexpr std::size_t kMaxIndexSlots = std::size_t{1} << 22;
   /// Events sharing the newest cycle base that intern() compares against
   /// before it switches to the ordered event map.
@@ -298,6 +308,47 @@ class DiagnosisLog {
     bool operator()(const BitVector& a, const BitVector& b) const;
   };
 
+  /// Each word's cells, the OR of its entries' masks per limb: limbs below
+  /// kInlineLimbs by word id, so words of up to 128 bits never reach the
+  /// map, and the rest by (word id, limb).
+  struct WordCells {
+    static constexpr std::uint32_t kInlineLimbs = 2;
+    std::vector<std::array<std::uint64_t, kInlineLimbs>> low;
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> high;
+
+    void add(std::uint32_t word, std::uint32_t limb, std::uint64_t mask) {
+      (limb < kInlineLimbs ? low[word][limb] : high[{word, limb}]) |= mask;
+    }
+
+    /// Word @p word's cells in @p limb.
+    [[nodiscard]] std::uint64_t get(std::uint32_t word,
+                                    std::uint32_t limb) const {
+      if (limb < kInlineLimbs) {
+        return low[word][limb];
+      }
+      const auto it = high.find({word, limb});
+      return it == high.end() ? 0 : it->second;
+    }
+
+    /// Calls @p f(limb, mask) for each limb of word @p word with cells,
+    /// limbs ascending.
+    template <class F>
+    void for_each(std::uint32_t word, F&& f) const {
+      for (std::uint32_t limb = 0; limb < kInlineLimbs; ++limb) {
+        if (low[word][limb] != 0) {
+          f(limb, low[word][limb]);
+        }
+      }
+      if (high.empty()) {
+        return;
+      }
+      for (auto it = high.lower_bound({word, kInlineLimbs});
+           it != high.end() && it->first.first == word; ++it) {
+        f(it->first.second, it->second);
+      }
+    }
+  };
+
   /// The insertion index: scratch that exists only while the log is being
   /// built.  An ordered map rather than a hash keeps every lookup
   /// O(log n) for any input; a hash could be flooded with collisions.
@@ -305,13 +356,14 @@ class DiagnosisLog {
     /// One memory's word ids + 1 by address.  Addresses below the slots'
     /// size resolve here and the rest in `words`; the slots grow to each
     /// new address until the budget is spent, then stay frozen, so no word
-    /// is ever in both.
+    /// is ever in both and a memory's words in `words` all lie past its
+    /// slots.
     struct Slots {
       std::vector<std::uint32_t> ids;
       bool frozen = false;
     };
     std::vector<Slots> slots;  ///< by memory
-    std::size_t slot_count = 0;
+    std::size_t slot_count = 0;  ///< the slots' summed capacities
     std::map<LoggedWord, std::uint32_t> words;  ///< id + 1
     std::map<BitVector, std::uint32_t, ContentOrder> backgrounds;
     /// While true, event cycle bases are non-decreasing in table order and
@@ -320,9 +372,13 @@ class DiagnosisLog {
     bool events_in_order = true;
     std::size_t tail_begin = 0;
     std::map<DiagnosisEvent, std::uint32_t> events;
+    WordCells cells;  ///< by word id, so far
 
-    /// The id + 1 of @p word, 0 while it has none.
+    /// The id + 1 of @p word, 0 while it has none; grows the slots.
     std::uint32_t& slot(LoggedWord word);
+
+    /// The id + 1 of @p word, 0 when it has none.
+    [[nodiscard]] std::uint32_t find(LoggedWord word) const;
   };
 
   /// The insertion index, built from the tables if absent; unseals.
@@ -371,23 +427,21 @@ class DiagnosisLog {
   /// Word ids in ascending (memory, addr) order, from the index.
   [[nodiscard]] std::vector<std::uint32_t> sorted_word_ids();
 
-  /// Entry indices grouped by word (word w's are order[offsets[w]] ..
-  /// order[offsets[w + 1])), limbs ascending within a word and log order
-  /// within a limb.
-  [[nodiscard]] std::vector<std::uint32_t> entries_by_word(
-      std::vector<std::uint32_t>& offsets) const;
+  /// Sets the sealed cell masks from @p cells, word @p order[w] as word w.
+  void take_cells(const WordCells& cells,
+                  const std::vector<std::uint32_t>& order);
 
-  /// Builds the cell masks and counts of sealed tables.
-  void index_cells();
+  /// The index of @p entry's cell mask in cell_masks_ (sealed only).
+  [[nodiscard]] std::size_t cell_mask_of(const LogEntry& entry) const;
 
-  /// The distinct cells of @p memory_index (all memories when nullopt),
-  /// ascending: an unsealed log's cell queries.
-  [[nodiscard]] std::vector<LoggedCell> scan_cells(
-      std::optional<std::size_t> memory_index) const;
+  /// Calls @p f(addr, limb, mask) for each cell mask of @p memory's words,
+  /// addresses, then limbs, ascending.
+  template <class F>
+  void for_each_cell_mask(std::uint32_t memory, F&& f) const;
 
-  /// Word @p memory's range of the sealed word table.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> word_range(
-      std::size_t memory) const;
+  /// The mask of @p word's cells in @p limb (0 when it has none).
+  [[nodiscard]] std::uint64_t cell_mask(LoggedWord word,
+                                        std::uint32_t limb) const;
 
   Tables tables_;
   std::size_t records_ = 0;  ///< set mask bits over all entries
