@@ -228,9 +228,9 @@ class DiagnosisLog {
 
   // ---- reading -------------------------------------------------------------
   // The per-cell queries below read a sealed log's cell masks, and a log
-  // still being built its insertion index, at the same cost.
-  // entries_by_cell() reads a sealed copy of a log being built
-  // (sealed_form).
+  // still being built the masks its insertion index keeps; neither scans
+  // the entries.  entries_by_cell() reads a sealed copy of a log being
+  // built (sealed_form).
 
   [[nodiscard]] const Tables& tables() const { return tables_; }
 
