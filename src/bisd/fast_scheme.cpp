@@ -1,14 +1,15 @@
 #include "bisd/fast_scheme.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <deque>
+#include <tuple>
 #include <vector>
 
-#include "bisd/address_gen.h"
-#include "bisd/background_gen.h"
 #include "bisd/comparator.h"
 #include "faults/overlay_slab.h"
+#include "march/drive.h"
 #include "march/library.h"
 #include "nwrtm/nwrtm.h"
 #include "serial/psc.h"
@@ -20,7 +21,6 @@ namespace fastdiag::bisd {
 namespace {
 
 using march::AddrOrder;
-using march::MarchOp;
 using march::MarchOpKind;
 using march::MarchTest;
 using march::Polarity;
@@ -59,15 +59,14 @@ bool element_has_nwrc(const march::MarchElement& element) {
   return false;
 }
 
-bool test_has_nwrc(const MarchTest& test) {
+std::size_t nwrc_elements(const MarchTest& test) {
+  std::size_t count = 0;
   for (const auto& phase : test.phases()) {
     for (const auto& element : phase.elements) {
-      if (element_has_nwrc(element)) {
-        return true;
-      }
+      count += element_has_nwrc(element) ? 1 : 0;
     }
   }
-  return false;
+  return count;
 }
 
 sram::SramConfig golden_config(sram::SramConfig config) {
@@ -75,54 +74,268 @@ sram::SramConfig golden_config(sram::SramConfig config) {
   return config;
 }
 
-/// What each execution unit of the sweep owns: the local SPC the pattern
-/// broadcast fills, the local address generator, and the golden shadow
-/// whose reads are the wrap-aware expectations.
-struct Unit {
-  explicit Unit(const sram::SramConfig& config)
-      : spc(config.bits), generator(config.words),
-        golden(golden_config(config)) {}
-
-  serial::SerialToParallelConverter spc;
-  LocalAddressGenerator generator;
-  sram::Sram golden;
-  BitVector expected;      ///< golden word of the in-flight read
-  std::uint32_t addr = 0;  ///< local address of the current step
-  /// The log event of this unit's failures in the read whose cycle base is
-  /// event_base: one per (read op, step, visit), interned at its first
-  /// failing bit.
-  std::uint64_t event_base = ~std::uint64_t{0};
-  std::uint32_t event = 0;
+/// One failing 64-bit batch of a comparator read: mask bit j is a failure
+/// of IO bit 64 * limb + j, registered by event.
+struct Hit {
+  DiagnosisEvent event;
+  std::uint64_t mask = 0;
+  std::uint32_t memory = 0;
+  std::uint32_t addr = 0;
+  std::uint32_t limb = 0;
 };
 
-/// One memory on its own data port, serializing through its own PSC.
+/// The shared BISD controller as every execution unit sees it (Fig. 3):
+/// the clock, the element in flight's background id, pattern broadcast and
+/// NWRTM line, the comparator array, and the failures registered in that
+/// element.
+struct Controller {
+  Controller(std::uint32_t c_max, std::uint64_t period, std::size_t memories)
+      : c_max(c_max), period(period), nwrtm(c_max), comparators(memories) {}
+
+  std::uint32_t c_max;
+  std::uint64_t period;
+  std::uint32_t background = 0;      ///< the phase background's log id
+  std::optional<BitVector> pattern;  ///< the element's write pattern
+  bool nwrtm_rises = false;  ///< the line rises before this element
+  bool nwrtm_falls = false;  ///< the line falls after this element
+  nwrtm::NwrtmController nwrtm;
+  ComparatorArray comparators;
+  std::vector<Hit> hits;
+};
+
+/// What each execution unit owns: the local SPC the pattern broadcast
+/// fills, the golden shadow whose reads are the wrap-aware expectations,
+/// and its own count of controller cycles.  Units are march::drive_element
+/// sinks, so the driver's address trigger is their local address
+/// generator.
+struct Unit {
+  Unit(Controller& ctl, const sram::SramConfig& config)
+      : ctl(ctl), spc(config.bits), golden(golden_config(config)) {}
+
+  /// Counts @p clocks controller cycles; returns the time they take.
+  std::uint64_t tick(std::uint64_t clocks) {
+    cycles += clocks;
+    return clocks * ctl.period;
+  }
+
+  /// Before an element's sweep: the NWRTM line's settle when it rises, and
+  /// the pattern delivery into this unit's SPC (c_max clocks, MSB first,
+  /// whatever the listener count).
+  std::uint64_t enter_element() {
+    std::uint64_t clocks = ctl.nwrtm_rises ? ctl.c_max : 0;
+    if (ctl.pattern) {
+      clocks += spc.deliver(*ctl.pattern);
+    }
+    return tick(clocks);
+  }
+
+  /// After an element's sweep: the NWRTM line's settle when it falls.
+  std::uint64_t leave_element() {
+    return tick(ctl.nwrtm_falls ? ctl.c_max : 0);
+  }
+
+  void require_nwrtm(const march::OpCtx& ctx) const {
+    ensure(!ctx.nwrc || ctl.nwrtm.asserted(),
+           "FastScheme: NWRC op outside NWRTM bracket");
+  }
+
+  /// Registers memory @p m's failing batch at shift clock @p k of the read
+  /// whose bit b left the chain at @p read_base + b.
+  void fail(std::uint64_t read_base, std::uint32_t k, std::uint64_t mask,
+            std::size_t m, const march::OpCtx& ctx) {
+    const DiagnosisEvent event{read_base,
+                               static_cast<std::uint32_t>(ctx.phase),
+                               static_cast<std::uint32_t>(ctx.element),
+                               static_cast<std::uint32_t>(ctx.op),
+                               ctx.visit,
+                               ctl.background,
+                               /*serial=*/true};
+    ctl.hits.push_back(
+        {event, mask, static_cast<std::uint32_t>(m), ctx.addr, k / 64});
+  }
+
+  Controller& ctl;
+  serial::SerialToParallelConverter spc;
+  sram::Sram golden;
+  BitVector expected;  ///< golden word of the in-flight read
+  std::uint64_t cycles = 0;
+  std::uint64_t ops = 0;
+};
+
+/// One memory on its own data port, serializing through its own PSC.  Its
+/// memory's clock is the unit's clock.
 struct Port : Unit {
-  Port(std::size_t index, sram::Sram& memory)
-      : Unit(memory.config()), index(index), memory(memory),
+  Port(Controller& ctl, std::size_t index, sram::Sram& memory)
+      : Unit(ctl, memory.config()), index(index), memory(memory),
         psc(memory.bits()) {}
+
+  void begin_element(std::size_t, std::size_t) {
+    memory.advance_time_ns(enter_element());
+  }
+  void end_element(std::size_t, std::size_t) {
+    memory.advance_time_ns(leave_element());
+  }
+  void pause(std::uint64_t ns) { memory.advance_time_ns(ns); }
+
+  void write(const march::OpCtx& ctx) {
+    require_nwrtm(ctx);
+    memory.advance_time_ns(tick(1));
+    const BitVector& data = spc.parallel_out();
+    if (ctx.nwrc) {
+      memory.nwrc_write(ctx.addr, data);
+    } else {
+      memory.write(ctx.addr, data);
+    }
+    // Golden expectation: NWRC == normal write on good cells.
+    golden.write(ctx.addr, data);
+  }
+
+  void read(const march::OpCtx& ctx) {
+    memory.advance_time_ns(tick(1));  // capture into the PSC
+    // Bit b of this word leaves the chain at read_base + b.
+    const std::uint64_t read_base = cycles + 1;
+    memory.read_into(ctx.addr, actual);
+    psc.capture(actual);
+    golden.read_into(ctx.addr, expected);
+    const bool idle = memory.config().has_idle_mode;
+    if (idle) {
+      memory.set_mode(sram::Mode::idle);
+    }
+    // Serialize the response back, up to 64 shift clocks per word compare;
+    // a PSC narrower than c_max drains into the zero fill.
+    for (std::uint32_t k = 0; k < ctl.c_max; k += 64) {
+      const std::uint32_t batch = std::min<std::uint32_t>(64, ctl.c_max - k);
+      if (idle) {
+        memory.advance_time_ns(tick(batch));
+      } else {
+        // No idle mode: the memory stays in read mode with data ignored,
+        // one read per shift clock at that clock's time (Sec. 3.3).
+        for (std::uint32_t t = 0; t < batch; ++t) {
+          memory.advance_time_ns(tick(1));
+          memory.read_into(ctx.addr, actual);
+        }
+      }
+      const std::uint64_t diff = ctl.comparators.compare_word(
+          index, expected.word_at(k, batch), psc.shift_out_word(batch), batch);
+      if (diff != 0) {
+        fail(read_base, k, diff, index, ctx);
+      }
+    }
+    memory.set_mode(sram::Mode::normal);
+  }
 
   std::size_t index;
   sram::Sram& memory;
   serial::ParallelToSerialConverter psc;
+  BitVector actual;  ///< read scratch, reused by every read
 };
 
 /// One instance-sliced group: the overlaid slab carrying the lanes' cells
 /// and fault sites, and the broadcast images the packed write/compare paths
 /// consume.  Identical geometry means identical address mapping and
-/// identical writes on every lane, so one SPC, one address generator and
-/// one golden shadow serve the whole group.
+/// identical writes on every lane, so one SPC and one golden shadow serve
+/// the whole group.  The lanes' memories take the group's clock and op
+/// counts in one deferred advance (land()); until then their fault sites
+/// (DRF settling) run on now_ns, the group's clock since the slab was
+/// built.
 struct Group : Unit {
-  Group(SliceGroup group, const std::vector<sram::Sram*>& lanes)
-      : Unit(lanes.front()->config()),
+  Group(Controller& ctl, SliceGroup group,
+        const std::vector<sram::Sram*>& lanes)
+      : Unit(ctl, lanes.front()->config()),
         info(std::move(group)),
         slab(lanes),
         wbcast(info.bits, 0),
         ebcast(info.bits, 0) {}
 
+  void begin_element(std::size_t, std::size_t) {
+    now_ns += enter_element();
+    if (ctl.pattern) {
+      // Expand the SPC's parallel word into the per-column broadcast image
+      // the packed slab writes consume.
+      simd::expand_bits(spc.parallel_out().word_data(), wbcast.data(),
+                        info.bits);
+    }
+  }
+  void end_element(std::size_t, std::size_t) { now_ns += leave_element(); }
+  void pause(std::uint64_t ns) { now_ns += ns; }
+
+  void write(const march::OpCtx& ctx) {
+    require_nwrtm(ctx);
+    now_ns += tick(1);
+    // One packed pulse advances every lane; each lane's fault sites then
+    // replay the write exactly.
+    slab.write(ctx.addr, wbcast.data(),
+               ctx.nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
+               now_ns);
+    golden.write(ctx.addr, spc.parallel_out());
+    ++(ctx.nwrc ? lane_ops.nwrc_writes : lane_ops.writes);
+  }
+
+  void read(const march::OpCtx& ctx) {
+    now_ns += tick(1);  // capture into the PSCs
+    const std::uint64_t read_base = cycles + 1;
+    // The whole group reads the same address; the packed compare happens
+    // during serialization, against the broadcast image of the shared
+    // golden word.
+    slab.read(ctx.addr, now_ns);
+    golden.read_into(ctx.addr, expected);
+    simd::expand_bits(expected.word_data(), ebcast.data(), info.bits);
+    ++lane_ops.reads;
+    const std::uint32_t bits = info.bits;
+    for (std::uint32_t k = 0; k < ctl.c_max; k += 64) {
+      const std::uint32_t batch = std::min<std::uint32_t>(64, ctl.c_max - k);
+      now_ns += tick(batch);
+      // One packed compare covers the batch: a per-lane mask, all-zero on
+      // clean lanes (the hot case), so the column-wise demux below runs
+      // only for a group that mismatched, and only over its flagged
+      // columns.
+      if (k >= bits ||
+          slab.compare(ebcast.data(), k, std::min(k + batch, bits)) == 0) {
+        continue;
+      }
+      const std::uint64_t* observed = slab.observed();
+      std::uint64_t failing = 0;
+      std::uint64_t cols = slab.mismatch_columns(ebcast.data(), k);
+      while (cols != 0) {
+        const auto t = static_cast<std::uint32_t>(std::countr_zero(cols));
+        cols &= cols - 1;
+        std::uint64_t lanes =
+            (observed[k + t] ^ ebcast[k + t]) & slab.lane_mask();
+        failing |= lanes;
+        while (lanes != 0) {
+          lane_diff[std::countr_zero(lanes)] |= std::uint64_t{1} << t;
+          lanes &= lanes - 1;
+        }
+      }
+      while (failing != 0) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(failing));
+        failing &= failing - 1;
+        fail(read_base, k, lane_diff[lane], info.members[lane], ctx);
+        lane_diff[lane] = 0;
+      }
+    }
+  }
+
+  /// The lanes catch up with the world: the arena and sense latches
+  /// scatter back into each lane's memory, and the deferred clock and op
+  /// accounting lands, so each lane's observable state (contents, latches,
+  /// uptime, counters; retention clocks already live in their FaultSets)
+  /// is exactly what running it as a port would have produced.
+  void land(SocUnderTest& soc) {
+    slab.scatter();
+    for (const std::size_t m : info.members) {
+      soc.memory(m).advance_time_ns(now_ns);
+      soc.memory(m).credit_ops(lane_ops);
+    }
+  }
+
   SliceGroup info;
   faults::OverlaySlab slab;
   std::vector<std::uint64_t> wbcast;  ///< write image, refreshed per element
   std::vector<std::uint64_t> ebcast;  ///< expected image, refreshed per read
+  std::array<std::uint64_t, 64> lane_diff{};  ///< per-lane masks of a batch
+  std::uint64_t now_ns = 0;
+  sram::OpCounters lane_ops;  ///< each lane's port traffic
 };
 
 }  // namespace
@@ -169,7 +382,7 @@ std::uint64_t FastScheme::predicted_cycles(const MarchTest& test,
       cycles += static_cast<std::uint64_t>(n_max) * per_address;
     }
   }
-  if (test_has_nwrc(test)) {
+  if (nwrc_elements(test) > 0) {
     cycles += 2ull * c_max;  // assert + deassert of the global NWRTM line
   }
   return cycles;
@@ -180,335 +393,100 @@ DiagnosisResult FastScheme::diagnose(SocUnderTest& soc) {
   const std::uint32_t c_max = soc.max_bits();
   const MarchTest test = test_for_width(c_max);
   const std::size_t memories = soc.memory_count();
-  const std::uint64_t period = options_.clock.period_ns;
+  Controller ctl(c_max, options_.clock.period_ns, memories);
 
   // Execution units.  Instance-sliced groups (every group slice_groups()
   // admits, unless the SoC runs the per_cell reference): identical-geometry
   // memories advance as bit-lanes of one overlaid slab, faulty lanes
   // included — their fault sites patch their own column bits.  Every other
-  // memory is a port with its own SPC, PSC, generator and golden shadow.
-  // unit_of names the unit whose address and geometry a memory's records
-  // carry; record attribution is the same either way.  Each unit's SPC
-  // listens to the pattern broadcast, whose cost is the pattern width
-  // whatever the listener count.
+  // memory is a port with its own SPC, PSC and golden shadow.
   std::deque<Group> groups;
   std::deque<Port> ports;
-  std::vector<Unit*> unit_of(memories, nullptr);
-  std::vector<serial::SerialToParallelConverter*> listeners;
+  std::vector<bool> sliced(memories, false);
   if (soc.access_kernel() == sram::AccessKernel::word_parallel) {
     for (auto& info : soc.slice_groups()) {
       std::vector<sram::Sram*> lanes;
       for (const std::size_t m : info.members) {
         lanes.push_back(&soc.memory(m));
+        sliced[m] = true;
       }
-      auto& group = groups.emplace_back(std::move(info), lanes);
-      for (const std::size_t m : group.info.members) {
-        unit_of[m] = &group;
-      }
-      listeners.push_back(&group.spc);
+      groups.emplace_back(ctl, std::move(info), lanes);
     }
   }
   for (std::size_t i = 0; i < memories; ++i) {
-    if (unit_of[i] == nullptr) {
-      auto& port = ports.emplace_back(i, soc.memory(i));
-      unit_of[i] = &port;
-      listeners.push_back(&port.spc);
+    if (!sliced[i]) {
+      ports.emplace_back(ctl, i, soc.memory(i));
     }
   }
 
-  DataBackgroundGenerator generator(c_max);
-  ComparatorArray comparators(memories);
-  nwrtm::NwrtmController nwrtm_line(/*toggle_cost_cycles=*/c_max);
+  const auto each_unit = [&](const auto& f) {
+    std::for_each(groups.begin(), groups.end(), f);
+    std::for_each(ports.begin(), ports.end(), f);
+  };
 
-  // Scratch storage reused by every read op: the hot loop never allocates.
-  // diff_scratch is zero outside the batch that sets it; hits lists the
-  // memories a batch set, so the rare path walks only those.
-  std::vector<std::uint64_t> diff_scratch(memories, 0);
-  std::vector<std::size_t> hits;
-  hits.reserve(memories);
-  BitVector read_scratch;
-
+  // Nothing a unit does depends on another unit or on the data read back,
+  // so each unit sweeps a whole element on its own, and the element's
+  // failures then merge into the log in the order the PSCs shifted them
+  // out: by cycle base, then batch, then memory.  A record's cycle,
+  // cycle base + bit, is the exact clock its bit left the chain.  The
+  // NWRTM line rises just before the first NWRC element and falls right
+  // after the last one.
+  const auto shifted_first = [](const Hit& a, const Hit& b) {
+    return std::tie(a.event.cycle_base, a.limb, a.memory) <
+           std::tie(b.event.cycle_base, b.limb, b.memory);
+  };
   DiagnosisResult result;
-  std::uint64_t cycles = 0;
-  // Ports advance with the controller clock.  Group lanes take one
-  // deferred advance of the full amount at the end (an O(all memories)
-  // walk per cycle would cap the speedup); until then their fault sites
-  // (DRF settling) run on deferred_ns, the scheme's running clock since
-  // the slabs were built, and lane_ops tallies each lane's port traffic.
-  std::uint64_t deferred_ns = 0;
-  sram::OpCounters lane_ops;
-  const auto advance = [&](std::uint64_t ns) {
-    deferred_ns += ns;
-    for (auto& port : ports) {
-      port.memory.advance_time_ns(ns);
-    }
-  };
-  const auto tick = [&](std::uint64_t n) {
-    cycles += n;
-    advance(n * period);
-  };
-
-  // NWRTM bracket: asserted just before the first NWRC element, released
-  // right after the last one.
-  std::ptrdiff_t first_nwrc = -1;
-  std::ptrdiff_t last_nwrc = -1;
-  {
-    std::ptrdiff_t index = 0;
-    for (const auto& phase : test.phases()) {
-      for (const auto& element : phase.elements) {
-        if (element_has_nwrc(element)) {
-          if (first_nwrc < 0) {
-            first_nwrc = index;
-          }
-          last_nwrc = index;
-        }
-        ++index;
-      }
-    }
-  }
-
-  std::ptrdiff_t element_index = -1;
+  std::size_t nwrc_left = nwrc_elements(test);
   for (std::size_t p = 0; p < test.phases().size(); ++p) {
     const auto& phase = test.phases()[p];
     // Every record of this phase shares its background: one table entry.
-    const std::uint32_t background_id = result.log.intern(phase.background);
+    ctl.background = result.log.intern(phase.background);
     for (std::size_t e = 0; e < phase.elements.size(); ++e) {
-      const auto& element = phase.elements[e];
-      ++element_index;
-
-      if (element.order == AddrOrder::once) {
-        for (const auto& op : element.ops) {
-          ensure(op.kind == MarchOpKind::pause,
-                 "FastScheme: non-pause op in once element");
-          result.time.add_pause_ns(op.pause_ns);
-          advance(op.pause_ns);
-        }
-        continue;
-      }
-
-      if (element_index == first_nwrc) {
-        nwrtm_line.assert_mode();
-        tick(c_max);  // control settle across the SoC
-      }
-
-      // Pattern delivery for this element's writes.
-      const auto polarity = element_write_polarity(element);
+      const auto polarity = element_write_polarity(phase.elements[e]);
+      ctl.pattern.reset();
       if (polarity.has_value()) {
-        const BitVector pattern = *polarity == Polarity::background
-                                      ? phase.background
-                                      : phase.background.inverted();
-        tick(generator.broadcast(pattern, listeners));
-        for (auto& group : groups) {
-          // Expand the group SPC's parallel word into the per-column
-          // broadcast image the packed slab writes consume.
-          simd::expand_bits(group.spc.parallel_out().word_data(),
-                            group.wbcast.data(), group.info.bits);
-        }
+        ctl.pattern = *polarity == Polarity::background
+                          ? phase.background
+                          : phase.background.inverted();
       }
-
-      // Address trigger: one full sweep of the largest capacity.
-      for (std::uint32_t step = 0; step < n_max; ++step) {
-        for (auto& port : ports) {
-          port.addr = port.generator.map(step, element.order, n_max);
-        }
-        for (auto& group : groups) {
-          group.addr = group.generator.map(step, element.order, n_max);
-        }
-        for (std::size_t o = 0; o < element.ops.size(); ++o) {
-          const auto& op = element.ops[o];
-          switch (op.kind) {
-            case MarchOpKind::write:
-            case MarchOpKind::nwrc_write: {
-              const bool nwrc = op.kind == MarchOpKind::nwrc_write;
-              ensure(!nwrc || nwrtm_line.asserted(),
-                     "FastScheme: NWRC op outside NWRTM bracket");
-              tick(1);
-              for (auto& port : ports) {
-                const BitVector& data = port.spc.parallel_out();
-                if (nwrc) {
-                  port.memory.nwrc_write(port.addr, data);
-                } else {
-                  port.memory.write(port.addr, data);
-                }
-                // Golden expectation: NWRC == normal write on good cells.
-                port.golden.write(port.addr, data);
-              }
-              for (auto& group : groups) {
-                // One packed pulse advances every lane; each lane's fault
-                // sites then replay the write exactly.
-                group.slab.write(
-                    group.addr, group.wbcast.data(),
-                    nwrc ? sram::WriteStyle::nwrc : sram::WriteStyle::normal,
-                    deferred_ns);
-                group.golden.write(group.addr, group.spc.parallel_out());
-              }
-              ++(nwrc ? lane_ops.nwrc_writes : lane_ops.writes);
-              break;
-            }
-            case MarchOpKind::read: {
-              tick(1);  // capture into the PSCs
-              // Bit b of this word leaves its chain at read_base + b.
-              const std::uint64_t read_base = cycles + 1;
-              for (auto& port : ports) {
-                port.memory.read_into(port.addr, read_scratch);
-                port.psc.capture(read_scratch);
-                port.golden.read_into(port.addr, port.expected);
-                if (port.memory.config().has_idle_mode) {
-                  port.memory.set_mode(sram::Mode::idle);
-                }
-              }
-              for (auto& group : groups) {
-                // The whole group reads the same address; the packed compare
-                // happens during serialization, against the broadcast image
-                // of the shared golden word.
-                group.slab.read(group.addr, deferred_ns);
-                group.golden.read_into(group.addr, group.expected);
-                simd::expand_bits(group.expected.word_data(),
-                                  group.ebcast.data(), group.info.bits);
-              }
-              ++lane_ops.reads;
-              // Serialize the responses back, memories in parallel;
-              // narrower PSCs drain into the zero fill.  Up to 64 shift
-              // clocks per word compare, and one log entry per memory that
-              // failed them.
-              for (std::uint32_t k = 0; k < c_max; k += 64) {
-                const auto batch = static_cast<std::size_t>(
-                    std::min<std::uint32_t>(64, c_max - k));
-                cycles += batch;
-                deferred_ns += batch * period;
-                hits.clear();
-                for (auto& port : ports) {
-                  if (port.memory.config().has_idle_mode) {
-                    port.memory.advance_time_ns(batch * period);
-                  } else {
-                    // No idle mode: the memory stays in read mode with data
-                    // ignored, one read per shift clock at that clock's
-                    // time (Sec. 3.3).
-                    for (std::size_t t = 0; t < batch; ++t) {
-                      port.memory.advance_time_ns(period);
-                      port.memory.read_into(port.addr, read_scratch);
-                    }
-                  }
-                  const std::uint64_t diff = comparators.compare_word(
-                      port.index, port.expected.word_at(k, batch),
-                      port.psc.shift_out_word(batch), batch);
-                  if (diff != 0) {
-                    diff_scratch[port.index] = diff;
-                    hits.push_back(port.index);
-                  }
-                }
-                // One packed compare covers each group's batch: the result
-                // is a per-lane mask, all-zero on clean lanes (the hot
-                // case), so the column-wise demux below runs only for a
-                // group that actually mismatched, and only over its
-                // flagged columns.
-                for (auto& group : groups) {
-                  const std::uint32_t gbits = group.info.bits;
-                  if (k >= gbits ||
-                      group.slab.compare(
-                          group.ebcast.data(), k,
-                          std::min<std::uint32_t>(
-                              k + static_cast<std::uint32_t>(batch),
-                              gbits)) == 0) {
-                    continue;
-                  }
-                  const std::uint64_t* observed = group.slab.observed();
-                  std::uint64_t cols =
-                      group.slab.mismatch_columns(group.ebcast.data(), k);
-                  while (cols != 0) {
-                    const auto t =
-                        static_cast<std::uint32_t>(std::countr_zero(cols));
-                    cols &= cols - 1;
-                    const std::uint64_t clock_bit = std::uint64_t{1} << t;
-                    std::uint64_t lanes_diff =
-                        (observed[k + t] ^ group.ebcast[k + t]) &
-                        group.slab.lane_mask();
-                    while (lanes_diff != 0) {
-                      const auto lane = static_cast<std::size_t>(
-                          std::countr_zero(lanes_diff));
-                      lanes_diff &= lanes_diff - 1;
-                      const std::size_t m = group.info.members[lane];
-                      if (diff_scratch[m] == 0) {
-                        hits.push_back(m);
-                      }
-                      diff_scratch[m] |= clock_bit;
-                    }
-                  }
-                }
-                if (hits.empty()) {
-                  continue;
-                }
-                // Rare path: each failing memory's mismatch mask, cut to
-                // its width, memories ascending.  The log yields a serial
-                // read's entries clock-major, memories ascending within a
-                // clock, and a record's cycle, read_base + bit, is the
-                // exact clock the mismatching bit left the chain.
-                std::sort(hits.begin(), hits.end());
-                for (const std::size_t i : hits) {
-                  Unit& unit = *unit_of[i];
-                  const std::uint32_t width = unit.golden.bits();
-                  std::uint64_t mask = diff_scratch[i];
-                  diff_scratch[i] = 0;
-                  if (k >= width) {
-                    continue;
-                  }
-                  if (width - k < 64) {
-                    mask &= (std::uint64_t{1} << (width - k)) - 1;
-                  }
-                  if (mask == 0) {
-                    continue;
-                  }
-                  if (unit.event_base != read_base) {
-                    DiagnosisEvent event;
-                    event.cycle_base = read_base;
-                    event.phase = static_cast<std::uint32_t>(p);
-                    event.element = static_cast<std::uint32_t>(e);
-                    event.op = static_cast<std::uint32_t>(o);
-                    event.visit = step / unit.generator.words();
-                    event.background = background_id;
-                    event.serial = true;
-                    unit.event = result.log.intern(event);
-                    unit.event_base = read_base;
-                  }
-                  result.log.add_word(static_cast<std::uint32_t>(i),
-                                      unit.addr, k / 64, mask, unit.event);
-                }
-              }
-              for (auto& port : ports) {
-                port.memory.set_mode(sram::Mode::normal);
-              }
-              break;
-            }
-            case MarchOpKind::pause:
-              ensure(false, "FastScheme: pause in addressed element");
-          }
-        }
+      const bool nwrc = element_has_nwrc(phase.elements[e]);
+      nwrc_left -= nwrc ? 1 : 0;
+      ctl.nwrtm_rises = nwrc && !ctl.nwrtm.asserted();
+      ctl.nwrtm_falls = nwrc && nwrc_left == 0;
+      if (ctl.nwrtm_rises) {
+        ctl.nwrtm.assert_mode();
       }
-
-      if (element_index == last_nwrc) {
-        nwrtm_line.deassert_mode();
-        tick(c_max);
+      each_unit([&](auto& unit) {
+        const auto begin = static_cast<std::ptrdiff_t>(ctl.hits.size());
+        march::drive_element(test, p, e, unit.golden.words(), n_max,
+                             unit.ops, unit);
+        // A unit registers its own failures in that order.
+        std::inplace_merge(ctl.hits.begin(), ctl.hits.begin() + begin,
+                           ctl.hits.end(), shifted_first);
+      });
+      if (ctl.nwrtm_falls) {
+        ctl.nwrtm.deassert_mode();
       }
+      for (const Hit& hit : ctl.hits) {
+        result.log.add_word(hit.memory, hit.addr, hit.limb, hit.mask,
+                            result.log.intern(hit.event));
+      }
+      ctl.hits.clear();
     }
   }
 
-  // Group lanes now catch up with the world: the arena and sense latches
-  // scatter back into each lane's memory, and the deferred clock/op
-  // accounting lands so the lanes' observable state (contents, latches,
-  // uptime, counters; retention clocks already live in their FaultSets) is
-  // exactly what running each lane as a port would have produced.
+  const std::uint64_t cycles = predicted_cycles(test, n_max, c_max);
+  each_unit([cycles](const Unit& unit) {
+    ensure(unit.cycles == cycles,
+           "FastScheme: simulated cycles diverged from the closed form");
+  });
   for (auto& group : groups) {
-    group.slab.scatter();
-    for (const std::size_t m : group.info.members) {
-      soc.memory(m).advance_time_ns(deferred_ns);
-      soc.memory(m).credit_ops(lane_ops);
-    }
+    group.land(soc);
   }
 
   result.time.add_cycles(cycles);
+  result.time.add_pause_ns(test.total_pause_ns());
   result.iterations = 1;
-  ensure(cycles == predicted_cycles(test, n_max, c_max),
-         "FastScheme: simulated cycles diverged from the closed form");
   result.log.seal();
   return result;
 }

@@ -26,12 +26,15 @@
 //
 // Execution: the word_parallel kernel advances each of
 // SocUnderTest::slice_groups() as the lanes of one overlaid slab that owns
-// one SPC, address generator and golden shadow; every other memory (and
-// every memory under the per_cell reference kernel) is a port with its own
-// SPC, PSC, generator and golden shadow.  Both kinds share one
-// serialization loop that drains up to 64 shift clocks per word compare,
-// performs each idle-less port's data-ignored reads at their exact clocks,
-// and emits records clock-major, memories in index order within a clock.
+// one SPC and golden shadow; every other memory (and every memory under
+// the per_cell reference kernel) is a port with its own SPC, PSC and golden
+// shadow.  Both kinds are march::drive_element sinks with their own cycle
+// count and clock.  Each element, every unit in turn sweeps it whole,
+// draining up to 64 shift clocks per word compare (an idle-less port does
+// its data-ignored reads at their exact clocks), and appends its failing
+// batches to one buffer, which then merges into the log by (cycle base,
+// batch, memory): records come clock-major, memories in index order within
+// a clock.  Every unit's cycle count must equal predicted_cycles().
 #pragma once
 
 #include <cstdint>

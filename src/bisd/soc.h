@@ -23,8 +23,8 @@ namespace fastdiag::bisd {
 /// identical-geometry memories a scheme advances as bit-lanes of one packed
 /// slab, each lane's fault sites overlaid on its column bits.  members are
 /// memory indices in this SoC, ascending; lane k of the slab is members[k].
-/// FastScheme gives a group one SPC, address generator and golden shadow;
-/// every memory outside the groups runs on its own port.
+/// FastScheme gives a group one SPC and golden shadow; every memory
+/// outside the groups runs on its own port.
 struct SliceGroup {
   std::uint32_t words = 0;
   std::uint32_t bits = 0;

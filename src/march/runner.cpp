@@ -6,6 +6,7 @@
 #include <span>
 
 #include "faults/overlay_slab.h"
+#include "march/drive.h"
 #include "util/require.h"
 #include "util/simd.h"
 
@@ -32,75 +33,6 @@ std::vector<sram::CellCoord> RunResult::suspect_cells() const {
 }
 
 namespace {
-
-/// One March operation of the element stream, as seen by a drive_march sink.
-struct OpCtx {
-  std::size_t phase = 0;
-  std::size_t element = 0;
-  std::size_t op = 0;
-  std::uint32_t addr = 0;
-  std::uint32_t visit = 0;
-  bool inverse = false;  ///< op polarity differs from the phase background
-  bool nwrc = false;     ///< write op uses the NWRC style
-};
-
-/// The shared element-loop driver: phase/element iteration, once-element
-/// pause handling, the controller's global-index-to-local-address mapping
-/// (bisd::LocalAddressGenerator: addr wraps the memory's own capacity,
-/// visit counts the wrap-around revisits) and op accounting.  The run
-/// entry points differ only in delivery and demux, which live in their
-/// sinks: begin_phase(p, phase), pause(ns), write(ctx), read(ctx).
-template <typename Sink>
-void drive_march(const MarchTest& test, std::uint32_t words,
-                 std::uint32_t sweep, std::uint64_t& ops, Sink&& sink) {
-  for (std::size_t p = 0; p < test.phases().size(); ++p) {
-    const auto& phase = test.phases()[p];
-    sink.begin_phase(p, phase);
-
-    for (std::size_t e = 0; e < phase.elements.size(); ++e) {
-      const auto& element = phase.elements[e];
-
-      if (element.order == AddrOrder::once) {
-        for (const auto& op : element.ops) {
-          ensure(op.kind == MarchOpKind::pause,
-                 "MarchRunner: non-pause op in once element");
-          sink.pause(op.pause_ns);
-          ++ops;
-        }
-        continue;
-      }
-
-      for (std::uint32_t step = 0; step < sweep; ++step) {
-        const std::uint32_t global =
-            element.order == AddrOrder::down ? sweep - 1 - step : step;
-        const std::uint32_t addr = global % words;
-        const std::uint32_t visit = step / words;
-        for (std::size_t o = 0; o < element.ops.size(); ++o) {
-          const auto& op = element.ops[o];
-          ++ops;
-          const OpCtx ctx{p,
-                          e,
-                          o,
-                          addr,
-                          visit,
-                          op.polarity != Polarity::background,
-                          op.kind == MarchOpKind::nwrc_write};
-          switch (op.kind) {
-            case MarchOpKind::write:
-            case MarchOpKind::nwrc_write:
-              sink.write(ctx);
-              break;
-            case MarchOpKind::read:
-              sink.read(ctx);
-              break;
-            case MarchOpKind::pause:
-              ensure(false, "MarchRunner: pause in addressed element");
-          }
-        }
-      }
-    }
-  }
-}
 
 /// Wrap-around revisits read back what the previous visit wrote, not the
 /// nominal pattern, so the expectation needs a fault-free shadow tracking
@@ -329,36 +261,6 @@ std::map<sram::CellCoord, std::vector<ReadEvent>> MarchRunner::run_per_cell(
              }
            });
   return by_cell;
-}
-
-std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>
-MarchRunner::run_group_per_cell(
-    const sram::SramConfig& probe_config,
-    const std::vector<std::vector<faults::FaultInstance>>& lanes,
-    const MarchTest& test, std::uint32_t global_words) const {
-  require(!lanes.empty(), "MarchRunner: empty probe group");
-  // Fold each lane's stream into its (cell -> reads) map exactly as
-  // run_per_cell would have: a cell's reads arrive in March order, and a
-  // read failing twice on one cell counts once.
-  const std::uint32_t bits = probe_config.bits;
-  std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>> results(
-      lanes.size());
-  for (std::size_t start = 0; start < lanes.size(); start += 64) {
-    const std::span<const std::vector<faults::FaultInstance>> chunk(
-        lanes.data() + start, std::min<std::size_t>(64, lanes.size() - start));
-    run_group_chunk(probe_config, chunk, test, global_words,
-                    [&](std::size_t k, std::span<const LaneRead> reads) {
-                      auto& by_cell = results[start + k];
-                      for (const auto& read : reads) {
-                        auto& events = by_cell[{read.cell_id / bits,
-                                                read.cell_id % bits}];
-                        if (events.empty() || events.back() != read.event) {
-                          events.push_back(read.event);
-                        }
-                      }
-                    });
-  }
-  return results;
 }
 
 void MarchRunner::run_group_chunk(

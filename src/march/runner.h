@@ -8,17 +8,17 @@
 // read (Sram::read_into), and the heap is touched only when a mismatch is
 // recorded.
 //
-// The entry points share one element-loop driver (drive_march in the
-// implementation).  run() and run_per_cell() are the per-memory reference:
+// The entry points share one element driver (drive_march in
+// march/drive.h).  run() and run_per_cell() are the per-memory reference:
 // run() materializes the full Mismatch stream (expected/actual word copies
 // included), run_per_cell() folds the stream straight into per-cell
 // failed-read sets.  run_group_chunk() is the one slab client: it replays
 // up to 64 packed probe lanes per faults::OverlaySlab for the
-// instance-sliced dictionary build and streams each lane's failing reads;
-// run_group_per_cell() folds that stream into run_per_cell's shape.  The
-// clients differ only in delivery (port vs broadcast) and demux (word
+// instance-sliced dictionary build and streams each lane's failing reads.
+// The clients differ only in delivery (port vs broadcast) and demux (word
 // mismatch vs lane/cell).  Fleets of real memories slice inside
-// bisd::FastScheme, which drives its own slabs.
+// bisd::FastScheme, whose execution units are sinks of the same driver,
+// one element at a time (drive_element).
 #pragma once
 
 #include <cstdint>
@@ -105,31 +105,14 @@ class MarchRunner {
   run_per_cell(sram::Sram& memory, const MarchTest& test,
                std::uint32_t global_words = 0) const;
 
-  /// Instance-sliced multi-victim replay: one run_per_cell result per lane,
-  /// bit-identical to replaying each lane's candidate list through its own
-  /// faults::FaultSet memory of geometry @p probe_config — but the whole
-  /// group advances as bit-lanes of shared faults::OverlaySlab slabs
-  /// (chunks of up to 64, in input order), one overlaid word op per
-  /// cell-column plus each lane's exact fault-site records.  Mismatching
-  /// reads demux from the packed compare masks straight to (lane, cell)
-  /// coordinates.  Each lane's candidates must sit at pairwise disjoint
-  /// cells and hold no address fault (OverlaySlab's probe contract).  The
-  /// map form of run_group_chunk, which the differential tests hold
-  /// against run_per_cell.
-  [[nodiscard]] std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>
-  run_group_per_cell(const sram::SramConfig& probe_config,
-                     const std::vector<std::vector<faults::FaultInstance>>&
-                         lanes,
-                     const MarchTest& test,
-                     std::uint32_t global_words = 0) const;
-
-  /// The streaming core of run_group_per_cell, for one chunk of at most 64
-  /// lanes: replays them once and hands each lane's failing read bits to
-  /// @p on_lane(lane, reads), lanes in input order.  A lane's reads come
-  /// in March arrival order, one entry per failing bit per read; the span
-  /// is scratch storage valid only during the call.  A caller folding
-  /// reads into its own structure this way never holds more than one
-  /// chunk of replay results.
+  /// Instance-sliced multi-victim replay of one chunk of 1 to 64 probe
+  /// lanes of geometry @p probe_config, advanced as the bit-lanes of one
+  /// faults::OverlaySlab (each lane's candidates at pairwise disjoint
+  /// cells, no address fault).  Hands each lane's failing read bits to
+  /// @p on_lane(lane, reads), lanes in input order; they match what
+  /// run_per_cell sees on a FaultSet memory of the lane's candidates.  A
+  /// lane's reads come in March arrival order, one entry per failing bit
+  /// per read; the span is scratch storage valid only during the call.
   void run_group_chunk(
       const sram::SramConfig& probe_config,
       std::span<const std::vector<faults::FaultInstance>> lanes,

@@ -1,6 +1,6 @@
-// Unit/integration tests for src/bisd: the SoC, records, address generator,
-// background generator, comparator array, repair allocator, and — above
-// all — the two diagnosis schemes and their paper-equation identities.
+// Unit/integration tests for src/bisd: the SoC, records, comparator array,
+// repair allocator, and — above all — the two diagnosis schemes and their
+// paper-equation identities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,8 +8,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "bisd/address_gen.h"
-#include "bisd/background_gen.h"
 #include "bisd/baseline_scheme.h"
 #include "bisd/comparator.h"
 #include "bisd/fast_scheme.h"
@@ -211,57 +209,7 @@ TEST(DiagnosisLog, PerMemoryQueriesMatchBruteForceOnInterleavedLogs) {
   }
 }
 
-// ------------------------------------------------------- address generator
-
-TEST(AddressGen, WrapsAroundForSmallerMemories) {
-  LocalAddressGenerator gen(4);
-  // Ascending sweep of a controller sized for 8 words.
-  std::vector<std::uint32_t> up;
-  for (std::uint32_t step = 0; step < 8; ++step) {
-    up.push_back(gen.map(step, march::AddrOrder::up, 8));
-  }
-  EXPECT_EQ(up, (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 3}));
-  // A memory as deep as the controller's sweep never wraps.
-  LocalAddressGenerator full(8);
-  for (std::uint32_t step = 0; step < 8; ++step) {
-    EXPECT_EQ(full.map(step, march::AddrOrder::up, 8), step);
-  }
-}
-
-TEST(AddressGen, DescendingSweepsMirror) {
-  LocalAddressGenerator gen(4);
-  std::vector<std::uint32_t> down;
-  for (std::uint32_t step = 0; step < 8; ++step) {
-    down.push_back(gen.map(step, march::AddrOrder::down, 8));
-  }
-  EXPECT_EQ(down, (std::vector<std::uint32_t>{3, 2, 1, 0, 3, 2, 1, 0}));
-}
-
-TEST(AddressGen, StepOutOfRangeRejected) {
-  LocalAddressGenerator gen(4);
-  EXPECT_THROW((void)gen.map(8, march::AddrOrder::up, 8),
-               std::invalid_argument);
-}
-
-// ------------------------------------------ background generator & friends
-
-TEST(BackgroundGen, BroadcastFillsMixedWidthSpcs) {
-  DataBackgroundGenerator generator(6);
-  serial::SerialToParallelConverter wide(6), narrow(4);
-  const std::vector<serial::SerialToParallelConverter*> spcs{&wide, &narrow};
-  const auto pattern = BitVector::from_string("101101");
-  EXPECT_EQ(generator.broadcast(pattern, spcs), 6u);
-  EXPECT_EQ(wide.parallel_out(), pattern);
-  EXPECT_EQ(narrow.parallel_out().to_string(), "1101");  // DP[3:0]
-  EXPECT_EQ(generator.deliveries(), 1u);
-}
-
-TEST(BackgroundGen, RejectsWrongWidth) {
-  DataBackgroundGenerator generator(6);
-  std::vector<serial::SerialToParallelConverter*> spcs;
-  EXPECT_THROW((void)generator.broadcast(BitVector(5), spcs),
-               std::invalid_argument);
-}
+// ------------------------------------------------------------ comparator
 
 TEST(Comparator, CountsComparisonsAndMismatches) {
   ComparatorArray comparators(2);

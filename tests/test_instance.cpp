@@ -2,7 +2,7 @@
 // kernels under them.
 //
 // Group executors (FastScheme over slice_groups, the dictionary-build probe
-// slabs of MarchRunner::run_group_per_cell) advance up to 64
+// slabs of MarchRunner::run_group_chunk) advance up to 64
 // identical-geometry memories as bit-lanes of one packed InstanceSlab, with
 // each lane's fault sites overlaid (faults::OverlaySlab).  They must be
 // observably indistinguishable from their references — the per_cell kernel,
@@ -21,6 +21,7 @@
 
 #include "core/fastdiag.h"
 #include "faults/overlay_slab.h"
+#include "group_per_cell.h"
 
 namespace fastdiag {
 namespace {
@@ -348,7 +349,7 @@ TEST(InstanceSlab, AcceptsRowRepairedRejectsColumnRepairedAndMismatched) {
                std::exception);
 }
 
-// ---- MarchRunner::run_group_per_cell vs per-probe run_per_cell -------------
+// ---- MarchRunner::run_group_chunk vs per-probe run_per_cell ---------------
 
 /// Deterministic candidate list for probe lane @p i against @p config:
 /// cycles through every packable fault kind, alternates same-word and
@@ -406,7 +407,8 @@ TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizes) {
                         std::make_unique<faults::FaultSet>(lane));
       expected.push_back(runner.run_per_cell(memory, test));
     }
-    const auto results = runner.run_group_per_cell(probe_config, lanes, test);
+    const auto results =
+        march::run_group_per_cell(runner, probe_config, lanes, test);
     ASSERT_EQ(results.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_TRUE(results[i] == expected[i])
@@ -435,7 +437,7 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
     expected.push_back(runner.run_per_cell(memory, test, sweep));
   }
   const auto results =
-      runner.run_group_per_cell(probe_config, lanes, test, sweep);
+      march::run_group_per_cell(runner, probe_config, lanes, test, sweep);
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     EXPECT_TRUE(results[i] == expected[i]) << "lane " << i;
   }

@@ -1,13 +1,16 @@
 // Unit tests for src/march: ops, elements, tests, notation, backgrounds,
-// the algorithm library, the runner, and classical coverage guarantees.
+// the algorithm library, the element driver, the runner, and classical
+// coverage guarantees.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
 
 #include "faults/fault_set.h"
+#include "group_per_cell.h"
 #include "march/background.h"
 #include "march/coverage.h"
+#include "march/drive.h"
 #include "march/library.h"
 #include "march/notation.h"
 #include "march/runner.h"
@@ -391,6 +394,102 @@ TEST(Runner, GlobalWordsBelowCapacityRejected) {
                std::invalid_argument);
 }
 
+// ------------------------------------------------------------------ driver
+
+/// Records everything drive_march / drive_element hand a sink.
+struct RecordingSink {
+  struct Access {
+    std::size_t phase = 0;
+    std::size_t element = 0;
+    std::uint32_t addr = 0;
+    std::uint32_t visit = 0;
+    bool read = false;
+  };
+  using Bracket = std::pair<std::size_t, std::size_t>;
+
+  std::vector<std::size_t> phases;
+  std::vector<Bracket> begun, ended;
+  std::vector<std::uint64_t> pauses;
+  std::vector<Access> accesses;
+
+  void begin_phase(std::size_t p, const MarchPhase&) { phases.push_back(p); }
+  void begin_element(std::size_t p, std::size_t e) { begun.emplace_back(p, e); }
+  void end_element(std::size_t p, std::size_t e) { ended.emplace_back(p, e); }
+  void pause(std::uint64_t ns) { pauses.push_back(ns); }
+  void write(const OpCtx& ctx) {
+    accesses.push_back({ctx.phase, ctx.element, ctx.addr, ctx.visit, false});
+  }
+  void read(const OpCtx& ctx) {
+    accesses.push_back({ctx.phase, ctx.element, ctx.addr, ctx.visit, true});
+  }
+
+  /// The addresses (or visits) element @p e of phase 0 reached, one entry
+  /// per op, in driver order.
+  [[nodiscard]] std::vector<std::uint32_t> addrs(std::size_t e,
+                                                 bool visits = false) const {
+    std::vector<std::uint32_t> out;
+    for (const auto& access : accesses) {
+      if (access.phase == 0 && access.element == e) {
+        out.push_back(visits ? access.visit : access.addr);
+      }
+    }
+    return out;
+  }
+};
+
+TEST(Driver, WrapsTheSweepAroundSmallerMemories) {
+  const MarchTest test(
+      "driver", {MarchPhase{BitVector(1), parse_elements("{up(w0); down(r0); "
+                                                          "once(pause5ns)}")},
+                 MarchPhase{BitVector(1), parse_elements("{any(r0,w1)}")}});
+  const std::vector<std::uint32_t> twice_up{0, 1, 2, 3, 0, 1, 2, 3};
+  const std::vector<std::uint32_t> twice_down{3, 2, 1, 0, 3, 2, 1, 0};
+  const std::vector<std::uint32_t> two_visits{0, 0, 0, 0, 1, 1, 1, 1};
+
+  // A 4-word memory under the controller's 8-step sweep.
+  RecordingSink sink;
+  std::uint64_t ops = 0;
+  drive_march(test, /*words=*/4, /*sweep=*/8, ops, sink);
+  EXPECT_EQ(sink.addrs(0), twice_up);
+  EXPECT_EQ(sink.addrs(1), twice_down);
+  EXPECT_EQ(sink.addrs(0, true), two_visits);
+  EXPECT_EQ(sink.addrs(1, true), two_visits);
+  EXPECT_EQ(ops, test.op_count(8));
+  EXPECT_EQ(sink.phases, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(sink.pauses, std::vector<std::uint64_t>{5});
+  // The hooks bracket each addressed element once; the once element
+  // (phase 0, element 2) gets none.
+  const std::vector<RecordingSink::Bracket> addressed{{0, 0}, {0, 1}, {1, 0}};
+  EXPECT_EQ(sink.begun, addressed);
+  EXPECT_EQ(sink.ended, addressed);
+  // Phase 1's one element: r0 then w1 at each step, wrapping too.
+  ASSERT_EQ(sink.accesses.size(), 32u);
+  EXPECT_EQ(sink.accesses[16].phase, 1u);
+  EXPECT_TRUE(sink.accesses[16].read);
+  EXPECT_FALSE(sink.accesses[17].read);
+  EXPECT_EQ(sink.accesses[18].addr, 1u);
+  EXPECT_EQ(sink.accesses[31].addr, 3u);
+  EXPECT_EQ(sink.accesses[31].visit, 1u);
+
+  // A memory as deep as the sweep never wraps; one element at a time.
+  RecordingSink deep;
+  std::uint64_t deep_ops = 0;
+  for (std::size_t e = 0; e < 3; ++e) {
+    drive_element(test, 0, e, /*words=*/8, /*sweep=*/8, deep_ops, deep);
+  }
+  EXPECT_EQ(deep.addrs(0),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(deep.addrs(1),
+            (std::vector<std::uint32_t>{7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(deep.addrs(0, true), std::vector<std::uint32_t>(8, 0));
+  EXPECT_EQ(deep.addrs(1, true), std::vector<std::uint32_t>(8, 0));
+  EXPECT_EQ(deep.begun, (std::vector<RecordingSink::Bracket>{{0, 0}, {0, 1}}));
+  EXPECT_EQ(deep.ended, deep.begun);
+  EXPECT_EQ(deep.pauses, std::vector<std::uint64_t>{5});
+  EXPECT_TRUE(deep.phases.empty());
+  EXPECT_EQ(deep_ops, 8u + 8u + 1u);
+}
+
 // ----------------------------------------------- classical coverage claims
 
 CoverageRow coverage_of(const MarchTest& test, FaultKind kind,
@@ -648,7 +747,7 @@ TEST(Runner, RetentionPauseProbeGroupMatchesPerProbeRuns) {
               faults::make_cell_fault(FaultKind::drf0, {9, 0})};
 
   const MarchRunner runner;
-  const auto results = runner.run_group_per_cell(config, lanes, test);
+  const auto results = run_group_per_cell(runner, config, lanes, test);
   ASSERT_EQ(results.size(), lanes.size());
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     Sram reference = faulty(lanes[i], config);
